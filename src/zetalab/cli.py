@@ -7,7 +7,8 @@ Every subcommand is a thin wrapper over one library operation.  A run writes
 * ``manifest.json`` -- resolved config, library versions, checksums, wall time.
 
 Exit status is 0 iff every configured tolerance gate passes (3 on a gate
-failure, naming the gate; 2 on configuration errors).  Same config + seed
+failure, naming the gate; 2 on configuration errors and on invalid inputs,
+with a one-line message).  Same config + seed
 reproduces the CSV byte-for-byte; wall-clock timing lives in the manifest and
 the JSON rows only.
 """
@@ -194,7 +195,7 @@ def _run_zeros(cfg):
     if action == "cross-validate":
         za = _resolve_zeros(cfg["a"], float(cfg.get("t_max", 100.0)))
         zb = _resolve_zeros(cfg["b"], float(cfg.get("t_max", 100.0)))
-        rep = zeros.cross_validate(za, zb, tol=float(cfg.get("tol", 1e-6)))
+        rep = zeros.cross_validate(za, zb)
         row, extras = _row(
             "zeros-cross-validate", t=rep.overlap_t, empirical=rep.max_abs_diff,
             predicted=0.0, n_zeros=rep.n_compared,
@@ -289,6 +290,9 @@ _RUNNERS = {
 
 
 def _default_gates(subcommand, cfg):
+    if subcommand == "zeros" and cfg.get("action") == "cross-validate":
+        tol = float(cfg.get("tol", 1e-6))
+        return [{"name": "cross-validate-tol", "column": "empirical_re", "abs_max": tol}]
     if subcommand == "toeplitz-check" and cfg.get("k") is not None:
         if parse_complex(cfg["k"]) == 0:
             return [
@@ -386,7 +390,7 @@ def _build_parser():
     zx = zsub.add_parser("cross-validate")
     zx.add_argument("--a")
     zx.add_argument("--b")
-    zx.add_argument("--tol", type=float)
+    zx.add_argument("--tol", type=float, help="gate on max |delta gamma| (default 1e-6)")
     zx.add_argument("--t-max", type=float, dest="t_max")
     zf = zsub.add_parser("fetch")
     zf.add_argument("--url")
@@ -419,18 +423,24 @@ def main(argv=None):
     subcommand = cfg.pop("subcommand")
     out_dir = cfg.pop("output_dir", None) or cfg.pop("output-dir", None) or "zetalab-results"
     gates = cfg.pop("gates", None)
-    if gates is None:
-        gates = _default_gates(subcommand, cfg)
 
     runner = _RUNNERS[subcommand]
     start = time.perf_counter()
     try:
+        if gates is None:
+            gates = _default_gates(subcommand, cfg)
         results = runner(cfg)
     except (KeyError, TypeError) as exc:
         print(f"configuration error for {subcommand}: missing or bad field {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:
         print(f"missing input: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        # bad values and every library input error (DomainError, CapabilityError,
+        # ZeroTableParseError, EmptyOverlapError, ...) subclass ValueError
+        message = " ".join(str(exc).split())
+        print(f"{subcommand}: {type(exc).__name__}: {message}", file=sys.stderr)
         return 2
     wall_time = time.perf_counter() - start
 

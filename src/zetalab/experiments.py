@@ -1,7 +1,7 @@
 """Zeta-side discrete sums over the computed zeros.
 
-Each experiment pairs an empirical Kahan-compensated sum over zeros with the
-closed-form prediction it is conjectured (or proven) to track:
+Each experiment pairs an empirical sum over zeros, correctly rounded by
+math.fsum, with the closed-form prediction it is conjectured (or proven) to track:
 
 * :func:`zeta_prime_moment` -- (1/N(T)) sum zeta'(rho)^k against
   (1/Gamma(k+2)) log(T/2pi)^k.
@@ -75,16 +75,10 @@ def _int_power(values, n):
     return out
 
 
-def kahan_sum(values):
-    """Kahan-compensated complex sum of a 1-D array."""
-    total = 0j
-    comp = 0j
-    for v in values:
-        y = v - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
+def complex_fsum(values):
+    """Correctly rounded sum (math.fsum) of the real and imaginary parts of a 1-D array."""
+    values = np.asarray(values, dtype=complex)
+    return complex(math.fsum(values.real), math.fsum(values.imag))
 
 
 def _zeta_prime_at_zeros(gammas, chunk=2048):
@@ -167,13 +161,14 @@ def zeta_prime_moment(zeros, t_height, k, branch=None, running=False):
     else:
         zp = _zeta_prime_at_zeros(gammas)
         powers = _branch_power(zp, k, branch)
-    empirical = kahan_sum(powers) / n
+    total = complex_fsum(powers)
+    empirical = total / n
     predicted = conjecture_rhs(t_height, k)
+    n_formula = (t_height / _TWO_PI) * math.log(t_height / (_TWO_PI * math.e))
     details = {
-        "sum": kahan_sum(powers),
-        "n_formula": (t_height / _TWO_PI) * math.log(t_height / (_TWO_PI * math.e)),
-        "normalized_by_formula": kahan_sum(powers)
-        / ((t_height / _TWO_PI) * math.log(t_height / (_TWO_PI * math.e))),
+        "sum": total,
+        "n_formula": n_formula,
+        "normalized_by_formula": total / n_formula,
     }
     if running:
         details["running"] = _running_rows(gammas, powers, lambda t, m: m * conjecture_rhs(t, k))
@@ -201,7 +196,7 @@ def landau_gonek(zeros, m, t_height, running=False):
     _require_coverage(zeros, t_height)
     gammas = zeros.below(t_height)
     terms = m**-0.5 * np.exp(-1j * gammas * math.log(m))
-    empirical = kahan_sum(terms)
+    empirical = complex_fsum(terms)
     predicted = complex(-(t_height / _TWO_PI) * von_mangoldt(m) / m)
     details = {"m": m}
     if running:
@@ -237,7 +232,7 @@ def px_mean(zeros, t_height, k, poly, running=False):
     gammas = zeros.below(t_height)
     n = len(gammas)
     values = p_x_pow(0.5 + 1j * gammas, k, poly)
-    empirical = kahan_sum(values)
+    empirical = complex_fsum(values)
     subsidiary = float(np.real(np.sum(poly.a * poly.lam / poly.m)))
     predicted = n - (t_height / _TWO_PI) * subsidiary
     details = {
@@ -333,7 +328,7 @@ def twisted_first_moment(zeros, t_height, poly, running=False):
     zp = _zeta_prime_at_zeros(gammas)
     pxinv = p_x_pow(0.5 + 1j * gammas, -1, poly)
     terms = zp * pxinv
-    empirical = kahan_sum(terms)
+    empirical = complex_fsum(terms)
 
     main = cgg_main_term(t_height)
     msum = 0.0

@@ -10,6 +10,8 @@ All routines accept scalars or numpy arrays and evaluate in double precision:
 * :func:`zeta_and_deriv` -- zeta and zeta' by Euler-Maclaurin with an analytic
   term-by-term derivative (no numerical differentiation).
 * :func:`hardy_z` -- the real-valued rotation of zeta on the critical line.
+* :func:`hardy_z_rs` -- Z by the Riemann-Siegel formula, with its proven error
+  bound.
 
 Everything here is pure and reentrant; there is no shared mutable state.
 """
@@ -60,7 +62,8 @@ _STIRLING = tuple(
     )
 )
 
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_TWO_PI = 2.0 * math.pi
+_HALF_LOG_2PI = 0.5 * math.log(_TWO_PI)
 _IM_S_LIMIT = 1.0e5
 
 
@@ -348,6 +351,77 @@ def hardy_z(t):
     zeta = zeta_only(0.5 + 1j * arr)
     out = np.real(np.exp(1j * theta) * zeta)
     return float(out) if scalar else out
+
+
+# Taylor coefficients in w = z^2 of C0 = cos(pi (z^2/2 + 3/8)) / cos(pi z), the first
+# Riemann-Siegel correction, with z = 1 - 2p; the series steps over the removable
+# singularities at z = +-1/2, where the closed form is 0/0.  Terms beyond w^18 are
+# below 4e-17.
+_RS_C0 = (
+    0.38268343236508977,
+    0.43724046807752045,
+    0.13237657548034352,
+    -0.013605026047674189,
+    -0.013567621970103581,
+    -0.0016237253231444653,
+    0.00029705353733379691,
+    0.000079433008795214696,
+    4.6556124614504505e-7,
+    -1.4327251630955106e-6,
+    -1.0354847112312946e-7,
+    1.2357927083861738e-8,
+    1.7881083857954905e-9,
+    -3.3914143899270359e-11,
+    -1.6326633902565905e-11,
+    -3.7851093185412204e-13,
+    9.3274232592017248e-14,
+    5.2218430159781369e-15,
+    -3.3506730727442638e-16,
+)
+# Height from which Gabcke's bound on the C0-truncated remainder holds.
+RS_T_MIN = 200.0
+
+
+def hardy_z_rs(t):
+    """Riemann-Siegel Z(t) through the C0 term, with Gabcke's bound on its error.
+
+    With tau = t/2pi, N = floor(sqrt(tau)) and p = sqrt(tau) - N,
+
+        Z_RS = 2 sum_{n<=N} n^{-1/2} cos(theta(t) - t log n)
+               + (-1)^{N-1} tau^{-1/4} C0(p),
+
+    and |Z(t) - Z_RS| <= 0.127 tau^{-3/4} for t >= 200 (Gabcke 1979; Edwards,
+    *Riemann's Zeta Function*, ch. 7).  O(sqrt t) per point, against O(t) for
+    :func:`hardy_z`, which stays the reference.
+
+    Returns:
+        (Z_RS, bound), scalars or arrays shaped like t.
+
+    Raises:
+        DomainError: if any t < 200, where the bound is not established.
+    """
+    arr = np.asarray(t, dtype=float)
+    if np.any(arr < RS_T_MIN):
+        raise DomainError(f"hardy_z_rs requires t >= {RS_T_MIN:g}")
+    flat = arr.reshape(-1)
+    z_rs = np.empty_like(flat)
+    for lo in range(0, flat.size, 2048):
+        tc = flat[lo : lo + 2048]
+        root = np.sqrt(tc / _TWO_PI)
+        n_terms = np.floor(root)
+        n = np.arange(1.0, n_terms.max() + 1.0)
+        phase = riemann_siegel_theta(tc)[:, None] - np.multiply.outer(tc, np.log(n))
+        terms = np.where(n <= n_terms[:, None], np.cos(phase) / np.sqrt(n), 0.0)
+        w = (1.0 - 2.0 * (root - n_terms)) ** 2
+        c0 = np.zeros_like(w)
+        for c in reversed(_RS_C0):
+            c0 = c0 * w + c
+        sign = np.where(n_terms % 2 == 1, 1.0, -1.0)  # (-1)^{N-1}
+        z_rs[lo : lo + 2048] = 2.0 * terms.sum(axis=1) + sign * c0 / np.sqrt(root)
+    bound = 0.127 * (arr / _TWO_PI) ** -0.75
+    if arr.ndim == 0:
+        return float(z_rs[0]), float(bound)
+    return z_rs.reshape(arr.shape), bound
 
 
 def stieltjes_oracle(n_terms=20000):

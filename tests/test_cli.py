@@ -103,6 +103,16 @@ class TestGates:
         status = run_cli(["--output-dir", tmp_path, "rmt-moment", "--n", 4])
         assert status == 2
 
+    @pytest.mark.parametrize("k_flag", ["--k=abc", "--k=-4"])
+    def test_invalid_input_exit_2(self, tmp_path, capsys, k_flag):
+        status = run_cli(
+            ["--output-dir", tmp_path, "rmt-moment", "--n", 4, k_flag, "--samples", 100]
+        )
+        assert status == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
 
 class TestZerosSubcommands:
     def test_compute_load_cross_validate(self, tmp_path, published_table_path):
@@ -125,6 +135,13 @@ class TestZerosSubcommands:
         assert status == 0
         _, rows, _ = read_outputs(tmp_path / "x")
         assert float(rows[0]["empirical_re"]) < 1e-6  # max |delta gamma|
+
+    def test_cross_validate_tol_gate(self, tmp_path, published_table_path):
+        args = ["zeros", "cross-validate", "--a", "compute", "--b", published_table_path]
+        assert run_cli(["--output-dir", tmp_path / "d"] + args) == 0
+        assert run_cli(["--output-dir", tmp_path / "t"] + args + ["--tol", 1e-12]) == 3
+        manifest = json.loads((tmp_path / "t" / "manifest.json").read_text())
+        assert manifest["gate_failures"]
 
 
 class TestOracleAndHybrid:

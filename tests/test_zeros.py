@@ -45,12 +45,33 @@ class TestComputeZeros:
         assert len(base) == len(fine)
         assert np.max(np.abs(base.gammas - fine.gammas)) < 1e-9
 
+    def test_finer_grid_identical_on_riemann_siegel_range(self):
+        base = zeros.compute_zeros(600.0, cache_dir=False)
+        fine = zeros.compute_zeros(600.0, cache_dir=False, density=2.0)
+        assert len(base) == len(fine)
+        assert np.max(np.abs(base.gammas - fine.gammas)) < 1e-9
+
     def test_cache_roundtrip(self, tmp_path):
         a = zeros.compute_zeros(60.0, cache_dir=tmp_path)
         assert (tmp_path / "zeros_t60_g4.txt").exists()
         assert (tmp_path / "zeros_t60_g4.sha256").exists()
         b = zeros.compute_zeros(60.0, cache_dir=tmp_path)
         assert np.max(np.abs(a.gammas - b.gammas)) < 1e-10
+
+    def test_cache_keys_exact(self, tmp_path):
+        near, _ = zeros._cache_paths(tmp_path, 100.0000001, 1.0)
+        exact, _ = zeros._cache_paths(tmp_path, 100.0, 1.0)
+        assert near != exact
+
+    def test_corrupt_cache_recomputed(self, tmp_path):
+        zeros.compute_zeros(60.0, cache_dir=tmp_path)
+        path = tmp_path / "zeros_t60_g4.txt"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:5] + lines[6:]))  # cut one line out
+        again = zeros.compute_zeros(60.0, cache_dir=tmp_path)
+        assert len(again) == 13
+        assert len(path.read_text().splitlines()) == 13  # overwritten with the full table
+        assert len(zeros.compute_zeros(60.0, cache_dir=tmp_path)) == 13
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -69,6 +90,38 @@ class TestComputeZeros:
         with pytest.raises(MissingZeroError) as exc_info:
             zeros.compute_zeros(50.0, cache_dir=False, max_rescans=0)
         assert exc_info.value.interval is not None
+
+
+class TestComputeZerosTo1000:
+    """The Riemann-Siegel scan and Illinois refinement, with Euler-Maclaurin as the oracle."""
+
+    @pytest.fixture(scope="class")
+    def counted(self):
+        em_points = []
+
+        def counting_hardy_z(t):
+            em_points.append(np.size(t))
+            return specfun.hardy_z(t)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(zeros, "hardy_z", counting_hardy_z)
+            zl = zeros.compute_zeros(1000.0, cache_dir=False)
+        return zl, sum(em_points)
+
+    def test_count(self, counted):
+        zl, _ = counted
+        assert len(zl) == 649
+
+    def test_sign_change_across_every_ordinate(self, counted):
+        zl, _ = counted
+        w = zl.precision
+        lo = specfun.hardy_z(zl.gammas - w)
+        hi = specfun.hardy_z(zl.gammas + w)
+        assert np.all(np.signbit(lo) != np.signbit(hi))
+
+    def test_euler_maclaurin_points_per_zero(self, counted):
+        zl, em_points = counted
+        assert em_points <= 12 * len(zl)
 
 
 class TestLoadZeros:
