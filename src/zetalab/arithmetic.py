@@ -11,7 +11,7 @@ assembled multiplicatively over smooth integers.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,22 +31,6 @@ def sieve_primes(limit):
         if is_p[i]:
             is_p[i * i :: i] = False
     return np.nonzero(is_p)[0].astype(np.int64)
-
-
-@dataclass(frozen=True)
-class PrimeTable:
-    """Sieved primes with von Mangoldt lookups below the limit."""
-
-    limit: int
-    primes: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "primes", sieve_primes(self.limit))
-
-    def von_mangoldt(self, n):
-        if n > self.limit:
-            raise DomainError(f"n={n} exceeds the sieve limit {self.limit}")
-        return von_mangoldt(n)
 
 
 def factorize(n):

@@ -21,10 +21,6 @@ class CapabilityError(ValueError):
     """Request is valid mathematically but outside this implementation's supported range."""
 
 
-class DegenerateSampleError(RuntimeError):
-    """A random sample hit a measure-zero degenerate configuration (e.g. coincident eigenangles)."""
-
-
 class MissingZeroError(RuntimeError):
     """Zero scan count could not be reconciled with the theta-based count."""
 

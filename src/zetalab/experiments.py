@@ -288,6 +288,22 @@ def a1_term(m):
     return 0.0
 
 
+def _b1_parts(m):
+    """B1(m, T) = b0 + b1 log(T/2pi): the pair (b0, b1); see :func:`b1_term`."""
+    if m < 2:
+        raise DomainError("B1 requires m >= 2")
+    fac = factorize(m)
+    if len(fac) == 1:
+        ((p, a),) = fac.items()
+        lp = math.log(p)
+        slope = -(p / (p - 1.0)) * lp
+        return slope * (GAMMA0 - 1.0 + (a - 0.5) * lp), slope
+    if len(fac) == 2:
+        (p1, p2) = fac.keys()
+        return p1 * p2 / ((p1 - 1.0) * (p2 - 1.0)) * math.log(p1) * math.log(p2), 0.0
+    return 0.0, 0.0
+
+
 def b1_term(m, t_height):
     """B1(m, T): the prime-power and two-prime cases of the twisted subsidiary term.
 
@@ -295,21 +311,8 @@ def b1_term(m, t_height):
     m = p1^a1 p2^a2:  p1 p2 / ((p1-1)(p2-1)) log p1 log p2
     otherwise 0.
     """
-    if m < 2:
-        raise DomainError("B1 requires m >= 2")
-    fac = factorize(m)
-    if len(fac) == 1:
-        ((p, a),) = fac.items()
-        lp = math.log(p)
-        return -(p / (p - 1.0)) * (
-            lp * (math.log(t_height / _TWO_PI) - 1.0 + GAMMA0) + (a - 0.5) * lp * lp
-        )
-    if len(fac) == 2:
-        (p1, p2) = fac.keys()
-        return (
-            p1 * p2 / ((p1 - 1.0) * (p2 - 1.0)) * math.log(p1) * math.log(p2)
-        )
-    return 0.0
+    b0, b1 = _b1_parts(m)
+    return b0 + b1 * math.log(t_height / _TWO_PI)
 
 
 def twisted_first_moment(zeros, t_height, poly, running=False):
@@ -330,16 +333,24 @@ def twisted_first_moment(zeros, t_height, poly, running=False):
     terms = zp * pxinv
     empirical = complex_fsum(terms)
 
-    main = cgg_main_term(t_height)
-    msum = 0.0
+    # B1 is linear in log(T/2pi), so the m-sum is msum0 + msum1 log(T/2pi)
+    # at every height, the running prefixes' included
+    msum0 = msum1 = 0.0
     for m, a in zip(poly.m, poly.a):
         if m < 2:
             continue
         coeff = a.real  # a_{-1} is real for real k
         if coeff == 0.0:
             continue
-        msum += coeff / m * (a1_term(int(m)) + b1_term(int(m), t_height))
-    subsidiary = (t_height / _TWO_PI) * msum
+        b0, b1 = _b1_parts(int(m))
+        msum0 += coeff / m * (a1_term(int(m)) + b0)
+        msum1 += coeff / m * b1
+
+    def subsidiary_at(t):
+        return (t / _TWO_PI) * (msum0 + msum1 * math.log(t / _TWO_PI))
+
+    main = cgg_main_term(t_height)
+    subsidiary = subsidiary_at(t_height)
     predicted = main + subsidiary
     details = {
         "main_term": main,
@@ -348,9 +359,7 @@ def twisted_first_moment(zeros, t_height, poly, running=False):
     }
     if running:
         details["running"] = _running_rows(
-            gammas,
-            terms,
-            lambda t, _m: cgg_main_term(t) + (t / _TWO_PI) * msum,
+            gammas, terms, lambda t, _m: cgg_main_term(t) + subsidiary_at(t)
         )
     return MomentResult(
         k=-1,

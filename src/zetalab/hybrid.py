@@ -11,6 +11,10 @@ is that k*F_X(-v) is a *finite* trigonometric polynomial: its Fourier
 coefficients are (k/m) * (mass of u above e^{m/log X}) for 1 <= m < log X and
 vanish otherwise, so the direct and polynomial representations can be played
 against each other numerically.
+
+The Monte-Carlo estimate of the model's moment, :func:`mc_hybrid_moment`, is
+one call to ``rmt._mc_estimate``, the driver behind ``rmt.mc_moment`` too,
+with the Fourier coefficients s_m as the statistic's weights.
 """
 
 import math
@@ -22,7 +26,7 @@ from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError
-from .rmt import MomentEstimate, require_admissible
+from .rmt import _mc_estimate
 from .specfun import exp_integral_e1
 
 _TWO_PI = 2.0 * math.pi
@@ -284,59 +288,6 @@ def fourier_coeffs_by_quadrature(params, m_max, j_window=50, grid=128):
     return (np.exp(-1j * np.multiply.outer(m, v)) @ g_vals) / grid
 
 
-def _hybrid_vals(diffs, k, sum_s, m_freq, s_coeffs):
-    """exp of the weighted branched log over one batch of angle differences.
-
-    Rows containing a coincident pair (|1 - e^{i diff}| < 1e-14) come out nan
-    so the caller can resample them.
-    """
-    fac = 1.0 - np.exp(1j * diffs)
-    bad = np.abs(fac).min(axis=1) < 1e-14
-    log_fac = np.log(np.where(fac == 0, 1.0, fac)).sum(axis=1)
-    # k F_X(theta_r - theta_n) = sum_m s_m e^{-i m (theta_r - theta_n)}
-    fx = np.exp(1j * np.multiply.outer(diffs, m_freq)) @ s_coeffs
-    vals = np.exp(1j * math.pi * k / 2.0 + sum_s + k * log_fac + fx.sum(axis=1))
-    if bad.any():
-        vals[bad] = np.nan
-    return vals
-
-
-def _mc_hybrid_worker(args):
-    n, k, count, child_seed, s_coeffs = args
-    from .rmt import _haar_angle_batch
-
-    rng = np.random.default_rng(child_seed)
-    m_freq = np.arange(1, len(s_coeffs) + 1)
-    sum_s = s_coeffs.sum()
-    total = 0j
-    total_sq = 0j
-    done = 0
-    batch_cap = max(1, min(32768, 4_000_000 // (n * n)))
-    while done < count:
-        b = min(batch_cap, count - done)
-        ang = _haar_angle_batch(n, b, rng)
-        cols = rng.integers(0, n, size=b)
-        rows = np.arange(b)
-        sel = ang[rows, cols]
-        mask = np.ones_like(ang, dtype=bool)
-        mask[rows, cols] = False
-        diffs = ang[mask].reshape(b, n - 1) - sel[:, None]  # theta_n - theta_r
-        if n == 1:
-            vals = np.full(b, np.exp(1j * math.pi * k / 2.0 + sum_s), dtype=complex)
-        else:
-            vals = _hybrid_vals(diffs, k, sum_s, m_freq, s_coeffs)
-            bad = np.isnan(vals)  # float-coincident eigenangles: resample
-            while bad.any():
-                ang2 = _haar_angle_batch(n, int(bad.sum()), rng)
-                d2 = ang2[:, :-1] - ang2[:, -1:]
-                vals[bad] = _hybrid_vals(d2, k, sum_s, m_freq, s_coeffs)
-                bad = np.isnan(vals)
-        total += vals.sum()
-        total_sq += (vals.real**2).sum() + 1j * (vals.imag**2).sum()
-        done += b
-    return total, total_sq, done
-
-
 def mc_hybrid_moment(params, k, samples, seed, workers=1):
     """Monte-Carlo estimate of E_N[Z'_{N,X}(theta_r, A)^k].
 
@@ -344,26 +295,8 @@ def mc_hybrid_moment(params, k, samples, seed, workers=1):
     + sum_{n != r} [k log(1 - e^{i(theta_n - theta_r)}) + k F_X(theta_r - theta_n)])
     with the same per-factor branch as the bare characteristic polynomial; the
     e^{k F_X} factors are exponentials by construction and need no extra
-    branch choice.  The eigenangle r is drawn uniformly per sample.
+    branch choice.  The eigenangle r is drawn uniformly per sample.  Sampling,
+    seeding, resampling and the checks (N <= 512, ``workers`` >= 1) are those
+    of :func:`zetalab.rmt.mc_moment`: both run the one driver in ``rmt``.
     """
-    k = require_admissible(k)
-    if samples < 100:
-        raise DomainError("need at least 100 samples")
-    if k == 0:
-        return MomentEstimate(mean=1.0 + 0j, se_re=0.0, se_im=0.0, samples=samples, seed=seed)
-    coeffs = fourier_coeffs(k, params)
-    workers = max(1, int(workers))
-    counts = [samples // workers] * workers
-    counts[-1] += samples - sum(counts)
-    children = np.random.SeedSequence(seed).spawn(workers)
-    jobs = [(params.n, k, c, ss, coeffs.values) for c, ss in zip(counts, children)]
-    if workers == 1:
-        pieces = [_mc_hybrid_worker(jobs[0])]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            pieces = list(pool.map(_mc_hybrid_worker, jobs))
-    from .rmt import _merge_mc
-
-    return _merge_mc(pieces, seed)
+    return _mc_estimate(params.n, k, samples, seed, workers, fourier_coeffs(k, params).values)

@@ -19,28 +19,3 @@ def exp_series_coeffs(log_coeffs, n_terms):
         h[n] = np.dot(jg[:jmax], h[n - jmax:n][::-1]) / n
     return h
 
-
-def exp_series_coeffs_adaptive(log_coeffs, cutoff_tol, max_terms=10000):
-    """Like :func:`exp_series_coeffs` but truncated once the coefficients have decayed.
-
-    Coefficients of the exponential of a polynomial decay super-geometrically,
-    so truncation is triggered by three consecutive |h_n| < cutoff_tol (a single
-    small value can be an accidental near-zero before the tail sets in).
-    """
-    g = np.asarray(log_coeffs, dtype=complex)
-    d = len(g)
-    jg = np.arange(1, d + 1) * g
-    h = [1.0 + 0j]
-    small_run = 0
-    for n in range(1, max_terms):
-        jmax = min(n, d)
-        tail = np.array(h[n - jmax:n][::-1], dtype=complex)
-        hn = np.dot(jg[:jmax], tail) / n
-        h.append(hn)
-        if n > d and abs(hn) < cutoff_tol:
-            small_run += 1
-            if small_run >= 3:
-                break
-        else:
-            small_run = 0
-    return np.array(h, dtype=complex)

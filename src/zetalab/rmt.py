@@ -6,6 +6,11 @@ Implements the exact Haar average
 
 its Monte-Carlo estimation with branch-correct complex powers, and a small-N
 brute-force Weyl-measure quadrature oracle.
+
+``_mc_estimate`` is the one Monte-Carlo driver: it serves both
+:func:`mc_moment` (the bare Z'^k) and ``hybrid.mc_hybrid_moment`` (Z'^k
+weighted by the hybrid model's Fourier sum) through the one statistic
+``_zprime_pow_rows``.
 """
 
 import math
@@ -14,25 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdmissibilityError, CapabilityError, DegenerateSampleError, DomainError, PoleError
+from .errors import AdmissibilityError, CapabilityError, DomainError, PoleError
 from .specfun import log_gamma
 
 _COINCIDENCE_TOL = 1e-14
 _MC_DIM_CAP = 512
 _TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class EigenAngles:
-    """Sorted eigenangles of one sampled Haar-unitary matrix."""
-
-    angles: np.ndarray  # shape (n,), ascending, in [0, 2*pi)
-    n: int
-    seed: object = None
-
-    def __post_init__(self):
-        if len(self.angles) != self.n:
-            raise ValueError("angle count does not match the matrix dimension")
 
 
 @dataclass(frozen=True)
@@ -62,12 +54,6 @@ def require_admissible(k):
     return k
 
 
-def _rng_from(seed):
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def _haar_angle_batch(n, count, rng):
     """Sorted eigenangle rows, shape (count, n), of Haar-distributed unitaries.
 
@@ -80,51 +66,6 @@ def _haar_angle_batch(n, count, rng):
     q = q * (d / np.abs(d))[:, None, :]
     eig = np.linalg.eigvals(q)
     return np.sort(np.mod(np.angle(eig), _TWO_PI), axis=1)
-
-
-def sample_haar_eigenangles(n, rng):
-    """One Haar sample of eigenangles for an n x n unitary matrix.
-
-    Args:
-        n: matrix dimension, n >= 1.
-        rng: integer seed or numpy Generator.
-    """
-    if n < 1:
-        raise DomainError("matrix dimension must be >= 1")
-    seed = rng if not isinstance(rng, np.random.Generator) else None
-    gen = _rng_from(rng)
-    angles = _haar_angle_batch(n, 1, gen)[0]
-    return EigenAngles(angles=angles, n=n, seed=seed)
-
-
-def charpoly_deriv_branched_log(angles, index=None):
-    """Branch-accumulated log Z'(theta_r, A) = i*pi/2 + sum log(1 - e^{i(theta_n - theta_r)}).
-
-    Each factor 1 - e^{i phi} has nonnegative real part, so the principal
-    logarithm lands every summand's imaginary part in (-pi/2, pi/2) -- the
-    branch under which complex powers Z'^k are defined throughout.
-
-    Args:
-        angles: an :class:`EigenAngles` sample.
-        index: 0-based eigenangle index r; defaults to the last.
-
-    Raises:
-        DegenerateSampleError: if two eigenangles coincide within 1e-14
-            (resample instead of trusting the factor logs).
-    """
-    th = angles.angles
-    n = angles.n
-    r = n - 1 if index is None else int(index)
-    if not 0 <= r < n:
-        raise DomainError(f"eigenangle index must be in [0, {n - 1}]")
-    diffs = np.delete(th, r) - th[r]
-    # wrap-aware coincidence check against neighbours
-    if n > 1:
-        gaps = np.diff(th)
-        wrap = th[0] + _TWO_PI - th[-1]
-        if min(gaps.min(initial=np.inf), wrap) < _COINCIDENCE_TOL:
-            raise DegenerateSampleError("coincident eigenangles within 1e-14; resample")
-    return 1j * (math.pi / 2.0) + np.sum(np.log(1.0 - np.exp(1j * diffs)))
 
 
 def exact_moment(n, k):
@@ -160,15 +101,27 @@ def conjecture_rhs(t_height, k):
     return complex(np.exp(k * log_l - log_gamma(k + 2.0)))
 
 
-def _zprime_pow_rows(angle_rows, col_index, k):
-    """exp(k log Z') for each row, evaluated at the given column per row.
+def _zprime_pow_rows(angle_rows, col_index, k, s_coeffs):
+    """The Z'^k statistic for each row, taken at the eigenangle in the given column.
+
+    With delta_n = theta_n - theta_r over the other angles of the row, it is
+
+        i^k e^{sum_m s_m} prod_n (1 - e^{i delta_n})^k e^{sum_m s_m e^{i m delta_n}},
+
+    the hybrid model's Z'_{N,X}(theta_r)^k for its Fourier coefficients
+    ``s_coeffs`` = s_1..s_M; with no coefficients it is the bare Z'(theta_r)^k.
+    Each factor 1 - e^{i delta} has nonnegative real part, so the principal
+    log puts every summand's imaginary part in (-pi/2, pi/2): the branch under
+    which the complex power is defined throughout.
 
     angle_rows: (B, n) sorted angles; col_index: (B,) integer indices.
-    Rows with coincident angles return nan (caller resamples).
+    Rows with coincident angles (|1 - e^{i delta}| < 1e-14) return nan.
     """
+    s_coeffs = np.asarray(s_coeffs, dtype=complex)
     b, n = angle_rows.shape
+    log_const = 1j * math.pi * k / 2.0 + s_coeffs.sum()
     if n == 1:
-        return np.full(b, np.exp(1j * math.pi * k / 2.0), dtype=complex)
+        return np.full(b, np.exp(log_const), dtype=complex)
     rows = np.arange(b)
     sel = angle_rows[rows, col_index]
     mask = np.ones_like(angle_rows, dtype=bool)
@@ -176,15 +129,17 @@ def _zprime_pow_rows(angle_rows, col_index, k):
     diffs = angle_rows[mask].reshape(b, n - 1) - sel[:, None]
     fac = 1.0 - np.exp(1j * diffs)
     bad = np.abs(fac).min(axis=1) < _COINCIDENCE_TOL
-    logs = 1j * (math.pi / 2.0) + np.log(fac).sum(axis=1)
-    out = np.exp(k * logs)
-    if bad.any():
-        out[bad] = np.nan
+    logs = log_const + k * np.log(np.where(fac == 0, 1.0, fac)).sum(axis=1)
+    if len(s_coeffs):
+        freqs = np.arange(1, len(s_coeffs) + 1)
+        logs += (np.exp(1j * np.multiply.outer(diffs, freqs)) @ s_coeffs).sum(axis=1)
+    out = np.exp(logs)
+    out[bad] = np.nan
     return out
 
 
 def _mc_worker(args):
-    n, k, count, child_seed, full_average = args
+    n, k, count, child_seed, s_coeffs = args
     rng = np.random.default_rng(child_seed)
     total = 0j
     total_sq = 0.0 + 0j  # sum of re^2 + i*sum of im^2
@@ -193,23 +148,17 @@ def _mc_worker(args):
     while done < count:
         b = min(batch_cap, count - done)
         ang = _haar_angle_batch(n, b, rng)
-        if full_average:
-            vals = np.zeros(b, dtype=complex)
-            for col in range(n):
-                vals += _zprime_pow_rows(ang, np.full(b, col), k)
-            vals /= n
-        else:
-            # uniformly random eigenangle per sample: the label-exchangeable
-            # realization of "no distinguished eigenvalues" (sorted-position
-            # selection is gap-size-biased and would skew the estimate)
-            cols = rng.integers(0, n, size=b)
-            vals = _zprime_pow_rows(ang, cols, k)
+        # uniformly random eigenangle per sample: the label-exchangeable
+        # realization of "no distinguished eigenvalues" (sorted-position
+        # selection is gap-size-biased and would skew the estimate)
+        cols = rng.integers(0, n, size=b)
+        vals = _zprime_pow_rows(ang, cols, k, s_coeffs)
         nan = np.isnan(vals)
-        while nan.any():  # degenerate float collisions: resample those rows
+        while nan.any():  # degenerate float collisions: resample those rows whole
             m = int(nan.sum())
             ang2 = _haar_angle_batch(n, m, rng)
             cols2 = rng.integers(0, n, size=m)
-            vals[nan] = _zprime_pow_rows(ang2, cols2, k)
+            vals[nan] = _zprime_pow_rows(ang2, cols2, k, s_coeffs)
             nan = np.isnan(vals)
         total += vals.sum()
         total_sq += (vals.real**2).sum() + 1j * (vals.imag**2).sum()
@@ -233,13 +182,11 @@ def _merge_mc(pieces, seed):
     )
 
 
-def mc_moment(n, k, samples, seed, workers=1, full_average=False):
-    """Monte-Carlo estimate of E_N[(1/N) sum_n Z'(theta_n, A)^k].
+def _mc_estimate(n, k, samples, seed, workers, s_coeffs):
+    """The Monte-Carlo driver: mean of the :func:`_zprime_pow_rows` statistic.
 
-    By rotation invariance the statistic is evaluated at a single uniformly
-    chosen eigenangle per sample; ``full_average=True`` averages all N instead
-    (same mean, used by the index-invariance test).
-
+    Each sample is one Haar matrix and one uniformly drawn eigenangle; a
+    sample with coincident angles is replaced by a fresh matrix and column.
     Sampling splits deterministically into ``workers`` child streams spawned
     from the seed; the merged result is bit-reproducible for fixed
     (seed, workers).
@@ -251,20 +198,31 @@ def mc_moment(n, k, samples, seed, workers=1, full_average=False):
     k = require_admissible(k)
     if samples < 100:
         raise DomainError("need at least 100 samples")
+    if workers < 1:
+        raise DomainError(f"need at least one worker, got {workers}")
     if k == 0:
         return MomentEstimate(mean=1.0 + 0j, se_re=0.0, se_im=0.0, samples=samples, seed=seed)
 
-    workers = max(1, int(workers))
     counts = [samples // workers] * workers
     counts[-1] += samples - sum(counts)
     children = np.random.SeedSequence(seed).spawn(workers)
-    jobs = [(n, k, c, ss, full_average) for c, ss in zip(counts, children)]
+    jobs = [(n, k, c, ss, s_coeffs) for c, ss in zip(counts, children)]
     if workers == 1:
         pieces = [_mc_worker(jobs[0])]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             pieces = list(pool.map(_mc_worker, jobs))
     return _merge_mc(pieces, seed)
+
+
+def mc_moment(n, k, samples, seed, workers=1):
+    """Monte-Carlo estimate of E_N[(1/N) sum_n Z'(theta_n, A)^k].
+
+    By rotation invariance the statistic is evaluated at a single uniformly
+    chosen eigenangle per sample.  ``workers`` >= 1 child streams; the result
+    is bit-reproducible for fixed (seed, workers).
+    """
+    return _mc_estimate(n, k, samples, seed, workers, ())
 
 
 def weyl_average(n, statistic, grid):

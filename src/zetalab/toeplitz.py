@@ -22,26 +22,9 @@ import numpy as np
 
 from .errors import DomainError, IncompleteCoefficientsError
 from .hybrid import fourier_coeffs
-from .powerseries import exp_series_coeffs_adaptive
+from .powerseries import exp_series_coeffs
 from .rmt import require_admissible
 from .specfun import log_gamma
-
-_ENTIRE_CUTOFF = 1e-18
-
-
-def exp_trig_poly_coeffs(fourier, cutoff_tol=_ENTIRE_CUTOFF):
-    """Taylor coefficients h_0, h_1, ... of exp(sum_m s_m z^m).
-
-    ``fourier`` is a FourierCoeffs (finite support guaranteed) or a plain
-    sequence s_1..s_d.  Truncates once |h_n| < cutoff_tol; the coefficients of
-    an entire function decay super-geometrically, so this terminates fast.
-    """
-    values = getattr(fourier, "values", None)
-    if values is None:
-        values = np.asarray(fourier, dtype=complex)
-    if len(values) == 0 or not np.any(values):
-        return np.array([1.0 + 0j])
-    return exp_series_coeffs_adaptive(values, cutoff_tol)
 
 
 @dataclass(frozen=True)
@@ -91,26 +74,15 @@ def symbol_coeffs(k, params, max_freq):
     if max_freq < 0:
         raise DomainError("max_freq must be >= 0")
     s = fourier_coeffs(k, params)
-    h = exp_trig_poly_coeffs(s)
-    c = _binomial_series(k, max_freq + 2)
-    # fhat_n = sum_l h_l (c_{n-l} - c_{n+1-l}), with c_j = 0 for j < 0
-    values = np.zeros(max_freq + 2, dtype=complex)
-    worst_amplification = 0.0
-    for n in range(-1, max_freq + 1):
-        acc = 0j
-        mag = 0.0
-        for ell in range(len(h)):
-            j = n - ell
-            if j < -1:
-                break
-            cj = c[j] if j >= 0 else 0j
-            cj1 = c[j + 1] if 0 <= j + 1 < len(c) else 0j
-            term = h[ell] * (cj - cj1)
-            acc += term
-            mag += abs(term)
-        values[n + 1] = acc
-        if acc != 0:
-            worst_amplification = max(worst_amplification, mag / abs(acc))
+    h = exp_series_coeffs(s.values, max_freq + 2)
+    # fhat_n = sum_l h_l d_{n-l} with d_j = c_j - c_{j+1} (c_j = 0 for j < 0),
+    # so d_{-1} = -c_0; d is stored from j = -1, and fhat_n sits at index n + 1
+    d = -np.diff(_binomial_series(k, max_freq + 2), prepend=0.0)
+    values = np.convolve(h, d)[: max_freq + 2]
+    # sum of the summands' magnitudes, against which each fhat_n cancelled
+    mag = np.convolve(np.abs(h), np.abs(d))[: max_freq + 2]
+    nonzero = values != 0
+    worst_amplification = (mag[nonzero] / np.abs(values[nonzero])).max(initial=0.0)
     if worst_amplification > 1e6:
         warnings.warn(
             f"binomial-tail cancellation amplifies rounding by {worst_amplification:.1e} "

@@ -26,9 +26,9 @@ class TestVonMangoldt:
             arithmetic.von_mangoldt(0)
 
     def test_prime_table_lookup(self):
-        table = arithmetic.PrimeTable(100)
-        assert list(table.primes[:5]) == [2, 3, 5, 7, 11]
-        assert table.von_mangoldt(49) == pytest.approx(math.log(7))
+        primes = arithmetic.sieve_primes(100)
+        assert list(primes[:5]) == [2, 3, 5, 7, 11] and len(primes) == 25
+        assert arithmetic.von_mangoldt(49) == pytest.approx(math.log(7))
 
 
 class TestDivisorGeneral:

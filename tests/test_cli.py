@@ -103,10 +103,15 @@ class TestGates:
         status = run_cli(["--output-dir", tmp_path, "rmt-moment", "--n", 4])
         assert status == 2
 
-    @pytest.mark.parametrize("k_flag", ["--k=abc", "--k=-4"])
-    def test_invalid_input_exit_2(self, tmp_path, capsys, k_flag):
+    @pytest.mark.parametrize(
+        "workers, k_flag",
+        [(1, "--k=abc"), (1, "--k=-4"), (0, "--k=1")],
+        ids=["--k=abc", "--k=-4", "--workers=0"],
+    )
+    def test_invalid_input_exit_2(self, tmp_path, capsys, workers, k_flag):
         status = run_cli(
-            ["--output-dir", tmp_path, "rmt-moment", "--n", 4, k_flag, "--samples", 100]
+            ["--output-dir", tmp_path, "--workers", workers, "rmt-moment", "--n", 4, k_flag,
+             "--samples", 100]
         )
         assert status == 2
         err = capsys.readouterr().err

@@ -201,6 +201,14 @@ class TestTwisted:
         with pytest.raises(DomainError):
             experiments.twisted_first_moment(zeros_5000, 5000.0, poly)
 
+    def test_running_rows_predict_at_their_own_height(self, zeros_5000):
+        poly = arithmetic.a_coeffs(-1.0, math.log(1000.0), m_max=10**4)
+        res = experiments.twisted_first_moment(zeros_5000, 1000.0, poly, running=True)
+        rows = res.details["running"]
+        for row in (rows[10], rows[len(rows) // 2], rows[-1]):
+            at_t = experiments.twisted_first_moment(zeros_5000, row["t"], poly)
+            assert row["predicted"] == pytest.approx(at_t.predicted, rel=1e-12)
+
     def test_twisted_tracks_prediction(self, zeros_5000):
         poly = arithmetic.a_coeffs(-1.0, math.log(5000.0), m_max=10**6)
         res = experiments.twisted_first_moment(zeros_5000, 5000.0, poly)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from zetalab import hybrid
-from zetalab.errors import DomainError
+from zetalab import hybrid, rmt
+from zetalab.errors import CapabilityError, DomainError
 
 
 class TestUWeight:
@@ -187,12 +187,10 @@ class TestMcHybridMoment:
         assert est.mean == 1.0 and est.se_re == 0.0
 
     def test_integer_power_consistency(self, params_x_e3):
-        # one sampled matrix: the k=2 weight equals the square of the k=1 product
-        from zetalab import rmt
-
+        # one sampled matrix: the k=2 statistic equals the square of the k=1 product
         rng = np.random.default_rng(55)
-        ang = rmt._haar_angle_batch(params_x_e3.n, 1, rng)[0]
-        diffs = ang[:-1] - ang[-1]
+        ang = rmt._haar_angle_batch(params_x_e3.n, 1, rng)
+        diffs = ang[0, :-1] - ang[0, -1]
         s1 = hybrid.fourier_coeffs(1.0, params_x_e3)
         base = (
             1j
@@ -201,13 +199,13 @@ class TestMcHybridMoment:
             * np.exp(np.sum(hybrid.F_X_poly(diffs, 1.0, params_x_e3)))
         )
         s2 = hybrid.fourier_coeffs(2.0, params_x_e3)
-        log_val = (
-            1j * math.pi
-            + s2.sum
-            + 2.0 * np.sum(np.log(1.0 - np.exp(1j * diffs)))
-            + np.sum(hybrid.F_X_poly(diffs, 2.0, params_x_e3))
-        )
-        assert np.exp(log_val) == pytest.approx(base * base, rel=1e-9)
+        stat = rmt._zprime_pow_rows(ang, np.array([params_x_e3.n - 1]), 2.0, s2.values)
+        assert stat[0] == pytest.approx(base * base, rel=1e-9)
+
+    def test_dimension_cap(self, smoothing_y4):
+        params = hybrid.HybridParams(n=513, x_cutoff=math.e**3, smoothing=smoothing_y4)
+        with pytest.raises(CapabilityError):
+            hybrid.mc_hybrid_moment(params, 1.0, 1000, seed=0)
 
     def test_seed_reproducible(self, params_x_e3):
         a = hybrid.mc_hybrid_moment(params_x_e3, 1.0, 2000, seed=6)

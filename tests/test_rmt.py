@@ -5,20 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetalab import rmt
+from zetalab import hybrid, rmt
 from zetalab.errors import AdmissibilityError, CapabilityError, DomainError, PoleError
 
 
 class TestSampleHaar:
     def test_determinism(self):
-        a = rmt.sample_haar_eigenangles(6, 123)
-        b = rmt.sample_haar_eigenangles(6, 123)
-        assert np.array_equal(a.angles, b.angles)
+        a = rmt._haar_angle_batch(6, 1, np.random.default_rng(123))
+        b = rmt._haar_angle_batch(6, 1, np.random.default_rng(123))
+        assert np.array_equal(a, b)
 
     def test_sorted_in_range(self):
-        s = rmt.sample_haar_eigenangles(16, 5)
-        assert np.all(np.diff(s.angles) > 0)
-        assert np.all((s.angles >= 0) & (s.angles < 2 * math.pi))
+        angles = rmt._haar_angle_batch(16, 1, np.random.default_rng(5))[0]
+        assert np.all(np.diff(angles) > 0)
+        assert np.all((angles >= 0) & (angles < 2 * math.pi))
 
     def test_n1_rotation_invariance(self):
         # single angle uniform: empirical mean of e^{i theta} over 1e5 samples
@@ -45,7 +45,7 @@ class TestSampleHaar:
 
     def test_zero_dimension_rejected(self):
         with pytest.raises(DomainError):
-            rmt.sample_haar_eigenangles(0, 1)
+            rmt.mc_moment(0, 1, 1000, seed=1)
 
     def test_n3_second_moment_of_z_at_zero(self):
         # Weyl quadrature oracle for E|Z(0,A)|^2 at n=3 gives exactly n+1 = 4
@@ -65,46 +65,51 @@ class TestSampleHaar:
         assert abs(vals.mean() - 4.0) < 3 * se
 
 
+def _direct_zprime(angles, r):
+    """Z'(theta_r) = i prod_{n != r} (1 - e^{i(theta_n - theta_r)}) by plain multiplication."""
+    return 1j * np.prod(1.0 - np.exp(1j * (np.delete(angles, r) - angles[r])))
+
+
 class TestBranchedLog:
     def test_n1_empty_product(self):
-        s = rmt.EigenAngles(angles=np.array([1.0]), n=1)
-        assert rmt.charpoly_deriv_branched_log(s) == pytest.approx(1j * math.pi / 2)
+        for k in (1.0, 0.5 + 0.5j, -1.5):
+            val = rmt._zprime_pow_rows(np.array([[1.0]]), np.array([0]), k, ())
+            assert val[0] == pytest.approx(np.exp(1j * math.pi * k / 2))
 
     def test_exp_matches_direct_product(self):
-        s = rmt.sample_haar_eigenangles(6, 42)
-        log_val = rmt.charpoly_deriv_branched_log(s)
-        direct = 1j * np.prod(1.0 - np.exp(1j * (np.delete(s.angles, 5) - s.angles[5])))
-        assert np.exp(log_val) == pytest.approx(direct, rel=1e-10)
+        ang = rmt._haar_angle_batch(6, 1, np.random.default_rng(42))
+        val = rmt._zprime_pow_rows(ang, np.array([5]), 1.0, ())
+        assert val[0] == pytest.approx(_direct_zprime(ang[0], 5), rel=1e-10)
 
     def test_integer_power_consistency(self):
-        s = rmt.sample_haar_eigenangles(6, 7)
-        log_val = rmt.charpoly_deriv_branched_log(s)
-        direct = 1j * np.prod(1.0 - np.exp(1j * (np.delete(s.angles, 5) - s.angles[5])))
-        assert np.exp(2 * log_val) == pytest.approx(direct * direct, rel=1e-9)
-        assert np.exp(-log_val) == pytest.approx(1.0 / direct, rel=1e-9)
+        ang = rmt._haar_angle_batch(6, 1, np.random.default_rng(7))
+        direct = _direct_zprime(ang[0], 5)
+        cols = np.array([5])
+        assert rmt._zprime_pow_rows(ang, cols, 2.0, ())[0] == pytest.approx(direct * direct, rel=1e-9)
+        assert rmt._zprime_pow_rows(ang, cols, -1.0, ())[0] == pytest.approx(1.0 / direct, rel=1e-9)
 
     def test_summand_branch_range(self):
-        for seed in range(20):
-            s = rmt.sample_haar_eigenangles(8, seed)
-            diffs = np.delete(s.angles, 3) - s.angles[3]
-            im = np.log(1.0 - np.exp(1j * diffs)).imag
-            assert np.all(im > -math.pi / 2) and np.all(im < math.pi / 2)
+        ang = rmt._haar_angle_batch(8, 20, np.random.default_rng(0))
+        diffs = np.delete(ang, 3, axis=1) - ang[:, 3:4]
+        im = np.log(1.0 - np.exp(1j * diffs)).imag
+        assert np.all(im > -math.pi / 2) and np.all(im < math.pi / 2)
 
     def test_branch_consistency_bulk(self):
-        # exp(k log) vs direct repeated multiplication for k in {-1, 1, 2, 3}
-        rng = np.random.default_rng(100)
-        ang = rmt._haar_angle_batch(6, 1000, rng)
-        diffs = ang[:, :-1] - ang[:, -1:]
-        zp = 1j * np.prod(1.0 - np.exp(1j * diffs), axis=1)
-        logs = 1j * math.pi / 2 + np.log(1.0 - np.exp(1j * diffs)).sum(axis=1)
+        # the statistic vs direct repeated multiplication for k in {-1, 1, 2, 3}
+        ang = rmt._haar_angle_batch(6, 1000, np.random.default_rng(100))
+        cols = np.random.default_rng(101).integers(0, 6, size=1000)
+        zp = np.array([_direct_zprime(row, c) for row, c in zip(ang, cols)])
         for k in (-1, 1, 2, 3):
-            direct = zp.astype(complex) ** k if k > 0 else 1.0 / zp ** (-k)
-            assert np.max(np.abs(np.exp(k * logs) - direct) / np.abs(direct)) < 1e-9
+            direct = zp**k if k > 0 else 1.0 / zp ** (-k)
+            stat = rmt._zprime_pow_rows(ang, cols, complex(k), ())
+            assert np.max(np.abs(stat - direct) / np.abs(direct)) < 1e-9
 
-    def test_coincident_angles_raise(self):
-        s = rmt.EigenAngles(angles=np.array([1.0, 1.0 + 1e-16, 2.0]), n=3)
-        with pytest.raises(rmt.DegenerateSampleError):
-            rmt.charpoly_deriv_branched_log(s)
+    def test_coincident_angles_nan(self):
+        ang = np.array([[1.0, 1.0 + 1e-16, 2.0]])
+        assert np.isnan(rmt._zprime_pow_rows(ang, np.array([0]), 0.5, ()))[0]
+        assert np.isnan(rmt._zprime_pow_rows(ang, np.array([1]), 2.0, [0.3, 0.1]))[0]
+        # a coincidence away from the evaluation point leaves the statistic finite
+        assert np.isfinite(rmt._zprime_pow_rows(ang, np.array([2]), 0.5, ()))[0]
 
 
 class TestExactMoment:
@@ -229,11 +234,46 @@ class TestMcMoment:
         # single random-angle evaluation vs the full average over all N:
         # same mean by rotation invariance (label exchangeability)
         a = rmt.mc_moment(6, 1, 60_000, seed=4)
-        b = rmt.mc_moment(6, 1, 60_000, seed=14, full_average=True)
-        comb_re = math.hypot(a.se_re, b.se_re)
-        comb_im = math.hypot(a.se_im, b.se_im)
-        assert abs(a.mean.real - b.mean.real) < 3 * comb_re
-        assert abs(a.mean.imag - b.mean.imag) < 3 * comb_im
+        ang = rmt._haar_angle_batch(6, 60_000, np.random.default_rng(14))
+        full = np.mean(
+            [rmt._zprime_pow_rows(ang, np.full(len(ang), col), 1.0, ()) for col in range(6)], axis=0
+        )
+        b_se_re = full.real.std(ddof=1) / math.sqrt(len(full))
+        b_se_im = full.imag.std(ddof=1) / math.sqrt(len(full))
+        assert abs(a.mean.real - full.mean().real) < 3 * math.hypot(a.se_re, b_se_re)
+        assert abs(a.mean.imag - full.mean().imag) < 3 * math.hypot(a.se_im, b_se_im)
+
+    def test_degenerate_row_resampled(self, monkeypatch, params_x_e3):
+        # a first batch whose first row is all one angle: the driver replaces
+        # that sample by a fresh matrix and a fresh uniform column, for the
+        # bare and the hybrid statistic alike
+        n, samples, seed = params_x_e3.n, 1000, 3
+        real_batch = rmt._haar_angle_batch
+
+        def degenerate_first(n_, count, rng):
+            ang = real_batch(n_, count, rng)
+            if count == samples:
+                ang[0] = ang[0, 0]
+            return ang
+
+        monkeypatch.setattr(rmt, "_haar_angle_batch", degenerate_first)
+        runs = (
+            ((), lambda: rmt.mc_moment(n, 1.0, samples, seed)),
+            (hybrid.fourier_coeffs(1.0, params_x_e3).values,
+             lambda: hybrid.mc_hybrid_moment(params_x_e3, 1.0, samples, seed)),
+        )
+        for s_coeffs, run in runs:
+            est = run()
+            assert est.samples == samples and np.isfinite(est.mean)
+            # the same draws by hand: angles, columns, then the one resample
+            rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+            ang = degenerate_first(n, samples, rng)
+            vals = rmt._zprime_pow_rows(ang, rng.integers(0, n, size=samples), 1.0, s_coeffs)
+            assert np.isnan(vals[0]) and not np.isnan(vals[1:]).any()
+            vals[0] = rmt._zprime_pow_rows(
+                real_batch(n, 1, rng), rng.integers(0, n, size=1), 1.0, s_coeffs
+            )[0]
+            assert est.mean == pytest.approx(vals.mean(), rel=1e-12)
 
     def test_k_minus_2_near_zero(self):
         est = rmt.mc_moment(6, -2, 50_000, seed=8)

@@ -4,26 +4,27 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from zetalab import hybrid, toeplitz
+from zetalab import hybrid, powerseries, toeplitz
 from zetalab.errors import DomainError, IncompleteCoefficientsError
 
 
 class TestExpTrigPolyCoeffs:
+    """Taylor coefficients of exp(sum_m s_m z^m), the entire factor of the symbol."""
+
     def test_all_zero_gives_one(self):
-        h = toeplitz.exp_trig_poly_coeffs(np.array([]))
-        assert np.array_equal(h, [1.0 + 0j])
-        h = toeplitz.exp_trig_poly_coeffs(np.array([0j, 0j]))
-        assert np.array_equal(h, [1.0 + 0j])
+        for s in (np.array([]), np.array([0j, 0j])):
+            h = powerseries.exp_series_coeffs(s, 4)
+            assert np.array_equal(h, [1.0 + 0j, 0j, 0j, 0j])
 
     def test_single_coefficient_is_exponential(self):
         c = 0.8 - 0.3j
-        h = toeplitz.exp_trig_poly_coeffs(np.array([c]), cutoff_tol=1e-20)
+        h = powerseries.exp_series_coeffs(np.array([c]), 30)
         expected = np.array([c**n / math.factorial(n) for n in range(len(h))])
         assert np.max(np.abs(h - expected)) < 1e-15
 
     def test_partial_sums_reproduce_exponential(self, params_x_e3):
         s = hybrid.fourier_coeffs(1.0, params_x_e3)
-        h = toeplitz.exp_trig_poly_coeffs(s)
+        h = powerseries.exp_series_coeffs(s.values, 60)
         v = 0.7
         series = sum(hn * np.exp(1j * n * v) for n, hn in enumerate(h))
         direct = np.exp(hybrid.F_X_poly(v, 1.0, params_x_e3))
@@ -70,6 +71,21 @@ class TestSymbolCoeffs:
 
         for j in rng.choice(np.arange(-1, 17), size=10, replace=False):
             assert abs(sc.fhat(int(j)) - fhat_quad(int(j))) < 1e-8
+
+
+    def test_matches_termwise_convolution(self, smoothing_y4):
+        # reference: fhat_n = sum_l h_l (c_{n-l} - c_{n+1-l}) term by term
+        max_freq = 200
+        for k, x in ((2.0, math.e**3), (0.5 + 0.5j, math.e**4), (-1.5, math.e**2)):
+            params = hybrid.HybridParams(n=8, x_cutoff=x, smoothing=smoothing_y4)
+            sc = toeplitz.symbol_coeffs(k, params, max_freq)
+            h = powerseries.exp_series_coeffs(hybrid.fourier_coeffs(k, params).values, max_freq + 2)
+            c = toeplitz._binomial_series(complex(k), max_freq + 2)
+            ref = [
+                sum(h[ell] * (c[n - ell] - c[n + 1 - ell] if n >= ell else -c[0]) for ell in range(n + 2))
+                for n in range(-1, max_freq + 1)
+            ]
+            assert np.max(np.abs(sc.values - ref)) < 1e-13 * np.max(np.abs(ref))
 
 
 class TestToeplitzDet:
