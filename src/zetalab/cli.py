@@ -202,11 +202,6 @@ def _run_zeros(cfg):
         )
         extras.update(count_a=rep.count_a, count_b=rep.count_b)
         return [(row, extras)]
-    if action == "fetch":
-        zl = zeros.fetch_zeros(cfg["url"], cfg["out"])
-        row, extras = _row("zeros-fetch", t=zl.t_max, empirical=len(zl), n_zeros=len(zl))
-        extras.update(url=cfg["url"], out=str(cfg["out"]))
-        return [(row, extras)]
     raise ValueError(f"unknown zeros action {action!r}")
 
 
@@ -392,9 +387,6 @@ def _build_parser():
     zx.add_argument("--b")
     zx.add_argument("--tol", type=float, help="gate on max |delta gamma| (default 1e-6)")
     zx.add_argument("--t-max", type=float, dest="t_max")
-    zf = zsub.add_parser("fetch")
-    zf.add_argument("--url")
-    zf.add_argument("--out")
     add("px-mean", ("--t", {"type": float}), ("--x", {"type": float}), ("--k", {}),
         ("--m-max", {"type": int, "dest": "m_max"}), ("--zeros", {}))
     add("landau-gonek", ("--t", {"type": float}), ("--m", {"type": int}), ("--zeros", {}))

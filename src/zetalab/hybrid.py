@@ -31,6 +31,9 @@ from .specfun import exp_integral_e1
 
 _TWO_PI = 2.0 * math.pi
 _CDF_GRID = 10_000
+# kernel_U_batch: Gauss-Legendre panels per oscillation of E1(z log y), and the floor
+_NODES_PER_OSC = 8.0
+_MIN_PANELS = 24
 
 
 def _raw_bump(x):
@@ -162,7 +165,7 @@ def kernel_U(z, spec):
     return val
 
 
-def kernel_U_batch(z_values, spec, nodes_per_osc=8.0, min_panels=24):
+def kernel_U_batch(z_values, spec):
     """U on an array of z values via fixed composite Gauss-Legendre in y.
 
     The panel count scales with the largest |z| in the batch so oscillatory
@@ -182,7 +185,7 @@ def kernel_U_batch(z_values, spec, nodes_per_osc=8.0, min_panels=24):
         zc = flat[idx]
         zmax = np.abs(zc).max()
         # oscillation count across the support is ~ |z| (hi - lo) / (2 pi)
-        panels = max(min_panels, int(nodes_per_osc * zmax * (hi - lo) / _TWO_PI) + 1)
+        panels = max(_MIN_PANELS, int(_NODES_PER_OSC * zmax * (hi - lo) / _TWO_PI) + 1)
         edges = np.linspace(lo, hi, panels + 1)
         mids = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (hi - lo) / panels

@@ -5,7 +5,8 @@ Implements the exact Haar average
     E_N[(1/N) sum_n Z'(theta_n, A)^k] = e^{i pi k / 2} Gamma(N+k+1) / (N! Gamma(k+2)),
 
 its Monte-Carlo estimation with branch-correct complex powers, and a small-N
-brute-force Weyl-measure quadrature oracle.
+Weyl-measure quadrature oracle that fixes one eigenangle by rotation
+invariance and sums over the other N - 1 on a lattice.
 
 ``_mc_estimate`` is the one Monte-Carlo driver: it serves both
 :func:`mc_moment` (the bare Z'^k) and ``hybrid.mc_hybrid_moment`` (Z'^k
@@ -24,6 +25,7 @@ from .specfun import log_gamma
 
 _COINCIDENCE_TOL = 1e-14
 _MC_DIM_CAP = 512
+_WEYL_BLOCK = 1 << 16  # grid points evaluated at once by weyl_average
 _TWO_PI = 2.0 * math.pi
 
 
@@ -228,76 +230,75 @@ def mc_moment(n, k, samples, seed, workers=1):
 def weyl_average(n, statistic, grid):
     """Tensor-grid quadrature of a statistic against the Weyl density on U(n).
 
+    The nodes are the lattice theta_j = 2 pi j / grid on every axis (rectangle
+    rule; the integrand is 2*pi-periodic in every variable) and the density is
+    prod_{a<b} |e^{i theta_a} - e^{i theta_b}|^2 / (n! (2 pi)^n).  The first
+    axis is walked in blocks and the other n - 1 broadcast, so at most
+    max(2^16, grid^(n-1)) points are held at once.
+
     Args:
         n: 1, 2 or 3 (the cost explodes combinatorially by design).
         statistic: callable mapping broadcastable angle arrays (theta_1, ...,
             theta_n) to a complex array.
-        grid: points per angle axis (rectangle rule; the integrand is
-            2*pi-periodic in every variable).
+        grid: points per angle axis.
 
     Raises:
         CapabilityError: for n > 3.
     """
+    _require_weyl_dim(n)
+    theta = np.arange(grid) * (_TWO_PI / grid)
+    # angle a varies along array axis a
+    axes = [theta.reshape((grid,) + (1,) * (n - 1 - a)) for a in range(n)]
+    phases = [np.exp(1j * ax) for ax in axes]
+    rest_dens = 1.0
+    for a in range(1, n):
+        for b in range(a + 1, n):
+            rest_dens = rest_dens * np.abs(phases[a] - phases[b]) ** 2
+    rows = max(1, _WEYL_BLOCK // grid ** (n - 1))
+    acc = 0j
+    for lo in range(0, grid, rows):
+        dens = rest_dens
+        for ph in phases[1:]:
+            dens = dens * np.abs(phases[0][lo : lo + rows] - ph) ** 2
+        acc += np.sum(dens * statistic(axes[0][lo : lo + rows], *axes[1:]))
+    return complex(acc / (math.factorial(n) * grid**n))
+
+
+def _require_weyl_dim(n):
     if n not in (1, 2, 3):
         raise CapabilityError("Weyl quadrature oracle supports n in {1, 2, 3} only")
-    theta = (np.arange(grid) + 0.5) * (_TWO_PI / grid)
-    norm = 1.0 / (math.factorial(n) * _TWO_PI**n) * (_TWO_PI / grid) ** n
-    if n == 1:
-        return complex(norm * np.sum(statistic(theta)))
-    ephase = np.exp(1j * theta)
-    if n == 2:
-        acc = 0j
-        for t1 in theta:  # row-chunked to bound memory at large grids
-            dens = np.abs(np.exp(1j * t1) - ephase) ** 2
-            acc += np.sum(dens * statistic(t1, theta))
-        return complex(norm * acc)
-    acc = 0j
-    for t1 in theta:
-        d1x = np.abs(np.exp(1j * t1) - ephase) ** 2  # |e^{i t1} - e^{i theta}|^2
-        for i2, t2 in enumerate(theta):
-            d2x = np.abs(np.exp(1j * t2) - ephase) ** 2
-            dens = d1x[i2] * d1x * d2x
-            acc += np.sum(dens * statistic(t1, t2, theta))
-    return complex(norm * acc)
-
-
-def _zprime_moment_statistic(k):
-    """(1/N) sum_r Z'(theta_r)^k as a function of the angle tuple.
-
-    Grid points with coincident angles are assigned 0: the Weyl density
-    vanishes there to second order, so for Re(k) > -3 the (measure-zero)
-    coincidence set contributes nothing to the integral.
-    """
-
-    def stat(*thetas):
-        thetas = np.broadcast_arrays(*thetas)
-        n = len(thetas)
-        acc = 0j
-        for r in range(n):
-            log_sum = np.zeros(np.shape(thetas[0]), dtype=complex)
-            coincident = np.zeros(np.shape(thetas[0]), dtype=bool)
-            for m in range(n):
-                if m == r:
-                    continue
-                fac = 1.0 - np.exp(1j * (thetas[m] - thetas[r]))
-                coincident |= fac == 0
-                log_sum = log_sum + np.log(np.where(fac == 0, 1.0, fac))
-            term = np.exp(k * (1j * math.pi / 2.0 + log_sum))
-            acc = acc + np.where(coincident, 0j, term)
-        return acc / n
-
-    return stat
 
 
 def weyl_quadrature_oracle(n, k, grid):
-    """Brute-force Weyl integral of (1/N) sum_r Z'(theta_r)^k for n <= 3.
+    """Weyl integral of Z'(theta_1)^k over U(n), n <= 3, as an (n-1)-angle sum.
 
-    Converges to :func:`exact_moment` as the grid refines (spectrally for
-    integer k; like grid^-(3+Re k) otherwise, from the algebraic coincidence
-    singularity).
+    By exchangeability Z'(theta_1)^k has the same Haar average as
+    (1/N) sum_r Z'(theta_r)^k, and rotation invariance fixes theta_1 = 0:
+
+        E_n[Z'(theta_1)^k]
+            = (i^k / n) E_{U(n-1)}[prod_m |1 - e^{i theta_m}|^2 (1 - e^{i theta_m})^k],
+
+    evaluated by :func:`weyl_average` on the lattice, where both identities
+    hold exactly.  Each factor takes the principal log; a factor with
+    1 - e^{i theta} = 0 (a coincidence, where the density vanishes to second
+    order) contributes 0.  Converges to :func:`exact_moment` as the grid
+    refines (spectrally for integer k; like grid^-(3+Re k) otherwise, from
+    the algebraic coincidence singularity).
     """
     k = require_admissible(k)
+    _require_weyl_dim(n)
+    i_k = complex(np.exp(1j * math.pi * k / 2.0))
     if n == 1:
         # single-point product: the integrand is the constant i^k
-        return complex(np.exp(1j * math.pi * k / 2.0))
-    return weyl_average(n, _zprime_moment_statistic(k), grid)
+        return i_k
+
+    def stat(*thetas):
+        out = 1.0
+        for th in thetas:
+            fac = 1.0 - np.exp(1j * th)
+            hit = fac == 0
+            power = np.exp(k * np.log(np.where(hit, 1.0, fac)))
+            out = out * np.where(hit, 0.0, np.abs(fac) ** 2 * power)
+        return out
+
+    return i_k / n * weyl_average(n - 1, stat, grid)

@@ -243,13 +243,8 @@ def riemann_siegel_theta(t):
     return float(out) if scalar else out
 
 
-def _em_truncation(im_max):
-    return max(30, int(math.ceil(1.6 * im_max)))
-
-
-def _euler_maclaurin(s, truncation, bernoulli_terms, want_deriv):
+def _euler_maclaurin(s, m_cut, want_deriv):
     """Euler-Maclaurin zeta (and optional zeta') on an array of s values."""
-    m_cut = truncation
     z = np.zeros(s.shape, dtype=complex)
     dz = np.zeros(s.shape, dtype=complex) if want_deriv else None
     # main sum over m = 1 .. M-1, chunked to bound the outer-product memory
@@ -273,7 +268,7 @@ def _euler_maclaurin(s, truncation, bernoulli_terms, want_deriv):
     dpoch = np.ones_like(s)           # its s-derivative
     fact = 2.0                        # (2j)!
     i = 1
-    for j in range(1, bernoulli_terms + 1):
+    for j, b2j in enumerate(_BERNOULLI_2J, start=1):
         twoj = 2 * j
         while i < twoj - 1:
             dpoch = dpoch * (s + i) + poch
@@ -281,7 +276,7 @@ def _euler_maclaurin(s, truncation, bernoulli_terms, want_deriv):
             i += 1
         if j > 1:
             fact *= (twoj - 1) * twoj
-        coeff = _BERNOULLI_2J[j - 1] / fact
+        coeff = b2j / fact
         m_tail = np.exp(-(s + (twoj - 1)) * log_m)
         z += coeff * poch * m_tail
         if want_deriv:
@@ -289,41 +284,8 @@ def _euler_maclaurin(s, truncation, bernoulli_terms, want_deriv):
     return z, dz
 
 
-def zeta_and_deriv(s, truncation=None, bernoulli_terms=8):
-    """(zeta(s), zeta'(s)) by Euler-Maclaurin.
-
-    The truncation M defaults to max(30, ceil(1.6 * max |Im s|)) and eight
-    Bernoulli correction terms are used; the derivative is the term-by-term
-    analytic derivative of the same expansion.  Accuracy is ~1e-9 relative or
-    better for |Im s| <= 1e4.
-
-    Args:
-        s: complex scalar or array of points, none equal to 1.
-        truncation: override for the main-sum cutoff M (used by consistency
-            tests at two depths).
-        bernoulli_terms: number of B_{2j} correction terms.
-
-    Raises:
-        PoleError: if any s equals 1.
-        CapabilityError: if |Im s| exceeds 1e5.
-    """
-    arr, scalar = _asarray_complex(s)
-    if np.any(arr == 1):
-        raise PoleError("zeta has its pole at s = 1")
-    im_max = float(np.abs(arr.imag).max()) if arr.size else 0.0
-    if im_max > _IM_S_LIMIT:
-        raise CapabilityError(
-            f"zeta_and_deriv supports |Im s| <= {_IM_S_LIMIT:g} (got {im_max:g})"
-        )
-    m_cut = _em_truncation(im_max) if truncation is None else int(truncation)
-    z, dz = _euler_maclaurin(arr, m_cut, bernoulli_terms, want_deriv=True)
-    if scalar:
-        return z.item(), dz.item()
-    return z, dz
-
-
-def zeta_only(s, truncation=None, bernoulli_terms=8):
-    """zeta(s) alone (skips the derivative accumulation; hot path for zero scans)."""
+def _zeta_em(s, truncation, want_deriv):
+    """The checked path of both public EM routines: (z, dz, scalar) for s."""
     arr, scalar = _asarray_complex(s)
     if np.any(arr == 1):
         raise PoleError("zeta has its pole at s = 1")
@@ -332,8 +294,36 @@ def zeta_only(s, truncation=None, bernoulli_terms=8):
         raise CapabilityError(
             f"zeta evaluation supports |Im s| <= {_IM_S_LIMIT:g} (got {im_max:g})"
         )
-    m_cut = _em_truncation(im_max) if truncation is None else int(truncation)
-    z, _ = _euler_maclaurin(arr, m_cut, bernoulli_terms, want_deriv=False)
+    m_cut = max(30, math.ceil(1.6 * im_max)) if truncation is None else int(truncation)
+    return (*_euler_maclaurin(arr, m_cut, want_deriv), scalar)
+
+
+def zeta_and_deriv(s, truncation=None):
+    """(zeta(s), zeta'(s)) by Euler-Maclaurin.
+
+    The truncation M defaults to max(30, ceil(1.6 * max |Im s|)) and the eight
+    Bernoulli correction terms B_2..B_16 are used; the derivative is the
+    term-by-term analytic derivative of the same expansion.  Accuracy is ~1e-9
+    relative or better for |Im s| <= 1e4.
+
+    Args:
+        s: complex scalar or array of points, none equal to 1.
+        truncation: override for the main-sum cutoff M (used by consistency
+            tests at two depths).
+
+    Raises:
+        PoleError: if any s equals 1.
+        CapabilityError: if |Im s| exceeds 1e5.
+    """
+    z, dz, scalar = _zeta_em(s, truncation, want_deriv=True)
+    if scalar:
+        return z.item(), dz.item()
+    return z, dz
+
+
+def zeta_only(s):
+    """zeta(s) alone (skips the derivative accumulation; hot path for zero scans)."""
+    z, _, scalar = _zeta_em(s, None, want_deriv=False)
     return z.item() if scalar else z
 
 

@@ -19,6 +19,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DomainError, IncompleteCoefficientsError
 from .hybrid import fourier_coeffs
@@ -79,14 +80,15 @@ def symbol_coeffs(k, params, max_freq):
     # so d_{-1} = -c_0; d is stored from j = -1, and fhat_n sits at index n + 1
     d = -np.diff(_binomial_series(k, max_freq + 2), prepend=0.0)
     values = np.convolve(h, d)[: max_freq + 2]
-    # sum of the summands' magnitudes, against which each fhat_n cancelled
+    # largest sum of the summands' magnitudes against the largest coefficient:
+    # measured per coefficient, one that is exactly 0 would read as total loss
     mag = np.convolve(np.abs(h), np.abs(d))[: max_freq + 2]
-    nonzero = values != 0
-    worst_amplification = (mag[nonzero] / np.abs(values[nonzero])).max(initial=0.0)
-    if worst_amplification > 1e6:
+    amplification = mag.max() / np.abs(values).max()
+    if amplification > 1e6:
         warnings.warn(
-            f"binomial-tail cancellation amplifies rounding by {worst_amplification:.1e} "
-            f"at max_freq = {max_freq}; coefficients may carry fewer than 10 digits",
+            f"binomial-tail cancellation amplifies rounding by {amplification:.1e} "
+            f"at max_freq = {max_freq}; coefficients may carry fewer than 10 digits "
+            "relative to the largest",
             stacklevel=2,
         )
     return SymbolCoeffs(values=values, k=k, log_x=params.log_x, sum_s=s.sum)
@@ -108,12 +110,9 @@ def toeplitz_det(sc, size, method="hessenberg"):
     fpos = sc.values[1 : size + 1]  # fhat_0 .. fhat_{size-1}
     fm1 = sc.values[0]  # fhat_{-1}
     if method == "dense":
-        mat = np.zeros((size, size), dtype=complex)
-        for j in range(size):
-            for ell in range(size):
-                d = j - ell
-                mat[j, ell] = fpos[d] if d >= 0 else (fm1 if d == -1 else 0j)
-        return complex(np.linalg.det(mat))
+        # first column fhat_0..fhat_{size-1}, first row fhat_0, fhat_{-1}, 0, ...
+        first_row = np.pad(sc.values[1::-1], (0, size))[:size]
+        return complex(np.linalg.det(scipy.linalg.toeplitz(fpos, first_row)))
     if method != "hessenberg":
         raise ValueError(f"unknown method {method!r}")
     # expansion along the last column of the (transposed, upper-Hessenberg)

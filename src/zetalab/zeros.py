@@ -22,7 +22,6 @@ import hashlib
 import math
 import os
 import tempfile
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -315,19 +314,3 @@ def cross_validate(a, b):
     )
     return report
 
-
-def fetch_zeros(url, dest_path):
-    """Download a published zero table to dest_path and record its checksum.
-
-    No default endpoint is baked in; the caller supplies the URL explicitly.
-    Returns the parsed ZeroList.
-    """
-    dest_path = Path(dest_path)
-    dest_path.parent.mkdir(parents=True, exist_ok=True)
-    with urllib.request.urlopen(url) as resp:
-        data = resp.read()
-    dest_path.write_bytes(data)
-    dest_path.with_suffix(dest_path.suffix + ".sha256").write_text(
-        hashlib.sha256(data).hexdigest() + "\n"
-    )
-    return load_zeros(dest_path)

@@ -26,6 +26,7 @@ def test_tracer_installs_counts_and_uninstalls(monkeypatch, smoothing_y4):
         tracer.job = 0
         rmt.mc_moment(4, 1.0, 100, 0)
         hybrid.mc_hybrid_moment(params, 1.0, 200, 0)
+        rmt.weyl_quadrature_oracle(2, 1.0, 64)
     finally:
         tracer.job = None
         tracer.uninstall()
@@ -34,3 +35,6 @@ def test_tracer_installs_counts_and_uninstalls(monkeypatch, smoothing_y4):
     # not counted again under rmt.mc_moment
     mc = [(s[tracing.NAME], s[tracing.WORK]) for s in tracer.spans if "mc_" in s[tracing.NAME]]
     assert mc == [("rmt.mc_moment", 100), ("hybrid.mc_hybrid_moment", 200)]
+    # the Weyl oracle's points are grid**n, read from positions 0 and 2
+    weyl = [s[tracing.WORK] for s in tracer.spans if s[tracing.NAME] == "rmt.weyl_quadrature_oracle"]
+    assert weyl == [64**2]

@@ -197,6 +197,30 @@ class TestWeylOracle:
         with pytest.raises(CapabilityError):
             rmt.weyl_quadrature_oracle(4, 1, 16)
 
+    def test_reduction_is_an_identity_on_the_lattice(self):
+        # the (N-1)-angle sum with theta_1 fixed equals the full N-angle Weyl
+        # sum of (1/N) sum_r Z'(theta_r)^k, coincidences mapped to 0
+        def symmetric(k):
+            def stat(*thetas):
+                thetas = np.broadcast_arrays(*thetas)
+                acc = 0j
+                for r, th_r in enumerate(thetas):
+                    log_sum, coincident = 0j, False
+                    for m, th_m in enumerate(thetas):
+                        if m != r:
+                            fac = 1.0 - np.exp(1j * (th_m - th_r))
+                            coincident = coincident | (fac == 0)
+                            log_sum = log_sum + np.log(np.where(fac == 0, 1.0, fac))
+                    acc = acc + np.where(coincident, 0j, np.exp(k * (1j * math.pi / 2 + log_sum)))
+                return acc / len(thetas)
+
+            return stat
+
+        for k in (0.5, 1 + 1j, -1.5 + 0.5j):
+            reduced = rmt.weyl_quadrature_oracle(3, k, 24)
+            full = rmt.weyl_average(3, symmetric(k), 24)
+            assert abs(reduced - full) <= 1e-13 * abs(full)
+
     def test_density_mass(self):
         for n in (1, 2, 3):
             mass = rmt.weyl_average(n, lambda *a: np.ones(np.shape(a[-1])), 48)

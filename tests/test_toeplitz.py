@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +87,19 @@ class TestSymbolCoeffs:
                 for n in range(-1, max_freq + 1)
             ]
             assert np.max(np.abs(sc.values - ref)) < 1e-13 * np.max(np.abs(ref))
+
+    def test_cancellation_warning_measured_against_largest_coefficient(self, smoothing_y4):
+        # at X = e^4 every s_m = k/m, so fhat_2 = 0 exactly; its rounding
+        # residue is no loss of digits against max |fhat|
+        params = hybrid.HybridParams(n=8, x_cutoff=math.e**4, smoothing=smoothing_y4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (0.7 + 2j, -1.5 + 1j):
+                toeplitz.symbol_coeffs(k, params, max_freq=62)
+        # genuine binomial-tail cancellation still warns
+        params = hybrid.HybridParams(n=8, x_cutoff=math.e**3, smoothing=smoothing_y4)
+        with pytest.warns(UserWarning, match="cancellation"):
+            toeplitz.symbol_coeffs(10 + 10j, params, max_freq=126)
 
 
 class TestToeplitzDet:

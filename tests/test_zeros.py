@@ -1,7 +1,4 @@
 import math
-import threading
-from functools import partial
-from http.server import HTTPServer, SimpleHTTPRequestHandler
 
 import numpy as np
 import pytest
@@ -177,23 +174,6 @@ class TestCrossValidate:
         b = zeros.load_zeros(p)
         with pytest.raises(EmptyOverlapError):
             zeros.cross_validate(a, b)
-
-
-class TestFetch:
-    def test_fetch_over_local_http(self, tmp_path, published_table_path):
-        handler = partial(SimpleHTTPRequestHandler, directory=str(published_table_path.parent))
-        server = HTTPServer(("127.0.0.1", 0), handler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            url = f"http://127.0.0.1:{server.server_port}/{published_table_path.name}"
-            dest = tmp_path / "fetched.txt"
-            zl = zeros.fetch_zeros(url, dest)
-            assert len(zl) == 100
-            assert dest.exists()
-            assert dest.with_suffix(".txt.sha256").exists()
-        finally:
-            server.shutdown()
 
 
 def test_expected_count_main_term_consistency():
