@@ -193,7 +193,9 @@ def a_coeffs(k, x_cutoff, m_max=10**6):
 def p_x_pow(s, k, poly):
     """P_X(s)^k = sum over the support of a_k(m) m^{-s}, vectorized over s.
 
-    ``poly`` must have been built with the same (k, X).
+    ``poly`` must have been built with the same (k, X).  The sum is cut at
+    m_max, so it is the check of the coefficients a_k(m) against
+    :func:`p_x_euler`, not a route to P_X on the critical line.
     """
     if complex(k) != complex(poly.k):
         raise DomainError("DirichletPoly was built for a different k")
@@ -213,8 +215,8 @@ def p_x_pow(s, k, poly):
 def p_x_euler(s, k, x_cutoff):
     """Direct route: exp(k * sum_{n<=X} Lambda(n)/(log n * n^s)).
 
-    The defining exponential form, used to cross-check the Dirichlet-series
-    route p_x_pow.
+    The defining exponential form, exact up to rounding with one term per
+    prime power n <= X; the experiments evaluate P_X at the zeros with it.
     """
     k = complex(k)
     arr = np.asarray(s, dtype=complex)

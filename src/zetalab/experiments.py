@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arithmetic import factorize, p_x_pow, von_mangoldt
+from .arithmetic import factorize, p_x_euler, von_mangoldt
 from .errors import DomainError
 from .rmt import conjecture_rhs, require_admissible
 from .specfun import GAMMA0, GAMMA1, zeta_and_deriv
@@ -81,13 +81,18 @@ def complex_fsum(values):
     return complex(math.fsum(values.real), math.fsum(values.imag))
 
 
-def _zeta_prime_at_zeros(gammas, chunk=2048):
+# Zeros per zeta_and_deriv call: each chunk gets the truncation of its highest
+# ordinate, and the main sum's outer product holds chunk x M values.
+_ZETA_CHUNK = 256
+
+
+def _zeta_prime_at_zeros(gammas):
     """zeta'(1/2 + i*gamma) for ascending gammas, chunked by height."""
     out = np.empty(len(gammas), dtype=complex)
-    for lo in range(0, len(gammas), chunk):
-        g = gammas[lo : lo + chunk]
+    for lo in range(0, len(gammas), _ZETA_CHUNK):
+        g = gammas[lo : lo + _ZETA_CHUNK]
         _, dz = zeta_and_deriv(0.5 + 1j * g)
-        out[lo : lo + chunk] = dz
+        out[lo : lo + _ZETA_CHUNK] = dz
     return out
 
 
@@ -217,8 +222,11 @@ def landau_gonek(zeros, m, t_height, running=False):
 def px_mean(zeros, t_height, k, poly, running=False):
     """sum_{gamma<=T} P_X(rho)^k vs N(T) - (T/2pi) sum a_k(m) Lambda(m)/m.
 
-    Both the bare N(T) comparison and the two-term comparison are reported
-    (details["predicted_bare"] vs the headline prediction).
+    The empirical side is the exact P_X(rho)^k = exp(k sum_{n<=X}
+    Lambda(n)/(log n n^rho)) (:func:`p_x_euler`); ``poly``'s coefficients
+    a_k(m) enter only the prediction.  Both the bare N(T) comparison and the
+    two-term comparison are reported (details["predicted_bare"] vs the
+    headline prediction).
     """
     k = require_admissible(k)
     if complex(poly.k) != k:
@@ -231,7 +239,7 @@ def px_mean(zeros, t_height, k, poly, running=False):
     _require_coverage(zeros, t_height)
     gammas = zeros.below(t_height)
     n = len(gammas)
-    values = p_x_pow(0.5 + 1j * gammas, k, poly)
+    values = p_x_euler(0.5 + 1j * gammas, k, poly.x_cutoff)
     empirical = complex_fsum(values)
     subsidiary = float(np.real(np.sum(poly.a * poly.lam / poly.m)))
     predicted = n - (t_height / _TWO_PI) * subsidiary
@@ -321,7 +329,8 @@ def twisted_first_moment(zeros, t_height, poly, running=False):
     ``poly`` must be the k = -1 coefficient set.  The prediction is the
     three-term polynomial main term plus (T/2pi) sum_{m>=2} (a_{-1}(m)/m)
     (A1(1,m) + B1(m,T)) over the Dirichlet support, where a_{-1} vanishes off
-    X-smooth integers.
+    X-smooth integers.  The empirical side uses the exact P_X(rho)^{-1}
+    (:func:`p_x_euler`), not the truncated Dirichlet series.
     """
     if complex(poly.k) != -1:
         raise DomainError("twisted first moment needs the k = -1 DirichletPoly")
@@ -329,7 +338,7 @@ def twisted_first_moment(zeros, t_height, poly, running=False):
     gammas = zeros.below(t_height)
     n = len(gammas)
     zp = _zeta_prime_at_zeros(gammas)
-    pxinv = p_x_pow(0.5 + 1j * gammas, -1, poly)
+    pxinv = p_x_euler(0.5 + 1j * gammas, -1, poly.x_cutoff)
     terms = zp * pxinv
     empirical = complex_fsum(terms)
 

@@ -8,7 +8,10 @@ All routines accept scalars or numpy arrays and evaluate in double precision:
   negative real axis.
 * :func:`riemann_siegel_theta` -- Im log Gamma(1/4 + it/2) - (t/2) log pi.
 * :func:`zeta_and_deriv` -- zeta and zeta' by Euler-Maclaurin with an analytic
-  term-by-term derivative (no numerical differentiation).
+  term-by-term derivative (no numerical differentiation): the main sum stops
+  at M = 30 + ceil(|Im s|/pi), and the number of Bernoulli corrections is the
+  fewest for which Backlund's remainder bound, and a Cauchy bound on its
+  derivative, are <= 1e-15.
 * :func:`hardy_z` -- the real-valued rotation of zeta on the critical line.
 * :func:`hardy_z_rs` -- Z by the Riemann-Siegel formula, with its proven error
   bound.
@@ -27,44 +30,44 @@ from .errors import BranchCutError, CapabilityError, DomainError, PoleError
 GAMMA0 = 0.577215664901533
 GAMMA1 = -0.072815845483677
 
-# B_{2j} for j = 1..8, used by the zeta Euler-Maclaurin correction terms.
-_BERNOULLI_2J = (
-    1.0 / 6.0,
-    -1.0 / 30.0,
-    1.0 / 42.0,
-    -1.0 / 30.0,
-    5.0 / 66.0,
-    -691.0 / 2730.0,
-    7.0 / 6.0,
-    -3617.0 / 510.0,
-)
+
+def _tangent_numbers(n):
+    """Tangent numbers T_1..T_n as exact integers (Brent & Harvey's recurrence).
+
+    B_{2j} = (-1)^{j-1} 2j T_j / (4^j (4^j - 1)), so every Bernoulli ratio below
+    is one integer division, which Python rounds correctly.
+    """
+    t = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1:]
+
+
+# Deepest Euler-Maclaurin correction used by the zeta routines.
+_EM_MAX_DEPTH = 40
+_TANGENT = _tangent_numbers(_EM_MAX_DEPTH + 1)
 
 # B_{2j} / (2j (2j-1)) for j = 1..12: coefficients of z^{1-2j} in the Stirling
 # series for log Gamma.
 _STIRLING = tuple(
-    b / ((2 * j) * (2 * j - 1))
-    for j, b in enumerate(
-        (
-            1.0 / 6.0,
-            -1.0 / 30.0,
-            1.0 / 42.0,
-            -1.0 / 30.0,
-            5.0 / 66.0,
-            -691.0 / 2730.0,
-            7.0 / 6.0,
-            -3617.0 / 510.0,
-            43867.0 / 798.0,
-            -174611.0 / 330.0,
-            854513.0 / 138.0,
-            -236364091.0 / 2730.0,
-        ),
-        start=1,
-    )
+    (-1) ** (j - 1) * t / ((2 * j - 1) * 4**j * (4**j - 1)) for j, t in enumerate(_TANGENT[:12], start=1)
+)
+
+# B_{2j} / (2j)! for j = 1..41: the zeta Euler-Maclaurin correction terms, the
+# last one used only to bound the remainder after _EM_MAX_DEPTH terms.
+_EM_COEFFS = tuple(
+    (-1) ** (j - 1) * t / (4**j * (4**j - 1) * math.factorial(2 * j - 1))
+    for j, t in enumerate(_TANGENT, start=1)
 )
 
 _TWO_PI = 2.0 * math.pi
 _HALF_LOG_2PI = 0.5 * math.log(_TWO_PI)
 _IM_S_LIMIT = 1.0e5
+# log of the bound the Euler-Maclaurin remainders of zeta and zeta' are held to
+_EM_LOG_TOL = math.log(1e-15)
 
 
 def _asarray_complex(z):
@@ -243,8 +246,48 @@ def riemann_siegel_theta(t):
     return float(out) if scalar else out
 
 
-def _euler_maclaurin(s, m_cut, want_deriv):
-    """Euler-Maclaurin zeta (and optional zeta') on an array of s values."""
+def _em_depth(s_abs, sigma, m_cut):
+    """Fewest Euler-Maclaurin corrections p whose remainders are proven below 1e-15.
+
+    With the main sum cut at M, Backlund's bound on the remainder after p
+    corrections is
+
+        |R_p(s)| <= |s+2p+1| / (sigma+2p+1) * |B_{2p+2}/(2p+2)! (s)_{2p+1} M^{-s-2p-1}|,
+
+    and Cauchy's estimate on the circle |w - s| = r = 1/log M (where
+    |M^{-w}| <= e |M^{-s}|) bounds |R_p'(s)| by max |R_p(w)| / r.  Both are
+    taken at the largest |s| and the smallest Re s of the call, in logs.
+
+    Raises:
+        CapabilityError: if no p <= _EM_MAX_DEPTH meets both bounds, which
+            only a caller-given M far below |s| can cause.
+    """
+    log_m = math.log(m_cut)
+    r = 1.0 / log_m
+    log_poch = log_poch_r = 0.0  # log of bounds on |(s)_{2p+1}| and |(w)_{2p+1}|
+    for p in range(_EM_MAX_DEPTH + 1):
+        for i in range(max(0, 2 * p - 1), 2 * p + 1):
+            log_poch += math.log(s_abs + i) if s_abs + i > 0 else -math.inf
+            log_poch_r += math.log(s_abs + r + i)
+        if sigma + 2 * p + 1 - r <= 0:
+            continue
+        head = math.log(abs(_EM_COEFFS[p])) - (sigma + 2 * p + 1) * log_m
+        rem = head + log_poch + math.log((s_abs + 2 * p + 1) / (sigma + 2 * p + 1))
+        drem = head + log_poch_r + 1.0 + math.log((s_abs + r + 2 * p + 1) / (sigma - r + 2 * p + 1) / r)
+        if max(rem, drem) <= _EM_LOG_TOL:
+            return p
+    raise CapabilityError(
+        f"Euler-Maclaurin truncation M = {m_cut} is too short for |s| = {s_abs:g}: "
+        f"no depth <= {_EM_MAX_DEPTH} bounds the remainder by 1e-15"
+    )
+
+
+def _euler_maclaurin(s, m_cut, depth, want_deriv):
+    """Euler-Maclaurin zeta (and optional zeta') on an array of s values.
+
+    zeta(s) = sum_{m<M} m^{-s} + M^{1-s}/(s-1) + M^{-s}/2
+              + sum_{j<=depth} B_{2j}/(2j)! (s)_{2j-1} M^{-s-2j+1} + R_depth(s).
+    """
     z = np.zeros(s.shape, dtype=complex)
     dz = np.zeros(s.shape, dtype=complex) if want_deriv else None
     # main sum over m = 1 .. M-1, chunked to bound the outer-product memory
@@ -263,24 +306,24 @@ def _euler_maclaurin(s, m_cut, want_deriv):
     if want_deriv:
         dz += m_pow * m_cut * (-log_m / sm1 - 1.0 / (sm1 * sm1)) - 0.5 * log_m * m_pow
 
-    # correction terms B_{2j}/(2j)! (s)_{2j-1} M^{-s-2j+1}
-    poch = s.copy()                   # rising factorial (s)_{2j-1}
-    dpoch = np.ones_like(s)           # its s-derivative
-    fact = 2.0                        # (2j)!
-    i = 1
-    for j, b2j in enumerate(_BERNOULLI_2J, start=1):
-        twoj = 2 * j
-        while i < twoj - 1:
-            dpoch = dpoch * (s + i) + poch
-            poch = poch * (s + i)
-            i += 1
-        if j > 1:
-            fact *= (twoj - 1) * twoj
-        coeff = b2j / fact
-        m_tail = np.exp(-(s + (twoj - 1)) * log_m)
-        z += coeff * poch * m_tail
+    # corrections c_j (s)_{2j-1} M^{-s-2j+1} = c_j q_j M^{-s}: the scaled rising
+    # factorial q_j = (s)_{2j-1} / M^{2j-1} stays near |s/M|^{2j-1}, where
+    # (s)_{2j-1} alone would overflow at depth 40 and |s| = 1e5
+    q = s / m_cut
+    dq = np.full_like(s, 1.0 / m_cut)  # dq/ds
+    corr = np.zeros_like(s)
+    dcorr = np.zeros_like(s) if want_deriv else None
+    for j, c in enumerate(_EM_COEFFS[:depth], start=1):
+        corr += c * q
         if want_deriv:
-            dz += coeff * m_tail * (dpoch - log_m * poch)
+            dcorr += c * (dq - log_m * q)
+        for i in (2 * j - 1, 2 * j):
+            f = (s + i) / m_cut
+            dq = dq * f + q / m_cut
+            q = q * f
+    z += corr * m_pow
+    if want_deriv:
+        dz += dcorr * m_pow
     return z, dz
 
 
@@ -294,17 +337,23 @@ def _zeta_em(s, truncation, want_deriv):
         raise CapabilityError(
             f"zeta evaluation supports |Im s| <= {_IM_S_LIMIT:g} (got {im_max:g})"
         )
-    m_cut = max(30, math.ceil(1.6 * im_max)) if truncation is None else int(truncation)
-    return (*_euler_maclaurin(arr, m_cut, want_deriv), scalar)
+    m_cut = 30 + math.ceil(im_max / math.pi) if truncation is None else int(truncation)
+    depth = _em_depth(float(np.abs(arr).max()), float(arr.real.min()), m_cut) if arr.size else 0
+    return (*_euler_maclaurin(arr, m_cut, depth, want_deriv), scalar)
 
 
 def zeta_and_deriv(s, truncation=None):
-    """(zeta(s), zeta'(s)) by Euler-Maclaurin.
+    """(zeta(s), zeta'(s)) by Euler-Maclaurin, with a proven remainder.
 
-    The truncation M defaults to max(30, ceil(1.6 * max |Im s|)) and the eight
-    Bernoulli correction terms B_2..B_16 are used; the derivative is the
-    term-by-term analytic derivative of the same expansion.  Accuracy is ~1e-9
-    relative or better for |Im s| <= 1e4.
+    The main sum stops at M = 30 + ceil(max |Im s| / pi): at M ~ t/pi the
+    corrections shrink about (|s| / 2 pi M)^2 ~ 4-fold per term.  The number
+    of Bernoulli corrections is the fewest (at most 40) for which Backlund's
+    bound on the remainder of zeta, and a Cauchy bound on the remainder of
+    zeta', are both <= 1e-15 (see :func:`_em_depth`); it is at most 28 for
+    |Im s| <= 1e5 at the default M.  The derivative is the term-by-term
+    analytic derivative of the same expansion.  What remains is rounding in
+    the main sum: zeta' at the zeros up to T = 5000 is within 3e-11 of
+    mpmath, and the cost is O(M) per point.
 
     Args:
         s: complex scalar or array of points, none equal to 1.
@@ -313,7 +362,8 @@ def zeta_and_deriv(s, truncation=None):
 
     Raises:
         PoleError: if any s equals 1.
-        CapabilityError: if |Im s| exceeds 1e5.
+        CapabilityError: if |Im s| exceeds 1e5, or if no depth <= 40 bounds
+            the remainder at a caller-given M.
     """
     z, dz, scalar = _zeta_em(s, truncation, want_deriv=True)
     if scalar:
@@ -322,7 +372,10 @@ def zeta_and_deriv(s, truncation=None):
 
 
 def zeta_only(s):
-    """zeta(s) alone (skips the derivative accumulation; hot path for zero scans)."""
+    """zeta(s) alone (skips the derivative accumulation; hot path for zero scans).
+
+    Same truncation M and bound-driven depth as :func:`zeta_and_deriv`.
+    """
     z, _, scalar = _zeta_em(s, None, want_deriv=False)
     return z.item() if scalar else z
 

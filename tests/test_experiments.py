@@ -133,13 +133,25 @@ class TestPxMean:
         assert res.predicted.real > res.n_zeros
 
     def test_truncation_stability(self, zeros_5000):
+        # the empirical side no longer depends on m_max; the truncated
+        # Dirichlet series stays within its tail bound of the exact P_X
         x = math.log(5000.0)
         big = arithmetic.a_coeffs(1.0, x, m_max=10**6)
         small = arithmetic.a_coeffs(1.0, x, m_max=10**5)
         r_big = experiments.px_mean(zeros_5000, 5000.0, 1, big)
         r_small = experiments.px_mean(zeros_5000, 5000.0, 1, small)
-        allowance = r_small.n_zeros * small.tail_bound()
-        assert abs(r_big.empirical - r_small.empirical) < allowance
+        assert r_big.empirical == r_small.empirical
+        s = 0.5 + 1j * zeros_5000.below(5000.0)
+        for poly in (big, small):
+            series = experiments.complex_fsum(arithmetic.p_x_pow(s, 1.0, poly))
+            assert abs(series - r_big.empirical) < len(s) * poly.tail_bound()
+
+    def test_empirical_is_exact_p_x(self, zeros_5000):
+        x = math.log(5000.0)
+        poly = arithmetic.a_coeffs(1.0, x, m_max=10**6)
+        res = experiments.px_mean(zeros_5000, 5000.0, 1, poly)
+        exact = experiments.complex_fsum(arithmetic.p_x_euler(0.5 + 1j * zeros_5000.below(5000.0), 1.0, x))
+        assert abs(res.empirical - exact) <= 1e-12 * abs(exact)
 
     def test_growth_condition_warning(self, zeros_100):
         poly = arithmetic.a_coeffs(1.0, 64.0, m_max=10**4)

@@ -9,17 +9,20 @@ silently.
 import math
 from pathlib import Path
 
-from zetalab import hybrid, rmt
+import numpy as np
+
+from zetalab import arithmetic, experiments, hybrid, rmt, specfun
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_tracer_installs_counts_and_uninstalls(monkeypatch, smoothing_y4):
+def test_tracer_installs_counts_and_uninstalls(monkeypatch, smoothing_y4, zeros_100):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
     originals = (rmt.mc_moment, hybrid.mc_hybrid_moment)
     params = hybrid.HybridParams(n=4, x_cutoff=math.e**3, smoothing=smoothing_y4)
+    poly = arithmetic.a_coeffs(1.0, math.log(100.0), m_max=100)
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -27,6 +30,8 @@ def test_tracer_installs_counts_and_uninstalls(monkeypatch, smoothing_y4):
         rmt.mc_moment(4, 1.0, 100, 0)
         hybrid.mc_hybrid_moment(params, 1.0, 200, 0)
         rmt.weyl_quadrature_oracle(2, 1.0, 64)
+        specfun.zeta_and_deriv(0.5 + 1j * np.linspace(100.0, 200.0, 10))
+        experiments.px_mean(zeros_100, 100.0, 1.0, poly)
     finally:
         tracer.job = None
         tracer.uninstall()
@@ -38,3 +43,13 @@ def test_tracer_installs_counts_and_uninstalls(monkeypatch, smoothing_y4):
     # the Weyl oracle's points are grid**n, read from positions 0 and 2
     weyl = [s[tracing.WORK] for s in tracer.spans if s[tracing.NAME] == "rmt.weyl_quadrature_oracle"]
     assert weyl == [64**2]
+    # zeta' points are the size of the s argument
+    zeta = [s[tracing.WORK] for s in tracer.spans if s[tracing.NAME] == "specfun.zeta_and_deriv"]
+    assert zeta == [10]
+    # px_mean counts its zeros; P_X at the zeros is its traced child
+    # p_x_euler, and the truncated series p_x_pow is not called
+    spans = tracer.spans
+    px = [i for i, s in enumerate(spans) if s[tracing.NAME] == "experiments.px_mean"]
+    assert [spans[i][tracing.WORK] for i in px] == [len(zeros_100.below(100.0))]
+    children = {s[tracing.NAME] for s in spans if s[tracing.PARENT] == px[0]}
+    assert "arithmetic.p_x_euler" in children and "arithmetic.p_x_pow" not in children

@@ -183,6 +183,38 @@ class TestZeta:
             assert abs(z - ref_z) < 1e-9
             assert abs(dz - ref_dz) < 1e-9
 
+    def test_zeta_prime_at_zeros_matches_mpmath(self, zeros_5000):
+        gammas = zeros_5000.gammas[np.linspace(0, len(zeros_5000.gammas) - 1, 60).astype(int)]
+        _, dz = specfun.zeta_and_deriv(0.5 + 1j * gammas)
+        ref = np.array([complex(mp.zeta(mp.mpc(0.5, float(g)), derivative=1)) for g in gammas])
+        assert np.max(np.abs(dz - ref)) < 6e-11
+
+
+class TestEulerMaclaurinDepth:
+    def test_coefficients_are_bernoulli_ratios(self):
+        for j in range(1, 31):
+            ref = mp.bernoulli(2 * j) / mp.factorial(2 * j)
+            assert abs(specfun._EM_COEFFS[j - 1] - ref) <= 1e-15 * abs(ref)
+
+    def test_depth_at_default_truncation(self):
+        for t in np.geomspace(2.0, 1e5, 300):
+            m_cut = 30 + math.ceil(t / math.pi)
+            assert specfun._em_depth(abs(0.5 + 1j * t), 0.5, m_cut) <= 30
+
+    def test_short_truncation_raises(self):
+        with pytest.raises(CapabilityError):
+            specfun.zeta_and_deriv(0.5 + 1000j, truncation=50)
+
+    def test_default_truncation_matches_four_times_deeper(self):
+        t = np.random.default_rng(8).uniform(10.0, 1e4, 200)
+        s = 0.5 + 1j * t
+        z, dz = specfun.zeta_and_deriv(s)
+        z4, dz4 = specfun.zeta_and_deriv(s, truncation=4 * (30 + math.ceil(t.max() / math.pi)))
+        # beyond 1e-12, each main sum rounds its phases t log m: ~eps t log t
+        rounding = 4 * np.finfo(float).eps * t * np.log(t)
+        assert np.all(np.abs(z - z4) < 1e-12 + rounding)
+        assert np.all(np.abs(dz - dz4) < 1e-12 + rounding * np.log(t))
+
 
 # --------------------------------------------------------------------- hardy Z
 
