@@ -28,6 +28,7 @@ import numpy as np
 import scipy
 
 from . import __version__, arithmetic, experiments, hybrid, rmt, toeplitz, zeros
+from .errors import MissingZeroError
 
 CSV_COLUMNS = [
     "experiment",
@@ -71,7 +72,7 @@ def _fmt(value):
     return repr(float(value))
 
 
-def _row(experiment, k=None, t=None, x=None, empirical=None, predicted=None, n_zeros=None, extra=None):
+def _row(experiment, k=None, t=None, x=None, empirical=None, predicted=None, n_zeros=None):
     emp = complex(empirical) if empirical is not None else None
     pred = complex(predicted) if predicted is not None else None
     ratio = None
@@ -91,8 +92,7 @@ def _row(experiment, k=None, t=None, x=None, empirical=None, predicted=None, n_z
         "n_zeros": "" if n_zeros is None else str(int(n_zeros)),
         "runtime": "",
     }
-    extras = dict(extra or {})
-    return row, extras
+    return row, {}
 
 
 def _resolve_zeros(source, t_height):
@@ -184,7 +184,7 @@ def _run_zeros(cfg):
             Path(cfg["out"]).write_text(zeros._format_table(zl.gammas))
         row, extras = _row(
             "zeros-compute", t=zl.t_max, empirical=len(zl),
-            predicted=zeros.expected_zero_count(zl.t_max), n_zeros=len(zl),
+            predicted=zeros.zero_count(zl.t_max), n_zeros=len(zl),
         )
         return [(row, extras)]
     if action == "load":
@@ -428,9 +428,10 @@ def main(argv=None):
     except FileNotFoundError as exc:
         print(f"missing input: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, MissingZeroError) as exc:
         # bad values and every library input error (DomainError, CapabilityError,
-        # ZeroTableParseError, EmptyOverlapError, ...) subclass ValueError
+        # ZeroTableParseError, EmptyOverlapError, ...) subclass ValueError;
+        # MissingZeroError is a zero scan that could not certify its count
         message = " ".join(str(exc).split())
         print(f"{subcommand}: {type(exc).__name__}: {message}", file=sys.stderr)
         return 2

@@ -22,7 +22,7 @@ class CapabilityError(ValueError):
 
 
 class MissingZeroError(RuntimeError):
-    """Zero scan count could not be reconciled with the theta-based count."""
+    """A Rosser block did not show one sign change of Z per zero it holds, even after rescans."""
 
     def __init__(self, message, interval=None):
         super().__init__(message)

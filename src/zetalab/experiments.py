@@ -26,7 +26,7 @@ from .arithmetic import factorize, p_x_euler, von_mangoldt
 from .errors import DomainError
 from .rmt import conjecture_rhs, require_admissible
 from .specfun import GAMMA0, GAMMA1, zeta_and_deriv
-from .zeros import expected_zero_count
+from .zeros import zero_count
 
 _TWO_PI = 2.0 * math.pi
 
@@ -113,15 +113,15 @@ def _branch_power(values, k, branch):
 def _require_coverage(zeros, t_height):
     """A list covers (0, T] if t_max reaches T, or failing that (a loaded
     table's t_max is just its last ordinate) if it holds exactly the
-    theta-predicted number of zeros up to T."""
+    certified number N(T) of zeros up to T."""
     if zeros.t_max >= t_height:
         return
-    if len(zeros.below(t_height)) == expected_zero_count(t_height):
+    expected = zero_count(t_height)
+    if len(zeros.below(t_height)) == expected:
         return
     raise DomainError(
         f"zero list covers only t <= {zeros.t_max:g} "
-        f"({len(zeros.below(t_height))} zeros, expected "
-        f"{expected_zero_count(t_height)} below {t_height:g})"
+        f"({len(zeros.below(t_height))} zeros, expected {expected} below {t_height:g})"
     )
 
 

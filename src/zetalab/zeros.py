@@ -1,11 +1,18 @@
-"""Nontrivial zero ordinates by Hardy-Z sign changes, with count verification.
+"""Nontrivial zero ordinates by Hardy-Z sign changes on the Gram grid, with a certified count.
 
-The scan walks the critical line with a step of one quarter of the local mean
-gap 2*pi / log(t/2*pi), brackets sign changes of Z, refines the brackets in
-lockstep by Illinois (modified regula falsi) steps down to 1e-11, and
-reconciles the final count against round(theta(t)/pi + 1).  A mismatch
-triggers rescans of the suspect gaps at 4x density before a hard failure is
-raised.
+The scan walks the critical line over Gram intervals [g_n, g_{n+1}], where
+theta(g_n) = n*pi, with _POINTS_PER_GRAM points in each, and refines every
+sign-change bracket in lockstep by Illinois (modified regula falsi) steps down
+to 1e-11.  A Gram point is good when (-1)^n Z(g_n) > 0, and a Rosser block is
+the span between two consecutive good Gram points.  The count is certified by
+Rosser's rule: every Rosser block up to Gram index 13,999,525, far above the
+heights here, holds exactly as many zeros as it has Gram intervals, all simple
+and on the critical line (Brent, van de Lune, te Riele & Winter, Math. Comp.
+39 (1982) 681-688).  So a block that shows that many sign changes of Z has
+all its zeros bracketed, and N(g_a) = a + 1 at every good Gram point g_a.  A
+block that shows fewer (two close zeros between neighbouring scan points) is
+rescanned alone at doubling density, and MissingZeroError names it if its
+count still differs.
 
 Z is taken from the Riemann-Siegel formula where its value clears twice
 Gabcke's error bound, and from Euler-Maclaurin everywhere else (below t = 200
@@ -31,8 +38,9 @@ from .errors import DomainError, EmptyOverlapError, MissingZeroError, ZeroTableP
 from .specfun import RS_T_MIN, hardy_z, hardy_z_rs, riemann_siegel_theta
 
 _TWO_PI = 2.0 * math.pi
-_SCAN_START = 10.0  # below the first zero at 14.134...
 _BRACKET_WIDTH = 1e-11
+_POINTS_PER_GRAM = 4  # scan points per Gram interval
+_RESCAN_ROUNDS = 5  # density doublings of a short Rosser block before MissingZeroError
 CACHE_ENV = "ZETALAB_CACHE"
 
 
@@ -60,20 +68,26 @@ class ZeroList:
         return len(self.gammas)
 
 
-def expected_zero_count(t):
-    """round(theta(t)/pi + 1): the zero count under the |S(t)| < 1/2 heuristic."""
-    return int(round(riemann_siegel_theta(t) / math.pi + 1.0))
+def _gram_points(n, t, theta_t):
+    """Gram points g_n (theta(g_n) = n*pi) by Newton's method from theta's tangent at t.
+
+    theta is increasing and convex past 2*pi, and g_{-1} = 9.67 lies past it,
+    so the tangent's root lies above g_n and the iterates descend onto it.
+    """
+    g = t + (n * math.pi - theta_t) / (0.5 * math.log(t / _TWO_PI))
+    while True:
+        slope = 0.5 * np.log(g / _TWO_PI)  # above theta' by about 1/(48 g^2)
+        step = (riemann_siegel_theta(g) - n * math.pi) / slope
+        g = g - step
+        # the next step would be about theta'' s^2 / (2 theta') plus s / (48 g^2 theta')
+        if np.max((step * step / (4.0 * g) + np.abs(step) / (48.0 * g * g)) / slope) < 1e-10:
+            return g
 
 
-def _scan_grid(t_lo, t_hi, density=1.0):
-    """Scan points with step = local mean gap / (4 * density)."""
-    pts = [t_lo]
-    t = t_lo
-    while t < t_hi:
-        gap = _TWO_PI / max(math.log(t / _TWO_PI), 0.2)
-        t = t + gap / (4.0 * density)
-        pts.append(min(t, t_hi))
-    return np.array(pts)
+def _grid(g, per, t):
+    """Scan points: each interval of the Gram points g cut into ``per`` steps, plus t if inside."""
+    pts = np.append((g[:-1, None] + np.diff(g)[:, None] * (np.arange(per) / per)).ravel(), g[-1])
+    return np.union1d(pts, min(max(t, g[0]), g[-1]))
 
 
 def _eval_z(points):
@@ -95,6 +109,88 @@ def _eval_z(points):
         idx = slow[lo : lo + 2048]
         out[idx] = hardy_z(points[idx])
     return out
+
+
+def _brackets(pts, z):
+    """Sign-change brackets of Z between consecutive points: (lo, hi, Z at [lo, hi] per row)."""
+    flips = np.flatnonzero(np.signbit(z[:-1]) != np.signbit(z[1:]))
+    return pts[flips], pts[flips + 1], np.column_stack((z[flips], z[flips + 1]))
+
+
+def _rescan(g, need, t):
+    """Brackets of one short Rosser block (its Gram points g) at doubling scan density.
+
+    Raises:
+        MissingZeroError: if the block still does not show its ``need`` sign
+            changes after _RESCAN_ROUNDS doublings.
+    """
+    for per in (_POINTS_PER_GRAM << r for r in range(1, _RESCAN_ROUNDS + 1)):
+        pts = _grid(g, per, t)
+        found = _brackets(pts, _eval_z(pts))
+        if len(found[0]) == need:
+            return found
+    raise MissingZeroError(
+        f"Rosser block ({g[0]:.6f}, {g[-1]:.6f}) shows {len(found[0])} sign changes of Z "
+        f"at {per} points per Gram interval, but holds {need} zeros",
+        interval=(float(g[0]), float(g[-1])),
+    )
+
+
+def _rosser_scan(t, from_first):
+    """Sign-change brackets of Z, one per zero, over whole Rosser blocks that reach t.
+
+    The blocks end at the first good Gram point at or past t, and start at
+    g_{-1} = 9.67 (good, and below the first zero) if ``from_first``, else at
+    the last good Gram point at or below t.  A block that does not show one
+    sign change per Gram interval is rescanned alone.  t is a scan point, so
+    no bracket straddles it.
+
+    Returns:
+        (a, lo, hi, z): the index of the first Gram point, and one bracket per
+        zero of the blocks (unordered where a block was rescanned).
+    """
+    # Stirling's series for theta(t), within 2e-6 for t >= 10: it only aims the Newton steps
+    theta_t = 0.5 * t * math.log(t / (_TWO_PI * math.e)) - math.pi / 8.0 + 1.0 / (48.0 * t)
+    n_t = math.floor(theta_t / math.pi)
+    pad = 8  # Gram points scanned past t on either side, doubled until good ones show
+    while True:
+        n = np.arange(-1 if from_first else max(n_t - pad, -1), n_t + pad + 1)
+        g = _gram_points(n, t, theta_t)
+        pts = _grid(g, _POINTS_PER_GRAM, t)
+        z = _eval_z(pts)
+        good = np.flatnonzero(np.signbit(z[np.searchsorted(pts, g)]) == (n % 2 == 1))
+        if good.size and g[good[0]] <= t <= g[good[-1]]:
+            break
+        pad *= 2
+    # the blocks' ends: good Gram points from g_{-1} or the last at or below t to the first at or past t
+    first = 0 if from_first else np.searchsorted(g[good], t, "right") - 1
+    ends = good[first : np.searchsorted(g[good], t) + 1]
+    inside = (pts >= g[ends[0]]) & (pts <= g[ends[-1]])
+    lo, hi, zz = _brackets(pts[inside], z[inside])
+    need = np.diff(n[ends])
+    block = np.searchsorted(g[ends], hi) - 1
+    short = np.flatnonzero(np.bincount(block, minlength=len(need)) != need)
+    keep = ~np.isin(block, short)
+    parts = [(lo[keep], hi[keep], zz[keep])]
+    parts += [_rescan(g[ends[j] : ends[j + 1] + 1], need[j], t) for j in short]
+    return (int(n[ends[0]]), *map(np.concatenate, zip(*parts)))
+
+
+def zero_count(t):
+    """N(t), the number of zeros with 0 < gamma <= t, certified by Rosser's rule.
+
+    Scans the one Rosser block around t as :func:`compute_zeros` scans them
+    all: a + 1 for the last good Gram point g_a at or below t, plus the sign
+    changes of Z in (g_a, t].
+
+    Raises:
+        DomainError: unless 10 <= t <= 1e5, the cap of the Euler-Maclaurin oracle.
+        MissingZeroError: if the block cannot be made to show all its zeros.
+    """
+    if not 10.0 <= t <= 1e5:
+        raise DomainError("zero_count supports 10 <= t <= 1e5")
+    a, _, hi, _ = _rosser_scan(t, from_first=False)
+    return a + 1 + int(np.count_nonzero(hi <= t))
 
 
 def _refine_brackets(lo, hi, z):
@@ -125,17 +221,9 @@ def _refine_brackets(lo, hi, z):
     return 0.5 * (x0 + x1)
 
 
-def _find_brackets(t_lo, t_hi, density):
-    """Sign-change brackets of Z on the scan grid: (lo, hi, Z at [lo, hi] per row)."""
-    grid = _scan_grid(t_lo, t_hi, density)
-    z = _eval_z(grid)
-    flips = np.nonzero(np.signbit(z[:-1]) != np.signbit(z[1:]))[0]
-    return grid[flips], grid[flips + 1], np.column_stack((z[flips], z[flips + 1]))
-
-
-def _cache_paths(cache_dir, t_max, density):
-    """Table and digest paths, keyed by the exact (17-digit) t_max and density."""
-    base = Path(cache_dir) / f"zeros_t{t_max:.17g}_g{4 * density:.17g}.txt"
+def _cache_paths(cache_dir, t_max):
+    """Table and digest paths, keyed by the exact (17-digit) t_max."""
+    base = Path(cache_dir) / f"zeros_t{t_max:.17g}.txt"
     return base, base.with_suffix(".sha256")
 
 
@@ -167,73 +255,40 @@ def _format_table(gammas):
     return "".join(f"{g:.11f}\n" for g in gammas)
 
 
-def compute_zeros(t_max, cache_dir=None, max_rescans=6, density=1.0):
-    """All zero ordinates in (0, t_max], bracketed to 1e-11 and count-verified.
+def compute_zeros(t_max, cache_dir=None):
+    """All zero ordinates in (0, t_max], bracketed to 1e-11, with a certified count.
+
+    The scan covers every Rosser block from g_{-1} to the first good Gram
+    point at or past t_max, and each block must show one sign change of Z per
+    Gram interval (Rosser's rule, verified far beyond these heights by Brent,
+    van de Lune, te Riele & Winter, Math. Comp. 39 (1982)), so the list holds
+    N(t_max) ordinates, the count :func:`zero_count` gives.
 
     Args:
         t_max: covered height, between 10 and 1e4 (desk scale).
         cache_dir: directory for the on-disk cache; defaults to the
             ``ZETALAB_CACHE`` environment variable; pass ``False`` to disable
             caching outright.
-        max_rescans: rescan rounds (each at doubled density) before a count
-            mismatch becomes a hard failure.
-        density: multiplier on the initial scan density (1.0 = quarter of the
-            local mean gap); the result must not depend on it.
 
     Raises:
-        MissingZeroError: if the scan count cannot be reconciled with
-            round(theta(t_max)/pi + 1), carrying the suspect interval.
+        MissingZeroError: if a Rosser block shows too few sign changes even
+            after its rescans, carrying the block as its interval.
     """
     if not 10.0 <= t_max <= 1e4:
         raise DomainError("computed zeros support 10 <= t_max <= 1e4; ingest a table beyond that")
     if cache_dir is None:
         cache_dir = os.environ.get(CACHE_ENV)
     if cache_dir:
-        path, digest_path = _cache_paths(cache_dir, t_max, density)
+        path, digest_path = _cache_paths(cache_dir, t_max)
         cached = _read_cache(path, digest_path)
         if cached is not None:
             return ZeroList(
                 gammas=cached, t_max=float(t_max), source="computed", precision=_BRACKET_WIDTH
             )
 
-    lo, hi, z = _find_brackets(_SCAN_START, t_max, density=density)
-    gammas = _refine_brackets(lo, hi, z)
-    expected = expected_zero_count(t_max)
-
-    rescan_density = 4.0 * density
-    attempts = 0
-    while len(gammas) != expected and attempts < max_rescans:
-        # locate gaps whose theta-count drift suggests a missed pair
-        edges = np.concatenate(([_SCAN_START], gammas, [t_max]))
-        counts = riemann_siegel_theta(np.maximum(edges, _SCAN_START)) / math.pi + 1.0
-        drift = np.diff(counts)
-        suspects = np.nonzero(drift > 0.9)[0]
-        if len(suspects) == 0:
-            suspects = np.argsort(drift)[-3:]
-        new = []
-        for i in suspects:
-            s_lo, s_hi = edges[i] + 1e-9, edges[i + 1] - 1e-9
-            if s_hi <= s_lo:
-                continue
-            b_lo, b_hi, b_z = _find_brackets(s_lo, s_hi, rescan_density)
-            if len(b_lo):
-                found = _refine_brackets(b_lo, b_hi, b_z)
-                new.extend(g for g in found if not np.any(np.abs(gammas - g) < 1e-8))
-        if new:
-            gammas = np.sort(np.concatenate((gammas, new)))
-        rescan_density *= 2.0
-        attempts += 1
-
-    if len(gammas) != expected:
-        edges = np.concatenate(([_SCAN_START], gammas, [t_max]))
-        counts = riemann_siegel_theta(np.maximum(edges, _SCAN_START)) / math.pi + 1.0
-        worst = int(np.argmax(np.diff(counts)))
-        raise MissingZeroError(
-            f"found {len(gammas)} zeros below {t_max}, expected {expected} "
-            f"(suspect interval near ({edges[worst]:.6f}, {edges[worst + 1]:.6f}))",
-            interval=(float(edges[worst]), float(edges[worst + 1])),
-        )
-
+    _, lo, hi, z = _rosser_scan(t_max, from_first=True)
+    below = hi <= t_max
+    gammas = _refine_brackets(lo[below], hi[below], z[below])
     result = ZeroList(
         gammas=np.sort(gammas), t_max=float(t_max), source="computed", precision=_BRACKET_WIDTH
     )

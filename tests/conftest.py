@@ -2,6 +2,7 @@ import math
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from zetalab import hybrid, zeros
@@ -30,6 +31,12 @@ def zeros_100(zeros_cache_dir):
 def zeros_5000(zeros_cache_dir):
     """The big computed list shared by every zeta-side experiment test."""
     return zeros.compute_zeros(5000.0, cache_dir=zeros_cache_dir)
+
+
+@pytest.fixture(scope="session")
+def stored_table_5000():
+    """The benchmark's stored zero list to T = 5000 (4520 ordinates)."""
+    return np.loadtxt(Path(__file__).resolve().parents[1] / "perfbench" / "data" / "zeros_t5000.txt")
 
 
 @pytest.fixture(scope="session")

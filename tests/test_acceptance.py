@@ -169,11 +169,11 @@ def test_criterion_07_dirichlet_coefficients():
 def test_criterion_08_zero_computation(zeros_100, zeros_5000, published_table_path):
     table = zeros.load_zeros(published_table_path)
     rep = zeros.cross_validate(zeros_100, table)
-    expected = zeros.expected_zero_count(5000.0)
+    expected = zeros.zero_count(5000.0)
     ok = (
         len(zeros_100) == 29
         and rep.max_abs_diff < 1e-6
-        and abs(len(zeros_5000) - expected) <= 1
+        and len(zeros_5000) == expected == 4520
     )
     _report(
         8,

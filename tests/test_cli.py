@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from zetalab import cli
+from zetalab import cli, zeros
 
 
 def run_cli(args):
@@ -140,6 +140,27 @@ class TestZerosSubcommands:
         assert status == 0
         _, rows, _ = read_outputs(tmp_path / "x")
         assert float(rows[0]["empirical_re"]) < 1e-6  # max |delta gamma|
+
+    def test_compute_count_is_certified(self, tmp_path, monkeypatch):
+        # round(theta/pi + 1) says 51 here; N(145.6793) is 50
+        monkeypatch.delenv(zeros.CACHE_ENV, raising=False)
+        assert run_cli(["--output-dir", tmp_path, "zeros", "compute", "--t-max", 145.6793]) == 0
+        _, rows, _ = read_outputs(tmp_path)
+        assert float(rows[0]["empirical_re"]) == float(rows[0]["predicted_re"]) == 50
+
+    def test_missing_zero_error_exit_2(self, tmp_path, monkeypatch, capsys):
+        real = zeros._brackets
+
+        def lossy(pts, z):
+            lo, hi, zz = real(pts, z)
+            return lo[:-2], hi[:-2], zz[:-2]
+
+        monkeypatch.delenv(zeros.CACHE_ENV, raising=False)
+        monkeypatch.setattr(zeros, "_brackets", lossy)
+        assert run_cli(["--output-dir", tmp_path, "zeros", "compute", "--t-max", 50]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "MissingZeroError" in err
 
     def test_cross_validate_tol_gate(self, tmp_path, published_table_path):
         args = ["zeros", "cross-validate", "--a", "compute", "--b", published_table_path]

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from zetalab import arithmetic, experiments, hybrid, rmt, specfun
+from zetalab import arithmetic, experiments, hybrid, rmt, specfun, zeros
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -32,6 +32,7 @@ def test_tracer_installs_counts_and_uninstalls(monkeypatch, smoothing_y4, zeros_
         rmt.weyl_quadrature_oracle(2, 1.0, 64)
         specfun.zeta_and_deriv(0.5 + 1j * np.linspace(100.0, 200.0, 10))
         experiments.px_mean(zeros_100, 100.0, 1.0, poly)
+        zeros.compute_zeros(60.0, cache_dir=False)
     finally:
         tracer.job = None
         tracer.uninstall()
@@ -53,3 +54,6 @@ def test_tracer_installs_counts_and_uninstalls(monkeypatch, smoothing_y4, zeros_
     assert [spans[i][tracing.WORK] for i in px] == [len(zeros_100.below(100.0))]
     children = {s[tracing.NAME] for s in spans if s[tracing.PARENT] == px[0]}
     assert "arithmetic.p_x_euler" in children and "arithmetic.p_x_pow" not in children
+    # a compute_zeros span's work is the length of the list it returns
+    found = [s[tracing.WORK] for s in spans if s[tracing.NAME] == "zeros.compute_zeros"]
+    assert found == [13]

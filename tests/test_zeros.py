@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,7 +16,7 @@ class TestComputeZeros:
 
     def test_count_below_100(self, zeros_100):
         assert len(zeros_100) == 29
-        assert zeros.expected_zero_count(100.0) == 29
+        assert zeros.zero_count(100.0) == 29
 
     def test_against_published_table(self, zeros_100, published_table_path):
         table = zeros.load_zeros(published_table_path)
@@ -36,33 +37,35 @@ class TestComputeZeros:
     def test_gaps_positive(self, zeros_100):
         assert np.all(np.diff(zeros_100.gammas) > 0)
 
-    def test_finer_grid_identical(self, tmp_path):
+    def test_finer_grid_identical(self, monkeypatch):
         base = zeros.compute_zeros(200.0, cache_dir=False)
-        fine = zeros.compute_zeros(200.0, cache_dir=False, density=2.0)
+        monkeypatch.setattr(zeros, "_POINTS_PER_GRAM", 8)
+        fine = zeros.compute_zeros(200.0, cache_dir=False)
         assert len(base) == len(fine)
         assert np.max(np.abs(base.gammas - fine.gammas)) < 1e-9
 
-    def test_finer_grid_identical_on_riemann_siegel_range(self):
+    def test_finer_grid_identical_on_riemann_siegel_range(self, monkeypatch):
         base = zeros.compute_zeros(600.0, cache_dir=False)
-        fine = zeros.compute_zeros(600.0, cache_dir=False, density=2.0)
+        monkeypatch.setattr(zeros, "_POINTS_PER_GRAM", 8)
+        fine = zeros.compute_zeros(600.0, cache_dir=False)
         assert len(base) == len(fine)
         assert np.max(np.abs(base.gammas - fine.gammas)) < 1e-9
 
     def test_cache_roundtrip(self, tmp_path):
         a = zeros.compute_zeros(60.0, cache_dir=tmp_path)
-        assert (tmp_path / "zeros_t60_g4.txt").exists()
-        assert (tmp_path / "zeros_t60_g4.sha256").exists()
+        assert (tmp_path / "zeros_t60.txt").exists()
+        assert (tmp_path / "zeros_t60.sha256").exists()
         b = zeros.compute_zeros(60.0, cache_dir=tmp_path)
         assert np.max(np.abs(a.gammas - b.gammas)) < 1e-10
 
     def test_cache_keys_exact(self, tmp_path):
-        near, _ = zeros._cache_paths(tmp_path, 100.0000001, 1.0)
-        exact, _ = zeros._cache_paths(tmp_path, 100.0, 1.0)
+        near, _ = zeros._cache_paths(tmp_path, 100.0000001)
+        exact, _ = zeros._cache_paths(tmp_path, 100.0)
         assert near != exact
 
     def test_corrupt_cache_recomputed(self, tmp_path):
         zeros.compute_zeros(60.0, cache_dir=tmp_path)
-        path = tmp_path / "zeros_t60_g4.txt"
+        path = tmp_path / "zeros_t60.txt"
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines[:5] + lines[6:]))  # cut one line out
         again = zeros.compute_zeros(60.0, cache_dir=tmp_path)
@@ -77,16 +80,27 @@ class TestComputeZeros:
             zeros.compute_zeros(20000.0, cache_dir=False)
 
     def test_missing_zero_error(self, monkeypatch):
-        real = zeros._find_brackets
+        real = zeros._brackets
 
-        def lossy(t_lo, t_hi, density):
-            lo, hi, z = real(t_lo, t_hi, density)
-            return lo[:-2], hi[:-2], z[:-2]  # drop two zeros, rescans disabled below
+        def lossy(pts, z):
+            lo, hi, zz = real(pts, z)
+            return lo[:-2], hi[:-2], zz[:-2]  # drop two zeros, rescans included
 
-        monkeypatch.setattr(zeros, "_find_brackets", lossy)
+        monkeypatch.setattr(zeros, "_brackets", lossy)
         with pytest.raises(MissingZeroError) as exc_info:
-            zeros.compute_zeros(50.0, cache_dir=False, max_rescans=0)
+            zeros.compute_zeros(50.0, cache_dir=False)
         assert exc_info.value.interval is not None
+
+    @pytest.mark.parametrize("t_max, count", [(20.7, 1), (145.6793, 50), (818.0, 504)])
+    def test_heights_where_theta_count_is_off(self, t_max, count, stored_table_5000):
+        # round(theta/pi + 1) is N(T) + 1 at these heights (|S(T)| > 1/2)
+        zl = zeros.compute_zeros(t_max, cache_dir=False)
+        ref = stored_table_5000[stored_table_5000 <= t_max]
+        assert len(zl) == len(ref) == count
+        assert np.max(np.abs(zl.gammas - ref)) < 1e-9
+
+    def test_count_to_cap(self):
+        assert len(zeros.compute_zeros(1e4, cache_dir=False)) == 10142
 
 
 class TestComputeZerosTo1000:
@@ -177,8 +191,26 @@ class TestCrossValidate:
 
 
 def test_expected_count_main_term_consistency():
-    # round(theta/pi + 1) tracks the main term (T/2pi) log(T/(2 pi e))
+    # N(T) tracks the main term (T/2pi) log(T/(2 pi e))
     t = 5000.0
     main = (t / (2 * math.pi)) * math.log(t / (2 * math.pi * math.e))
-    assert abs(zeros.expected_zero_count(t) - main) < 2.0
-    assert zeros.expected_zero_count(t) == 4520
+    assert abs(zeros.zero_count(t) - main) < 2.0
+    assert zeros.zero_count(t) == 4520
+
+
+class TestZeroCount:
+    def test_matches_stored_table(self, stored_table_5000):
+        rng = np.random.default_rng(6)
+        heights = np.exp(rng.uniform(math.log(10.5), math.log(5000.0), 300))
+        counts = [zeros.zero_count(float(t)) for t in heights]
+        assert counts == list(np.searchsorted(stored_table_5000, heights, side="right"))
+
+    @pytest.mark.parametrize("t", [7005.05, 7005.08, 7005.2, 1e4, 2e4, 99999.0])
+    def test_matches_mpmath(self, t):
+        # 7005.05-7005.2 straddle Lehmer's close pair, zeros 6709 and 6710
+        assert zeros.zero_count(t) == mpmath.nzeros(t)
+
+    @pytest.mark.parametrize("t", [9.9, 1.1e5])
+    def test_domain(self, t):
+        with pytest.raises(DomainError):
+            zeros.zero_count(t)
