@@ -203,8 +203,6 @@ class FourierCoeffs:
     """Coefficients s_1..s_{m_max} of the finite Fourier sum k F_X(-v) = sum s_m e^{imv}."""
 
     values: np.ndarray  # s_m for m = 1 .. len(values)
-    k: complex
-    log_x: float
 
     @property
     def sum(self):
@@ -229,12 +227,11 @@ def fourier_s(m, k, params):
 
 def fourier_coeffs(k, params):
     """All nonzero coefficients s_1 .. s_{ceil(log X) - 1} as a FourierCoeffs."""
-    k = complex(k)
     m_top = int(math.ceil(params.log_x)) - 1
     if math.isclose(params.log_x, round(params.log_x), rel_tol=0, abs_tol=1e-12):
         m_top = int(round(params.log_x)) - 1
     vals = np.array([fourier_s(m, k, params) for m in range(1, m_top + 1)], dtype=complex)
-    return FourierCoeffs(values=vals, k=k, log_x=params.log_x)
+    return FourierCoeffs(values=vals)
 
 
 def F_X_poly(v, k, params):

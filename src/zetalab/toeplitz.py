@@ -1,17 +1,23 @@
-"""Fourier coefficients of the singular symbol and Toeplitz determinants.
+"""Fourier coefficients of the singular symbol and Heine's Toeplitz determinant.
 
 Heine's identity turns the Haar average of the hybrid product statistic into
 D_{N-1}[f], the (N-1) x (N-1) Toeplitz determinant of
 
     f(v) = |1 - e^{iv}|^2 (1 - e^{iv})^k e^{k F_X(-v)}
-         = (1 - z)^{k+1} (1 - z^{-1}) exp(sum_m s_m z^m),   z = e^{iv}.
+         = (1 - z^{-1}) h(z),   h(z) = (1 - z)^{k+1} e^{S(z)},   z = e^{iv},
 
-The only negative-frequency factor is (1 - z^{-1}), so fhat_j = 0 for j <= -2
-and fhat_{-1} = -1: the Toeplitz matrix is Hessenberg and its determinant
-satisfies an O(size^2) recurrence.  The coefficients themselves are assembled
-by exact convolution (generalized binomials x two-term factor x entire
-exponential series) rather than grid transforms, since the symbol's algebraic
-singularity at v = 0 makes trigonometric-grid extraction converge slowly.
+with S(z) = sum_m s_m z^m the finite Fourier sum of k F_X(-v).  The
+determinant is one power-series coefficient:
+
+    fhat_{-1} = -1 and fhat_j = 0 for j <= -2, so D_n = sum_{r<n} fhat_r D_{n-1-r};
+    sum_{r>=0} fhat_r w^{r+1} = 1 - (1 - w) h(w), so sum_n D_n w^n = 1 / ((1 - w) h(w));
+    hence D_{N-1}[f] = [w^{N-1}] (1 - w)^{-k-2} e^{-S(w)}.
+
+The coefficients fhat_j themselves are assembled by exact convolution
+(generalized binomials x two-term factor x entire exponential series) rather
+than grid transforms, since the symbol's algebraic singularity at v = 0 makes
+trigonometric-grid extraction converge slowly.  With a dense LU they are the
+test oracle of the series.
 """
 
 import math
@@ -37,9 +43,6 @@ class SymbolCoeffs:
     """
 
     values: np.ndarray
-    k: complex
-    log_x: float
-    sum_s: complex  # sum of the trig-polynomial coefficients, = k F_X(0)
 
     @property
     def max_freq(self):
@@ -64,6 +67,16 @@ def _binomial_series(k, count):
     return c
 
 
+def _warn_cancellation(magnitude, value, what):
+    """Warn when summands of total size ``magnitude`` cancel to ``value`` by more than 1e6."""
+    if magnitude > 1e6 * value:
+        warnings.warn(
+            f"cancellation amplifies rounding by {magnitude / value:.1e} in {what}, "
+            "which may carry fewer than 10 digits",
+            stacklevel=3,
+        )
+
+
 def symbol_coeffs(k, params, max_freq):
     """Symbol coefficients by exact convolution, for frequencies -1 .. max_freq.
 
@@ -74,8 +87,7 @@ def symbol_coeffs(k, params, max_freq):
     k = require_admissible(k)
     if max_freq < 0:
         raise DomainError("max_freq must be >= 0")
-    s = fourier_coeffs(k, params)
-    h = exp_series_coeffs(s.values, max_freq + 2)
+    h = exp_series_coeffs(fourier_coeffs(k, params).values, max_freq + 2)
     # fhat_n = sum_l h_l d_{n-l} with d_j = c_j - c_{j+1} (c_j = 0 for j < 0),
     # so d_{-1} = -c_0; d is stored from j = -1, and fhat_n sits at index n + 1
     d = -np.diff(_binomial_series(k, max_freq + 2), prepend=0.0)
@@ -83,54 +95,35 @@ def symbol_coeffs(k, params, max_freq):
     # largest sum of the summands' magnitudes against the largest coefficient:
     # measured per coefficient, one that is exactly 0 would read as total loss
     mag = np.convolve(np.abs(h), np.abs(d))[: max_freq + 2]
-    amplification = mag.max() / np.abs(values).max()
-    if amplification > 1e6:
-        warnings.warn(
-            f"binomial-tail cancellation amplifies rounding by {amplification:.1e} "
-            f"at max_freq = {max_freq}; coefficients may carry fewer than 10 digits "
-            "relative to the largest",
-            stacklevel=2,
-        )
-    return SymbolCoeffs(values=values, k=k, log_x=params.log_x, sum_s=s.sum)
+    _warn_cancellation(mag.max(), np.abs(values).max(),
+                       f"the coefficients to max_freq = {max_freq}, relative to the largest")
+    return SymbolCoeffs(values=values)
 
 
-def toeplitz_det(sc, size, method="hessenberg"):
-    """D_size[f] = det(fhat_{j-l}), 1 <= j, l <= size.
+def toeplitz_det(sc, size, method="dense"):
+    """D_size[f] = det(fhat_{j-l}), 1 <= j, l <= size, by LU with partial pivoting.
 
-    ``method="hessenberg"`` uses the O(size^2) recurrence valid because
-    fhat_j = 0 for j <= -2; ``method="dense"`` builds the matrix and runs LU
-    with partial pivoting (the cross-check oracle for sizes <= 64).
+    The test oracle of the power series in :func:`es_comparison`.
+    ``"dense"`` is the only ``method``.
     """
+    if method != "dense":
+        raise ValueError(f"unknown method {method!r}")
     if size < 1:
         raise DomainError("determinant size must be >= 1")
     if size - 1 > sc.max_freq:
         raise IncompleteCoefficientsError(
             f"size {size} needs frequencies up to {size - 1}, built up to {sc.max_freq}"
         )
-    fpos = sc.values[1 : size + 1]  # fhat_0 .. fhat_{size-1}
-    fm1 = sc.values[0]  # fhat_{-1}
-    if method == "dense":
-        # first column fhat_0..fhat_{size-1}, first row fhat_0, fhat_{-1}, 0, ...
-        first_row = np.pad(sc.values[1::-1], (0, size))[:size]
-        return complex(np.linalg.det(scipy.linalg.toeplitz(fpos, first_row)))
-    if method != "hessenberg":
-        raise ValueError(f"unknown method {method!r}")
-    # expansion along the last column of the (transposed, upper-Hessenberg)
-    # matrix: D_n = sum_{r=0}^{n-1} fhat_r (-fhat_{-1})^r D_{n-1-r}
-    dets = np.empty(size + 1, dtype=complex)
-    dets[0] = 1.0
-    scaled = fpos * (-fm1) ** np.arange(size)
-    for n in range(1, size + 1):
-        dets[n] = np.dot(scaled[:n], dets[n - 1 :: -1][:n])
-    return complex(dets[size])
+    # first column fhat_0..fhat_{size-1}, first row fhat_0, fhat_{-1}, 0, ...
+    first_row = np.pad(sc.values[1::-1], (0, size))[:size]
+    return complex(np.linalg.det(scipy.linalg.toeplitz(sc.values[1 : size + 1], first_row)))
 
 
 @dataclass(frozen=True)
 class ToeplitzResult:
     """Determinant route vs asymptotic prediction at one (k, X, N)."""
 
-    size: int  # N - 1
-    det: complex
+    det: complex  # D_{N-1}[f]
     expectation: complex  # e^{i k pi/2} e^{k F_X(0)} det / N
     asymptotic: complex  # e^{i k pi/2} N^k / Gamma(k+2)
     ratio: complex
@@ -139,22 +132,26 @@ class ToeplitzResult:
 def es_comparison(k, params):
     """Assemble the finite-N Toeplitz expectation and its power-law limit.
 
+    The determinant is D_{N-1}[f] = [w^{N-1}] (1 - w)^{-k-2} e^{-S(w)} (module
+    docstring): fhat_{-1} = -1 makes the last-column expansion
+    D_n = sum_{r<n} fhat_r D_{n-1-r}, whose generating function is
+    1 / ((1 - w) h(w)) with h = (1 - w)^{k+1} e^{S}.  It warns when the
+    coefficient's terms cancel by more than 1e6.
+
     The symbol has singularity exponents gamma = k+1, delta = 1, for which the
     Barnes-G constant collapses: G(2+k) G(2) / G(3+k) = 1 / Gamma(k+2), so the
     prediction is e^{i k pi/2} N^k / Gamma(k+2).
     """
     k = require_admissible(k)
-    if k.imag == 0 and k.real == round(k.real) and k.real <= -3:
-        raise DomainError("k at a negative integer <= -3 is a pole of the prediction")
     n = params.n
-    sc = symbol_coeffs(k, params, max_freq=max(n - 2, 0))
-    det = toeplitz_det(sc, n - 1) if n > 1 else 1.0 + 0j
-    prefactor = np.exp(1j * math.pi * k / 2.0 + sc.sum_s)
-    expectation = prefactor * det / n
+    s = fourier_coeffs(k, params)
+    terms = _binomial_series(-k - 3.0, n) * exp_series_coeffs(-s.values, n)[::-1]
+    det = complex(terms.sum())
+    _warn_cancellation(np.abs(terms).sum(), abs(det), f"the size-{n - 1} determinant")
+    expectation = np.exp(1j * math.pi * k / 2.0 + s.sum) * det / n
     asymptotic = np.exp(1j * math.pi * k / 2.0 + k * math.log(n) - log_gamma(k + 2.0))
     return ToeplitzResult(
-        size=n - 1,
-        det=complex(det),
+        det=det,
         expectation=complex(expectation),
         asymptotic=complex(asymptotic),
         ratio=complex(expectation / asymptotic),

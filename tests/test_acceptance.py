@@ -124,8 +124,7 @@ def test_criterion_06_toeplitz_asymptotic_limit():
         details.append(f"k={k}: |ratio-1| = " + "/".join(f"{e:.4f}" for e in errs))
     for n in (32, 64, 128):
         params = hybrid.HybridParams(n=n, x_cutoff=math.e**3, smoothing=spec)
-        sc = toeplitz.symbol_coeffs(0.0, params, max_freq=n - 2)
-        det = toeplitz.toeplitz_det(sc, n - 1)
+        det = toeplitz.es_comparison(0.0, params).det
         ok = ok and abs(det - n) < 1e-8
     _report(6, "toeplitz-asymptotic-limit", ok, "; ".join(details) + "; k=0 ladder exact")
 

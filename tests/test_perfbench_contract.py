@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from zetalab import arithmetic, experiments, hybrid, rmt, specfun, zeros
+from zetalab import arithmetic, experiments, hybrid, rmt, specfun, toeplitz, zeros
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -57,3 +57,29 @@ def test_tracer_installs_counts_and_uninstalls(monkeypatch, smoothing_y4, zeros_
     # a compute_zeros span's work is the length of the list it returns
     found = [s[tracing.WORK] for s in spans if s[tracing.NAME] == "zeros.compute_zeros"]
     assert found == [13]
+
+
+def test_traced_toeplitz_route_and_its_dense_oracle(monkeypatch, smoothing_y4):
+    # es_comparison is one power-series coefficient: no symbol or determinant
+    # child span; check_toeplitz's oracle call still runs and is counted
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    k, n = 1.0, 16
+    params = hybrid.HybridParams(n=n, x_cutoff=math.e**3, smoothing=smoothing_y4)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.job = 0
+        det = toeplitz.es_comparison(k, params).det
+        dense = toeplitz.toeplitz_det(toeplitz.symbol_coeffs(k, params, max_freq=n - 2), n - 1, method="dense")
+    finally:
+        tracer.job = None
+        tracer.uninstall()
+    spans = tracer.spans
+    es = [i for i, s in enumerate(spans) if s[tracing.NAME] == "toeplitz.es_comparison"]
+    children = {s[tracing.NAME] for s in spans if s[tracing.PARENT] == es[0]}
+    assert "toeplitz.symbol_coeffs" not in children and "toeplitz.toeplitz_det" not in children
+    work = {s[tracing.NAME]: s[tracing.WORK] for s in spans if s[tracing.PARENT] == -1}
+    assert work["toeplitz.symbol_coeffs"] == n and work["toeplitz.toeplitz_det"] == n - 1
+    assert abs(det - dense) < 1e-9 * abs(dense)

@@ -1,11 +1,12 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from zetalab import hybrid, powerseries, toeplitz
+from zetalab import hybrid, powerseries, rmt, toeplitz
 from zetalab.errors import DomainError, IncompleteCoefficientsError
 
 
@@ -107,29 +108,49 @@ class TestToeplitzDet:
         sc = toeplitz.symbol_coeffs(1.0, params_x_e3, max_freq=4)
         assert toeplitz.toeplitz_det(sc, 1) == pytest.approx(sc.fhat(0))
 
-    def test_k0_ladder(self, params_x_e3):
+    def test_k0_ladder(self, params_x_e3, smoothing_y4):
         sc = toeplitz.symbol_coeffs(0, params_x_e3, max_freq=50)
         for n in range(2, 51):
-            det = toeplitz.toeplitz_det(sc, n - 1)
+            params = hybrid.HybridParams(n=n, x_cutoff=math.e**3, smoothing=smoothing_y4)
+            det = toeplitz.es_comparison(0, params).det
             dense = toeplitz.toeplitz_det(sc, n - 1, method="dense")
             assert det == pytest.approx(n, abs=1e-8)
             assert dense == pytest.approx(n, abs=1e-8)
 
-    def test_hessenberg_vs_dense_random_k(self, smoothing_y4):
+    def test_series_vs_dense_random_k(self, smoothing_y4):
         rng = np.random.default_rng(12)
         for _ in range(3):
             k = complex(rng.uniform(-1, 2), rng.uniform(-1, 1))
             x = math.exp(rng.uniform(2, 4))
             params = hybrid.HybridParams(n=33, x_cutoff=x, smoothing=smoothing_y4)
             sc = toeplitz.symbol_coeffs(k, params, max_freq=31)
-            dh = toeplitz.toeplitz_det(sc, 32)
+            ds = toeplitz.es_comparison(k, params).det
             dd = toeplitz.toeplitz_det(sc, 32, method="dense")
-            assert abs(dh - dd) / abs(dd) < 1e-9
+            assert abs(ds - dd) / abs(dd) < 1e-9
+
+    def test_series_vs_dense_grid(self, smoothing_y4):
+        # every size 1..63 the dense oracle reaches, at three cutoffs and seven orders
+        worst = 0.0
+        for x in (math.e**2, math.e**3, math.e**4):
+            for k in (1.0, 2.0, 0.5, -0.5, 0.5 + 0.5j, 1 + 1j, -1.5 + 0.5j):
+                params = hybrid.HybridParams(n=64, x_cutoff=x, smoothing=smoothing_y4)
+                sc = toeplitz.symbol_coeffs(k, params, max_freq=62)
+                for size in range(1, 64):
+                    params = hybrid.HybridParams(n=size + 1, x_cutoff=x, smoothing=smoothing_y4)
+                    ds = toeplitz.es_comparison(k, params).det
+                    dd = toeplitz.toeplitz_det(sc, size)
+                    worst = max(worst, abs(ds - dd) / abs(dd))
+        assert worst < 1e-11
 
     def test_missing_frequency(self, params_x_e3):
         sc = toeplitz.symbol_coeffs(1.0, params_x_e3, max_freq=4)
         with pytest.raises(IncompleteCoefficientsError):
             toeplitz.toeplitz_det(sc, 8)
+
+    def test_dense_is_the_only_method(self, params_x_e3):
+        sc = toeplitz.symbol_coeffs(1.0, params_x_e3, max_freq=4)
+        with pytest.raises(ValueError, match="hessenberg"):
+            toeplitz.toeplitz_det(sc, 4, method="hessenberg")
 
 
 class TestEsComparison:
@@ -160,6 +181,49 @@ class TestEsComparison:
     def test_pole_k(self, params_x_e3):
         with pytest.raises(DomainError):
             toeplitz.es_comparison(-3, params_x_e3)
+
+    @pytest.mark.parametrize("k", [1.0, 2.0, 0.5, -0.5, 0.5 + 0.5j, 1 + 1j, -1.5 + 0.5j, -2.5 + 1j, 3 - 2j])
+    def test_x2_is_the_haar_moment(self, k, smoothing_y4):
+        # below X = e no prime enters, S = 0 and the symbol is the bare CUE one
+        for n in (1, 2, 3, 8, 33, 128, 512):
+            params = hybrid.HybridParams(n=n, x_cutoff=2.0, smoothing=smoothing_y4)
+            assert toeplitz.es_comparison(k, params).expectation == pytest.approx(
+                rmt.exact_moment(n, k), rel=1e-11, abs=0
+            )
+
+    def test_against_mpmath_dense_determinant(self, smoothing_y4):
+        # the size-127 determinant of the symbol at dps 40: coefficients by the
+        # same exact convolution as symbol_coeffs, determinant by mpmath's LU
+        k, size = 2.0, 127
+        params = hybrid.HybridParams(n=size + 1, x_cutoff=math.e**4, smoothing=smoothing_y4)
+        with mpmath.workdps(40):
+            s = [mpmath.mpc(c) for c in hybrid.fourier_coeffs(k, params).values]
+            h = [mpmath.mpc(1)]
+            for n in range(1, size + 1):
+                h.append(mpmath.fsum(j * s[j - 1] * h[n - j] for j in range(1, min(n, len(s)) + 1)) / n)
+            c = [mpmath.mpc(1)]
+            for j in range(1, size + 1):
+                c.append(c[-1] * (j - k - 2) / j)
+            fhat = {-1: mpmath.mpc(-1)}
+            for n in range(size):
+                fhat[n] = mpmath.fsum(h[ell] * (c[n - ell] - c[n + 1 - ell]) for ell in range(n + 1)) - h[n + 1]
+            matrix = mpmath.matrix([[fhat.get(j - ell, 0) for ell in range(size)] for j in range(size)])
+            ref = complex(mpmath.det(matrix))
+        assert abs(toeplitz.es_comparison(k, params).det - ref) < 1e-13 * abs(ref)
+
+    def test_cancellation_warns(self, smoothing_y4):
+        params = hybrid.HybridParams(n=32, x_cutoff=math.e**3, smoothing=smoothing_y4)
+        with pytest.warns(UserWarning, match="cancellation"):
+            toeplitz.es_comparison(10 + 10j, params)
+
+    def test_no_warning_at_benchmark_orders(self, smoothing_y4):
+        # the toeplitz-check orders of the cross-checks benchmark, every size it could ask for
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (0.0, 1.0, 0.5 + 0.5j, 2.0, 1 + 1j, 0.5, -0.5):
+                for n in range(1, 513):
+                    params = hybrid.HybridParams(n=n, x_cutoff=math.e**3, smoothing=smoothing_y4)
+                    toeplitz.es_comparison(k, params)
 
 
 class TestHeineExactness:
