@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, DomainError
-from .powerseries import exp_series_coeffs
+from .powerseries import binomial_series, exp_series_coeffs
 
 _SMOOTH_BUDGET = 5_000_000
 
@@ -102,10 +102,6 @@ class DirichletPoly:
     lam: np.ndarray
     m_max: int
 
-    @property
-    def primes(self):
-        return sieve_primes(int(self.x_cutoff))
-
     def coeff(self, m):
         idx = np.searchsorted(self.m, m)
         if idx < len(self.m) and self.m[idx] == m:
@@ -116,15 +112,15 @@ class DirichletPoly:
         """Bound on |sum_{smooth m > m_max} a_k(m) m^{-1/2}|.
 
         Uses |a_k(m)| <= d_{|k|}(m): the full smooth Euler product of
-        d_{|k|}(m) m^{-1/2} minus the part captured by the support.
+        d_{|k|}(m) m^{-1/2} minus the part captured by the support.  Per prime,
+        d_{|k|}(p^r) is the coefficient of z^r in (1 - z)^{-|k|}.
         """
         kk = abs(complex(self.k))
-        full = 1.0
-        for p in self.primes:
-            full *= (1.0 - p**-0.5) ** (-kk)
-        captured = 0.0
-        for m, _ in zip(self.m, self.a):
-            captured += abs(divisor_general(kk, int(m))) / math.sqrt(m)
+        primes = [int(p) for p in sieve_primes(int(self.x_cutoff))]
+        full = math.prod((1.0 - p**-0.5) ** (-kk) for p in primes)
+        tables = [binomial_series(-kk, _prime_power_limit(p, self.m_max) + 1) for p in primes]
+        m, d, _ = _smooth_expand(primes, tables, self.m_max)
+        captured = np.sum(np.abs(d) / np.sqrt(m))
         return max(full - captured, 0.0)
 
 
@@ -138,12 +134,38 @@ def _prime_power_limit(p, x_cutoff):
     return ell
 
 
+def _smooth_expand(primes, tables, m_max):
+    """Multiply per-prime tables out over the X-smooth integers m <= m_max.
+
+    ``tables[i][r]`` is the factor at ``primes[i]**r``.  m stays sorted: for
+    each prime and each r >= 1 the prefix m <= m_max // p^r is appended, times
+    p^r, with its values times ``tables[i][r]`` and Lambda = log p where the
+    old m was 1.  Returns (m, values, Lambda).
+    """
+    m = np.ones(1, dtype=np.int64)
+    vals = np.ones(1, dtype=complex)
+    lam = np.zeros(1)
+    for p, table in zip(primes, tables):
+        powers = [p**r for r in range(1, len(table))]
+        cuts = [int(np.searchsorted(m, m_max // v, side="right")) for v in powers]
+        if len(m) + sum(cuts) > _SMOOTH_BUDGET:
+            raise CapabilityError("smooth-number enumeration exceeds the memory budget")
+        m, vals, lam = (
+            np.concatenate([m] + [m[:c] * v for c, v in zip(cuts, powers)]),
+            np.concatenate([vals] + [vals[:c] * t for c, t in zip(cuts, table[1:])]),
+            np.concatenate([lam] + [np.where(m[:c] == 1, math.log(p), 0.0) for c in cuts]),
+        )
+        order = np.argsort(m)
+        m, vals, lam = m[order], vals[order], lam[order]
+    return m, vals, lam
+
+
 def a_coeffs(k, x_cutoff, m_max=10**6):
     """Dirichlet coefficients a_k(m) of P_X(s)^k over X-smooth m <= m_max.
 
     Per prime p <= X the generator exp(sum_{j<=l(p)} (k/j) z^j) is expanded by
-    the shared derivative recurrence; coefficients are then assembled
-    multiplicatively by a bounded DFS over prime-exponent vectors.
+    :func:`exp_series_coeffs`, and :func:`_smooth_expand` multiplies the
+    tables out over the smooth integers.
     """
     if x_cutoff < 2:
         raise DomainError("prime cutoff X must be >= 2")
@@ -151,43 +173,13 @@ def a_coeffs(k, x_cutoff, m_max=10**6):
         raise DomainError("m_max must be >= 1")
     k = complex(k)
     primes = [int(p) for p in sieve_primes(int(x_cutoff))]
-
-    per_prime = []
-    for p in primes:
-        ell = _prime_power_limit(p, x_cutoff)
-        r_max = _prime_power_limit(p, m_max)
-        gen = [k / j for j in range(1, ell + 1)]
-        per_prime.append(exp_series_coeffs(gen, r_max + 1))
-
-    ms, coeffs, lams = [], [], []
-
-    def dfs(i, m, a, n_prime_factors, last_lam):
-        if i == len(primes):
-            ms.append(m)
-            coeffs.append(a)
-            lams.append(last_lam if n_prime_factors <= 1 else 0.0)
-            return
-        if len(ms) > _SMOOTH_BUDGET:
-            raise CapabilityError("smooth-number enumeration exceeds the memory budget")
-        p = primes[i]
-        table = per_prime[i]
-        dfs(i + 1, m, a, n_prime_factors, last_lam)
-        r, v = 1, p
-        while m * v <= m_max and r < len(table):
-            dfs(i + 1, m * v, a * table[r], n_prime_factors + 1, math.log(p))
-            r += 1
-            v *= p
-
-    dfs(0, 1, 1.0 + 0j, 0, 0.0)
-    order = np.argsort(np.array(ms))
-    return DirichletPoly(
-        k=k,
-        x_cutoff=float(x_cutoff),
-        m=np.array(ms, dtype=np.int64)[order],
-        a=np.array(coeffs, dtype=complex)[order],
-        lam=np.array(lams, dtype=float)[order],
-        m_max=int(m_max),
-    )
+    tables = [
+        exp_series_coeffs([k / j for j in range(1, _prime_power_limit(p, x_cutoff) + 1)],
+                          _prime_power_limit(p, m_max) + 1)
+        for p in primes
+    ]
+    m, a, lam = _smooth_expand(primes, tables, m_max)
+    return DirichletPoly(k=k, x_cutoff=float(x_cutoff), m=m, a=a, lam=lam, m_max=int(m_max))
 
 
 def p_x_pow(s, k, poly):

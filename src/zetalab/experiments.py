@@ -146,21 +146,20 @@ def _running_rows(gammas, terms, predict_at, n_points=200):
     return rows
 
 
-def zeta_prime_moment(zeros, t_height, k, branch=None, running=False):
+def zeta_prime_moment(zeros, t_height, k, running=False):
     """(1/N(T)) sum_{gamma<=T} zeta'(1/2+i gamma)^k vs (1/Gamma(k+2)) log(T/2pi)^k.
 
     Args:
         zeros: a ZeroList covering (0, T].
         t_height: the height T.
-        k: moment order, Re(k) > -3.
-        branch: power strategy; defaults to :func:`resolve_branch`.
+        k: moment order, Re(k) > -3; the power takes :func:`resolve_branch`'s branch.
         running: include downsampled prefix-ratio rows in details["running"].
     """
     k = require_admissible(k)
     _require_coverage(zeros, t_height)
     gammas = zeros.below(t_height)
     n = len(gammas)
-    branch = branch or resolve_branch(k)
+    branch = resolve_branch(k)
     if k == 0:
         powers = np.ones(n, dtype=complex)
     else:

@@ -74,7 +74,8 @@ def exact_moment(n, k):
     """e^{i pi k/2} Gamma(N+k+1) / (N! Gamma(k+2)) via log-Gamma arithmetic.
 
     Valid for complex k with k not in {-3, -4, ...}; no overflow for n up to
-    1e6.  At k = -2 the reciprocal Gamma factor vanishes and the moment is 0.
+    1e6.  At k = -2 the reciprocal Gamma factor vanishes and the moment is 0,
+    except at N = 1, where Gamma(N+k+1) cancels it and the moment is i^k.
     """
     if n < 1:
         raise DomainError("matrix dimension must be >= 1")
@@ -82,7 +83,7 @@ def exact_moment(n, k):
     if k.imag == 0 and k.real == round(k.real) and k.real <= -3:
         raise PoleError(f"exact moment has poles at negative integers k <= -3 (got k={k.real:g})")
     if k == -2:
-        return 0j
+        return complex(np.exp(1j * math.pi * k / 2.0)) if n == 1 else 0j
     log_val = (
         1j * math.pi * k / 2.0
         + log_gamma(n + k + 1.0)

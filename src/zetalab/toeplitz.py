@@ -29,7 +29,7 @@ import scipy.linalg
 
 from .errors import DomainError, IncompleteCoefficientsError
 from .hybrid import fourier_coeffs
-from .powerseries import exp_series_coeffs
+from .powerseries import binomial_series, exp_series_coeffs
 from .rmt import require_admissible
 from .specfun import log_gamma
 
@@ -58,15 +58,6 @@ class SymbolCoeffs:
         return complex(self.values[j + 1])
 
 
-def _binomial_series(k, count):
-    """Coefficients of (1 - z)^(k+1): c_j = (-1)^j C(k+1, j) for j = 0..count-1."""
-    c = np.empty(count, dtype=complex)
-    c[0] = 1.0
-    for j in range(1, count):
-        c[j] = c[j - 1] * (j - k - 2.0) / j
-    return c
-
-
 def _warn_cancellation(magnitude, value, what):
     """Warn when summands of total size ``magnitude`` cancel to ``value`` by more than 1e6."""
     if magnitude > 1e6 * value:
@@ -80,9 +71,8 @@ def _warn_cancellation(magnitude, value, what):
 def symbol_coeffs(k, params, max_freq):
     """Symbol coefficients by exact convolution, for frequencies -1 .. max_freq.
 
-    Emits a precision warning when the binomial factor has not decayed at the
-    requested frequency range (|C(k+1, j)| = O(j^{-Re k - 2}), so very
-    negative Re k needs care).
+    Warns when the convolution cancels: when the largest sum of the summands'
+    magnitudes exceeds 1e6 times the largest |fhat|.
     """
     k = require_admissible(k)
     if max_freq < 0:
@@ -90,7 +80,7 @@ def symbol_coeffs(k, params, max_freq):
     h = exp_series_coeffs(fourier_coeffs(k, params).values, max_freq + 2)
     # fhat_n = sum_l h_l d_{n-l} with d_j = c_j - c_{j+1} (c_j = 0 for j < 0),
     # so d_{-1} = -c_0; d is stored from j = -1, and fhat_n sits at index n + 1
-    d = -np.diff(_binomial_series(k, max_freq + 2), prepend=0.0)
+    d = -np.diff(binomial_series(k + 1, max_freq + 2), prepend=0.0)
     values = np.convolve(h, d)[: max_freq + 2]
     # largest sum of the summands' magnitudes against the largest coefficient:
     # measured per coefficient, one that is exactly 0 would read as total loss
@@ -140,19 +130,22 @@ def es_comparison(k, params):
 
     The symbol has singularity exponents gamma = k+1, delta = 1, for which the
     Barnes-G constant collapses: G(2+k) G(2) / G(3+k) = 1 / Gamma(k+2), so the
-    prediction is e^{i k pi/2} N^k / Gamma(k+2).
+    prediction is e^{i k pi/2} N^k / Gamma(k+2).  At k = -2 it is 0 and the
+    ratio is nan.
     """
     k = require_admissible(k)
     n = params.n
     s = fourier_coeffs(k, params)
-    terms = _binomial_series(-k - 3.0, n) * exp_series_coeffs(-s.values, n)[::-1]
+    terms = binomial_series(-k - 2, n) * exp_series_coeffs(-s.values, n)[::-1]
     det = complex(terms.sum())
     _warn_cancellation(np.abs(terms).sum(), abs(det), f"the size-{n - 1} determinant")
-    expectation = np.exp(1j * math.pi * k / 2.0 + s.sum) * det / n
-    asymptotic = np.exp(1j * math.pi * k / 2.0 + k * math.log(n) - log_gamma(k + 2.0))
+    phase = 1j * math.pi * k / 2.0
+    expectation = np.exp(phase + s.sum) * det / n
+    # 1/Gamma(k+2) vanishes at k = -2, the admissible pole of Gamma
+    asymptotic = 0j if k == -2 else np.exp(phase + k * math.log(n) - log_gamma(k + 2.0))
     return ToeplitzResult(
         det=det,
         expectation=complex(expectation),
         asymptotic=complex(asymptotic),
-        ratio=complex(expectation / asymptotic),
+        ratio=complex(expectation / asymptotic) if asymptotic else complex("nan"),
     )

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetalab import arithmetic
-from zetalab.errors import DomainError
+from zetalab.errors import CapabilityError, DomainError
 
 KS = [1.0, -1.0, 2.0, 0.5 + 0.5j, 1 + 1j]
 
@@ -128,6 +128,27 @@ class TestACoeffs:
         assert poly.lam[idx[8]] == pytest.approx(math.log(2))
         assert poly.lam[idx[6]] == 0.0
         assert poly.lam[idx[1]] == 0.0
+
+
+class TestSmoothExpansion:
+    @pytest.mark.parametrize("k, x, m_max", [(1.0, 10.0, 10**5), (-1.0, math.log(5000), 10**5),
+                                             (0.5 + 0.5j, 20.0, 20_000), (2.0, 12.0, 50_000)])
+    def test_tail_bound_against_divisor_sum(self, k, x, m_max):
+        poly = arithmetic.a_coeffs(k, x, m_max)
+        kk = abs(k)
+        full = math.prod((1.0 - p**-0.5) ** -kk for p in arithmetic.sieve_primes(int(x)))
+        captured = sum(abs(arithmetic.divisor_general(kk, int(m))) / math.sqrt(m) for m in poly.m)
+        assert abs(poly.tail_bound() - (full - captured)) < 1e-12
+
+    def test_budget_fires_before_the_arrays_grow(self, monkeypatch):
+        size = len(arithmetic.a_coeffs(1.0, 10.0, m_max=1000).m)
+        monkeypatch.setattr(arithmetic, "_SMOOTH_BUDGET", size)
+        poly = arithmetic.a_coeffs(1.0, 10.0, m_max=1000)
+        monkeypatch.setattr(arithmetic, "_SMOOTH_BUDGET", size - 1)
+        with pytest.raises(CapabilityError):
+            arithmetic.a_coeffs(1.0, 10.0, m_max=1000)
+        with pytest.raises(CapabilityError):
+            poly.tail_bound()
 
 
 class TestPxPow:

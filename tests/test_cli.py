@@ -192,6 +192,18 @@ class TestOracleAndHybrid:
             pred = complex(float(row["predicted_re"]), float(row["predicted_im"]))
             assert abs(emp - pred) < 1e-5
 
+    def test_heine_routes_at_k_minus_2(self, tmp_path):
+        # k = -2 is admissible: the power law is 0 there, and the Heine value exists
+        status = run_cli(["--output-dir", tmp_path / "t", "toeplitz-check", "--k=-2", "--sizes", "8,16"])
+        assert status == 0
+        _, rows, _ = read_outputs(tmp_path / "t")
+        assert [float(r["predicted_re"]) for r in rows] == [0.0, 0.0]
+        status = run_cli(["--output-dir", tmp_path / "h", "hybrid-mc", "--n", 4, "--x", 20.09,
+                          "--k=-2", "--samples", 1000])
+        assert status == 0
+        _, rows, _ = read_outputs(tmp_path / "h")
+        assert math.isfinite(float(rows[0]["predicted_re"]))
+
 
 class TestExperimentSubcommands:
     def test_landau_gonek_with_table(self, tmp_path, zeros_5000, zeros_cache_dir):

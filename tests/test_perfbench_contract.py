@@ -22,11 +22,11 @@ def test_tracer_installs_counts_and_uninstalls(monkeypatch, smoothing_y4, zeros_
 
     originals = (rmt.mc_moment, hybrid.mc_hybrid_moment)
     params = hybrid.HybridParams(n=4, x_cutoff=math.e**3, smoothing=smoothing_y4)
-    poly = arithmetic.a_coeffs(1.0, math.log(100.0), m_max=100)
     tracer = tracing.Tracer()
     tracer.install()
     try:
         tracer.job = 0
+        poly = arithmetic.a_coeffs(1.0, math.log(100.0), m_max=100)
         rmt.mc_moment(4, 1.0, 100, 0)
         hybrid.mc_hybrid_moment(params, 1.0, 200, 0)
         rmt.weyl_quadrature_oracle(2, 1.0, 64)
@@ -54,6 +54,11 @@ def test_tracer_installs_counts_and_uninstalls(monkeypatch, smoothing_y4, zeros_
     assert [spans[i][tracing.WORK] for i in px] == [len(zeros_100.below(100.0))]
     children = {s[tracing.NAME] for s in spans if s[tracing.PARENT] == px[0]}
     assert "arithmetic.p_x_euler" in children and "arithmetic.p_x_pow" not in children
+    # an a_coeffs span's work is its support size; the private expansion it
+    # calls gets no span of its own
+    support = [s[tracing.WORK] for s in spans if s[tracing.NAME] == "arithmetic.a_coeffs"]
+    assert support == [len(poly.m)]
+    assert not any("smooth_expand" in s[tracing.NAME] for s in spans)
     # a compute_zeros span's work is the length of the list it returns
     found = [s[tracing.WORK] for s in spans if s[tracing.NAME] == "zeros.compute_zeros"]
     assert found == [13]

@@ -126,6 +126,14 @@ class TestExactMoment:
     def test_k_minus_2_vanishes(self):
         assert rmt.exact_moment(9, -2) == 0
 
+    def test_k_minus_2_at_n1_is_i_to_the_k(self):
+        # at N = 1 the Gamma(k+2) factors cancel; the Monte-Carlo and Weyl
+        # routes agree
+        assert rmt.exact_moment(1, -2) == pytest.approx(-1.0, abs=1e-15)
+        assert rmt.exact_moment(2, -2) == 0
+        assert rmt.mc_moment(1, -2, 100, seed=0).mean == pytest.approx(rmt.exact_moment(1, -2), abs=1e-15)
+        assert rmt.weyl_quadrature_oracle(1, -2, 64) == pytest.approx(rmt.exact_moment(1, -2), abs=1e-15)
+
     def test_pole(self):
         with pytest.raises(PoleError):
             rmt.exact_moment(5, -3)

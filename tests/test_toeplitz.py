@@ -82,7 +82,7 @@ class TestSymbolCoeffs:
             params = hybrid.HybridParams(n=8, x_cutoff=x, smoothing=smoothing_y4)
             sc = toeplitz.symbol_coeffs(k, params, max_freq)
             h = powerseries.exp_series_coeffs(hybrid.fourier_coeffs(k, params).values, max_freq + 2)
-            c = toeplitz._binomial_series(complex(k), max_freq + 2)
+            c = powerseries.binomial_series(k + 1, max_freq + 2)
             ref = [
                 sum(h[ell] * (c[n - ell] - c[n + 1 - ell] if n >= ell else -c[0]) for ell in range(n + 2))
                 for n in range(-1, max_freq + 1)
@@ -181,6 +181,23 @@ class TestEsComparison:
     def test_pole_k(self, params_x_e3):
         with pytest.raises(DomainError):
             toeplitz.es_comparison(-3, params_x_e3)
+
+    def test_k0_ladder_is_exact(self, smoothing_y4):
+        # (1 - w)^{-2} has the integer coefficients j + 1, and e^{-S} = 1 at k = 0
+        for n in range(1, 513):
+            params = hybrid.HybridParams(n=n, x_cutoff=math.e**3, smoothing=smoothing_y4)
+            assert toeplitz.es_comparison(0, params).det == n
+
+    def test_k_minus_2_is_the_haar_moment(self, smoothing_y4):
+        # 1/Gamma(k+2) vanishes at k = -2: the prediction is 0 and the ratio
+        # nan, while the determinant route still equals the Haar moment
+        for n in (1, 2, 8, 64):
+            params = hybrid.HybridParams(n=n, x_cutoff=2.0, smoothing=smoothing_y4)
+            res = toeplitz.es_comparison(-2, params)
+            assert res.expectation == rmt.exact_moment(n, -2)
+            assert res.asymptotic == 0 and np.isnan(res.ratio)
+        params = hybrid.HybridParams(n=8, x_cutoff=math.e**3, smoothing=smoothing_y4)
+        assert np.isfinite(toeplitz.es_comparison(-2, params).expectation)
 
     @pytest.mark.parametrize("k", [1.0, 2.0, 0.5, -0.5, 0.5 + 0.5j, 1 + 1j, -1.5 + 0.5j, -2.5 + 1j, 3 - 2j])
     def test_x2_is_the_haar_moment(self, k, smoothing_y4):
