@@ -252,8 +252,7 @@ def _run_conjecture_table(cfg):
     heights = [float(t) for t in str(cfg["t"]).split(",")]
     zl = _resolve_zeros(cfg.get("zeros"), max(heights))
     out = []
-    for t in heights:
-        res = experiments.zeta_prime_moment(zl, t, k)
+    for t, res in zip(heights, experiments.zeta_prime_moments(zl, heights, k)):
         row, extras = _row(
             "conjecture-table", k=cfg["k"], t=t, empirical=res.empirical,
             predicted=res.predicted, n_zeros=res.n_zeros,

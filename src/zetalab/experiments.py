@@ -4,7 +4,8 @@ Each experiment pairs an empirical sum over zeros, correctly rounded by
 math.fsum, with the closed-form prediction it is conjectured (or proven) to track:
 
 * :func:`zeta_prime_moment` -- (1/N(T)) sum zeta'(rho)^k against
-  (1/Gamma(k+2)) log(T/2pi)^k.
+  (1/Gamma(k+2)) log(T/2pi)^k; :func:`zeta_prime_moments` takes several
+  heights T from one evaluation of zeta' at the zeros.
 * :func:`landau_gonek` -- sum m^{-rho} against -(T/2pi) Lambda(m)/m.
 * :func:`px_mean` -- sum P_X(rho)^k against N(T) minus the subsidiary
   (T/2pi) sum a_k(m) Lambda(m)/m term.
@@ -155,16 +156,34 @@ def zeta_prime_moment(zeros, t_height, k, running=False):
         k: moment order, Re(k) > -3; the power takes :func:`resolve_branch`'s branch.
         running: include downsampled prefix-ratio rows in details["running"].
     """
+    return zeta_prime_moments(zeros, [t_height], k, running)[0]
+
+
+def zeta_prime_moments(zeros, heights, k, running=False):
+    """:func:`zeta_prime_moment` at each of ``heights``, in their order.
+
+    zeta' is evaluated once, at the zeros below the largest height, and each
+    height reduces over its prefix of those values.  The zeros below a
+    smaller height then share their highest chunk's Euler-Maclaurin
+    truncation with the larger zeros, so a moment can differ from a lone
+    :func:`zeta_prime_moment` call by that rounding (at most 4e-14 relative
+    where measured).
+    """
     k = require_admissible(k)
-    _require_coverage(zeros, t_height)
-    gammas = zeros.below(t_height)
-    n = len(gammas)
+    for t in heights:
+        _require_coverage(zeros, t)
+    gammas = zeros.below(max(heights))
     branch = resolve_branch(k)
     if k == 0:
-        powers = np.ones(n, dtype=complex)
+        powers = np.ones(len(gammas), dtype=complex)
     else:
-        zp = _zeta_prime_at_zeros(gammas)
-        powers = _branch_power(zp, k, branch)
+        powers = _branch_power(_zeta_prime_at_zeros(gammas), k, branch)
+    return [_zeta_prime_result(gammas, powers, t, k, branch, running) for t in heights]
+
+
+def _zeta_prime_result(gammas, powers, t_height, k, branch, running):
+    n = int(np.searchsorted(gammas, t_height, side="right"))
+    gammas, powers = gammas[:n], powers[:n]
     total = complex_fsum(powers)
     empirical = total / n
     predicted = conjecture_rhs(t_height, k)

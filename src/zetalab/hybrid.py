@@ -14,19 +14,20 @@ against each other numerically.
 
 The Monte-Carlo estimate of the model's moment, :func:`mc_hybrid_moment`, is
 one call to ``rmt._mc_estimate``, the driver behind ``rmt.mc_moment`` too,
-with the Fourier coefficients s_m as the statistic's weights.
+drawing QR+eig matrices with the Fourier coefficients s_m as the statistic's
+weights.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError
-from .rmt import _mc_estimate
+from .rmt import _haar_draw, _mc_estimate, _require_qr_dim
 from .specfun import exp_integral_e1
 
 _TWO_PI = 2.0 * math.pi
@@ -295,8 +296,12 @@ def mc_hybrid_moment(params, k, samples, seed, workers=1):
     + sum_{n != r} [k log(1 - e^{i(theta_n - theta_r)}) + k F_X(theta_r - theta_n)])
     with the same per-factor branch as the bare characteristic polynomial; the
     e^{k F_X} factors are exponentials by construction and need no extra
-    branch choice.  The eigenangle r is drawn uniformly per sample.  Sampling,
-    seeding, resampling and the checks (N <= 512, ``workers`` >= 1) are those
-    of :func:`zetalab.rmt.mc_moment`: both run the one driver in ``rmt``.
+    branch choice.  Each sample is one QR+eig Haar matrix, because the weights
+    need the eigenangles, and the eigenangle r is drawn uniformly per sample;
+    a sample with coincident angles is redrawn whole.  So N is capped at 512.
+    Seeding and the other checks (``workers`` >= 1) are those of
+    :func:`zetalab.rmt.mc_moment`: both run the one driver in ``rmt``.
     """
-    return _mc_estimate(params.n, k, samples, seed, workers, fourier_coeffs(k, params).values)
+    _require_qr_dim(params.n)
+    draw = partial(_haar_draw, s_coeffs=fourier_coeffs(k, params).values)
+    return _mc_estimate(params.n, k, samples, seed, workers, draw)

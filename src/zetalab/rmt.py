@@ -8,10 +8,21 @@ its Monte-Carlo estimation with branch-correct complex powers, and a small-N
 Weyl-measure quadrature oracle that fixes one eigenangle by rotation
 invariance and sums over the other N - 1 on a lattice.
 
-``_mc_estimate`` is the one Monte-Carlo driver: it serves both
-:func:`mc_moment` (the bare Z'^k) and ``hybrid.mc_hybrid_moment`` (Z'^k
-weighted by the hybrid model's Fourier sum) through the one statistic
-``_zprime_pow_rows``.
+Seen from one eigenangle theta_r of a Haar matrix, the other N - 1 angles
+are CUE_{N-1} weighted by prod |1 - e^{i theta}|^2, a circular Jacobi
+ensemble, so Z'(theta_r) has the law of i prod_{j=0}^{N-2} (1 - gamma_j)
+with independent Verblunsky coefficients gamma_j (Bourgade, Hughes,
+Nikeghbali & Yor, Duke Math. J. 145 (2008); Bourgade, Nikeghbali & Rouault,
+IMRN 2009, delta = 1).  Under Haar gamma_j = sqrt(B_j) e^{i omega} with
+B_j ~ Beta(1, j) (B_0 = 1) and omega uniform; the weighting multiplies that
+law by |1 - gamma|^2.  Averaging over omega gives
+E[(1 - gamma_j)^k] = (j + k + 2)/(j + 2), whose product over j is the exact
+moment above divided by i^k.
+
+``_mc_estimate`` is the one Monte-Carlo driver.  It serves :func:`mc_moment`
+(the bare Z'^k, drawn as that product of independent factors) and
+``hybrid.mc_hybrid_moment`` (Z'^k weighted by the hybrid model's Fourier sum,
+which needs the eigenangles: QR+eig and the statistic ``_zprime_pow_rows``).
 """
 
 import math
@@ -21,10 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError, CapabilityError, DomainError, PoleError
-from .specfun import log_gamma
+from .specfun import _stirling_series, log_gamma
 
 _COINCIDENCE_TOL = 1e-14
-_MC_DIM_CAP = 512
+_QR_DIM_CAP = 512  # largest matrix the QR+eig sampler draws
+_FACTOR_BATCH = 1 << 16  # Verblunsky factors drawn at once by _verblunsky_draw
 _WEYL_BLOCK = 1 << 16  # grid points evaluated at once by weyl_average
 _TWO_PI = 2.0 * math.pi
 
@@ -70,12 +82,39 @@ def _haar_angle_batch(n, count, rng):
     return np.sort(np.mod(np.angle(eig), _TWO_PI), axis=1)
 
 
+def _log1p(w):
+    """Principal log(1 + w) for complex w, accurate to a few ulps of |w| when w is small."""
+    return complex(0.5 * math.log1p(w.real * (2.0 + w.real) + w.imag**2), math.atan2(w.imag, 1.0 + w.real))
+
+
+def _log_gamma_ratio(z, a):
+    """log Gamma(z + a) - log Gamma(z) for real z >= 1 and complex a, forming neither term.
+
+    The recurrence log Gamma(w + 1) = log Gamma(w) + log w walks z up until z
+    and Re(z + a) reach 10; there the two Stirling series are differenced as
+
+        (z - 1/2) log(1 + a/z) + a log(z + a) - a + sigma(z + a) - sigma(z),
+
+    sigma being the series' correction sum.  Every term is of size |a| log z,
+    so the rounding error is a few ulps of that, where log Gamma(z + a) and
+    log Gamma(z) are each of size z log z.
+    """
+    shift = max(0, math.ceil(10.0 - z - min(a.real, 0.0)))
+    acc = -sum(_log1p(a / (z + m)) for m in range(shift))
+    z += shift
+    sigma = _stirling_series(np.array([z + a, z]))
+    return acc + (z - 0.5) * _log1p(a / z) + a * np.log(z + a) - a + complex(sigma[0] - sigma[1])
+
+
 def exact_moment(n, k):
     """e^{i pi k/2} Gamma(N+k+1) / (N! Gamma(k+2)) via log-Gamma arithmetic.
 
-    Valid for complex k with k not in {-3, -4, ...}; no overflow for n up to
-    1e6.  At k = -2 the reciprocal Gamma factor vanishes and the moment is 0,
-    except at N = 1, where Gamma(N+k+1) cancels it and the moment is i^k.
+    Valid for complex k with k not in {-3, -4, ...}; no overflow for any n.
+    log Gamma(N+k+1) - log Gamma(N+1) is taken as one difference
+    (:func:`_log_gamma_ratio`), so the relative error stays a few ulps of
+    |k| log N instead of growing like N log N.  At k = -2 the reciprocal
+    Gamma factor vanishes and the moment is 0, except at N = 1, where
+    Gamma(N+k+1) cancels it and the moment is i^k.
     """
     if n < 1:
         raise DomainError("matrix dimension must be >= 1")
@@ -84,12 +123,7 @@ def exact_moment(n, k):
         raise PoleError(f"exact moment has poles at negative integers k <= -3 (got k={k.real:g})")
     if k == -2:
         return complex(np.exp(1j * math.pi * k / 2.0)) if n == 1 else 0j
-    log_val = (
-        1j * math.pi * k / 2.0
-        + log_gamma(n + k + 1.0)
-        - log_gamma(n + 1.0)
-        - log_gamma(k + 2.0)
-    )
+    log_val = 1j * math.pi * k / 2.0 + _log_gamma_ratio(n + 1.0, k) - log_gamma(k + 2.0)
     return complex(np.exp(log_val))
 
 
@@ -141,31 +175,80 @@ def _zprime_pow_rows(angle_rows, col_index, k, s_coeffs):
     return out
 
 
+def _haar_draw(n, k, count, rng, s_coeffs):
+    """Up to ``count`` samples of the :func:`_zprime_pow_rows` statistic from QR+eig.
+
+    Each sample is one Haar matrix and one uniformly drawn eigenangle; a
+    sample with coincident angles is replaced by a fresh matrix and column.
+    """
+    b = min(count, max(1, min(32768, 4_000_000 // (n * n))))
+    ang = _haar_angle_batch(n, b, rng)
+    # uniformly random eigenangle per sample: the label-exchangeable
+    # realization of "no distinguished eigenvalues" (sorted-position
+    # selection is gap-size-biased and would skew the estimate)
+    cols = rng.integers(0, n, size=b)
+    vals = _zprime_pow_rows(ang, cols, k, s_coeffs)
+    nan = np.isnan(vals)
+    while nan.any():  # degenerate float collisions: resample those rows whole
+        m = int(nan.sum())
+        ang2 = _haar_angle_batch(n, m, rng)
+        cols2 = rng.integers(0, n, size=m)
+        vals[nan] = _zprime_pow_rows(ang2, cols2, k, s_coeffs)
+        nan = np.isnan(vals)
+    return vals
+
+
+def _weighted_verblunsky(j, rng):
+    """One draw per entry of the index array ``j`` from the law of the j-th
+    Verblunsky coefficient gamma_j, weighted by |1 - gamma|^2.
+
+    Rejection from the Haar law sqrt(B_j) e^{i omega}, with B_j ~ Beta(1, j)
+    by inversion (B_0 = 1) and omega uniform: a draw is kept with probability
+    |1 - gamma|^2 / 4 <= 1, so at least a quarter are kept, gamma = 1 never
+    is, and only the rejected entries are drawn again.
+    """
+    flat = np.asarray(j).ravel()
+    out = np.empty(flat.size, dtype=complex)
+    todo = np.arange(flat.size)
+    while todo.size:
+        jj = flat[todo]
+        u, v, w = rng.random((3, todo.size))
+        # 1 - u is uniform on (0, 1], and 1 - (1 - u)^{1/j} ~ Beta(1, j)
+        b = np.where(jj == 0, 1.0, -np.expm1(np.log1p(-u) / np.maximum(jj, 1)))
+        g = np.sqrt(b) * np.exp(_TWO_PI * 1j * v)
+        keep = np.flatnonzero(4.0 * w < (1.0 - g.real) ** 2 + g.imag**2)
+        out[todo[keep]] = g[keep]
+        todo = np.delete(todo, keep)
+    return out.reshape(np.shape(j))
+
+
+def _verblunsky_draw(n, k, count, rng):
+    """Up to ``count`` samples of the bare Z'^k statistic, i^k prod_j (1 - gamma_j)^k.
+
+    The N - 1 factors are independent weighted Verblunsky coefficients
+    (:func:`_weighted_verblunsky`), so a sample costs O(N).  Each factor
+    1 - gamma has nonnegative real part and takes the principal log, the
+    branch :func:`_zprime_pow_rows` gives each 1 - e^{i delta}.
+    """
+    b = min(count, max(1, _FACTOR_BATCH // n))
+    fac = 1.0 - _weighted_verblunsky(np.broadcast_to(np.arange(n - 1), (b, n - 1)), rng)
+    # the principal log by real parts: numpy's complex log is many times slower
+    log_abs = 0.5 * np.log(fac.real**2 + fac.imag**2).sum(axis=1)
+    arg = np.arctan2(fac.imag, fac.real).sum(axis=1)
+    return np.exp(1j * math.pi * k / 2.0 + k * (log_abs + 1j * arg))
+
+
 def _mc_worker(args):
-    n, k, count, child_seed, s_coeffs = args
+    n, k, count, child_seed, draw = args
     rng = np.random.default_rng(child_seed)
     total = 0j
     total_sq = 0.0 + 0j  # sum of re^2 + i*sum of im^2
     done = 0
-    batch_cap = max(1, min(32768, 4_000_000 // (n * n)))
     while done < count:
-        b = min(batch_cap, count - done)
-        ang = _haar_angle_batch(n, b, rng)
-        # uniformly random eigenangle per sample: the label-exchangeable
-        # realization of "no distinguished eigenvalues" (sorted-position
-        # selection is gap-size-biased and would skew the estimate)
-        cols = rng.integers(0, n, size=b)
-        vals = _zprime_pow_rows(ang, cols, k, s_coeffs)
-        nan = np.isnan(vals)
-        while nan.any():  # degenerate float collisions: resample those rows whole
-            m = int(nan.sum())
-            ang2 = _haar_angle_batch(n, m, rng)
-            cols2 = rng.integers(0, n, size=m)
-            vals[nan] = _zprime_pow_rows(ang2, cols2, k, s_coeffs)
-            nan = np.isnan(vals)
+        vals = draw(n, k, count - done, rng)
         total += vals.sum()
         total_sq += (vals.real**2).sum() + 1j * (vals.imag**2).sum()
-        done += b
+        done += len(vals)
     return total, total_sq, done
 
 
@@ -185,19 +268,18 @@ def _merge_mc(pieces, seed):
     )
 
 
-def _mc_estimate(n, k, samples, seed, workers, s_coeffs):
-    """The Monte-Carlo driver: mean of the :func:`_zprime_pow_rows` statistic.
+def _mc_estimate(n, k, samples, seed, workers, draw):
+    """The Monte-Carlo driver: the mean of the samples ``draw`` returns.
 
-    Each sample is one Haar matrix and one uniformly drawn eigenangle; a
-    sample with coincident angles is replaced by a fresh matrix and column.
-    Sampling splits deterministically into ``workers`` child streams spawned
-    from the seed; the merged result is bit-reproducible for fixed
+    ``draw(n, k, count, rng)`` is a module-level function (or a partial of
+    one, so that it pickles for the worker processes) returning at most
+    ``count`` independent samples of the statistic; it picks its own batch
+    size.  Sampling splits deterministically into ``workers`` child streams
+    spawned from the seed; the merged result is bit-reproducible for fixed
     (seed, workers).
     """
     if n < 1:
         raise DomainError("matrix dimension must be >= 1")
-    if n > _MC_DIM_CAP:
-        raise CapabilityError(f"Monte-Carlo dimension capped at {_MC_DIM_CAP}")
     k = require_admissible(k)
     if samples < 100:
         raise DomainError("need at least 100 samples")
@@ -209,7 +291,7 @@ def _mc_estimate(n, k, samples, seed, workers, s_coeffs):
     counts = [samples // workers] * workers
     counts[-1] += samples - sum(counts)
     children = np.random.SeedSequence(seed).spawn(workers)
-    jobs = [(n, k, c, ss, s_coeffs) for c, ss in zip(counts, children)]
+    jobs = [(n, k, c, ss, draw) for c, ss in zip(counts, children)]
     if workers == 1:
         pieces = [_mc_worker(jobs[0])]
     else:
@@ -218,14 +300,25 @@ def _mc_estimate(n, k, samples, seed, workers, s_coeffs):
     return _merge_mc(pieces, seed)
 
 
+def _require_qr_dim(n):
+    if n > _QR_DIM_CAP:
+        raise CapabilityError(f"QR+eig Monte-Carlo dimension capped at {_QR_DIM_CAP}")
+
+
 def mc_moment(n, k, samples, seed, workers=1):
     """Monte-Carlo estimate of E_N[(1/N) sum_n Z'(theta_n, A)^k].
 
-    By rotation invariance the statistic is evaluated at a single uniformly
-    chosen eigenangle per sample.  ``workers`` >= 1 child streams; the result
-    is bit-reproducible for fixed (seed, workers).
+    By rotation invariance and exchangeability the average is that of
+    Z'(theta_r)^k at one eigenangle, which has the law of
+    i^k prod_{j=0}^{N-2} (1 - gamma_j)^k with independent Verblunsky
+    coefficients gamma_j, each from its Haar law sqrt(Beta(1, j)) e^{i omega}
+    weighted by |1 - gamma|^2 (Bourgade, Hughes, Nikeghbali & Yor, Duke
+    Math. J. 145 (2008); Bourgade, Nikeghbali & Rouault, IMRN 2009).  Each
+    sample draws those N - 1 factors exactly (:func:`_verblunsky_draw`): O(N)
+    work and no cap on N.  ``workers`` >= 1 child streams; the result is
+    bit-reproducible for fixed (seed, workers).
     """
-    return _mc_estimate(n, k, samples, seed, workers, ())
+    return _mc_estimate(n, k, samples, seed, workers, _verblunsky_draw)
 
 
 def weyl_average(n, statistic, grid):

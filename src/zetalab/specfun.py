@@ -75,16 +75,21 @@ def _asarray_complex(z):
     return arr, arr.ndim == 0
 
 
-def _stirling_log_gamma(z):
-    """Stirling series, valid for Re(z) >= 10 (or |z| >= 10 with |arg z| <= pi/2)."""
-    out = (z - 0.5) * np.log(z) - z + _HALF_LOG_2PI
+def _stirling_series(z):
+    """The correction sum of the Stirling series: sum_j B_2j/(2j(2j-1)) z^{1-2j}, 12 terms."""
     zinv2 = 1.0 / (z * z)
     corr = np.zeros_like(z)
     power = 1.0 / z
     for c in _STIRLING:
         corr = corr + c * power
         power = power * zinv2
-    return out + corr
+    return corr
+
+
+def _stirling_log_gamma(z):
+    """Stirling series, valid for Re(z) >= 10 (or |z| >= 10 with |arg z| <= pi/2)."""
+    out = (z - 0.5) * np.log(z) - z + _HALF_LOG_2PI
+    return out + _stirling_series(z)
 
 
 def log_gamma(z):

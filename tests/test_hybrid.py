@@ -211,3 +211,22 @@ class TestMcHybridMoment:
         a = hybrid.mc_hybrid_moment(params_x_e3, 1.0, 2000, seed=6)
         b = hybrid.mc_hybrid_moment(params_x_e3, 1.0, 2000, seed=6)
         assert a.mean == b.mean
+
+    @pytest.mark.parametrize(
+        "workers,mean,se_re,se_im",
+        [
+            (1, -1.412508308327668 - 0.3764610168601053j, 0.02418070243032535, 0.02455226459285714),
+            (2, -1.4012597371717062 - 0.396662596599124j, 0.0244974456505335, 0.024838788282605717),
+        ],
+    )
+    def test_pinned_values(self, params_x_e3, workers, mean, se_re, se_im):
+        # values of the QR+eig route before the bare route got its own
+        # sampler: they pin the seeding, batching and merge of the shared
+        # _mc_estimate.  The bits agree on the machine they were taken on; the
+        # 1e-12 allows another LAPACK's rounding, far below a change of
+        # stream (~ se)
+        est = hybrid.mc_hybrid_moment(params_x_e3, 1 + 1j, 2000, seed=6, workers=workers)
+        assert est.samples == 2000
+        assert est.mean == pytest.approx(mean, rel=1e-12, abs=0)
+        assert est.se_re == pytest.approx(se_re, rel=1e-12, abs=0)
+        assert est.se_im == pytest.approx(se_im, rel=1e-12, abs=0)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,6 +143,22 @@ class TestExactMoment:
         val = rmt.exact_moment(10**6, 1.5 + 0.5j)
         assert np.isfinite(val.real) and np.isfinite(val.imag)
 
+    @pytest.mark.parametrize("n", [8, 512, 10**4, 10**6])
+    def test_against_mpmath(self, n):
+        # one order from each class of the haar-mc workload (integer,
+        # half-integer, complex, negative); a difference of two log-Gammas of
+        # size N log N is off by 1.9e-13 at N = 512 and by 2.9e-9 at N = 1e6
+        with mpmath.workdps(30):
+            for k in (2, 1.5, 1 + 1j, -0.5 + 0.5j):
+                kk = mpmath.mpc(k)
+                ref = mpmath.exp(
+                    1j * mpmath.pi * kk / 2
+                    + mpmath.loggamma(n + kk + 1)
+                    - mpmath.loggamma(n + 1)
+                    - mpmath.loggamma(kk + 2)
+                )
+                assert abs(mpmath.mpc(rmt.exact_moment(n, k)) - ref) <= 1e-14 * abs(ref), k
+
     def test_asymptotic_ratio(self):
         # exact(n, k) / (e^{i pi k/2} n^k / Gamma(k+2)) -> 1; at k=1 it is (N+1)/N
         for n in (10, 100, 1000):
@@ -259,8 +276,8 @@ class TestMcMoment:
             rmt.mc_moment(4, -3.2, 1000, seed=0)
         with pytest.raises(DomainError):
             rmt.mc_moment(4, 1, 50, seed=0)
-        with pytest.raises(CapabilityError):
-            rmt.mc_moment(1000, 1, 1000, seed=0)
+        # no dimension cap: the factor sampler costs O(N) per sample
+        assert rmt.mc_moment(1000, 1, 1000, seed=0).samples == 1000
 
     def test_index_invariance(self):
         # single random-angle evaluation vs the full average over all N:
@@ -275,10 +292,39 @@ class TestMcMoment:
         assert abs(a.mean.real - full.mean().real) < 3 * math.hypot(a.se_re, b_se_re)
         assert abs(a.mean.imag - full.mean().imag) < 3 * math.hypot(a.se_im, b_se_im)
 
+    def test_rejected_factor_redrawn(self):
+        # a first round proposing B = 0 for j >= 1 and gamma_0 = 1 (omega = 0),
+        # with the most favourable acceptance draw: the gamma = 0 proposals are
+        # kept, every gamma_0 = 1 is rejected, and only those are drawn again
+        class FirstRoundZeros:
+            def __init__(self, rng):
+                self.rng, self.calls = rng, 0
+
+            def random(self, shape):
+                self.calls += 1
+                return np.zeros(shape) if self.calls == 1 else self.rng.random(shape)
+
+        j = np.broadcast_to(np.arange(4), (10, 4))
+        gam = rmt._weighted_verblunsky(j, FirstRoundZeros(np.random.default_rng(31)))
+        assert np.all(gam[:, 1:] == 0)
+        redrawn = rmt._weighted_verblunsky(np.zeros(10, dtype=int), np.random.default_rng(31))
+        assert np.array_equal(gam[:, 0], redrawn)
+        assert np.all(gam[:, 0] != 1) and np.allclose(np.abs(gam[:, 0]), 1.0)
+
+    def test_mc_estimate_reproduced_by_hand(self):
+        # the bare route is _mc_estimate's mean over the factor sampler's
+        # draws from the one child stream
+        n, k, samples, seed = 8, 0.5 + 0.5j, 1000, 3
+        est = rmt.mc_moment(n, k, samples, seed)
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        vals = rmt._verblunsky_draw(n, k, samples, rng)
+        assert len(vals) == samples and est.samples == samples
+        assert est.mean == pytest.approx(vals.mean(), rel=1e-12)
+
     def test_degenerate_row_resampled(self, monkeypatch, params_x_e3):
-        # a first batch whose first row is all one angle: the driver replaces
-        # that sample by a fresh matrix and a fresh uniform column, for the
-        # bare and the hybrid statistic alike
+        # the hybrid route draws matrices: a first batch whose first row is all
+        # one angle has that sample replaced by a fresh matrix and a fresh
+        # uniform column
         n, samples, seed = params_x_e3.n, 1000, 3
         real_batch = rmt._haar_angle_batch
 
@@ -289,24 +335,66 @@ class TestMcMoment:
             return ang
 
         monkeypatch.setattr(rmt, "_haar_angle_batch", degenerate_first)
-        runs = (
-            ((), lambda: rmt.mc_moment(n, 1.0, samples, seed)),
-            (hybrid.fourier_coeffs(1.0, params_x_e3).values,
-             lambda: hybrid.mc_hybrid_moment(params_x_e3, 1.0, samples, seed)),
-        )
-        for s_coeffs, run in runs:
-            est = run()
-            assert est.samples == samples and np.isfinite(est.mean)
-            # the same draws by hand: angles, columns, then the one resample
-            rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-            ang = degenerate_first(n, samples, rng)
-            vals = rmt._zprime_pow_rows(ang, rng.integers(0, n, size=samples), 1.0, s_coeffs)
-            assert np.isnan(vals[0]) and not np.isnan(vals[1:]).any()
-            vals[0] = rmt._zprime_pow_rows(
-                real_batch(n, 1, rng), rng.integers(0, n, size=1), 1.0, s_coeffs
-            )[0]
-            assert est.mean == pytest.approx(vals.mean(), rel=1e-12)
+        s_coeffs = hybrid.fourier_coeffs(1.0, params_x_e3).values
+        est = hybrid.mc_hybrid_moment(params_x_e3, 1.0, samples, seed)
+        assert est.samples == samples and np.isfinite(est.mean)
+        # the same draws by hand: angles, columns, then the one resample
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        ang = degenerate_first(n, samples, rng)
+        vals = rmt._zprime_pow_rows(ang, rng.integers(0, n, size=samples), 1.0, s_coeffs)
+        assert np.isnan(vals[0]) and not np.isnan(vals[1:]).any()
+        vals[0] = rmt._zprime_pow_rows(real_batch(n, 1, rng), rng.integers(0, n, size=1), 1.0, s_coeffs)[0]
+        assert est.mean == pytest.approx(vals.mean(), rel=1e-12)
 
     def test_k_minus_2_near_zero(self):
         est = rmt.mc_moment(6, -2, 50_000, seed=8)
         assert abs(est.mean) < 3 * math.hypot(est.se_re, est.se_im) + 1e-3
+
+
+class TestWeightedVerblunsky:
+    @pytest.mark.parametrize("j", [0, 1, 5, 40])
+    def test_factor_moments(self, j):
+        # E[(1 - gamma_j)^k] = (j + k + 2)/(j + 2) and E|gamma_j|^2 = (j + 4)/(j + 2)^2
+        # under the |1 - gamma|^2-weighted law
+        gam = rmt._weighted_verblunsky(np.full(200_000, j), np.random.default_rng(40 + j))
+        fac = 1.0 - gam
+        assert np.all(np.abs(gam) <= 1.0 + 1e-15) and np.all(fac.real >= 0.0)
+        for k in (1.0, 0.5 + 0.5j, -0.5, -1 + 0.5j):
+            vals = np.exp(k * np.log(fac))
+            target = (j + k + 2) / (j + 2)
+            n = len(vals)
+            assert abs(vals.mean().real - target.real) < 4 * vals.real.std(ddof=1) / math.sqrt(n), k
+            assert abs(vals.mean().imag - np.imag(target)) < 4 * vals.imag.std(ddof=1) / math.sqrt(n) + 1e-15, k
+        sq = np.abs(gam) ** 2
+        assert abs(sq.mean() - (j + 4) / (j + 2) ** 2) < 4 * sq.std(ddof=1) / math.sqrt(len(sq)) + 1e-15
+
+    @pytest.mark.parametrize("n,k,seed", [(6, 1 + 1j, 60), (8, -1.5, 61), (12, 0.5, 62)])
+    def test_agrees_with_qr_eig(self, n, k, seed):
+        # two-sample test against the QR+eig oracle through the eigenangle
+        # statistic.  At these N the factors' args sum past pi in under 0.5 %
+        # of samples, too few to see the branch; the tests at N = 64 do
+        est = rmt.mc_moment(n, k, 100_000, seed)
+        rng = np.random.default_rng(seed + 100)
+        count = 20_000
+        qr = rmt._zprime_pow_rows(rmt._haar_angle_batch(n, count, rng), rng.integers(0, n, size=count), k, ())
+        for part, se in ((np.real, est.se_re), (np.imag, est.se_im)):
+            se_qr = part(qr).std(ddof=1) / math.sqrt(count)
+            assert abs(part(est.mean) - part(qr).mean()) < 4 * math.hypot(se, se_qr)
+
+    @pytest.mark.parametrize("n,k,samples", [(64, 1 + 1j, 20_000), (1000, 1, 4000)])
+    def test_large_n_matches_exact(self, n, k, samples):
+        # at N = 64 the factors' args sum past pi in about 3 % of samples,
+        # where one principal log of the product would take another branch;
+        # N = 1000 is above the QR+eig route's cap of 512
+        est = rmt.mc_moment(n, k, samples, seed=64)
+        assert est.within(rmt.exact_moment(n, k), n_se=4.0), (est.mean, est.se_re, est.se_im)
+
+    def test_principal_log_per_factor(self):
+        # the statistic sums the principal logs of the factors, which differs
+        # from the principal log of their product wherever the args sum past pi
+        n, k = 64, 0.5 + 0.5j
+        vals = rmt._verblunsky_draw(n, k, 1000, np.random.default_rng(65))
+        gam = rmt._weighted_verblunsky(np.broadcast_to(np.arange(n - 1), (1000, n - 1)), np.random.default_rng(65))
+        logs = np.log(1.0 - gam).sum(axis=1)
+        assert (np.abs(logs.imag) > math.pi).any()
+        assert np.allclose(vals, np.exp(k * (1j * math.pi / 2 + logs)), rtol=1e-12, atol=0)

@@ -205,7 +205,7 @@ class TestEsComparison:
         for n in (1, 2, 3, 8, 33, 128, 512):
             params = hybrid.HybridParams(n=n, x_cutoff=2.0, smoothing=smoothing_y4)
             assert toeplitz.es_comparison(k, params).expectation == pytest.approx(
-                rmt.exact_moment(n, k), rel=1e-11, abs=0
+                rmt.exact_moment(n, k), rel=1e-13, abs=0
             )
 
     def test_against_mpmath_dense_determinant(self, smoothing_y4):
