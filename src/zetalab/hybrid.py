@@ -14,8 +14,8 @@ against each other numerically.
 
 The Monte-Carlo estimate of the model's moment, :func:`mc_hybrid_moment`, is
 one call to ``rmt._mc_estimate``, the driver behind ``rmt.mc_moment`` too,
-drawing QR+eig matrices with the Fourier coefficients s_m as the statistic's
-weights.
+drawing the same independent weighted Verblunsky factors with the Fourier
+coefficients s_m as the statistic's weights.
 """
 
 import math
@@ -27,14 +27,12 @@ from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError
-from .rmt import _haar_draw, _mc_estimate, _require_qr_dim
+from .rmt import _mc_estimate, _verblunsky_draw
 from .specfun import exp_integral_e1
 
 _TWO_PI = 2.0 * math.pi
 _CDF_GRID = 10_000
-# kernel_U_batch: Gauss-Legendre panels per oscillation of E1(z log y), and the floor
-_NODES_PER_OSC = 8.0
-_MIN_PANELS = 24
+_MIN_PANELS = 24  # kernel_U_batch's floor on its Gauss-Legendre panels
 
 
 def _raw_bump(x):
@@ -169,10 +167,12 @@ def kernel_U(z, spec):
 def kernel_U_batch(z_values, spec):
     """U on an array of z values via fixed composite Gauss-Legendre in y.
 
-    The panel count scales with the largest |z| in the batch so oscillatory
-    integrands (z on the imaginary axis in the periodized sums) stay resolved;
-    u vanishes to all orders at the support endpoints, so panel quadrature
-    converges fast.  Cross-checked against the adaptive :func:`kernel_U`.
+    The phase of E1(z log y) turns through |z| log(hi/lo) across the support,
+    so each chunk of z values takes one 10-node panel per turn at its largest
+    |z| (at least ``_MIN_PANELS``): oscillatory integrands (z on the imaginary
+    axis in the periodized sums) stay resolved.  u vanishes to all orders at
+    the support endpoints, so panel quadrature converges fast.  Cross-checked
+    against the adaptive :func:`kernel_U`.
     """
     z = np.asarray(z_values, dtype=complex)
     lo, hi = spec.support
@@ -185,8 +185,7 @@ def kernel_U_batch(z_values, spec):
         idx = order[lo_i : lo_i + chunk]
         zc = flat[idx]
         zmax = np.abs(zc).max()
-        # oscillation count across the support is ~ |z| (hi - lo) / (2 pi)
-        panels = max(_MIN_PANELS, int(_NODES_PER_OSC * zmax * (hi - lo) / _TWO_PI) + 1)
+        panels = max(_MIN_PANELS, int(zmax * math.log(hi / lo) / _TWO_PI) + 1)
         edges = np.linspace(lo, hi, panels + 1)
         mids = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (hi - lo) / panels
@@ -296,12 +295,14 @@ def mc_hybrid_moment(params, k, samples, seed, workers=1):
     + sum_{n != r} [k log(1 - e^{i(theta_n - theta_r)}) + k F_X(theta_r - theta_n)])
     with the same per-factor branch as the bare characteristic polynomial; the
     e^{k F_X} factors are exponentials by construction and need no extra
-    branch choice.  Each sample is one QR+eig Haar matrix, because the weights
-    need the eigenangles, and the eigenangle r is drawn uniformly per sample;
-    a sample with coincident angles is redrawn whole.  So N is capped at 512.
+    branch choice.  Seen from theta_r, the other N - 1 eigenvalues are drawn
+    as the N - 1 independent weighted Verblunsky coefficients of
+    ``rmt.mc_moment``, and the Fourier sum sum_n k F_X(theta_r - theta_n)
+    = sum_m s_m p_m needs only the power sums p_m of those eigenvalues for
+    m < log X, which Szegő's recursion on the same coefficients gives
+    (``rmt._szego_power_sums``).  A sample costs O(N log X), with no cap on N.
     Seeding and the other checks (``workers`` >= 1) are those of
     :func:`zetalab.rmt.mc_moment`: both run the one driver in ``rmt``.
     """
-    _require_qr_dim(params.n)
-    draw = partial(_haar_draw, s_coeffs=fourier_coeffs(k, params).values)
+    draw = partial(_verblunsky_draw, s_coeffs=fourier_coeffs(k, params).values)
     return _mc_estimate(params.n, k, samples, seed, workers, draw)

@@ -19,10 +19,17 @@ law by |1 - gamma|^2.  Averaging over omega gives
 E[(1 - gamma_j)^k] = (j + k + 2)/(j + 2), whose product over j is the exact
 moment above divided by i^k.
 
-``_mc_estimate`` is the one Monte-Carlo driver.  It serves :func:`mc_moment`
-(the bare Z'^k, drawn as that product of independent factors) and
-``hybrid.mc_hybrid_moment`` (Z'^k weighted by the hybrid model's Fourier sum,
-which needs the eigenangles: QR+eig and the statistic ``_zprime_pow_rows``).
+The same gamma_j are the deformed Verblunsky coefficients of the other N - 1
+eigenvalues e^{i delta_n}, delta_n = theta_n - theta_r: Szegő's recursion
+rebuilds their polynomial prod_n (z - e^{i delta_n}) from them, and its top
+coefficients give the power sums sum_n e^{i m delta_n} that the hybrid model's
+Fourier weights need (:func:`_szego_power_sums`).
+
+``_mc_estimate`` is the one Monte-Carlo driver and ``_verblunsky_draw`` its one
+sampler.  It serves :func:`mc_moment` (the bare Z'^k) and
+``hybrid.mc_hybrid_moment`` (Z'^k weighted by the hybrid model's Fourier sum).
+QR+eig Haar matrices (``_haar_angle_batch``) and the eigenangle statistic
+``_zprime_pow_rows`` stay as the tests' independent reference.
 """
 
 import math
@@ -35,7 +42,6 @@ from .errors import AdmissibilityError, CapabilityError, DomainError, PoleError
 from .specfun import _stirling_series, log_gamma
 
 _COINCIDENCE_TOL = 1e-14
-_QR_DIM_CAP = 512  # largest matrix the QR+eig sampler draws
 _FACTOR_BATCH = 1 << 16  # Verblunsky factors drawn at once by _verblunsky_draw
 _WEYL_BLOCK = 1 << 16  # grid points evaluated at once by weyl_average
 _TWO_PI = 2.0 * math.pi
@@ -175,29 +181,6 @@ def _zprime_pow_rows(angle_rows, col_index, k, s_coeffs):
     return out
 
 
-def _haar_draw(n, k, count, rng, s_coeffs):
-    """Up to ``count`` samples of the :func:`_zprime_pow_rows` statistic from QR+eig.
-
-    Each sample is one Haar matrix and one uniformly drawn eigenangle; a
-    sample with coincident angles is replaced by a fresh matrix and column.
-    """
-    b = min(count, max(1, min(32768, 4_000_000 // (n * n))))
-    ang = _haar_angle_batch(n, b, rng)
-    # uniformly random eigenangle per sample: the label-exchangeable
-    # realization of "no distinguished eigenvalues" (sorted-position
-    # selection is gap-size-biased and would skew the estimate)
-    cols = rng.integers(0, n, size=b)
-    vals = _zprime_pow_rows(ang, cols, k, s_coeffs)
-    nan = np.isnan(vals)
-    while nan.any():  # degenerate float collisions: resample those rows whole
-        m = int(nan.sum())
-        ang2 = _haar_angle_batch(n, m, rng)
-        cols2 = rng.integers(0, n, size=m)
-        vals[nan] = _zprime_pow_rows(ang2, cols2, k, s_coeffs)
-        nan = np.isnan(vals)
-    return vals
-
-
 def _weighted_verblunsky(j, rng):
     """One draw per entry of the index array ``j`` from the law of the j-th
     Verblunsky coefficient gamma_j, weighted by |1 - gamma|^2.
@@ -222,20 +205,63 @@ def _weighted_verblunsky(j, rng):
     return out.reshape(np.shape(j))
 
 
-def _verblunsky_draw(n, k, count, rng):
-    """Up to ``count`` samples of the bare Z'^k statistic, i^k prod_j (1 - gamma_j)^k.
+def _szego_power_sums(gam, m_max):
+    """Power sums p_m = sum_n lambda_n^m, m = 1..m_max, of the roots of the
+    Szegő polynomial whose deformed Verblunsky coefficients are the columns of
+    ``gam``, shape (B, N - 1), column N - 2 first and column 0 (on the unit
+    circle) last; returns shape (B, m_max).
 
-    The N - 1 factors are independent weighted Verblunsky coefficients
-    (:func:`_weighted_verblunsky`), so a sample costs O(N).  Each factor
-    1 - gamma has nonnegative real part and takes the principal log, the
-    branch :func:`_zprime_pow_rows` gives each 1 - e^{i delta}.
+    The recursion Phi_{i+1}(z) = z Phi_i(z) - conj(alpha_i) Phi_i^*(z) with
+    conj(alpha_i) = gamma u^2, u the phase of Phi_i(1), keeps
+    Phi_{i+1}(1) = Phi_i(1) (1 - gamma), so Phi_{N-1}(1) = prod_j (1 - gamma_j)
+    (Bourgade, Nikeghbali & Rouault, IMRN 2009).  Only the top m_max + 1
+    coefficients T_t (of z^{i-t}) and the conjugated bottom ones C_t (of z^t)
+    are carried: O(N m_max) a row.  T_t = (-1)^t e_t, so Newton's identities
+    read p_m = -(m T_m + sum_{t<m} T_t p_{m-t}).
+    """
+    b = gam.shape[0]
+    gam = gam[:, ::-1]
+    arg = np.arctan2(-gam.imag, 1.0 - gam.real)
+    phase = np.cumsum(arg, axis=1) - arg  # arg Phi_i(1): the columns already used
+    alpha_bar = gam * np.exp(2j * phase)
+    top = np.zeros((m_max + 1, b), dtype=complex)
+    top[0] = 1.0
+    cbot = top.copy()
+    shifted = np.zeros_like(top)  # C_{t-1}, with C_{-1} = 0
+    for a, a_conj in zip(alpha_bar.T, alpha_bar.T.conj()):
+        shifted[1:] = cbot[:-1]
+        top, cbot = top - a * shifted, shifted - a_conj * top
+    p = np.zeros((m_max + 1, b), dtype=complex)
+    for m in range(1, m_max + 1):
+        p[m] = -(m * top[m] + sum(top[t] * p[m - t] for t in range(1, m)))
+    return p[1:].T
+
+
+def _verblunsky_draw(n, k, count, rng, s_coeffs=()):
+    """Up to ``count`` samples of the Z'^k statistic from independent weighted factors.
+
+    The sample is i^k e^{sum_m s_m} prod_j (1 - gamma_j)^k e^{sum_m s_m p_m},
+    the hybrid model's Z'_{N,X}(theta_r)^k for its Fourier coefficients
+    ``s_coeffs`` = s_1..s_M, with p_m the eigenvalue power sums of
+    :func:`_szego_power_sums`; with no coefficients it is the bare
+    i^k prod_j (1 - gamma_j)^k.  The N - 1 factors are independent weighted
+    Verblunsky coefficients (:func:`_weighted_verblunsky`), so a sample costs
+    O(N (M + 1)).  Each factor 1 - gamma has nonnegative real part and takes
+    the principal log, the branch :func:`_zprime_pow_rows` gives each
+    1 - e^{i delta}; the two sums of logs agree sample by sample.
     """
     b = min(count, max(1, _FACTOR_BATCH // n))
-    fac = 1.0 - _weighted_verblunsky(np.broadcast_to(np.arange(n - 1), (b, n - 1)), rng)
+    gam = _weighted_verblunsky(np.broadcast_to(np.arange(n - 1), (b, n - 1)), rng)
+    fac = 1.0 - gam
     # the principal log by real parts: numpy's complex log is many times slower
     log_abs = 0.5 * np.log(fac.real**2 + fac.imag**2).sum(axis=1)
     arg = np.arctan2(fac.imag, fac.real).sum(axis=1)
-    return np.exp(1j * math.pi * k / 2.0 + k * (log_abs + 1j * arg))
+    logs = 1j * math.pi * k / 2.0 + k * (log_abs + 1j * arg)
+    if len(s_coeffs):
+        s = np.asarray(s_coeffs, dtype=complex)
+        # an elementwise sum, not a BLAS product: BLAS threads left spinning slow the next draw
+        logs = logs + s.sum() + (_szego_power_sums(gam, len(s)) * s).sum(axis=1)
+    return np.exp(logs)
 
 
 def _mc_worker(args):
@@ -298,11 +324,6 @@ def _mc_estimate(n, k, samples, seed, workers, draw):
         with ProcessPoolExecutor(max_workers=workers) as pool:
             pieces = list(pool.map(_mc_worker, jobs))
     return _merge_mc(pieces, seed)
-
-
-def _require_qr_dim(n):
-    if n > _QR_DIM_CAP:
-        raise CapabilityError(f"QR+eig Monte-Carlo dimension capped at {_QR_DIM_CAP}")
 
 
 def mc_moment(n, k, samples, seed, workers=1):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from zetalab import hybrid, rmt
-from zetalab.errors import CapabilityError, DomainError
+from zetalab import hybrid, rmt, toeplitz
+from zetalab.errors import DomainError
 
 
 class TestUWeight:
@@ -84,6 +84,19 @@ class TestKernelU:
         batch = hybrid.kernel_U_batch(zs, smoothing_y4)
         for z, b in zip(zs, batch):
             assert b == pytest.approx(hybrid.kernel_U(z, smoothing_y4), abs=1e-11)
+
+    def test_batch_panel_rule_above_floor(self):
+        # at Y = 1 the phase of E1(z log y) turns |z| / 2 pi times across the
+        # support, 48 to 64 times here, so the one-panel-per-turn rule, not
+        # the floor, sets the count.  The floor's 24 panels alone miss U by
+        # 1.3e-9, 4.0e-8 and 1.1e-7
+        spec = hybrid.SmoothingSpec(1.0)
+        lo, hi = spec.support
+        zs = np.array([300j, -15.0 + 300j, 400j])
+        assert np.abs(zs).min() * math.log(hi / lo) / (2 * math.pi) > hybrid._MIN_PANELS
+        batch = hybrid.kernel_U_batch(zs, spec)
+        for z, b in zip(zs, batch):
+            assert b == pytest.approx(hybrid.kernel_U(z, spec), abs=1e-11)
 
 
 class TestFourierS:
@@ -203,28 +216,59 @@ class TestMcHybridMoment:
         assert stat[0] == pytest.approx(base * base, rel=1e-9)
 
     def test_dimension_cap(self, smoothing_y4):
-        params = hybrid.HybridParams(n=513, x_cutoff=math.e**3, smoothing=smoothing_y4)
-        with pytest.raises(CapabilityError):
-            hybrid.mc_hybrid_moment(params, 1.0, 1000, seed=0)
+        # no cap: the factor sampler costs O(N log X) a sample
+        params = hybrid.HybridParams(n=1000, x_cutoff=math.e**3, smoothing=smoothing_y4)
+        est = hybrid.mc_hybrid_moment(params, 1.0, 2000, seed=0)
+        heine = toeplitz.es_comparison(1.0, params).expectation
+        assert est.within(heine, n_se=4.0), (est.mean, est.se_re, est.se_im, heine)
 
     def test_seed_reproducible(self, params_x_e3):
         a = hybrid.mc_hybrid_moment(params_x_e3, 1.0, 2000, seed=6)
         b = hybrid.mc_hybrid_moment(params_x_e3, 1.0, 2000, seed=6)
         assert a.mean == b.mean
 
+    @pytest.mark.parametrize("n,k", [(1, 1 + 1j), (2, 1 + 1j), (3, 0.5 + 0.5j), (3, -1.5 + 0.5j)])
+    def test_heine_below_fourier_length(self, smoothing_y4, n, k):
+        # X = e^4 has M = 3 Fourier coefficients, more than the N - 1 <= 2
+        # eigenvalues: the power sums p_m for m > N - 1 come from Newton's
+        # identities with the vanishing elementary symmetric functions
+        params = hybrid.HybridParams(n=n, x_cutoff=math.e**4, smoothing=smoothing_y4)
+        heine = toeplitz.es_comparison(k, params).expectation
+        est = hybrid.mc_hybrid_moment(params, k, 40_000, seed=90 + n)
+        if n == 1:  # no other eigenvalue: the statistic is the constant i^k e^{k F_X(0)}
+            assert est.mean == pytest.approx(heine, rel=1e-13)
+        else:
+            assert est.within(heine, n_se=4.0), (est.mean, est.se_re, est.se_im, heine)
+
     @pytest.mark.parametrize(
-        "workers,mean,se_re,se_im",
-        [
-            (1, -1.412508308327668 - 0.3764610168601053j, 0.02418070243032535, 0.02455226459285714),
-            (2, -1.4012597371717062 - 0.396662596599124j, 0.0244974456505335, 0.024838788282605717),
-        ],
+        "n,x_exp,k,seed", [(4, 3, 1.0, 70), (8, 3, 0.5 + 0.5j, 71), (6, 4, 1 + 1j, 72), (8, 4, -1.5 + 0.5j, 73)]
     )
-    def test_pinned_values(self, params_x_e3, workers, mean, se_re, se_im):
-        # values of the QR+eig route before the bare route got its own
-        # sampler: they pin the seeding, batching and merge of the shared
-        # _mc_estimate.  The bits agree on the machine they were taken on; the
-        # 1e-12 allows another LAPACK's rounding, far below a change of
-        # stream (~ se)
+    def test_agrees_with_qr_eig(self, smoothing_y4, n, x_exp, k, seed):
+        # two-sample test against the QR+eig oracle through the eigenangle
+        # statistic with the same Fourier weights
+        params = hybrid.HybridParams(n=n, x_cutoff=math.e**x_exp, smoothing=smoothing_y4)
+        est = hybrid.mc_hybrid_moment(params, k, 100_000, seed)
+        rng = np.random.default_rng(seed + 100)
+        count = 20_000
+        s_coeffs = hybrid.fourier_coeffs(k, params).values
+        qr = rmt._zprime_pow_rows(rmt._haar_angle_batch(n, count, rng), rng.integers(0, n, size=count), k, s_coeffs)
+        for part, se in ((np.real, est.se_re), (np.imag, est.se_im)):
+            se_qr = part(qr).std(ddof=1) / math.sqrt(count)
+            assert abs(part(est.mean) - part(qr).mean()) < 4 * math.hypot(se, se_qr)
+
+    _PINNED = {
+        1: (-1.391715800302427 - 0.3688434423853185j, 0.023769331570830388, 0.02524979365941469),
+        2: (-1.387388937605268 - 0.39030922833025206j, 0.02530240754741344, 0.024910847075254143),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pinned_values(self, params_x_e3, workers):
+        # values of the factor sampler when it took over the hybrid route:
+        # they pin the seeding, batching and merge of the shared _mc_estimate
+        # and the Szegő weights.  The bits agree on the machine they were
+        # taken on; the 1e-12 allows another libm's rounding, far below a
+        # change of stream (~ se)
+        mean, se_re, se_im = self._PINNED[workers]
         est = hybrid.mc_hybrid_moment(params_x_e3, 1 + 1j, 2000, seed=6, workers=workers)
         assert est.samples == 2000
         assert est.mean == pytest.approx(mean, rel=1e-12, abs=0)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetalab import hybrid, rmt
+from zetalab import rmt
 from zetalab.errors import AdmissibilityError, CapabilityError, DomainError, PoleError
 
 
@@ -321,30 +321,22 @@ class TestMcMoment:
         assert len(vals) == samples and est.samples == samples
         assert est.mean == pytest.approx(vals.mean(), rel=1e-12)
 
-    def test_degenerate_row_resampled(self, monkeypatch, params_x_e3):
-        # the hybrid route draws matrices: a first batch whose first row is all
-        # one angle has that sample replaced by a fresh matrix and a fresh
-        # uniform column
-        n, samples, seed = params_x_e3.n, 1000, 3
-        real_batch = rmt._haar_angle_batch
+    _PINNED = {
+        1: (0.008463119719521173 + 1.0646653022795374j, 0.015886154288596605, 0.015645436953091348),
+        2: (0.00255482770213887 + 1.0325840153032946j, 0.015570425271583043, 0.015107563585110517),
+    }
 
-        def degenerate_first(n_, count, rng):
-            ang = real_batch(n_, count, rng)
-            if count == samples:
-                ang[0] = ang[0, 0]
-            return ang
-
-        monkeypatch.setattr(rmt, "_haar_angle_batch", degenerate_first)
-        s_coeffs = hybrid.fourier_coeffs(1.0, params_x_e3).values
-        est = hybrid.mc_hybrid_moment(params_x_e3, 1.0, samples, seed)
-        assert est.samples == samples and np.isfinite(est.mean)
-        # the same draws by hand: angles, columns, then the one resample
-        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-        ang = degenerate_first(n, samples, rng)
-        vals = rmt._zprime_pow_rows(ang, rng.integers(0, n, size=samples), 1.0, s_coeffs)
-        assert np.isnan(vals[0]) and not np.isnan(vals[1:]).any()
-        vals[0] = rmt._zprime_pow_rows(real_batch(n, 1, rng), rng.integers(0, n, size=1), 1.0, s_coeffs)[0]
-        assert est.mean == pytest.approx(vals.mean(), rel=1e-12)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pinned_values(self, workers):
+        # values of the factor sampler before the hybrid route shared it: the
+        # bare stream must not move.  The bits agree on the machine they were
+        # taken on; the 1e-12 allows another libm's rounding, far below a
+        # change of stream (~ se)
+        mean, se_re, se_im = self._PINNED[workers]
+        est = rmt.mc_moment(8, 0.5 + 0.5j, 2000, seed=6, workers=workers)
+        assert est.mean == pytest.approx(mean, rel=1e-12, abs=0)
+        assert est.se_re == pytest.approx(se_re, rel=1e-12, abs=0)
+        assert est.se_im == pytest.approx(se_im, rel=1e-12, abs=0)
 
     def test_k_minus_2_near_zero(self):
         est = rmt.mc_moment(6, -2, 50_000, seed=8)
@@ -398,3 +390,45 @@ class TestWeightedVerblunsky:
         logs = np.log(1.0 - gam).sum(axis=1)
         assert (np.abs(logs.imag) > math.pi).any()
         assert np.allclose(vals, np.exp(k * (1j * math.pi / 2 + logs)), rtol=1e-12, atol=0)
+
+
+def _full_szego(gam_row):
+    """Ascending coefficients of the whole Szegő polynomial Phi_{N-1} built from
+    one row of deformed Verblunsky coefficients, column N - 2 first."""
+    phi = np.array([1.0 + 0j])
+    for g in gam_row[::-1]:
+        u = phi.sum() / abs(phi.sum())  # the phase of Phi_i(1)
+        star = np.conj(phi[::-1])
+        phi = np.concatenate(([0.0], phi)) - g * u * u * np.concatenate((star, [0.0]))
+    return phi
+
+
+class TestSzegoPowerSums:
+    def test_pathwise_against_roots(self):
+        # from the same gammas the whole polynomial and its roots give
+        # Phi(1) = prod (1 - gamma), roots on the unit circle, the per-factor
+        # log sum (where it passes pi too) and the recursion's power sums
+        n, b, m_max = 64, 400, 3
+        gam = rmt._weighted_verblunsky(np.broadcast_to(np.arange(n - 1), (b, n - 1)), np.random.default_rng(66))
+        p = rmt._szego_power_sums(gam, m_max)
+        past_pi = 0
+        for row, p_row in zip(gam, p):
+            phi = _full_szego(row)
+            assert phi.sum() == pytest.approx(np.prod(1.0 - row), rel=1e-13)
+            lam = np.roots(phi[::-1])
+            assert np.abs(np.abs(lam) - 1.0).max() < 1e-11
+            log_sum = np.log(1.0 - row).sum()
+            if abs(log_sum.imag) > math.pi:
+                past_pi += 1
+                assert np.log(1.0 - lam).sum() == pytest.approx(log_sum, abs=1e-10)
+            sums = np.array([(lam**m).sum() for m in range(1, m_max + 1)])
+            assert np.abs(sums - p_row).max() < 1e-11
+        assert past_pi > 0
+
+    def test_fewer_roots_than_sums(self):
+        # N = 2: Phi_0(1) = 1 has phase 1, so the one root is gamma_0 itself and
+        # p_m = gamma_0^m also for m > N - 1; N = 1 has no root and p_m = 0
+        gam = rmt._weighted_verblunsky(np.zeros((50, 1), dtype=int), np.random.default_rng(67))
+        p = rmt._szego_power_sums(gam, 3)
+        assert np.allclose(p, gam ** np.arange(1, 4), rtol=0, atol=1e-15)
+        assert np.array_equal(rmt._szego_power_sums(np.empty((5, 0)), 2), np.zeros((5, 2)))
