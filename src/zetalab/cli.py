@@ -25,7 +25,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, arithmetic, experiments, hybrid, rmt, toeplitz, zeros
 from .errors import MissingZeroError
@@ -336,7 +335,6 @@ def _write_outputs(out_dir, rows, extras_list, cfg, gates, gate_failures, wall_t
     manifest = {
         "zetalab_version": __version__,
         "numpy_version": np.__version__,
-        "scipy_version": scipy.__version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "wall_time_s": wall_time,
         "config": cfg,

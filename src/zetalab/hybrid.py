@@ -20,18 +20,19 @@ coefficients s_m as the statistic's weights.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError
 from .rmt import _mc_estimate, _verblunsky_draw
 from .specfun import exp_integral_e1
 
 _TWO_PI = 2.0 * math.pi
-_CDF_GRID = 10_000
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)  # one panel's rule on [-1, 1]
+_BUMP_PANELS = 64  # equal panels on [0, x] for the bump's integral
+# the panel rule's nodes on [0, 1]; times x they are its nodes on [0, x]
+_BUMP_NODES = (np.arange(_BUMP_PANELS)[:, None] + 0.5 * (1.0 + _GL_NODES)) / _BUMP_PANELS
 _MIN_PANELS = 24  # kernel_U_batch's floor on its Gauss-Legendre panels
 
 
@@ -45,46 +46,41 @@ def _raw_bump(x):
     return out
 
 
+def _bump_integral(x):
+    """Integral of the unnormalized bump over [0, x], for each x in [0, 1].
+
+    ``_BUMP_PANELS`` equal 10-node Gauss-Legendre panels on [0, x].  The
+    bump is smooth and vanishes to all orders at 0 and 1; the rule agrees
+    with adaptive quadrature to rounding (``tests/test_hybrid.py``).
+    """
+    x = np.asarray(x, dtype=float)
+    pts = x[..., None, None] * _BUMP_NODES
+    return (_raw_bump(pts) @ _GL_WEIGHTS).sum(axis=-1) * ((0.5 / _BUMP_PANELS) * x)
+
+
 class SmoothingSpec:
     """The smoothing choice: sharpness Y and the fixed mass-1 bump f on [0, 1].
 
     The weight u(y) = Y f(Y log(y/e) + 1) / y then has mass 1 supported on
-    [e^{1-1/Y}, e].  The bump CDF is tabulated once on a 1e4-point grid and
-    served through a monotone (PCHIP) interpolant.
+    [e^{1-1/Y}, e].  The normalization and the bump CDF are integrals of the
+    unnormalized bump over [0, 1] and [0, x], each by the same panel
+    Gauss-Legendre rule (:func:`_bump_integral`).
     """
 
     def __init__(self, y_sharpness=4.0):
         if y_sharpness < 1.0:
             raise DomainError("smoothing sharpness Y must be >= 1")
         self.y_sharpness = float(y_sharpness)
-        norm, _ = quad(lambda x: math.exp(-1.0 / (x * (1.0 - x))), 0.0, 1.0, epsabs=1e-15, epsrel=1e-13)
-        self.normalization = norm
+        self.normalization = float(_bump_integral(1.0))
 
     def bump(self, x):
         """The mass-1 bump f on [0, 1]."""
         return _raw_bump(x) / self.normalization
 
-    @cached_property
-    def _cdf(self):
-        # panel Gauss-Legendre between grid nodes keeps each increment exact
-        # to machine precision; cumulative sum then gives CDF nodes
-        nodes, weights = np.polynomial.legendre.leggauss(10)
-        grid = np.linspace(0.0, 1.0, _CDF_GRID + 1)
-        half = 0.5 / _CDF_GRID
-        mids = 0.5 * (grid[:-1] + grid[1:])
-        pts = mids[:, None] + half * nodes[None, :]
-        increments = (self.bump(pts) @ weights) * half
-        cdf = np.concatenate(([0.0], np.cumsum(increments)))
-        cdf /= cdf[-1]
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            # the exactly-flat tails make PCHIP's harmonic-mean slope divide by zero;
-            # it resolves them to flat segments, which is what we want
-            return PchipInterpolator(grid, cdf)
-
     def bump_cdf(self, x):
         """CDF of the bump, clamped to [0, 1] outside the support."""
-        x = np.asarray(x, dtype=float)
-        out = np.clip(self._cdf(np.clip(x, 0.0, 1.0)), 0.0, 1.0)
+        x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+        out = np.clip(_bump_integral(x) / self.normalization, 0.0, 1.0)
         return float(out) if out.ndim == 0 else out
 
     @property
@@ -138,32 +134,6 @@ def mass_above(v, spec):
     return float(out) if scalar else out
 
 
-def kernel_U(z, spec):
-    """U(z) = integral of u(y) E1(z log y) dy by adaptive quadrature (1e-10 abs).
-
-    Raises:
-        DomainError: at z = 0, where the kernel has a logarithmic singularity
-            (and for z on the negative real axis, which would put every
-            E1 argument on the cut).
-    """
-    z = complex(z)
-    if z == 0:
-        raise DomainError("U(z) has a logarithmic singularity at z = 0")
-    if z.imag == 0 and z.real < 0:
-        raise DomainError("z on the negative real axis puts E1 on its branch cut")
-    lo, hi = spec.support
-    val, _ = quad(
-        lambda y: u_weight(y, spec) * exp_integral_e1(z * math.log(y)),
-        lo,
-        hi,
-        epsabs=1e-12,
-        epsrel=1e-12,
-        limit=200,
-        complex_func=True,
-    )
-    return val
-
-
 def kernel_U_batch(z_values, spec):
     """U on an array of z values via fixed composite Gauss-Legendre in y.
 
@@ -172,13 +142,12 @@ def kernel_U_batch(z_values, spec):
     |z| (at least ``_MIN_PANELS``): oscillatory integrands (z on the imaginary
     axis in the periodized sums) stay resolved.  u vanishes to all orders at
     the support endpoints, so panel quadrature converges fast.  Cross-checked
-    against the adaptive :func:`kernel_U`.
+    against the adaptive ``kernel_U`` of ``tests/oracles.py``.
     """
     z = np.asarray(z_values, dtype=complex)
     lo, hi = spec.support
     flat = z.reshape(-1)
     order = np.argsort(np.abs(flat))
-    nodes, weights = np.polynomial.legendre.leggauss(10)
     chunk = 256
     res = np.empty(flat.shape, dtype=complex)
     for lo_i in range(0, len(flat), chunk):
@@ -189,8 +158,8 @@ def kernel_U_batch(z_values, spec):
         edges = np.linspace(lo, hi, panels + 1)
         mids = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (hi - lo) / panels
-        y = (mids[:, None] + half * nodes[None, :]).reshape(-1)
-        w = np.tile(weights, panels) * half
+        y = (mids[:, None] + half * _GL_NODES[None, :]).reshape(-1)
+        w = np.tile(_GL_WEIGHTS, panels) * half
         uw = u_weight(y, spec) * w
         e1 = exp_integral_e1(np.multiply.outer(zc, np.log(y)))
         res[idx] = e1 @ uw

@@ -28,12 +28,11 @@ Fourier weights need (:func:`_szego_power_sums`).
 ``_mc_estimate`` is the one Monte-Carlo driver and ``_verblunsky_draw`` its one
 sampler.  It serves :func:`mc_moment` (the bare Z'^k) and
 ``hybrid.mc_hybrid_moment`` (Z'^k weighted by the hybrid model's Fourier sum).
-QR+eig Haar matrices (``_haar_angle_batch``) and the eigenangle statistic
-``_zprime_pow_rows`` stay as the tests' independent reference.
+The tests' independent reference, QR+eig Haar matrices and the statistic
+taken at their eigenangles, lives in ``tests/oracles.py``.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +40,6 @@ import numpy as np
 from .errors import AdmissibilityError, CapabilityError, DomainError, PoleError
 from .specfun import _stirling_series, log_gamma
 
-_COINCIDENCE_TOL = 1e-14
 _FACTOR_BATCH = 1 << 16  # Verblunsky factors drawn at once by _verblunsky_draw
 _WEYL_BLOCK = 1 << 16  # grid points evaluated at once by weyl_average
 _TWO_PI = 2.0 * math.pi
@@ -72,20 +70,6 @@ def require_admissible(k):
     if k.real <= -3.0:
         raise AdmissibilityError(f"moment order must satisfy Re(k) > -3, got {k}")
     return k
-
-
-def _haar_angle_batch(n, count, rng):
-    """Sorted eigenangle rows, shape (count, n), of Haar-distributed unitaries.
-
-    QR of a complex Ginibre matrix with the triangular factor's diagonal
-    phases divided out; without that correction the distribution is not Haar.
-    """
-    z = (rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n)))
-    q, r = np.linalg.qr(z)
-    d = np.einsum("bii->bi", r)
-    q = q * (d / np.abs(d))[:, None, :]
-    eig = np.linalg.eigvals(q)
-    return np.sort(np.mod(np.angle(eig), _TWO_PI), axis=1)
 
 
 def _log1p(w):
@@ -142,43 +126,6 @@ def conjecture_rhs(t_height, k):
         return 0j
     log_l = math.log(math.log(t_height / _TWO_PI))
     return complex(np.exp(k * log_l - log_gamma(k + 2.0)))
-
-
-def _zprime_pow_rows(angle_rows, col_index, k, s_coeffs):
-    """The Z'^k statistic for each row, taken at the eigenangle in the given column.
-
-    With delta_n = theta_n - theta_r over the other angles of the row, it is
-
-        i^k e^{sum_m s_m} prod_n (1 - e^{i delta_n})^k e^{sum_m s_m e^{i m delta_n}},
-
-    the hybrid model's Z'_{N,X}(theta_r)^k for its Fourier coefficients
-    ``s_coeffs`` = s_1..s_M; with no coefficients it is the bare Z'(theta_r)^k.
-    Each factor 1 - e^{i delta} has nonnegative real part, so the principal
-    log puts every summand's imaginary part in (-pi/2, pi/2): the branch under
-    which the complex power is defined throughout.
-
-    angle_rows: (B, n) sorted angles; col_index: (B,) integer indices.
-    Rows with coincident angles (|1 - e^{i delta}| < 1e-14) return nan.
-    """
-    s_coeffs = np.asarray(s_coeffs, dtype=complex)
-    b, n = angle_rows.shape
-    log_const = 1j * math.pi * k / 2.0 + s_coeffs.sum()
-    if n == 1:
-        return np.full(b, np.exp(log_const), dtype=complex)
-    rows = np.arange(b)
-    sel = angle_rows[rows, col_index]
-    mask = np.ones_like(angle_rows, dtype=bool)
-    mask[rows, col_index] = False
-    diffs = angle_rows[mask].reshape(b, n - 1) - sel[:, None]
-    fac = 1.0 - np.exp(1j * diffs)
-    bad = np.abs(fac).min(axis=1) < _COINCIDENCE_TOL
-    logs = log_const + k * np.log(np.where(fac == 0, 1.0, fac)).sum(axis=1)
-    if len(s_coeffs):
-        freqs = np.arange(1, len(s_coeffs) + 1)
-        logs += (np.exp(1j * np.multiply.outer(diffs, freqs)) @ s_coeffs).sum(axis=1)
-    out = np.exp(logs)
-    out[bad] = np.nan
-    return out
 
 
 def _weighted_verblunsky(j, rng):
@@ -247,8 +194,9 @@ def _verblunsky_draw(n, k, count, rng, s_coeffs=()):
     i^k prod_j (1 - gamma_j)^k.  The N - 1 factors are independent weighted
     Verblunsky coefficients (:func:`_weighted_verblunsky`), so a sample costs
     O(N (M + 1)).  Each factor 1 - gamma has nonnegative real part and takes
-    the principal log, the branch :func:`_zprime_pow_rows` gives each
-    1 - e^{i delta}; the two sums of logs agree sample by sample.
+    the principal log, as each factor 1 - e^{i delta} does in the eigenangle
+    statistic of the tests' QR+eig reference; the two sums of logs agree
+    sample by sample.
     """
     b = min(count, max(1, _FACTOR_BATCH // n))
     gam = _weighted_verblunsky(np.broadcast_to(np.arange(n - 1), (b, n - 1)), rng)
@@ -321,6 +269,9 @@ def _mc_estimate(n, k, samples, seed, workers, draw):
     if workers == 1:
         pieces = [_mc_worker(jobs[0])]
     else:
+        # imported here: a one-worker run never pays for multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             pieces = list(pool.map(_mc_worker, jobs))
     return _merge_mc(pieces, seed)

@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, IncompleteCoefficientsError
 from .hybrid import fourier_coeffs
@@ -104,9 +103,10 @@ def toeplitz_det(sc, size, method="dense"):
         raise IncompleteCoefficientsError(
             f"size {size} needs frequencies up to {size - 1}, built up to {sc.max_freq}"
         )
-    # first column fhat_0..fhat_{size-1}, first row fhat_0, fhat_{-1}, 0, ...
-    first_row = np.pad(sc.values[1::-1], (0, size))[:size]
-    return complex(np.linalg.det(scipy.linalg.toeplitz(sc.values[1 : size + 1], first_row)))
+    # entry (j, l) is fhat_{j-l}, at index j - l + size - 1 of fhat_{1-size} .. fhat_{size-1}
+    diagonals = np.concatenate((np.zeros(size), sc.values[: size + 1]))[2:]
+    j = np.arange(size)
+    return complex(np.linalg.det(diagonals[j[:, None] - j[None, :] + size - 1]))
 
 
 @dataclass(frozen=True)

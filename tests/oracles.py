@@ -1,0 +1,99 @@
+"""Independent references the tests check the package against.
+
+None of these runs on a path of the package itself:
+
+* :func:`kernel_U`, the hybrid kernel by adaptive quadrature, the reference
+  of ``hybrid.kernel_U_batch``'s fixed panels;
+* :func:`haar_angle_batch` and :func:`zprime_pow_rows`, Haar matrices by
+  QR+eig and the Z'^k statistic at their eigenangles, the reference of the
+  Verblunsky-factor samplers in ``rmt``.
+"""
+
+import math
+
+import numpy as np
+from scipy.integrate import quad
+
+from zetalab.errors import DomainError
+from zetalab.hybrid import u_weight
+from zetalab.specfun import exp_integral_e1
+
+_COINCIDENCE_TOL = 1e-14
+_TWO_PI = 2.0 * math.pi
+
+
+def kernel_U(z, spec):
+    """U(z) = integral of u(y) E1(z log y) dy by adaptive quadrature (1e-12 abs and rel).
+
+    Raises:
+        DomainError: at z = 0, where the kernel has a logarithmic singularity
+            (and for z on the negative real axis, which would put every
+            E1 argument on the cut).
+    """
+    z = complex(z)
+    if z == 0:
+        raise DomainError("U(z) has a logarithmic singularity at z = 0")
+    if z.imag == 0 and z.real < 0:
+        raise DomainError("z on the negative real axis puts E1 on its branch cut")
+    lo, hi = spec.support
+    val, _ = quad(
+        lambda y: u_weight(y, spec) * exp_integral_e1(z * math.log(y)),
+        lo,
+        hi,
+        epsabs=1e-12,
+        epsrel=1e-12,
+        limit=200,
+        complex_func=True,
+    )
+    return val
+
+
+def haar_angle_batch(n, count, rng):
+    """Sorted eigenangle rows, shape (count, n), of Haar-distributed unitaries.
+
+    QR of a complex Ginibre matrix with the triangular factor's diagonal
+    phases divided out; without that correction the distribution is not Haar.
+    """
+    z = (rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n)))
+    q, r = np.linalg.qr(z)
+    d = np.einsum("bii->bi", r)
+    q = q * (d / np.abs(d))[:, None, :]
+    eig = np.linalg.eigvals(q)
+    return np.sort(np.mod(np.angle(eig), _TWO_PI), axis=1)
+
+
+def zprime_pow_rows(angle_rows, col_index, k, s_coeffs):
+    """The Z'^k statistic for each row, taken at the eigenangle in the given column.
+
+    With delta_n = theta_n - theta_r over the other angles of the row, it is
+
+        i^k e^{sum_m s_m} prod_n (1 - e^{i delta_n})^k e^{sum_m s_m e^{i m delta_n}},
+
+    the hybrid model's Z'_{N,X}(theta_r)^k for its Fourier coefficients
+    ``s_coeffs`` = s_1..s_M; with no coefficients it is the bare Z'(theta_r)^k.
+    Each factor 1 - e^{i delta} has nonnegative real part, so the principal
+    log puts every summand's imaginary part in (-pi/2, pi/2): the branch under
+    which the complex power is defined throughout.
+
+    angle_rows: (B, n) sorted angles; col_index: (B,) integer indices.
+    Rows with coincident angles (|1 - e^{i delta}| < 1e-14) return nan.
+    """
+    s_coeffs = np.asarray(s_coeffs, dtype=complex)
+    b, n = angle_rows.shape
+    log_const = 1j * math.pi * k / 2.0 + s_coeffs.sum()
+    if n == 1:
+        return np.full(b, np.exp(log_const), dtype=complex)
+    rows = np.arange(b)
+    sel = angle_rows[rows, col_index]
+    mask = np.ones_like(angle_rows, dtype=bool)
+    mask[rows, col_index] = False
+    diffs = angle_rows[mask].reshape(b, n - 1) - sel[:, None]
+    fac = 1.0 - np.exp(1j * diffs)
+    bad = np.abs(fac).min(axis=1) < _COINCIDENCE_TOL
+    logs = log_const + k * np.log(np.where(fac == 0, 1.0, fac)).sum(axis=1)
+    if len(s_coeffs):
+        freqs = np.arange(1, len(s_coeffs) + 1)
+        logs += (np.exp(1j * np.multiply.outer(diffs, freqs)) @ s_coeffs).sum(axis=1)
+    out = np.exp(logs)
+    out[bad] = np.nan
+    return out

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -229,3 +233,35 @@ class TestExperimentSubcommands:
         _, rows, _ = read_outputs(tmp_path / "ct")
         assert [float(r["T"]) for r in rows] == [1000.0, 2500.0]
         assert all(r["n_zeros"] for r in rows)
+
+
+class TestRuntimeWithoutScipy:
+    # runs in a fresh process: output directory as argv[1]
+    _SCRIPT = textwrap.dedent(
+        """
+        import sys
+        from pathlib import Path
+        from zetalab import cli
+        assert "scipy" not in sys.modules, "import zetalab.cli"
+        runs = {
+            "toeplitz-check": ["--k", "1", "--sizes", "8,16"],
+            "hybrid-mc": ["--n", "4", "--x", "20.09", "--k", "1", "--samples", "1000"],
+            "hybrid-fourier-check": ["--x", "7.39", "--k", "1", "--j-window", "40",
+                                     "--grid", "64", "--m-max", "4"],
+        }
+        for name, args in runs.items():
+            status = cli.main(["--output-dir", str(Path(sys.argv[1]) / name), name, *args])
+            assert status == 0, (name, status)
+            assert "scipy" not in sys.modules, name
+        """
+    )
+
+    def test_cli_and_subcommands_leave_scipy_unimported(self, tmp_path):
+        # scipy serves the tests only: a fresh process that imports the CLI and
+        # runs the Toeplitz, hybrid Monte-Carlo and Fourier-quadrature
+        # subcommands never loads it
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", self._SCRIPT, str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr

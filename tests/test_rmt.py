@@ -6,25 +6,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import haar_angle_batch, zprime_pow_rows
 from zetalab import rmt
 from zetalab.errors import AdmissibilityError, CapabilityError, DomainError, PoleError
 
 
 class TestSampleHaar:
     def test_determinism(self):
-        a = rmt._haar_angle_batch(6, 1, np.random.default_rng(123))
-        b = rmt._haar_angle_batch(6, 1, np.random.default_rng(123))
+        a = haar_angle_batch(6, 1, np.random.default_rng(123))
+        b = haar_angle_batch(6, 1, np.random.default_rng(123))
         assert np.array_equal(a, b)
 
     def test_sorted_in_range(self):
-        angles = rmt._haar_angle_batch(16, 1, np.random.default_rng(5))[0]
+        angles = haar_angle_batch(16, 1, np.random.default_rng(5))[0]
         assert np.all(np.diff(angles) > 0)
         assert np.all((angles >= 0) & (angles < 2 * math.pi))
 
     def test_n1_rotation_invariance(self):
         # single angle uniform: empirical mean of e^{i theta} over 1e5 samples
         rng = np.random.default_rng(11)
-        ang = rmt._haar_angle_batch(1, 100_000, rng)[:, 0]
+        ang = haar_angle_batch(1, 100_000, rng)[:, 0]
         assert abs(np.mean(np.exp(1j * ang))) < 0.02
 
     def test_trace_second_moment(self):
@@ -60,7 +61,7 @@ class TestSampleHaar:
         assert oracle.real == pytest.approx(4.0, abs=1e-9)
 
         rng = np.random.default_rng(23)
-        ang = rmt._haar_angle_batch(3, 100_000, rng)
+        ang = haar_angle_batch(3, 100_000, rng)
         vals = np.abs(np.prod(1.0 - np.exp(1j * ang), axis=1)) ** 2
         se = vals.std() / math.sqrt(len(vals))
         assert abs(vals.mean() - 4.0) < 3 * se
@@ -74,43 +75,43 @@ def _direct_zprime(angles, r):
 class TestBranchedLog:
     def test_n1_empty_product(self):
         for k in (1.0, 0.5 + 0.5j, -1.5):
-            val = rmt._zprime_pow_rows(np.array([[1.0]]), np.array([0]), k, ())
+            val = zprime_pow_rows(np.array([[1.0]]), np.array([0]), k, ())
             assert val[0] == pytest.approx(np.exp(1j * math.pi * k / 2))
 
     def test_exp_matches_direct_product(self):
-        ang = rmt._haar_angle_batch(6, 1, np.random.default_rng(42))
-        val = rmt._zprime_pow_rows(ang, np.array([5]), 1.0, ())
+        ang = haar_angle_batch(6, 1, np.random.default_rng(42))
+        val = zprime_pow_rows(ang, np.array([5]), 1.0, ())
         assert val[0] == pytest.approx(_direct_zprime(ang[0], 5), rel=1e-10)
 
     def test_integer_power_consistency(self):
-        ang = rmt._haar_angle_batch(6, 1, np.random.default_rng(7))
+        ang = haar_angle_batch(6, 1, np.random.default_rng(7))
         direct = _direct_zprime(ang[0], 5)
         cols = np.array([5])
-        assert rmt._zprime_pow_rows(ang, cols, 2.0, ())[0] == pytest.approx(direct * direct, rel=1e-9)
-        assert rmt._zprime_pow_rows(ang, cols, -1.0, ())[0] == pytest.approx(1.0 / direct, rel=1e-9)
+        assert zprime_pow_rows(ang, cols, 2.0, ())[0] == pytest.approx(direct * direct, rel=1e-9)
+        assert zprime_pow_rows(ang, cols, -1.0, ())[0] == pytest.approx(1.0 / direct, rel=1e-9)
 
     def test_summand_branch_range(self):
-        ang = rmt._haar_angle_batch(8, 20, np.random.default_rng(0))
+        ang = haar_angle_batch(8, 20, np.random.default_rng(0))
         diffs = np.delete(ang, 3, axis=1) - ang[:, 3:4]
         im = np.log(1.0 - np.exp(1j * diffs)).imag
         assert np.all(im > -math.pi / 2) and np.all(im < math.pi / 2)
 
     def test_branch_consistency_bulk(self):
         # the statistic vs direct repeated multiplication for k in {-1, 1, 2, 3}
-        ang = rmt._haar_angle_batch(6, 1000, np.random.default_rng(100))
+        ang = haar_angle_batch(6, 1000, np.random.default_rng(100))
         cols = np.random.default_rng(101).integers(0, 6, size=1000)
         zp = np.array([_direct_zprime(row, c) for row, c in zip(ang, cols)])
         for k in (-1, 1, 2, 3):
             direct = zp**k if k > 0 else 1.0 / zp ** (-k)
-            stat = rmt._zprime_pow_rows(ang, cols, complex(k), ())
+            stat = zprime_pow_rows(ang, cols, complex(k), ())
             assert np.max(np.abs(stat - direct) / np.abs(direct)) < 1e-9
 
     def test_coincident_angles_nan(self):
         ang = np.array([[1.0, 1.0 + 1e-16, 2.0]])
-        assert np.isnan(rmt._zprime_pow_rows(ang, np.array([0]), 0.5, ()))[0]
-        assert np.isnan(rmt._zprime_pow_rows(ang, np.array([1]), 2.0, [0.3, 0.1]))[0]
+        assert np.isnan(zprime_pow_rows(ang, np.array([0]), 0.5, ()))[0]
+        assert np.isnan(zprime_pow_rows(ang, np.array([1]), 2.0, [0.3, 0.1]))[0]
         # a coincidence away from the evaluation point leaves the statistic finite
-        assert np.isfinite(rmt._zprime_pow_rows(ang, np.array([2]), 0.5, ()))[0]
+        assert np.isfinite(zprime_pow_rows(ang, np.array([2]), 0.5, ()))[0]
 
 
 class TestExactMoment:
@@ -283,9 +284,9 @@ class TestMcMoment:
         # single random-angle evaluation vs the full average over all N:
         # same mean by rotation invariance (label exchangeability)
         a = rmt.mc_moment(6, 1, 60_000, seed=4)
-        ang = rmt._haar_angle_batch(6, 60_000, np.random.default_rng(14))
+        ang = haar_angle_batch(6, 60_000, np.random.default_rng(14))
         full = np.mean(
-            [rmt._zprime_pow_rows(ang, np.full(len(ang), col), 1.0, ()) for col in range(6)], axis=0
+            [zprime_pow_rows(ang, np.full(len(ang), col), 1.0, ()) for col in range(6)], axis=0
         )
         b_se_re = full.real.std(ddof=1) / math.sqrt(len(full))
         b_se_im = full.imag.std(ddof=1) / math.sqrt(len(full))
@@ -368,7 +369,7 @@ class TestWeightedVerblunsky:
         est = rmt.mc_moment(n, k, 100_000, seed)
         rng = np.random.default_rng(seed + 100)
         count = 20_000
-        qr = rmt._zprime_pow_rows(rmt._haar_angle_batch(n, count, rng), rng.integers(0, n, size=count), k, ())
+        qr = zprime_pow_rows(haar_angle_batch(n, count, rng), rng.integers(0, n, size=count), k, ())
         for part, se in ((np.real, est.se_re), (np.imag, est.se_im)):
             se_qr = part(qr).std(ddof=1) / math.sqrt(count)
             assert abs(part(est.mean) - part(qr).mean()) < 4 * math.hypot(se, se_qr)

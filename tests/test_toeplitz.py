@@ -4,6 +4,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import quad
 
 from zetalab import hybrid, powerseries, rmt, toeplitz
@@ -141,6 +142,17 @@ class TestToeplitzDet:
                     dd = toeplitz.toeplitz_det(sc, size)
                     worst = max(worst, abs(ds - dd) / abs(dd))
         assert worst < 1e-11
+
+    @pytest.mark.parametrize("size", [1, 2, 32, 512])
+    def test_matrix_is_scipys_toeplitz(self, smoothing_y4, size):
+        # the index-array matrix is scipy.linalg.toeplitz's, entry for entry,
+        # so the two LU determinants agree to the last bit
+        for k in (1.0, 0.5 + 0.5j, -1.5 + 0.5j):
+            params = hybrid.HybridParams(n=8, x_cutoff=math.e**3, smoothing=smoothing_y4)
+            sc = toeplitz.symbol_coeffs(k, params, max_freq=size - 1)
+            first_row = np.pad([sc.fhat(0), sc.fhat(-1)], (0, size))[:size]
+            column = [sc.fhat(j) for j in range(size)]
+            assert toeplitz.toeplitz_det(sc, size) == np.linalg.det(scipy.linalg.toeplitz(column, first_row))
 
     def test_missing_frequency(self, params_x_e3):
         sc = toeplitz.symbol_coeffs(1.0, params_x_e3, max_freq=4)
