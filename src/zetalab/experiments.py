@@ -83,7 +83,7 @@ def complex_fsum(values):
 
 
 # Zeros per zeta_and_deriv call: each chunk gets the truncation of its highest
-# ordinate, and the main sum's outer product holds chunk x M values.
+# ordinate, so a chunk of low zeros builds a short n^{-s} table (chunk x M).
 _ZETA_CHUNK = 256
 
 
@@ -166,8 +166,9 @@ def zeta_prime_moments(zeros, heights, k, running=False):
     height reduces over its prefix of those values.  The zeros below a
     smaller height then share their highest chunk's Euler-Maclaurin
     truncation with the larger zeros, so a moment can differ from a lone
-    :func:`zeta_prime_moment` call by that rounding (at most 4e-14 relative
-    where measured).
+    :func:`zeta_prime_moment` call by that rounding.  Measured on the stored
+    table to T = 5000 at nine heights from 250 to 5000: at most 3e-14 relative
+    for k in {-1, -1/2, 1/2, 1, 1+i, 2}, 1.3e-13 at k = -2 and 2.5e-13 at k = 3.
     """
     k = require_admissible(k)
     for t in heights:

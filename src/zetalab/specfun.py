@@ -11,7 +11,9 @@ All routines accept scalars or numpy arrays and evaluate in double precision:
   term-by-term derivative (no numerical differentiation): the main sum stops
   at M = 30 + ceil(|Im s|/pi), and the number of Bernoulli corrections is the
   fewest for which Backlund's remainder bound, and a Cauchy bound on its
-  derivative, are <= 1e-15.
+  derivative, are <= 1e-15.  The main sum takes an exp only at the primes
+  below M and builds every other n^{-s} by complete multiplicativity, one
+  multiply per term.
 * :func:`hardy_z` -- the real-valued rotation of zeta on the critical line.
 * :func:`hardy_z_rs` -- Z by the Riemann-Siegel formula, with its proven error
   bound.
@@ -289,22 +291,72 @@ def _em_depth(s_abs, sigma, m_cut):
     )
 
 
+# Most entries of one n^{-s} table (about 64 MB): the points of a call are
+# taken in chunks of at most _TABLE_ENTRIES // (M - 1).
+_TABLE_ENTRIES = 1 << 22
+
+
+def _spf_omega(m_cut):
+    """Smallest prime factor spf(n) and Omega(n), the number of prime factors with
+    multiplicity, for 0 <= n < m_cut; spf(n) = n for n < 2.
+    """
+    n = np.arange(m_cut)
+    spf = n.copy()
+    for p in range(2, math.isqrt(m_cut - 1) + 1):
+        if spf[p] == p:  # prime: mark the multiples no smaller prime has marked
+            tail = spf[p * p :: p]
+            np.minimum(tail, p, out=tail)
+    rest = n[2:] // spf[2:]
+    omega = np.zeros(m_cut, dtype=np.uint8)
+    # Omega(n) = Omega(n / spf(n)) + 1: pass j settles every n with Omega(n) <= j
+    for _ in range((m_cut - 1).bit_length() - 1):
+        omega[2:] = omega[rest] + 1
+    return spf, omega
+
+
+def _main_sums(s, m_cut, want_deriv):
+    """sum_{n<M} n^{-s} and, if wanted, its derivative -sum_{n<M} log(n) n^{-s}.
+
+    n^{-s} is completely multiplicative, so exp(-s log p) is taken only at the
+    primes p < M; every composite is the product of two entries already in the
+    table, spf(n)^{-s} (n/spf(n))^{-s}, filled one Omega level at a time.  The
+    rows hold n = 1..M-1 in order of Omega(n), so each level is one slice.
+    Returns an array of shape (1 + want_deriv,) + s.shape.
+    """
+    spf, omega = _spf_omega(m_cut)
+    order = 1 + np.argsort(omega[1:], kind="stable")  # the n of each row
+    row = np.empty(m_cut, dtype=np.intp)
+    row[order] = np.arange(m_cut - 1)
+    spf_row, rest_row = row[spf[order]], row[order // spf[order]]
+    bounds = np.cumsum(np.bincount(omega[1:], minlength=2))  # row 0 is n = 1
+    log_n = np.log(order)
+    weights = np.stack((np.ones_like(log_n), -log_n)[: 1 + want_deriv])
+
+    flat = s.reshape(-1)
+    sums = np.empty((len(weights), flat.size), dtype=complex)
+    step = max(1, _TABLE_ENTRIES // (m_cut - 1))
+    for lo in range(0, flat.size, step):
+        chunk = flat[lo : lo + step]
+        table = np.empty((m_cut - 1, chunk.size), dtype=complex)
+        table[0] = 1.0
+        np.exp(np.multiply.outer(-log_n[1 : bounds[1]], chunk), out=table[1 : bounds[1]])
+        for a, b in zip(bounds[1:-1], bounds[2:]):
+            np.multiply(table[spf_row[a:b]], table[rest_row[a:b]], out=table[a:b])
+        # one real product over the table; einsum, not BLAS, whose threaded dgemm
+        # at this shape stalled by tens of ms a call on a 2-core Xeon
+        sums[:, lo : lo + step] = np.einsum("kn,np->kp", weights, table.view(float)).view(complex)
+    return sums.reshape((len(weights),) + s.shape)
+
+
 def _euler_maclaurin(s, m_cut, depth, want_deriv):
     """Euler-Maclaurin zeta (and optional zeta') on an array of s values.
 
     zeta(s) = sum_{m<M} m^{-s} + M^{1-s}/(s-1) + M^{-s}/2
               + sum_{j<=depth} B_{2j}/(2j)! (s)_{2j-1} M^{-s-2j+1} + R_depth(s).
     """
-    z = np.zeros(s.shape, dtype=complex)
-    dz = np.zeros(s.shape, dtype=complex) if want_deriv else None
-    # main sum over m = 1 .. M-1, chunked to bound the outer-product memory
-    for lo in range(1, m_cut, 8192):
-        hi = min(lo + 8192, m_cut)
-        logm = np.log(np.arange(lo, hi, dtype=float))
-        term = np.exp(-np.multiply.outer(s, logm))
-        z += term.sum(axis=-1)
-        if want_deriv:
-            dz -= (term * logm).sum(axis=-1)
+    sums = _main_sums(s, m_cut, want_deriv)
+    z = sums[0, ...]
+    dz = sums[1, ...] if want_deriv else None
 
     log_m = math.log(m_cut)
     m_pow = np.exp(-s * log_m)  # M^{-s}
@@ -345,6 +397,8 @@ def _zeta_em(s, truncation, want_deriv):
             f"zeta evaluation supports |Im s| <= {_IM_S_LIMIT:g} (got {im_max:g})"
         )
     m_cut = 30 + math.ceil(im_max / math.pi) if truncation is None else int(truncation)
+    if m_cut < 2:
+        raise DomainError(f"zeta truncation M must be at least 2 (got {m_cut})")
     depth = _em_depth(float(np.abs(arr).max()), float(arr.real.min()), m_cut) if arr.size else 0
     return (*_euler_maclaurin(arr, m_cut, depth, want_deriv), scalar)
 
@@ -359,16 +413,19 @@ def zeta_and_deriv(s, truncation=None):
     zeta', are both <= 1e-15 (see :func:`_em_depth`); it is at most 28 for
     |Im s| <= 1e5 at the default M.  The derivative is the term-by-term
     analytic derivative of the same expansion.  What remains is rounding in
-    the main sum: zeta' at the zeros up to T = 5000 is within 3e-11 of
-    mpmath, and the cost is O(M) per point.
+    the main sum: zeta' at the zeros up to T = 5000 is within 2e-11 of
+    mpmath.  Of the M - 1 main-sum terms n^{-s}, only the pi(M) at the primes
+    take an exp; every other one is a single multiply of two earlier terms,
+    and both sums come from one real product over that table.
 
     Args:
         s: complex scalar or array of points, none equal to 1.
-        truncation: override for the main-sum cutoff M (used by consistency
-            tests at two depths).
+        truncation: override for the main-sum cutoff M >= 2 (used by
+            consistency tests at two depths).
 
     Raises:
         PoleError: if any s equals 1.
+        DomainError: if truncation is below 2.
         CapabilityError: if |Im s| exceeds 1e5, or if no depth <= 40 bounds
             the remainder at a caller-given M.
     """

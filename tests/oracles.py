@@ -6,7 +6,9 @@ None of these runs on a path of the package itself:
   of ``hybrid.kernel_U_batch``'s fixed panels;
 * :func:`haar_angle_batch` and :func:`zprime_pow_rows`, Haar matrices by
   QR+eig and the Z'^k statistic at their eigenangles, the reference of the
-  Verblunsky-factor samplers in ``rmt``.
+  Verblunsky-factor samplers in ``rmt``;
+* :func:`em_main_sums`, the Euler-Maclaurin main sums with one exp per term,
+  the reference of ``specfun._main_sums``'s multiplicative table.
 """
 
 import math
@@ -46,6 +48,13 @@ def kernel_U(z, spec):
         complex_func=True,
     )
     return val
+
+
+def em_main_sums(s, m_cut):
+    """(sum_{n<M} n^{-s}, -sum_{n<M} log(n) n^{-s}) directly, exp(-s log n) at every n."""
+    log_n = np.log(np.arange(1, m_cut, dtype=float))
+    term = np.exp(-np.multiply.outer(s, log_n))
+    return term.sum(axis=-1), -(term * log_n).sum(axis=-1)
 
 
 def haar_angle_batch(n, count, rng):

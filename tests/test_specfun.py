@@ -4,7 +4,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from zetalab import specfun
+from oracles import em_main_sums
+from zetalab import arithmetic, specfun
 from zetalab.errors import BranchCutError, CapabilityError, DomainError, PoleError
 
 mp.mp.dps = 30
@@ -217,6 +218,20 @@ class TestZeta:
         ref = np.array([complex(mp.zeta(mp.mpc(0.5, float(g)), derivative=1)) for g in gammas])
         assert np.max(np.abs(dz - ref)) < 6e-11
 
+    def test_arg_zeta_prime_is_pi_s_at_every_zero(self, zeros_5000):
+        # arg zeta'(rho_n) = pi S(gamma_n) = pi (n - 3/2) - theta(gamma_n) (mod 2 pi):
+        # a wrong table entry, or a wrong count, shows at the zero it touches
+        gammas = zeros_5000.gammas
+        _, dz = specfun.zeta_and_deriv(0.5 + 1j * gammas)
+        n = np.arange(1, len(gammas) + 1)
+        gap = np.angle(dz) - (np.pi * (n - 1.5) - specfun.riemann_siegel_theta(gammas))
+        assert np.max(np.abs(np.mod(gap + np.pi, 2 * np.pi) - np.pi)) < 1e-9
+
+    @pytest.mark.parametrize("truncation", [1, 0, -3])
+    def test_truncation_below_two_is_rejected(self, truncation):
+        with pytest.raises(DomainError, match="at least 2"):
+            specfun.zeta_and_deriv(0.5 + 10j, truncation=truncation)
+
 
 class TestEulerMaclaurinDepth:
     def test_coefficients_are_bernoulli_ratios(self):
@@ -242,6 +257,57 @@ class TestEulerMaclaurinDepth:
         rounding = 4 * np.finfo(float).eps * t * np.log(t)
         assert np.all(np.abs(z - z4) < 1e-12 + rounding)
         assert np.all(np.abs(dz - dz4) < 1e-12 + rounding * np.log(t))
+
+
+def _rounding_bound(s, m_cut):
+    """Each route rounds the phase t log n of every term, so two routes to the main
+    sums differ by up to (1e-12 + 4 eps t log t) sum_{n<M} |n^{-s}|, and by log M
+    times that for the log n-weighted derivative sum."""
+    t = np.maximum(np.abs(np.imag(s)), 2.0)
+    moduli = np.exp(-np.multiply.outer(np.real(s), np.log(np.arange(1, m_cut)))).sum(axis=-1)
+    bound = (1e-12 + 4 * np.finfo(float).eps * t * np.log(t)) * moduli
+    return bound, bound * math.log(max(m_cut, 3))
+
+
+class TestMainSumTable:
+    @pytest.mark.parametrize("sigma", [-1.5, 0.0, 0.5, 2.0])
+    def test_matches_one_exp_per_term(self, sigma):
+        s = sigma + 1j * np.array([0.0, 3.7, 141.3, 2718.0, 31415.9, 1e5])
+        for m_cut in (2, 3, 4, 31, 30 + math.ceil(1e5 / math.pi)):
+            z, dz = specfun._main_sums(s, m_cut, want_deriv=True)
+            ref_z, ref_dz = em_main_sums(s, m_cut)
+            bound_z, bound_dz = _rounding_bound(s, m_cut)
+            assert np.all(np.abs(z - ref_z) <= bound_z)
+            assert np.all(np.abs(dz - ref_dz) <= bound_dz)
+
+    def test_shapes_are_kept(self):
+        for s in (np.asarray(0.5 + 14.1j), np.empty(0, dtype=complex), 0.5 + 1j * np.arange(6.0).reshape(2, 3)):
+            sums = specfun._main_sums(s, 31, want_deriv=True)
+            assert sums.shape == (2,) + s.shape
+            ref_z, ref_dz = em_main_sums(s, 31)
+            bound_z, bound_dz = _rounding_bound(s, 31)
+            assert np.all(np.abs(sums[0] - ref_z) <= bound_z)
+            assert np.all(np.abs(sums[1] - ref_dz) <= bound_dz)
+            assert specfun._main_sums(s, 31, want_deriv=False).shape == (1,) + s.shape
+        assert isinstance(specfun.zeta_and_deriv(0.5 + 14.1j)[1], complex)
+        assert specfun.zeta_and_deriv(np.empty(0))[1].shape == (0,)
+        assert specfun.zeta_only(0.5 + 1j * np.arange(10.0, 16.0).reshape(2, 3)).shape == (2, 3)
+
+    def test_chunked_call_equals_its_pieces(self):
+        s = 0.5 + 1j * np.linspace(9e4, 1e5, 300)
+        m_cut = 30 + math.ceil(1e5 / math.pi)
+        assert s.size > specfun._TABLE_ENTRIES // (m_cut - 1)  # more than one table
+        z, dz = specfun.zeta_and_deriv(s, truncation=m_cut)
+        pieces = [specfun.zeta_and_deriv(s[lo : lo + 100], truncation=m_cut) for lo in (0, 100, 200)]
+        bound_z, bound_dz = _rounding_bound(s, m_cut)
+        assert np.all(np.abs(z - np.concatenate([p[0] for p in pieces])) <= bound_z)
+        assert np.all(np.abs(dz - np.concatenate([p[1] for p in pieces])) <= bound_dz)
+
+    def test_spf_omega_matches_factorize(self):
+        spf, omega = specfun._spf_omega(5000)
+        for n in range(2, 5000):
+            factors = arithmetic.factorize(n)
+            assert spf[n] == min(factors) and omega[n] == sum(factors.values())
 
 
 # --------------------------------------------------------------------- hardy Z
