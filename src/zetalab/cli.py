@@ -296,7 +296,10 @@ def _default_gates(subcommand, cfg):
 
 
 def evaluate_gates(gates, rows):
-    """Each gate must hold on every row: min <= value <= max, |value| <= abs_max."""
+    """Each gate must hold on every row: min <= value <= max, |value| <= abs_max.
+
+    An empty cell is skipped; a nan value fails every gate on its column.
+    """
     failures = []
     for gate in gates:
         col = gate["column"]
@@ -306,6 +309,9 @@ def evaluate_gates(gates, rows):
             if text == "":
                 continue
             value = float(text)
+            if math.isnan(value):
+                failures.append(f"gate {name!r}: row {i} {col} is nan")
+                continue
             if "min" in gate and value < gate["min"]:
                 failures.append(f"gate {name!r}: row {i} {col}={value:g} < min {gate['min']:g}")
             if "max" in gate and value > gate["max"]:

@@ -13,8 +13,7 @@ math.fsum, with the closed-form prediction it is conjectured (or proven) to trac
   three-term polynomial main term plus the A1/B1 prime sums.
 
 Main and subsidiary prediction pieces are always reported separately so
-slow-convergence diagnostics stay visible, and running prefix ratios can be
-emitted for plotting.
+slow-convergence diagnostics stay visible.
 """
 
 import math
@@ -44,7 +43,6 @@ class MomentResult:
     t_height: float
     empirical: complex
     predicted: complex
-    ratio: complex  # empirical / predicted (nan when predicted == 0)
     n_zeros: int
     branch: str = ""
     details: dict = field(default_factory=dict)
@@ -82,21 +80,6 @@ def complex_fsum(values):
     return complex(math.fsum(values.real), math.fsum(values.imag))
 
 
-# Zeros per zeta_and_deriv call: each chunk gets the truncation of its highest
-# ordinate, so a chunk of low zeros builds a short n^{-s} table (chunk x M).
-_ZETA_CHUNK = 256
-
-
-def _zeta_prime_at_zeros(gammas):
-    """zeta'(1/2 + i*gamma) for ascending gammas, chunked by height."""
-    out = np.empty(len(gammas), dtype=complex)
-    for lo in range(0, len(gammas), _ZETA_CHUNK):
-        g = gammas[lo : lo + _ZETA_CHUNK]
-        _, dz = zeta_and_deriv(0.5 + 1j * g)
-        out[lo : lo + _ZETA_CHUNK] = dz
-    return out
-
-
 def _branch_power(values, k, branch):
     if branch == INTEGER_POWER:
         return _int_power(values, int(k.real))
@@ -126,47 +109,26 @@ def _require_coverage(zeros, t_height):
     )
 
 
-def _running_rows(gammas, terms, predict_at, n_points=200):
-    """Downsampled running prefix sums for ratio-vs-T plot data."""
-    csum = np.cumsum(terms)
-    idx = np.unique(np.linspace(0, len(gammas) - 1, min(n_points, len(gammas))).astype(int))
-    rows = []
-    for i in idx:
-        t_prefix = float(gammas[i])
-        pred = predict_at(t_prefix, i + 1)
-        emp = complex(csum[i])
-        rows.append(
-            {
-                "t": t_prefix,
-                "n_zeros": int(i + 1),
-                "empirical": emp,
-                "predicted": complex(pred),
-                "ratio": emp / pred if pred != 0 else complex("nan"),
-            }
-        )
-    return rows
-
-
-def zeta_prime_moment(zeros, t_height, k, running=False):
+def zeta_prime_moment(zeros, t_height, k):
     """(1/N(T)) sum_{gamma<=T} zeta'(1/2+i gamma)^k vs (1/Gamma(k+2)) log(T/2pi)^k.
 
     Args:
         zeros: a ZeroList covering (0, T].
         t_height: the height T.
         k: moment order, Re(k) > -3; the power takes :func:`resolve_branch`'s branch.
-        running: include downsampled prefix-ratio rows in details["running"].
     """
-    return zeta_prime_moments(zeros, [t_height], k, running)[0]
+    return zeta_prime_moments(zeros, [t_height], k)[0]
 
 
-def zeta_prime_moments(zeros, heights, k, running=False):
+def zeta_prime_moments(zeros, heights, k):
     """:func:`zeta_prime_moment` at each of ``heights``, in their order.
 
     zeta' is evaluated once, at the zeros below the largest height, and each
-    height reduces over its prefix of those values.  The zeros below a
-    smaller height then share their highest chunk's Euler-Maclaurin
-    truncation with the larger zeros, so a moment can differ from a lone
-    :func:`zeta_prime_moment` call by that rounding.  Measured on the stored
+    height reduces over its prefix of those values.  zeta_and_deriv takes the
+    zeros in chunks of 256 by height, so the zeros just below a smaller height
+    can share their chunk's Euler-Maclaurin cutoff with larger zeros, and a
+    moment can differ from a lone :func:`zeta_prime_moment` call by that
+    rounding.  Measured on the stored
     table to T = 5000 at nine heights from 250 to 5000: at most 3e-14 relative
     for k in {-1, -1/2, 1/2, 1, 1+i, 2}, 1.3e-13 at k = -2 and 2.5e-13 at k = 3.
     """
@@ -178,14 +140,13 @@ def zeta_prime_moments(zeros, heights, k, running=False):
     if k == 0:
         powers = np.ones(len(gammas), dtype=complex)
     else:
-        powers = _branch_power(_zeta_prime_at_zeros(gammas), k, branch)
-    return [_zeta_prime_result(gammas, powers, t, k, branch, running) for t in heights]
+        powers = _branch_power(zeta_and_deriv(0.5 + 1j * gammas)[1], k, branch)
+    return [_zeta_prime_result(gammas, powers, t, k, branch) for t in heights]
 
 
-def _zeta_prime_result(gammas, powers, t_height, k, branch, running):
+def _zeta_prime_result(gammas, powers, t_height, k, branch):
     n = int(np.searchsorted(gammas, t_height, side="right"))
-    gammas, powers = gammas[:n], powers[:n]
-    total = complex_fsum(powers)
+    total = complex_fsum(powers[:n])
     empirical = total / n
     predicted = conjecture_rhs(t_height, k)
     n_formula = (t_height / _TWO_PI) * math.log(t_height / (_TWO_PI * math.e))
@@ -194,21 +155,18 @@ def _zeta_prime_result(gammas, powers, t_height, k, branch, running):
         "n_formula": n_formula,
         "normalized_by_formula": total / n_formula,
     }
-    if running:
-        details["running"] = _running_rows(gammas, powers, lambda t, m: m * conjecture_rhs(t, k))
     return MomentResult(
         k=k,
         t_height=float(t_height),
         empirical=complex(empirical),
         predicted=complex(predicted),
-        ratio=complex(empirical / predicted) if predicted != 0 else complex("nan"),
         n_zeros=n,
         branch=branch,
         details=details,
     )
 
 
-def landau_gonek(zeros, m, t_height, running=False):
+def landau_gonek(zeros, m, t_height):
     """sum_{0<gamma<=T} m^{-rho} vs the Landau-Gonek main term -(T/2pi) Lambda(m)/m.
 
     Raises:
@@ -222,23 +180,17 @@ def landau_gonek(zeros, m, t_height, running=False):
     terms = m**-0.5 * np.exp(-1j * gammas * math.log(m))
     empirical = complex_fsum(terms)
     predicted = complex(-(t_height / _TWO_PI) * von_mangoldt(m) / m)
-    details = {"m": m}
-    if running:
-        details["running"] = _running_rows(
-            gammas, terms, lambda t, _n: -(t / _TWO_PI) * von_mangoldt(m) / m
-        )
     return MomentResult(
         k=None,
         t_height=float(t_height),
         empirical=complex(empirical),
         predicted=predicted,
-        ratio=complex(empirical / predicted) if predicted != 0 else complex("nan"),
         n_zeros=len(gammas),
-        details=details,
+        details={"m": m},
     )
 
 
-def px_mean(zeros, t_height, k, poly, running=False):
+def px_mean(zeros, t_height, k, poly):
     """sum_{gamma<=T} P_X(rho)^k vs N(T) - (T/2pi) sum a_k(m) Lambda(m)/m.
 
     The empirical side is the exact P_X(rho)^k = exp(k sum_{n<=X}
@@ -262,25 +214,13 @@ def px_mean(zeros, t_height, k, poly, running=False):
     empirical = complex_fsum(values)
     subsidiary = float(np.real(np.sum(poly.a * poly.lam / poly.m)))
     predicted = n - (t_height / _TWO_PI) * subsidiary
-    details = {
-        "predicted_bare": complex(n),
-        "subsidiary_sum": subsidiary,
-        "tail_bound": poly.tail_bound(),
-    }
-    if running:
-        details["running"] = _running_rows(
-            gammas,
-            values,
-            lambda t, m_count: m_count - (t / _TWO_PI) * subsidiary,
-        )
     return MomentResult(
         k=k,
         t_height=float(t_height),
         empirical=complex(empirical),
         predicted=complex(predicted),
-        ratio=complex(empirical / predicted) if predicted != 0 else complex("nan"),
         n_zeros=n,
-        details=details,
+        details={"predicted_bare": complex(n), "subsidiary_sum": subsidiary},
     )
 
 
@@ -342,7 +282,7 @@ def b1_term(m, t_height):
     return b0 + b1 * math.log(t_height / _TWO_PI)
 
 
-def twisted_first_moment(zeros, t_height, poly, running=False):
+def twisted_first_moment(zeros, t_height, poly):
     """sum_{gamma<=T} zeta'(rho) P_X(rho)^{-1} vs the twisted-moment expansion.
 
     ``poly`` must be the k = -1 coefficient set.  The prediction is the
@@ -356,13 +296,11 @@ def twisted_first_moment(zeros, t_height, poly, running=False):
     _require_coverage(zeros, t_height)
     gammas = zeros.below(t_height)
     n = len(gammas)
-    zp = _zeta_prime_at_zeros(gammas)
+    zp = zeta_and_deriv(0.5 + 1j * gammas)[1]
     pxinv = p_x_euler(0.5 + 1j * gammas, -1, poly.x_cutoff)
-    terms = zp * pxinv
-    empirical = complex_fsum(terms)
+    empirical = complex_fsum(zp * pxinv)
 
     # B1 is linear in log(T/2pi), so the m-sum is msum0 + msum1 log(T/2pi)
-    # at every height, the running prefixes' included
     msum0 = msum1 = 0.0
     for m, a in zip(poly.m, poly.a):
         if m < 2:
@@ -374,28 +312,14 @@ def twisted_first_moment(zeros, t_height, poly, running=False):
         msum0 += coeff / m * (a1_term(int(m)) + b0)
         msum1 += coeff / m * b1
 
-    def subsidiary_at(t):
-        return (t / _TWO_PI) * (msum0 + msum1 * math.log(t / _TWO_PI))
-
     main = cgg_main_term(t_height)
-    subsidiary = subsidiary_at(t_height)
-    predicted = main + subsidiary
-    details = {
-        "main_term": main,
-        "subsidiary_term": subsidiary,
-        "predicted_without_msum": main,
-    }
-    if running:
-        details["running"] = _running_rows(
-            gammas, terms, lambda t, _m: cgg_main_term(t) + subsidiary_at(t)
-        )
+    subsidiary = (t_height / _TWO_PI) * (msum0 + msum1 * math.log(t_height / _TWO_PI))
     return MomentResult(
         k=-1,
         t_height=float(t_height),
         empirical=complex(empirical),
-        predicted=complex(predicted),
-        ratio=complex(empirical / predicted),
+        predicted=complex(main + subsidiary),
         n_zeros=n,
         branch=RECIPROCAL,
-        details=details,
+        details={"main_term": main, "subsidiary_term": subsidiary},
     )

@@ -8,12 +8,13 @@ All routines accept scalars or numpy arrays and evaluate in double precision:
   negative real axis.
 * :func:`riemann_siegel_theta` -- Im log Gamma(1/4 + it/2) - (t/2) log pi.
 * :func:`zeta_and_deriv` -- zeta and zeta' by Euler-Maclaurin with an analytic
-  term-by-term derivative (no numerical differentiation): the main sum stops
-  at M = 30 + ceil(|Im s|/pi), and the number of Bernoulli corrections is the
-  fewest for which Backlund's remainder bound, and a Cauchy bound on its
-  derivative, are <= 1e-15.  The main sum takes an exp only at the primes
-  below M and builds every other n^{-s} by complete multiplicativity, one
-  multiply per term.
+  term-by-term derivative (no numerical differentiation).  The points of a
+  call are taken in chunks of ascending |Im s|, and each chunk's main sum
+  stops at M = 30 + ceil(|Im s|/pi) of its own highest point; the number of
+  Bernoulli corrections is the fewest for which Backlund's remainder bound,
+  and a Cauchy bound on its derivative, are <= 1e-15.  The main sum takes an
+  exp only at the primes below M and builds every other n^{-s} by complete
+  multiplicativity, one multiply per term.
 * :func:`hardy_z` -- the real-valued rotation of zeta on the critical line.
 * :func:`hardy_z_rs` -- Z by the Riemann-Siegel formula, with its proven error
   bound.
@@ -269,7 +270,7 @@ def _em_depth(s_abs, sigma, m_cut):
 
     Raises:
         CapabilityError: if no p <= _EM_MAX_DEPTH meets both bounds, which
-            only a caller-given M far below |s| can cause.
+            only an M far below |s| can cause.
     """
     log_m = math.log(m_cut)
     r = 1.0 / log_m
@@ -291,8 +292,9 @@ def _em_depth(s_abs, sigma, m_cut):
     )
 
 
-# Most entries of one n^{-s} table (about 64 MB): the points of a call are
-# taken in chunks of at most _TABLE_ENTRIES // (M - 1).
+# Most points of one Euler-Maclaurin chunk, and most entries of its n^{-s}
+# table (about 64 MB): at M = 30 + ceil(1e5/pi) a chunk holds 131 points.
+_EM_CHUNK = 256
 _TABLE_ENTRIES = 1 << 22
 
 
@@ -321,7 +323,7 @@ def _main_sums(s, m_cut, want_deriv):
     primes p < M; every composite is the product of two entries already in the
     table, spf(n)^{-s} (n/spf(n))^{-s}, filled one Omega level at a time.  The
     rows hold n = 1..M-1 in order of Omega(n), so each level is one slice.
-    Returns an array of shape (1 + want_deriv,) + s.shape.
+    Takes a 1-D array s and returns an array of shape (1 + want_deriv, len(s)).
     """
     spf, omega = _spf_omega(m_cut)
     order = 1 + np.argsort(omega[1:], kind="stable")  # the n of each row
@@ -332,24 +334,18 @@ def _main_sums(s, m_cut, want_deriv):
     log_n = np.log(order)
     weights = np.stack((np.ones_like(log_n), -log_n)[: 1 + want_deriv])
 
-    flat = s.reshape(-1)
-    sums = np.empty((len(weights), flat.size), dtype=complex)
-    step = max(1, _TABLE_ENTRIES // (m_cut - 1))
-    for lo in range(0, flat.size, step):
-        chunk = flat[lo : lo + step]
-        table = np.empty((m_cut - 1, chunk.size), dtype=complex)
-        table[0] = 1.0
-        np.exp(np.multiply.outer(-log_n[1 : bounds[1]], chunk), out=table[1 : bounds[1]])
-        for a, b in zip(bounds[1:-1], bounds[2:]):
-            np.multiply(table[spf_row[a:b]], table[rest_row[a:b]], out=table[a:b])
-        # one real product over the table; einsum, not BLAS, whose threaded dgemm
-        # at this shape stalled by tens of ms a call on a 2-core Xeon
-        sums[:, lo : lo + step] = np.einsum("kn,np->kp", weights, table.view(float)).view(complex)
-    return sums.reshape((len(weights),) + s.shape)
+    table = np.empty((m_cut - 1, s.size), dtype=complex)
+    table[0] = 1.0
+    np.exp(np.multiply.outer(-log_n[1 : bounds[1]], s), out=table[1 : bounds[1]])
+    for a, b in zip(bounds[1:-1], bounds[2:]):
+        np.multiply(table[spf_row[a:b]], table[rest_row[a:b]], out=table[a:b])
+    # one real product over the table; einsum, not BLAS, whose threaded dgemm
+    # at this shape stalled by tens of ms a call on a 2-core Xeon
+    return np.einsum("kn,np->kp", weights, table.view(float)).view(complex)
 
 
 def _euler_maclaurin(s, m_cut, depth, want_deriv):
-    """Euler-Maclaurin zeta (and optional zeta') on an array of s values.
+    """Euler-Maclaurin zeta (and optional zeta') on a 1-D array of s values.
 
     zeta(s) = sum_{m<M} m^{-s} + M^{1-s}/(s-1) + M^{-s}/2
               + sum_{j<=depth} B_{2j}/(2j)! (s)_{2j-1} M^{-s-2j+1} + R_depth(s).
@@ -378,7 +374,8 @@ def _euler_maclaurin(s, m_cut, depth, want_deriv):
             dcorr += c * (dq - log_m * q)
         for i in (2 * j - 1, 2 * j):
             f = (s + i) / m_cut
-            dq = dq * f + q / m_cut
+            if want_deriv:
+                dq = dq * f + q / m_cut
             q = q * f
     z += corr * m_pow
     if want_deriv:
@@ -386,50 +383,71 @@ def _euler_maclaurin(s, m_cut, depth, want_deriv):
     return z, dz
 
 
-def _zeta_em(s, truncation, want_deriv):
-    """The checked path of both public EM routines: (z, dz, scalar) for s."""
+def _cutoff(t):
+    """The main-sum cutoff M for heights |Im s| <= t."""
+    return 30 + math.ceil(t / math.pi)
+
+
+def _zeta_em(s, want_deriv):
+    """The checked path of both public EM routines: (z, dz, scalar) for s.
+
+    The points are taken in ascending |Im s|, in chunks of at most _EM_CHUNK
+    points and _TABLE_ENTRIES table entries, and each chunk gets the cutoff M
+    and the depth of its own highest point.
+    """
     arr, scalar = _asarray_complex(s)
     if np.any(arr == 1):
         raise PoleError("zeta has its pole at s = 1")
-    im_max = float(np.abs(arr.imag).max()) if arr.size else 0.0
-    if im_max > _IM_S_LIMIT:
+    flat = arr.reshape(-1)
+    heights = np.abs(flat.imag)
+    order = np.argsort(heights, kind="stable")
+    heights = heights[order]
+    if flat.size and heights[-1] > _IM_S_LIMIT:
         raise CapabilityError(
-            f"zeta evaluation supports |Im s| <= {_IM_S_LIMIT:g} (got {im_max:g})"
+            f"zeta evaluation supports |Im s| <= {_IM_S_LIMIT:g} (got {heights[-1]:g})"
         )
-    m_cut = 30 + math.ceil(im_max / math.pi) if truncation is None else int(truncation)
-    if m_cut < 2:
-        raise DomainError(f"zeta truncation M must be at least 2 (got {m_cut})")
-    depth = _em_depth(float(np.abs(arr).max()), float(arr.real.min()), m_cut) if arr.size else 0
-    return (*_euler_maclaurin(arr, m_cut, depth, want_deriv), scalar)
+    z = np.empty_like(flat)
+    dz = np.empty_like(flat) if want_deriv else None
+    lo = 0
+    while lo < flat.size:
+        hi = min(lo + _EM_CHUNK, flat.size)
+        hi = min(hi, lo + _TABLE_ENTRIES // (_cutoff(heights[hi - 1]) - 1))
+        idx = order[lo:hi]
+        chunk = flat[idx]
+        m_cut = _cutoff(heights[hi - 1])
+        depth = _em_depth(float(np.abs(chunk).max()), float(chunk.real.min()), m_cut)
+        z[idx], dz_chunk = _euler_maclaurin(chunk, m_cut, depth, want_deriv)
+        if want_deriv:
+            dz[idx] = dz_chunk
+        lo = hi
+    return z.reshape(arr.shape), (dz.reshape(arr.shape) if want_deriv else None), scalar
 
 
-def zeta_and_deriv(s, truncation=None):
+def zeta_and_deriv(s):
     """(zeta(s), zeta'(s)) by Euler-Maclaurin, with a proven remainder.
 
-    The main sum stops at M = 30 + ceil(max |Im s| / pi): at M ~ t/pi the
-    corrections shrink about (|s| / 2 pi M)^2 ~ 4-fold per term.  The number
-    of Bernoulli corrections is the fewest (at most 40) for which Backlund's
-    bound on the remainder of zeta, and a Cauchy bound on the remainder of
-    zeta', are both <= 1e-15 (see :func:`_em_depth`); it is at most 28 for
-    |Im s| <= 1e5 at the default M.  The derivative is the term-by-term
-    analytic derivative of the same expansion.  What remains is rounding in
-    the main sum: zeta' at the zeros up to T = 5000 is within 2e-11 of
-    mpmath.  Of the M - 1 main-sum terms n^{-s}, only the pi(M) at the primes
-    take an exp; every other one is a single multiply of two earlier terms,
-    and both sums come from one real product over that table.
+    The points are taken in chunks of ascending |Im s|, and each chunk's main
+    sum stops at M = 30 + ceil(|Im s| / pi) of its own highest point: at
+    M ~ t/pi the corrections shrink about (|s| / 2 pi M)^2 ~ 4-fold per term.
+    There is no argument to set M.  The number of Bernoulli corrections is
+    the fewest (at most 40) for which Backlund's bound on the remainder of
+    zeta, and a Cauchy bound on the remainder of zeta', are both <= 1e-15 at
+    the chunk's M (see :func:`_em_depth`); it is at most 28 for
+    |Im s| <= 1e5.  The derivative is the term-by-term analytic derivative of
+    the same expansion.  What remains is rounding in the main sum: zeta' at
+    the zeros up to T = 5000 is within 2e-11 of mpmath.  Of the M - 1
+    main-sum terms n^{-s}, only the pi(M) at the primes take an exp; every
+    other one is a single multiply of two earlier terms, and both sums come
+    from one real product over that table.
 
     Args:
         s: complex scalar or array of points, none equal to 1.
-        truncation: override for the main-sum cutoff M >= 2 (used by
-            consistency tests at two depths).
 
     Raises:
         PoleError: if any s equals 1.
-        DomainError: if truncation is below 2.
-        CapabilityError: if |Im s| exceeds 1e5, or if no depth <= 40 bounds
-            the remainder at a caller-given M.
+        CapabilityError: if |Im s| exceeds 1e5.
     """
-    z, dz, scalar = _zeta_em(s, truncation, want_deriv=True)
+    z, dz, scalar = _zeta_em(s, want_deriv=True)
     if scalar:
         return z.item(), dz.item()
     return z, dz
@@ -438,9 +456,10 @@ def zeta_and_deriv(s, truncation=None):
 def zeta_only(s):
     """zeta(s) alone (skips the derivative accumulation; hot path for zero scans).
 
-    Same truncation M and bound-driven depth as :func:`zeta_and_deriv`.
+    Same per-chunk cutoff M and bound-driven depth as :func:`zeta_and_deriv`,
+    and likewise no argument to set M.
     """
-    z, _, scalar = _zeta_em(s, None, want_deriv=False)
+    z, _, scalar = _zeta_em(s, want_deriv=False)
     return z.item() if scalar else z
 
 

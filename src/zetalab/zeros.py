@@ -17,7 +17,10 @@ count still differs.
 Z is taken from the Riemann-Siegel formula where its value clears twice
 Gabcke's error bound, and from Euler-Maclaurin everywhere else (below t = 200
 and next to every root), so each sign the scan and the refinement see is the
-Euler-Maclaurin sign while most points cost O(sqrt t) instead of O(t).
+Euler-Maclaurin sign while most points cost O(sqrt t) instead of O(t).  The
+Euler-Maclaurin points of a scan or a refinement step go to specfun in one
+call, which gives each chunk of ascending height the cutoff of its own highest
+point.
 
 Computed lists are cached on disk (one ordinate per line, the same plain-text
 format the loader ingests) under the directory named by the ``ZETALAB_CACHE``
@@ -95,8 +98,8 @@ def _eval_z(points):
 
     The Riemann-Siegel value stands in wherever it clears twice its error bound,
     so that its sign is Z's; every other point (below RS_T_MIN, or near a root)
-    takes the Euler-Maclaurin value, chunked so each chunk's truncation fits its
-    heights.
+    takes the Euler-Maclaurin value, whose cutoff specfun sets per chunk of
+    ascending height.
     """
     out = np.empty(len(points))
     certified = points >= RS_T_MIN
@@ -104,10 +107,7 @@ def _eval_z(points):
         z_rs, bound = hardy_z_rs(points[certified])
         out[certified] = z_rs
         certified[certified] = np.abs(z_rs) > 2.0 * bound
-    slow = np.flatnonzero(~certified)
-    for lo in range(0, len(slow), 2048):
-        idx = slow[lo : lo + 2048]
-        out[idx] = hardy_z(points[idx])
+    out[~certified] = hardy_z(points[~certified])
     return out
 
 

@@ -273,7 +273,7 @@ def test_criterion_13_twisted_first_moment(zeros_5000):
     poly = arithmetic.a_coeffs(-1.0, math.log(5000.0), m_max=10**6)
     res = experiments.twisted_first_moment(zeros_5000, 5000.0, poly)
     rel = abs(res.empirical - res.predicted) / abs(res.predicted)
-    bare = res.details["predicted_without_msum"]
+    bare = res.details["main_term"]
     worse_without = abs(res.empirical.real - bare) > abs(res.empirical.real - res.predicted.real)
     ok = rel < 0.07 and worse_without
     _report(

@@ -92,6 +92,17 @@ class TestGates:
         err = capsys.readouterr().err
         assert "impossible" in err
 
+    @pytest.mark.parametrize(
+        "gate",
+        [
+            {"name": "band", "column": "ratio_re", "min": 0.9, "max": 1.1},
+            {"name": "band", "column": "ratio_re", "abs_max": 2.0},
+        ],
+    )
+    def test_nan_fails_its_gate(self, gate):
+        failures = cli.evaluate_gates([gate], [{"ratio_re": "1.0"}, {"ratio_re": "nan"}, {"ratio_re": ""}])
+        assert len(failures) == 1 and "'band'" in failures[0] and "row 1" in failures[0]
+
     def test_config_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 2, "k": "1", "samples": 2000, "seed": 1}))

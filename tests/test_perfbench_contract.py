@@ -1,12 +1,15 @@
-"""The names and argument positions the traced benchmark (perfbench/tracing.py) reads.
+"""The names the benchmark reads from the package.
 
-``Tracer.install`` looks up, by name, every function whose work it counts and
-the position of the argument it reads; a renamed function or argument makes
-it raise, so a simplification of the package cannot break the benchmark
-silently.
+``Tracer.install`` (perfbench/tracing.py) looks up, by name, every function
+whose work it counts and the position of the argument it reads; a renamed
+function or argument makes it raise.  The per-job checks of
+perfbench/workloads.py call package functions by name, and a test here finds
+each of them in its source.  So a simplification of the package cannot break
+the benchmark silently.
 """
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +17,17 @@ import numpy as np
 from zetalab import arithmetic, experiments, hybrid, rmt, specfun, toeplitz, zeros
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# a module attribute in code, not the tail of a path or a file name like "zeros.txt"
+_MODULE_NAME = re.compile(r"(?<![\w./\"'])(experiments|hybrid|rmt|toeplitz|zeros)\.(\w+)")
+
+
+def test_names_the_workload_checks_read_exist():
+    modules = {"experiments": experiments, "hybrid": hybrid, "rmt": rmt, "toeplitz": toeplitz, "zeros": zeros}
+    used = set(_MODULE_NAME.findall((PERFBENCH / "workloads.py").read_text()))
+    assert ("experiments", "landau_gonek") in used and ("zeros", "load_zeros") in used
+    missing = [f"{mod}.{name}" for mod, name in sorted(used) if not hasattr(modules[mod], name)]
+    assert missing == []
 
 
 def test_tracer_installs_counts_and_uninstalls(monkeypatch, smoothing_y4, zeros_100):

@@ -189,8 +189,8 @@ class TestZeta:
         rng = np.random.default_rng(5)
         t = rng.uniform(10, 1000, 100)
         s = 0.5 + 1j * t
-        z1, _ = specfun.zeta_and_deriv(s, truncation=1600)
-        z2, _ = specfun.zeta_and_deriv(s, truncation=2400)
+        z1, _ = _em_at(s, 1600)
+        z2, _ = _em_at(s, 2400)
         assert np.max(np.abs(z1 - z2)) < 1e-10
 
     def test_deriv_vs_central_difference(self):
@@ -227,11 +227,6 @@ class TestZeta:
         gap = np.angle(dz) - (np.pi * (n - 1.5) - specfun.riemann_siegel_theta(gammas))
         assert np.max(np.abs(np.mod(gap + np.pi, 2 * np.pi) - np.pi)) < 1e-9
 
-    @pytest.mark.parametrize("truncation", [1, 0, -3])
-    def test_truncation_below_two_is_rejected(self, truncation):
-        with pytest.raises(DomainError, match="at least 2"):
-            specfun.zeta_and_deriv(0.5 + 10j, truncation=truncation)
-
 
 class TestEulerMaclaurinDepth:
     def test_coefficients_are_bernoulli_ratios(self):
@@ -246,17 +241,23 @@ class TestEulerMaclaurinDepth:
 
     def test_short_truncation_raises(self):
         with pytest.raises(CapabilityError):
-            specfun.zeta_and_deriv(0.5 + 1000j, truncation=50)
+            specfun._em_depth(abs(0.5 + 1000j), 0.5, 50)
 
     def test_default_truncation_matches_four_times_deeper(self):
         t = np.random.default_rng(8).uniform(10.0, 1e4, 200)
         s = 0.5 + 1j * t
         z, dz = specfun.zeta_and_deriv(s)
-        z4, dz4 = specfun.zeta_and_deriv(s, truncation=4 * (30 + math.ceil(t.max() / math.pi)))
+        z4, dz4 = _em_at(s, 4 * (30 + math.ceil(t.max() / math.pi)))
         # beyond 1e-12, each main sum rounds its phases t log m: ~eps t log t
         rounding = 4 * np.finfo(float).eps * t * np.log(t)
         assert np.all(np.abs(z - z4) < 1e-12 + rounding)
         assert np.all(np.abs(dz - dz4) < 1e-12 + rounding * np.log(t))
+
+
+def _em_at(s, m_cut):
+    """(zeta, zeta') on a 1-D array s by Euler-Maclaurin at a fixed cutoff M."""
+    depth = specfun._em_depth(float(np.abs(s).max()), float(s.real.min()), m_cut)
+    return specfun._euler_maclaurin(s, m_cut, depth, want_deriv=True)
 
 
 def _rounding_bound(s, m_cut):
@@ -281,27 +282,44 @@ class TestMainSumTable:
             assert np.all(np.abs(dz - ref_dz) <= bound_dz)
 
     def test_shapes_are_kept(self):
-        for s in (np.asarray(0.5 + 14.1j), np.empty(0, dtype=complex), 0.5 + 1j * np.arange(6.0).reshape(2, 3)):
-            sums = specfun._main_sums(s, 31, want_deriv=True)
-            assert sums.shape == (2,) + s.shape
-            ref_z, ref_dz = em_main_sums(s, 31)
-            bound_z, bound_dz = _rounding_bound(s, 31)
-            assert np.all(np.abs(sums[0] - ref_z) <= bound_z)
-            assert np.all(np.abs(sums[1] - ref_dz) <= bound_dz)
-            assert specfun._main_sums(s, 31, want_deriv=False).shape == (1,) + s.shape
-        assert isinstance(specfun.zeta_and_deriv(0.5 + 14.1j)[1], complex)
+        z, dz = specfun.zeta_and_deriv(0.5 + 14.1j)
+        assert isinstance(z, complex) and isinstance(dz, complex)
         assert specfun.zeta_and_deriv(np.empty(0))[1].shape == (0,)
-        assert specfun.zeta_only(0.5 + 1j * np.arange(10.0, 16.0).reshape(2, 3)).shape == (2, 3)
+        assert specfun._main_sums(np.empty(0, dtype=complex), 31, want_deriv=True).shape == (2, 0)
+        s = 0.5 + 1j * np.arange(10.0, 16.0).reshape(2, 3)
+        assert specfun.zeta_only(s).shape == (2, 3)
+        z, dz = specfun.zeta_and_deriv(s)
+        flat_z, flat_dz = specfun.zeta_and_deriv(s.ravel())
+        assert np.array_equal(z.ravel(), flat_z) and np.array_equal(dz.ravel(), flat_dz)
+        assert specfun._main_sums(s.ravel(), 31, want_deriv=False).shape == (1, 6)
 
     def test_chunked_call_equals_its_pieces(self):
+        # near t = 1e5 a chunk's table holds at most 131 points: the first chunk
+        # takes 2^22 // (M(t_255) - 1) = 133, the second 2^22 // (M(1e5) - 1) = 131
         s = 0.5 + 1j * np.linspace(9e4, 1e5, 300)
-        m_cut = 30 + math.ceil(1e5 / math.pi)
-        assert s.size > specfun._TABLE_ENTRIES // (m_cut - 1)  # more than one table
-        z, dz = specfun.zeta_and_deriv(s, truncation=m_cut)
-        pieces = [specfun.zeta_and_deriv(s[lo : lo + 100], truncation=m_cut) for lo in (0, 100, 200)]
-        bound_z, bound_dz = _rounding_bound(s, m_cut)
-        assert np.all(np.abs(z - np.concatenate([p[0] for p in pieces])) <= bound_z)
-        assert np.all(np.abs(dz - np.concatenate([p[1] for p in pieces])) <= bound_dz)
+        assert s.size > specfun._TABLE_ENTRIES // (specfun._cutoff(1e5) - 1)
+        z, dz = specfun.zeta_and_deriv(s)
+        pieces = [specfun.zeta_and_deriv(s[lo:hi]) for lo, hi in ((0, 133), (133, 264), (264, 300))]
+        assert np.array_equal(z, np.concatenate([p[0] for p in pieces]))
+        assert np.array_equal(dz, np.concatenate([p[1] for p in pieces]))
+
+    def test_low_points_keep_their_own_cutoff(self):
+        # a chunk's cutoff comes from its own highest point, not the call's
+        rng = np.random.default_rng(9)
+        t = rng.permutation(np.concatenate((rng.uniform(10.0, 1e3, 300), rng.uniform(9e4, 1e5, 300))))
+        s = 0.5 + 1j * t
+        z, dz = specfun.zeta_and_deriv(s)
+        low = np.argsort(t)[:256]
+        z_low, dz_low = specfun.zeta_and_deriv(s[low])
+        assert np.array_equal(z[low], z_low) and np.array_equal(dz[low], dz_low)
+
+    def test_point_order_does_not_change_values(self):
+        rng = np.random.default_rng(10)
+        s = rng.uniform(-1.0, 2.0, 700) + 1j * np.sort(rng.uniform(2.0, 2e4, 700))
+        perm = rng.permutation(s.size)
+        z, dz = specfun.zeta_and_deriv(s)
+        z_perm, dz_perm = specfun.zeta_and_deriv(s[perm])
+        assert np.array_equal(z_perm, z[perm]) and np.array_equal(dz_perm, dz[perm])
 
     def test_spf_omega_matches_factorize(self):
         spf, omega = specfun._spf_omega(5000)
