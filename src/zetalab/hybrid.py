@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError
 from .rmt import _mc_estimate, _verblunsky_draw
-from .specfun import exp_integral_e1
+from .specfun import _E1_ASYMPTOTIC_MIN, _E1_CF_ARG_MAX, _e1_depth, exp_integral_e1
 
 _TWO_PI = 2.0 * math.pi
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)  # one panel's rule on [-1, 1]
@@ -34,6 +34,7 @@ _BUMP_PANELS = 64  # equal panels on [0, x] for the bump's integral
 # the panel rule's nodes on [0, 1]; times x they are its nodes on [0, x]
 _BUMP_NODES = (np.arange(_BUMP_PANELS)[:, None] + 0.5 * (1.0 + _GL_NODES)) / _BUMP_PANELS
 _MIN_PANELS = 24  # kernel_U_batch's floor on its Gauss-Legendre panels
+_U_CHUNK = 256  # z values per kernel_U_batch chunk
 
 
 def _raw_bump(x):
@@ -134,37 +135,64 @@ def mass_above(v, spec):
     return float(out) if scalar else out
 
 
-def kernel_U_batch(z_values, spec):
-    """U on an array of z values via fixed composite Gauss-Legendre in y.
+def _u_nodes(z_abs_max, spec):
+    """log y and u(y) times the weight at the panel nodes for a chunk up to |z| = z_abs_max.
 
     The phase of E1(z log y) turns through |z| log(hi/lo) across the support,
-    so each chunk of z values takes one 10-node panel per turn at its largest
-    |z| (at least ``_MIN_PANELS``): oscillatory integrands (z on the imaginary
-    axis in the periodized sums) stay resolved.  u vanishes to all orders at
-    the support endpoints, so panel quadrature converges fast.  Cross-checked
-    against the adaptive ``kernel_U`` of ``tests/oracles.py``.
+    so the chunk takes one 10-node Gauss-Legendre panel per turn at its
+    largest |z|, and at least ``_MIN_PANELS``.
+    """
+    lo, hi = spec.support
+    panels = max(_MIN_PANELS, int(z_abs_max * math.log(hi / lo) / _TWO_PI) + 1)
+    edges = np.linspace(lo, hi, panels + 1)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (hi - lo) / panels
+    y = (mids[:, None] + half * _GL_NODES[None, :]).reshape(-1)
+    return np.log(y), u_weight(y, spec) * np.tile(_GL_WEIGHTS, panels) * half
+
+
+def kernel_U_batch(z_values, spec):
+    """U on an array of z values, by fixed composite Gauss-Legendre in y.
+
+    The z values are taken in chunks of ``_U_CHUNK`` by ascending |z|, each
+    on the nodes y_q, weights W_q of :func:`_u_nodes`, with l_q = log y_q.  u
+    vanishes to all orders at the support endpoints, so panel quadrature
+    converges fast, and oscillatory integrands (z on the imaginary axis in the
+    periodized sums) stay resolved.  U(z) = sum_q W_q E1(z l_q), with one E1
+    per (z, node), unless every z of the chunk has |arg z| <= 2 and
+    |z| min_q l_q >= 40, where E1's asymptotic series holds at every node.
+    Its terms separate in z and l, so there
+
+        U(z) = sum_{m<=n} (-1)^m m! z^{-m-1} M_m(z),
+        M_m(z) = sum_q W_q l_q^{-m-1} e^{-z l_q},
+
+    one exp per (z, node) and one matrix product for all the moments, with n
+    from ``specfun._e1_depth`` at the chunk's smallest |z| l.  Cross-checked
+    against the adaptive ``kernel_U`` and the per-node E1 sum of
+    ``tests/oracles.py``.
     """
     z = np.asarray(z_values, dtype=complex)
-    lo, hi = spec.support
     flat = z.reshape(-1)
     order = np.argsort(np.abs(flat))
-    chunk = 256
     res = np.empty(flat.shape, dtype=complex)
-    for lo_i in range(0, len(flat), chunk):
-        idx = order[lo_i : lo_i + chunk]
+    for lo_i in range(0, len(flat), _U_CHUNK):
+        idx = order[lo_i : lo_i + _U_CHUNK]
         zc = flat[idx]
-        zmax = np.abs(zc).max()
-        panels = max(_MIN_PANELS, int(zmax * math.log(hi / lo) / _TWO_PI) + 1)
-        edges = np.linspace(lo, hi, panels + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (hi - lo) / panels
-        y = (mids[:, None] + half * _GL_NODES[None, :]).reshape(-1)
-        w = np.tile(_GL_WEIGHTS, panels) * half
-        uw = u_weight(y, spec) * w
-        e1 = exp_integral_e1(np.multiply.outer(zc, np.log(y)))
-        res[idx] = e1 @ uw
-    out = res.reshape(z.shape)
-    return out
+        ell, uw = _u_nodes(np.abs(zc[-1]), spec)
+        reach = np.abs(zc[0]) * ell[0]  # the smallest |z l| of the chunk
+        if reach >= _E1_ASYMPTOTIC_MIN and np.all(np.abs(np.angle(zc)) <= _E1_CF_ARG_MAX):
+            n = int(_e1_depth(reach))
+            # M_0..M_n in one BLAS product: einsum took 2-8 ms at this shape, @ 0.2 ms
+            powers = uw[:, None] * ell[:, None] ** -np.arange(1.0, n + 2)
+            moments = np.exp(np.multiply.outer(-zc, ell)) @ powers
+            w = 1.0 / zc
+            acc = moments[:, n]
+            for m in range(n, 0, -1):  # Horner in w = 1/z
+                acc = moments[:, m - 1] - m * w * acc
+            res[idx] = w * acc
+        else:
+            res[idx] = exp_integral_e1(np.multiply.outer(zc, ell)) @ uw
+    return res.reshape(z.shape)
 
 
 @dataclass(frozen=True)
@@ -215,6 +243,8 @@ def F_X_poly(v, k, params):
 
 def _f_x_direct_values(v_array, params, j_window):
     """F_X on an array of angles via the defining combination (truncated j-sum)."""
+    if j_window < 0:
+        raise DomainError(f"j_window must be >= 0 (got {j_window})")
     v = np.asarray(v_array, dtype=float)
     log_x = params.log_x
     j = np.arange(-j_window, j_window + 1)
@@ -229,6 +259,9 @@ def F_X_direct(v, params, j_window=50):
     The two logarithmic singularities cancel, but each term alone diverges at
     v = 0 mod 2*pi, so that point is served from the (exact) Fourier
     polynomial instead -- call :func:`F_X_poly` there.
+
+    Raises:
+        DomainError: at v = 0 mod 2*pi, and for j_window < 0.
     """
     arr = np.asarray(v, dtype=float)
     scalar = arr.ndim == 0
@@ -250,7 +283,12 @@ def fourier_coeffs_by_quadrature(params, m_max, j_window=50, grid=128):
     trigonometric polynomial the rule is exact up to the j-window truncation
     noise.  Multiplying by k gives the quantities checked against the
     closed form :func:`fourier_s`.
+
+    Raises:
+        DomainError: for grid < 1, j_window < 0 or m_max < 0.
     """
+    if grid < 1 or m_max < 0:
+        raise DomainError(f"quadrature needs grid >= 1 and m_max >= 0 (got grid {grid}, m_max {m_max})")
     v = (np.arange(grid) + 0.5) * (_TWO_PI / grid)
     g_vals = _f_x_direct_values(-v, params, j_window)
     m = np.arange(0, m_max + 1)

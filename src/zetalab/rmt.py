@@ -310,8 +310,10 @@ def weyl_average(n, statistic, grid):
 
     Raises:
         CapabilityError: for n > 3.
+        DomainError: for grid < 1.
     """
     _require_weyl_dim(n)
+    _require_grid(grid)
     theta = np.arange(grid) * (_TWO_PI / grid)
     # angle a varies along array axis a
     axes = [theta.reshape((grid,) + (1,) * (n - 1 - a)) for a in range(n)]
@@ -335,6 +337,11 @@ def _require_weyl_dim(n):
         raise CapabilityError("Weyl quadrature oracle supports n in {1, 2, 3} only")
 
 
+def _require_grid(grid):
+    if grid < 1:
+        raise DomainError(f"the Weyl grid needs at least one point per axis (got {grid})")
+
+
 def weyl_quadrature_oracle(n, k, grid):
     """Weyl integral of Z'(theta_1)^k over U(n), n <= 3, as an (n-1)-angle sum.
 
@@ -350,9 +357,14 @@ def weyl_quadrature_oracle(n, k, grid):
     order) contributes 0.  Converges to :func:`exact_moment` as the grid
     refines (spectrally for integer k; like grid^-(3+Re k) otherwise, from
     the algebraic coincidence singularity).
+
+    Raises:
+        CapabilityError: for n > 3.
+        DomainError: for grid < 1.
     """
     k = require_admissible(k)
     _require_weyl_dim(n)
+    _require_grid(grid)
     i_k = complex(np.exp(1j * math.pi * k / 2.0))
     if n == 1:
         # single-point product: the integrand is the constant i^k

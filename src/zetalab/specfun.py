@@ -5,7 +5,10 @@ All routines accept scalars or numpy arrays and evaluate in double precision:
 * :func:`log_gamma` -- principal-branch log Gamma (Stirling series plus upward
   recurrence).
 * :func:`exp_integral_e1` -- exponential integral E1 with the cut along the
-  negative real axis.
+  negative real axis: power series near 0 and near the cut, and elsewhere
+  the continued fraction (backward, at a fixed depth) or the asymptotic
+  series, each taken only as deep as the point's |z| needs for 2^-53
+  (:func:`_e1_depth`, which ``hybrid.kernel_U_batch`` shares).
 * :func:`riemann_siegel_theta` -- Im log Gamma(1/4 + it/2) - (t/2) log pi.
 * :func:`zeta_and_deriv` -- zeta and zeta' by Euler-Maclaurin with an analytic
   term-by-term derivative (no numerical differentiation).  The points of a
@@ -141,71 +144,95 @@ def _e1_series(z, n_terms):
     return -GAMMA0 - np.log(z) - acc
 
 
-def _e1_continued_fraction(z, max_iter=600):
-    """Modified Lentz evaluation of E1(z) = e^{-z}/(z+1- 1/(z+3- 4/(z+5- ...))).
-
-    Iterates on the shrinking active set of unconverged elements; convergence
-    takes ~10 iterations at |z| ~ 30 and ~60 near the crossover.
-    """
-    tiny = 1e-300
-    flat = z.reshape(-1)
-    out = np.empty_like(flat)
-    active = np.arange(flat.size)
-    b = flat + 1.0
-    c = np.full_like(flat, 1.0 / tiny)
-    d = 1.0 / b
-    h = d.copy()
-    for i in range(1, max_iter):
-        a = -float(i * i)
-        b = b + 2.0
-        d = b + a * d
-        d[d == 0] = tiny
-        c = b + a / c
-        c[c == 0] = tiny
-        d = 1.0 / d
-        delta = c * d
-        h = h * delta
-        done = np.abs(delta - 1.0) < 1e-16
-        if done.any():
-            out[active[done]] = h[done]
-            keep = ~done
-            if not keep.any():
-                break
-            active, b, c, d, h = active[keep], b[keep], c[keep], d[keep], h[keep]
-    else:
-        out[active] = h  # unconverged leftovers keep the best estimate
-    return np.exp(-z) * out.reshape(z.shape)
-
-
-def _e1_asymptotic(z, terms=16):
-    """Large-|z| expansion e^{-z}/z * sum_m (-1)^m m! / z^m.
-
-    Nested Horner form: 16 terms give <5e-13 relative error for |z| >= 40.
-    """
-    w = 1.0 / z
-    acc = np.ones_like(z)
-    for m in range(terms, 0, -1):
-        acc = 1.0 - float(m) * w * acc
-    return np.exp(-z) * w * acc
-
-
 # |z| below which the power series is the production route everywhere.
 _E1_CROSSOVER = 4.0
-# |z| above which the divergent asymptotic expansion beats the fraction.
+# |z| from which the asymptotic expansion replaces the continued fraction.
 _E1_ASYMPTOTIC_MIN = 40.0
 # Largest |arg z| for which the continued fraction / asymptotic expansion is
 # used above the crossover.  The fraction converges for |arg z| < pi but
 # impractically slowly near the cut, where the series has aligned term signs
 # and stays accurate instead.
 _E1_CF_ARG_MAX = 2.0
+# The fraction's depth is ceil(_E1_CF_REACH / |z|).  Its truncation error
+# behaves like exp(-4 cos(arg z / 2) sqrt(depth |z|)), worst at |arg z| = 2.
+# There the fewest depths for 2^-53 relative, measured against mpmath, are 78,
+# 62, 51, 37, 29, 22, 17, 14, 11, 9 and 7 at |z| = 4, 5, 6, 8, 10, 13, 16, 20,
+# 25, 32 and 40, all at most 320 / |z|.
+_E1_CF_REACH = 320.0
+# For |arg z| <= 2 the asymptotic series' remainder after its z^-n term is at
+# most csc(2) (n+1)! / |z|^(n+1) times its leading term (DLMF 6.12.1).  Entry n
+# is the |z| from which that bound is 2^-53; the entries fall with n, and the
+# last one (n = 33) is the first below _E1_ASYMPTOTIC_MIN.
+_E1_ASYMPTOTIC_REACH = np.exp(
+    [(math.lgamma(n + 2) - math.log(2.0**-53 * math.sin(_E1_CF_ARG_MAX))) / (n + 1) for n in range(34)]
+)
+
+
+def _e1_depth(r):
+    """The depth of E1's route at points with |z| >= r, for r >= 4 and |arg z| <= 2.
+
+    Below ``_E1_ASYMPTOTIC_MIN`` it is the number of backward steps of the
+    continued fraction, ceil(320 / r); from there on it is the highest power
+    n of the asymptotic series, the fewest whose remainder bound is 2^-53.
+    Both fall as r grows, so the depth at a chunk's smallest |z| serves the
+    whole chunk.  Scalar or array r; integer result.
+    """
+    r = np.asarray(r, dtype=float)
+    fraction = np.ceil(_E1_CF_REACH / r)
+    asymptotic = np.searchsorted(-_E1_ASYMPTOTIC_REACH, -r)  # entries above r
+    return np.where(r < _E1_ASYMPTOTIC_MIN, fraction, asymptotic).astype(int)
+
+
+def _backward_steps(depth):
+    """(i, k) for i = depth[0] .. 1, where the first k points have depth >= i.
+
+    A backward recurrence on points ordered by non-increasing depth thus
+    updates a leading slice at each step, and every point runs its own depth.
+    """
+    steps = np.arange(depth[0], 0, -1)
+    return zip(steps.tolist(), np.searchsorted(-depth, -steps, side="right").tolist())
+
+
+def _e1_fraction(z, depth):
+    """E1(z) = e^{-z}/(z+1- 1/(z+3- 4/(z+5- ...))) at a fixed depth per point.
+
+    The backward recurrence t <- z + 2i - 1 - i^2/t for i = D..1, from
+    t = z + 2D + 1, leaves the denominator; z is ordered by non-increasing D.
+    """
+    t = z + (2 * depth + 1)
+    for i, k in _backward_steps(depth):
+        head = t[:k]
+        np.divide(-float(i * i), head, out=head)
+        head += z[:k]
+        head += 2 * i - 1
+    return np.exp(-z) / t
+
+
+def _e1_asymptotic(z, terms):
+    """Large-|z| expansion e^{-z}/z * sum_{m <= n} (-1)^m m! / z^m, n = terms per point.
+
+    Nested Horner form; z is ordered by non-increasing n.  With n from
+    :func:`_e1_depth` the remainder is below 2^-53 relative for |arg z| <= 2.
+    """
+    w = 1.0 / z
+    acc = np.ones_like(z)
+    for m, k in _backward_steps(terms):
+        head = acc[:k]
+        head *= -float(m) * w[:k]
+        head += 1.0
+    return np.exp(-z) * w * acc
 
 
 def exp_integral_e1(z):
     """Exponential integral E1(z), principal branch, cut along (-inf, 0].
 
-    Power series for |z| < 4; modified continued fraction above (asymptotic
-    expansion from |z| >= 40), except in the near-cut sector |arg z| > 2 where
-    the (cancellation-free) series is kept.
+    Power series for |z| < 4.  Above, in the sector |arg z| <= 2, the
+    continued fraction by its backward recurrence below |z| = 40 and the
+    asymptotic expansion from there on, each at the depth :func:`_e1_depth`
+    gives for the point's own |z|: 80 down to 8 backward steps, or 33 terms
+    at |z| = 40 down to 12 at 100 and 6 at 1000, for a truncation error
+    below 2^-53 relative.  In the near-cut sector |arg z| > 2 the
+    (cancellation-free) series is kept.
 
     Raises:
         DomainError: if z = 0 (logarithmic singularity).
@@ -234,12 +261,15 @@ def exp_integral_e1(z):
             zc = zl[near_cut]
             n_terms = int(3.2 * np.abs(zc).max()) + 48
             res[near_cut] = _e1_series(zc, n_terms)
-        mid = ~near_cut & (np.abs(zl) < _E1_ASYMPTOTIC_MIN)
-        if np.any(mid):
-            res[mid] = _e1_continued_fraction(zl[mid])
-        far = ~near_cut & ~mid
-        if np.any(far):
-            res[far] = _e1_asymptotic(zl[far])
+        sector = np.flatnonzero(~near_cut)
+        r = np.abs(zl[sector])
+        depth = _e1_depth(r)
+        far = r >= _E1_ASYMPTOTIC_MIN
+        for route, pick in ((_e1_fraction, ~far), (_e1_asymptotic, far)):
+            if np.any(pick):
+                order = np.argsort(-depth[pick], kind="stable")
+                idx = sector[pick][order]
+                res[idx] = route(zl[idx], depth[pick][order])
         out[large] = res
 
     return out.item() if scalar else out

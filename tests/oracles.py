@@ -4,6 +4,8 @@ None of these runs on a path of the package itself:
 
 * :func:`kernel_U`, the hybrid kernel by adaptive quadrature, the reference
   of ``hybrid.kernel_U_batch``'s fixed panels;
+* :func:`kernel_U_panels`, the same panel sums with one E1 per node, the
+  reference of ``hybrid.kernel_U_batch``'s asymptotic moments;
 * :func:`haar_angle_batch` and :func:`zprime_pow_rows`, Haar matrices by
   QR+eig and the Z'^k statistic at their eigenangles, the reference of the
   Verblunsky-factor samplers in ``rmt``;
@@ -17,7 +19,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from zetalab.errors import DomainError
-from zetalab.hybrid import u_weight
+from zetalab.hybrid import _U_CHUNK, _u_nodes, u_weight
 from zetalab.specfun import exp_integral_e1
 
 _COINCIDENCE_TOL = 1e-14
@@ -48,6 +50,22 @@ def kernel_U(z, spec):
         complex_func=True,
     )
     return val
+
+
+def kernel_U_panels(z_values, spec):
+    """sum_q W_q E1(z l_q) on the nodes ``hybrid.kernel_U_batch`` gives each z.
+
+    The z values are chunked as there, by ascending |z|, and every chunk takes
+    one E1 per (z, node), whatever its |z|.
+    """
+    flat = np.asarray(z_values, dtype=complex).reshape(-1)
+    order = np.argsort(np.abs(flat))
+    out = np.empty_like(flat)
+    for lo in range(0, flat.size, _U_CHUNK):
+        idx = order[lo : lo + _U_CHUNK]
+        ell, uw = _u_nodes(np.abs(flat[idx]).max(), spec)
+        out[idx] = exp_integral_e1(np.multiply.outer(flat[idx], ell)) @ uw
+    return out.reshape(np.shape(z_values))
 
 
 def em_main_sums(s, m_cut):

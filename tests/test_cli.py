@@ -207,6 +207,25 @@ class TestOracleAndHybrid:
             pred = complex(float(row["predicted_re"]), float(row["predicted_im"]))
             assert abs(emp - pred) < 1e-5
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["hybrid-fourier-check", "--x", 20, "--k", "1", "--grid", 0],
+            ["rmt-oracle", "--n", 2, "--k", "1", "--grid", 0],
+            ["hybrid-fourier-check", "--x", 20, "--k", "1", "--grid", -4],
+            ["rmt-oracle", "--n", 2, "--k", "1", "--grid", -3],
+            ["hybrid-fourier-check", "--x", 20, "--k", "1", "--j-window", -1],
+            ["hybrid-fourier-check", "--x", 20, "--k", "1", "--m-max", -1],
+        ],
+        ids=["fourier-grid-0", "oracle-grid-0", "fourier-grid-neg", "oracle-grid-neg",
+             "j-window-neg", "m-max-neg"],
+    )
+    def test_senseless_grid_exit_2(self, tmp_path, capsys, args):
+        assert run_cli(["--output-dir", tmp_path, *args]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "DomainError" in err
+        assert not (tmp_path / "results.csv").exists()
+
     def test_heine_routes_at_k_minus_2(self, tmp_path):
         # k = -2 is admissible: the power law is 0 there, and the Heine value exists
         status = run_cli(["--output-dir", tmp_path / "t", "toeplitz-check", "--k=-2", "--sizes", "8,16"])

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracles import haar_angle_batch, kernel_U, zprime_pow_rows
+from oracles import haar_angle_batch, kernel_U, kernel_U_panels, zprime_pow_rows
 from zetalab import hybrid, toeplitz
 from zetalab.errors import DomainError
+from zetalab.specfun import exp_integral_e1
 
 
 class TestUWeight:
@@ -74,8 +75,6 @@ class TestBumpQuadrature:
 
 class TestKernelU:
     def test_decay_bound_on_positive_axis(self, smoothing_y4):
-        from zetalab.specfun import exp_integral_e1
-
         for z in (5.0, 12.0, 30.0):
             bound = abs(exp_integral_e1(z * (1.0 - 1.0 / smoothing_y4.y_sharpness)))
             assert abs(kernel_U(z, smoothing_y4)) <= bound
@@ -87,8 +86,6 @@ class TestKernelU:
         )
 
     def test_u1_vs_fixed_grid_oracle(self, smoothing_y4):
-        from zetalab.specfun import exp_integral_e1
-
         lo, hi = smoothing_y4.support
         y = np.linspace(lo, hi, 10_001)
         integrand = hybrid.u_weight(y, smoothing_y4) * exp_integral_e1(np.log(y))
@@ -117,6 +114,35 @@ class TestKernelU:
         batch = hybrid.kernel_U_batch(zs, spec)
         for z, b in zip(zs, batch):
             assert b == pytest.approx(kernel_U(z, spec), abs=1e-11)
+
+    def test_moment_route_matches_per_node_e1(self, smoothing_y4, monkeypatch):
+        # four chunks of 256 by ascending |z|: (1) series, near-cut and fraction
+        # points, |z| < 30; (2) |z| l straddling 40; (3) |z| l >= 40 and
+        # |arg z| <= pi/2, the moment route; (4) the same but for four values
+        # with |arg z| > 2, which send the chunk back to one E1 per node
+        rng = np.random.default_rng(14)
+
+        def ring(r_lo, r_hi, arg_max):
+            r = np.exp(rng.uniform(math.log(r_lo), math.log(r_hi), 256))
+            return r * np.exp(1j * rng.uniform(-arg_max, arg_max, 256))
+
+        chunks = [ring(0.2, 30.0, 3.0), ring(35.0, 55.0, 2.0), ring(55.0, 150.0, math.pi / 2),
+                  ring(160.0, 300.0, math.pi / 2)]
+        chunks[3][:4] = 250.0 * np.exp(1j * np.array([2.5, -2.5, 3.0, -3.0]))
+        reach = [np.abs(c).min() * hybrid._u_nodes(np.abs(c).max(), smoothing_y4)[0][0] for c in chunks]
+        assert reach[1] < 40.0 < np.abs(chunks[1]).max() * 0.75 and reach[2] >= 40.0
+        shuffle = rng.permutation(4 * 256)
+        zs = np.concatenate(chunks)[shuffle]
+        moments = shuffle // 256 == 2
+        e1_calls = []
+        monkeypatch.setattr(hybrid, "exp_integral_e1", lambda z: e1_calls.append(z) or exp_integral_e1(z))
+        batch = hybrid.kernel_U_batch(zs, smoothing_y4)
+        assert len(e1_calls) == 3  # every chunk but the third
+        panels = kernel_U_panels(zs, smoothing_y4)
+        # measured 7.3e-19, against terms W_q E1(z l_q) of order 1 / |z|
+        assert np.max(np.abs(batch - panels)[moments]) <= 1e-15
+        # the other chunks take the same E1 calls, whose values reach 1e98 near the cut
+        assert np.array_equal(batch[~moments], panels[~moments])
 
 
 class TestFourierS:
@@ -212,6 +238,17 @@ class TestFourierQuadratureRoute:
         qc = hybrid.fourier_coeffs_by_quadrature(params_x_e3, m_max, j_window=60, grid=64)
         for m in range(1, m_max + 1):
             assert abs(qc[m] - hybrid.fourier_s(m, 1.0, params_x_e3)) < 1e-6
+
+    @pytest.mark.parametrize(
+        "m_max, j_window, grid", [(4, 10, 0), (4, 10, -4), (4, -1, 16), (-1, 10, 16)]
+    )
+    def test_senseless_grids_are_rejected(self, params_x_e3, m_max, j_window, grid):
+        with pytest.raises(DomainError):
+            hybrid.fourier_coeffs_by_quadrature(params_x_e3, m_max, j_window=j_window, grid=grid)
+
+    def test_negative_j_window_is_rejected(self, params_x_e3):
+        with pytest.raises(DomainError):
+            hybrid.F_X_direct(1.0, params_x_e3, j_window=-1)
 
 
 class TestMcHybridMoment:

@@ -223,6 +223,14 @@ class TestWeylOracle:
         with pytest.raises(CapabilityError):
             rmt.weyl_quadrature_oracle(4, 1, 16)
 
+    @pytest.mark.parametrize("grid", [0, -3])
+    def test_empty_grid_is_rejected(self, grid):
+        for n in (1, 2):
+            with pytest.raises(DomainError):
+                rmt.weyl_quadrature_oracle(n, 1, grid)
+        with pytest.raises(DomainError):
+            rmt.weyl_average(2, lambda *a: np.ones(np.shape(a[-1])), grid)
+
     def test_reduction_is_an_identity_on_the_lattice(self):
         # the (N-1)-angle sum with theta_1 fixed equals the full N-angle Weyl
         # sum of (1/N) sum_r Z'(theta_r)^k, coincidences mapped to 0

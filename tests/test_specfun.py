@@ -139,6 +139,33 @@ class TestExpIntegralE1:
             ref = complex(mp.e1(mp.mpc(z)))
             assert abs(ours - ref) <= 1e-13 * max(1.0, abs(ref))
 
+    def test_fraction_and_asymptotic_match_mpmath(self):
+        # 4 <= |z| <= 1000 in the sector |arg z| <= 2, with the rings where the
+        # depths are largest (|z| just above 4 and 40) and the sector's edges;
+        # the worst relative error measured is 4.4e-16
+        rng = np.random.default_rng(13)
+        r = np.concatenate([rng.uniform(4.0, 4.3, 50), rng.uniform(38.0, 42.0, 50),
+                            np.exp(rng.uniform(math.log(4.0), math.log(1000.0), 140)),
+                            [4.0, 4.0, 40.0, 40.0, 1000.0, 1000.0]])
+        phi = np.concatenate([rng.uniform(-2.0, 2.0, 240), [2.0, -2.0] * 3])
+        z = r * np.exp(1j * phi)
+        ours = specfun.exp_integral_e1(z)
+        ref = np.array([complex(mp.e1(mp.mpc(w))) for w in z])
+        # (e^{-z} underflows beyond Re z = 745, to 0 on both sides)
+        assert np.all(np.abs(ours - ref) <= 1e-13 * np.abs(ref))
+
+    def test_depths_fall_with_modulus(self):
+        r = np.geomspace(4.0, 1e4, 400)
+        depth = specfun._e1_depth(r)
+        fraction, far = depth[r < 40.0], depth[r >= 40.0]
+        assert fraction[0] == 80 and np.all(np.diff(fraction) <= 0)
+        assert specfun._e1_depth(40.0) == 33 and np.all(np.diff(far) <= 0)
+        # entry n of the reach table is where csc(2) (n+1)! / |z|^(n+1) = 2^-53
+        reach = specfun._E1_ASYMPTOTIC_REACH
+        bound = [mp.factorial(n + 1) / mp.mpf(x) ** (n + 1) / mp.sin(2) for n, x in enumerate(reach)]
+        assert all(abs(b / mp.mpf(2) ** -53 - 1) < 1e-12 for b in bound)
+        assert np.all(np.diff(reach) < 0) and reach[-1] <= 40.0 < reach[-2]
+
 
 # ----------------------------------------------------------------------- theta
 
