@@ -1,10 +1,15 @@
 """Batch experiment runner: config, seeds, caching, CSV/JSON emission, gates.
 
-Every subcommand is a thin wrapper over one library operation.  A run writes
+Every subcommand is a thin wrapper over one library operation, declared once
+in ``_SUBCOMMANDS`` with its fields, their types and their defaults; the
+argument parser is generated from that table.  A run's config merges the
+defaults, then the ``--config`` JSON file, then the flags.  A key that names
+no field of the subcommand (or ``output_dir``, ``workers``, ``gates``) is an
+error.  A run writes
 
 * ``results.csv``  -- fixed column contract, one observation per row,
 * ``results.json`` -- the same rows plus per-experiment extras,
-* ``manifest.json`` -- resolved config, library versions, checksums, wall time.
+* ``manifest.json`` -- every field's value, library versions, checksums, wall time.
 
 Exit status is 0 iff every configured tolerance gate passes (3 on a gate
 failure, naming the gate; 2 on configuration errors and on invalid inputs,
@@ -15,6 +20,7 @@ the JSON rows only.
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -71,192 +77,138 @@ def _fmt(value):
     return repr(float(value))
 
 
-def _row(experiment, k=None, t=None, x=None, empirical=None, predicted=None, n_zeros=None):
+def _row(experiment, k=None, t=None, x=None, empirical=None, predicted=None, n_zeros=None, **extras):
+    """One result: the CSV columns, then the JSON-only extras."""
     emp = complex(empirical) if empirical is not None else None
     pred = complex(predicted) if predicted is not None else None
-    ratio = None
-    if emp is not None and pred is not None and pred != 0:
-        ratio = emp / pred
-    row = {
-        "experiment": experiment,
-        "k": str(k) if k is not None else "",
-        "T": _fmt(t),
-        "X": _fmt(x),
-        "empirical_re": _fmt(emp.real if emp is not None else None),
-        "empirical_im": _fmt(emp.imag if emp is not None else None),
-        "predicted_re": _fmt(pred.real if pred is not None else None),
-        "predicted_im": _fmt(pred.imag if pred is not None else None),
-        "ratio_re": _fmt(ratio.real if ratio is not None else None),
-        "ratio_im": _fmt(ratio.imag if ratio is not None else None),
-        "n_zeros": "" if n_zeros is None else str(int(n_zeros)),
-        "runtime": "",
-    }
-    return row, {}
+    ratio = emp / pred if emp is not None and pred is not None and pred != 0 else None
+    row = {"experiment": experiment, "k": str(k) if k is not None else "", "T": _fmt(t), "X": _fmt(x)}
+    for column, value in (("empirical", emp), ("predicted", pred), ("ratio", ratio)):
+        row[f"{column}_re"] = _fmt(value.real if value is not None else None)
+        row[f"{column}_im"] = _fmt(value.imag if value is not None else None)
+    return row | {"n_zeros": "" if n_zeros is None else str(int(n_zeros)), "runtime": "", **extras}
 
 
 def _resolve_zeros(source, t_height):
-    if source in (None, "compute", "cache"):
+    if source in (None, "compute"):
         return zeros.compute_zeros(t_height)
     return zeros.load_zeros(source)
 
 
+def _hybrid_params(cfg, n):
+    return hybrid.HybridParams(n=n, x_cutoff=cfg["x"], smoothing=hybrid.SmoothingSpec(cfg["y"]))
+
+
 # ---------------------------------------------------------------------------
-# subcommand implementations: each returns a list of (row, extras)
+# subcommand implementations: each takes the resolved config and returns a
+# list of rows; a default that depends on other fields is written back to cfg
 
 
 def _run_rmt_moment(cfg):
     k = parse_complex(cfg["k"])
-    est = rmt.mc_moment(int(cfg["n"]), k, int(cfg["samples"]), cfg.get("seed", 0),
-                        workers=int(cfg.get("workers", 1)))
-    exact = rmt.exact_moment(int(cfg["n"]), k)
-    row, extras = _row("rmt-moment", k=cfg["k"], empirical=est.mean, predicted=exact)
-    extras.update(se_re=est.se_re, se_im=est.se_im, samples=est.samples, n=int(cfg["n"]))
-    return [(row, extras)]
+    est = rmt.mc_moment(cfg["n"], k, cfg["samples"], cfg["seed"], workers=cfg["workers"])
+    exact = rmt.exact_moment(cfg["n"], k)
+    return [_row("rmt-moment", k=cfg["k"], empirical=est.mean, predicted=exact,
+                 se_re=est.se_re, se_im=est.se_im, samples=est.samples, n=cfg["n"])]
 
 
 def _run_rmt_oracle(cfg):
     k = parse_complex(cfg["k"])
-    val = rmt.weyl_quadrature_oracle(int(cfg["n"]), k, int(cfg.get("grid", 1024)))
-    exact = rmt.exact_moment(int(cfg["n"]), k)
-    row, extras = _row("rmt-oracle", k=cfg["k"], empirical=val, predicted=exact)
-    extras.update(grid=int(cfg.get("grid", 1024)), n=int(cfg["n"]))
-    return [(row, extras)]
-
-
-def _hybrid_params(cfg):
-    spec = hybrid.SmoothingSpec(float(cfg.get("y", 4.0)))
-    return hybrid.HybridParams(n=int(cfg.get("n", 8)), x_cutoff=float(cfg["x"]), smoothing=spec)
+    val = rmt.weyl_quadrature_oracle(cfg["n"], k, cfg["grid"])
+    exact = rmt.exact_moment(cfg["n"], k)
+    return [_row("rmt-oracle", k=cfg["k"], empirical=val, predicted=exact, grid=cfg["grid"], n=cfg["n"])]
 
 
 def _run_hybrid_fourier_check(cfg):
-    params = _hybrid_params(cfg)
+    params = _hybrid_params(cfg, 1)  # the Fourier coefficients do not depend on N
     k = parse_complex(cfg["k"])
-    m_max = int(cfg.get("m_max", 4 * math.ceil(params.log_x)))
-    quad_coeffs = hybrid.fourier_coeffs_by_quadrature(
-        params, m_max, j_window=int(cfg.get("j_window", 50)), grid=int(cfg.get("grid", 128))
-    )
-    out = []
-    for m in range(1, m_max + 1):
-        lemma = hybrid.fourier_s(m, k, params)
-        row, extras = _row(
-            "hybrid-fourier-check", k=cfg["k"], x=params.x_cutoff,
-            empirical=k * quad_coeffs[m], predicted=lemma,
-        )
-        extras.update(m=m)
-        out.append((row, extras))
-    return out
+    if cfg["m_max"] is None:
+        cfg["m_max"] = 4 * math.ceil(params.log_x)
+    quad_coeffs = hybrid.fourier_coeffs_by_quadrature(params, cfg["m_max"], j_window=cfg["j_window"],
+                                                      grid=cfg["grid"])
+    return [
+        _row("hybrid-fourier-check", k=cfg["k"], x=params.x_cutoff, empirical=k * quad_coeffs[m],
+             predicted=hybrid.fourier_s(m, k, params), m=m)
+        for m in range(1, cfg["m_max"] + 1)
+    ]
 
 
 def _run_hybrid_mc(cfg):
-    params = _hybrid_params(cfg)
+    params = _hybrid_params(cfg, cfg["n"])
     k = parse_complex(cfg["k"])
-    est = hybrid.mc_hybrid_moment(params, k, int(cfg["samples"]), cfg.get("seed", 0),
-                                  workers=int(cfg.get("workers", 1)))
+    est = hybrid.mc_hybrid_moment(params, k, cfg["samples"], cfg["seed"], workers=cfg["workers"])
     heine = toeplitz.es_comparison(k, params).expectation
-    row, extras = _row("hybrid-mc", k=cfg["k"], x=params.x_cutoff, empirical=est.mean, predicted=heine)
-    extras.update(se_re=est.se_re, se_im=est.se_im, n=params.n)
-    return [(row, extras)]
+    return [_row("hybrid-mc", k=cfg["k"], x=params.x_cutoff, empirical=est.mean, predicted=heine,
+                 se_re=est.se_re, se_im=est.se_im, n=params.n)]
 
 
 def _run_toeplitz_check(cfg):
     k = parse_complex(cfg["k"])
-    sizes = [int(s) for s in str(cfg.get("sizes", "32,64,128")).split(",")]
-    spec = hybrid.SmoothingSpec(float(cfg.get("y", 4.0)))
-    out = []
-    for n in sizes:
-        params = hybrid.HybridParams(n=n, x_cutoff=float(cfg.get("x", math.e**3)), smoothing=spec)
-        res = toeplitz.es_comparison(k, params)
-        row, extras = _row(
-            "toeplitz-check", k=cfg["k"], x=params.x_cutoff,
-            empirical=res.expectation, predicted=res.asymptotic,
-        )
-        extras.update(n=n, det_re=res.det.real, det_im=res.det.imag)
-        out.append((row, extras))
-    return out
+    rows = []
+    for n in [int(s) for s in cfg["sizes"].split(",")]:
+        res = toeplitz.es_comparison(k, _hybrid_params(cfg, n))
+        rows.append(_row("toeplitz-check", k=cfg["k"], x=cfg["x"], empirical=res.expectation,
+                         predicted=res.asymptotic, n=n, det_re=res.det.real, det_im=res.det.imag))
+    return rows
 
 
-def _run_zeros(cfg):
-    action = cfg["action"]
-    if action == "compute":
-        zl = zeros.compute_zeros(float(cfg["t_max"]))
-        if cfg.get("out"):
-            Path(cfg["out"]).write_text(zeros._format_table(zl.gammas))
-        row, extras = _row(
-            "zeros-compute", t=zl.t_max, empirical=len(zl),
-            predicted=zeros.zero_count(zl.t_max), n_zeros=len(zl),
-        )
-        return [(row, extras)]
-    if action == "load":
-        zl = zeros.load_zeros(cfg["path"])
-        row, extras = _row("zeros-load", t=zl.t_max, empirical=len(zl), n_zeros=len(zl))
-        extras.update(source=zl.source)
-        return [(row, extras)]
-    if action == "cross-validate":
-        za = _resolve_zeros(cfg["a"], float(cfg.get("t_max", 100.0)))
-        zb = _resolve_zeros(cfg["b"], float(cfg.get("t_max", 100.0)))
-        rep = zeros.cross_validate(za, zb)
-        row, extras = _row(
-            "zeros-cross-validate", t=rep.overlap_t, empirical=rep.max_abs_diff,
-            predicted=0.0, n_zeros=rep.n_compared,
-        )
-        extras.update(count_a=rep.count_a, count_b=rep.count_b)
-        return [(row, extras)]
-    raise ValueError(f"unknown zeros action {action!r}")
+def _run_zeros_compute(cfg):
+    zl = zeros.compute_zeros(cfg["t_max"])
+    if cfg["out"]:
+        Path(cfg["out"]).write_text(zeros._format_table(zl.gammas))
+    return [_row("zeros-compute", t=zl.t_max, empirical=len(zl),
+                 predicted=zeros.zero_count(zl.t_max), n_zeros=len(zl))]
+
+
+def _run_zeros_load(cfg):
+    zl = zeros.load_zeros(cfg["path"])
+    return [_row("zeros-load", t=zl.t_max, empirical=len(zl), n_zeros=len(zl), source=zl.source)]
+
+
+def _run_zeros_cross_validate(cfg):
+    rep = zeros.cross_validate(_resolve_zeros(cfg["a"], cfg["t_max"]), _resolve_zeros(cfg["b"], cfg["t_max"]))
+    return [_row("zeros-cross-validate", t=rep.overlap_t, empirical=rep.max_abs_diff, predicted=0.0,
+                 n_zeros=rep.n_compared, count_a=rep.count_a, count_b=rep.count_b)]
 
 
 def _run_px_mean(cfg):
-    t = float(cfg["t"])
-    x = float(cfg.get("x") or math.log(t))
-    k = parse_complex(cfg.get("k", "1"))
-    zl = _resolve_zeros(cfg.get("zeros"), t)
-    poly = arithmetic.a_coeffs(k, x, int(cfg.get("m_max", 10**6)))
-    res = experiments.px_mean(zl, t, k, poly)
-    row, extras = _row(
-        "px-mean", k=cfg.get("k", "1"), t=t, x=x,
-        empirical=res.empirical, predicted=res.predicted, n_zeros=res.n_zeros,
-    )
-    extras.update(predicted_bare=res.details["predicted_bare"].real,
-                  subsidiary_sum=res.details["subsidiary_sum"])
-    return [(row, extras)]
+    t = cfg["t"]
+    if cfg["x"] is None:
+        cfg["x"] = math.log(t)
+    k = parse_complex(cfg["k"])
+    zl = _resolve_zeros(cfg["zeros"], t)
+    res = experiments.px_mean(zl, t, k, arithmetic.a_coeffs(k, cfg["x"], cfg["m_max"]))
+    return [_row("px-mean", k=cfg["k"], t=t, x=cfg["x"], empirical=res.empirical,
+                 predicted=res.predicted, n_zeros=res.n_zeros,
+                 predicted_bare=res.details["predicted_bare"].real,
+                 subsidiary_sum=res.details["subsidiary_sum"])]
 
 
 def _run_landau_gonek(cfg):
-    t = float(cfg["t"])
-    zl = _resolve_zeros(cfg.get("zeros"), t)
-    res = experiments.landau_gonek(zl, int(cfg["m"]), t)
-    row, extras = _row(
-        "landau-gonek", t=t, empirical=res.empirical, predicted=res.predicted,
-        n_zeros=res.n_zeros,
-    )
-    extras.update(m=int(cfg["m"]))
-    return [(row, extras)]
+    t = cfg["t"]
+    res = experiments.landau_gonek(_resolve_zeros(cfg["zeros"], t), cfg["m"], t)
+    return [_row("landau-gonek", t=t, empirical=res.empirical, predicted=res.predicted,
+                 n_zeros=res.n_zeros, m=cfg["m"])]
 
 
 def _run_twisted(cfg):
-    t = float(cfg["t"])
-    x = float(cfg.get("x") or math.log(t))
-    zl = _resolve_zeros(cfg.get("zeros"), t)
-    poly = arithmetic.a_coeffs(-1, x, int(cfg.get("m_max", 10**6)))
-    res = experiments.twisted_first_moment(zl, t, poly)
-    row, extras = _row(
-        "twisted", k="-1", t=t, x=x, empirical=res.empirical,
-        predicted=res.predicted, n_zeros=res.n_zeros,
-    )
-    extras.update(main_term=res.details["main_term"], subsidiary_term=res.details["subsidiary_term"])
-    return [(row, extras)]
+    t = cfg["t"]
+    if cfg["x"] is None:
+        cfg["x"] = math.log(t)
+    zl = _resolve_zeros(cfg["zeros"], t)
+    res = experiments.twisted_first_moment(zl, t, arithmetic.a_coeffs(-1, cfg["x"], cfg["m_max"]))
+    return [_row("twisted", k="-1", t=t, x=cfg["x"], empirical=res.empirical,
+                 predicted=res.predicted, n_zeros=res.n_zeros,
+                 main_term=res.details["main_term"], subsidiary_term=res.details["subsidiary_term"])]
 
 
 def _run_conjecture_table(cfg):
     k = parse_complex(cfg["k"])
-    heights = [float(t) for t in str(cfg["t"]).split(",")]
-    zl = _resolve_zeros(cfg.get("zeros"), max(heights))
-    out = []
+    heights = [float(t) for t in cfg["t"].split(",")]
+    zl = _resolve_zeros(cfg["zeros"], max(heights))
+    rows = []
     for t, res in zip(heights, experiments.zeta_prime_moments(zl, heights, k)):
-        row, extras = _row(
-            "conjecture-table", k=cfg["k"], t=t, empirical=res.empirical,
-            predicted=res.predicted, n_zeros=res.n_zeros,
-        )
-        extras.update(branch=res.branch, normalized_by_formula=str(res.details["normalized_by_formula"]))
+        extras = {"branch": res.branch, "normalized_by_formula": str(res.details["normalized_by_formula"])}
         if k == 1:
             # known first-moment case: also compare the unnormalized sum
             # against the three-term polynomial main term
@@ -264,34 +216,82 @@ def _run_conjecture_table(cfg):
             main = experiments.cgg_main_term(t)
             extras.update(sum_re=total.real, polynomial_main_term=main,
                           ratio_to_polynomial=total.real / main)
-        out.append((row, extras))
-    return out
+        rows.append(_row("conjecture-table", k=cfg["k"], t=t, empirical=res.empirical,
+                         predicted=res.predicted, n_zeros=res.n_zeros, **extras))
+    return rows
 
 
-_RUNNERS = {
-    "rmt-moment": _run_rmt_moment,
-    "rmt-oracle": _run_rmt_oracle,
-    "hybrid-fourier-check": _run_hybrid_fourier_check,
-    "hybrid-mc": _run_hybrid_mc,
-    "toeplitz-check": _run_toeplitz_check,
-    "zeros": _run_zeros,
-    "px-mean": _run_px_mean,
-    "landau-gonek": _run_landau_gonek,
-    "twisted": _run_twisted,
-    "conjecture-table": _run_conjecture_table,
+# name -> (runner, {field: type | (type, default)}); a bare type is a required
+# field, and each field is the flag --field with "_" spelled "-"
+_SUBCOMMANDS = {
+    "rmt-moment": (_run_rmt_moment, {"n": int, "k": str, "samples": int, "seed": (int, 0)}),
+    "rmt-oracle": (_run_rmt_oracle, {"n": int, "k": str, "grid": (int, 1024)}),
+    "hybrid-fourier-check": (_run_hybrid_fourier_check, {
+        "x": float, "y": (float, 4.0), "k": str, "j_window": (int, 50), "grid": (int, 128),
+        "m_max": (int, None),  # 4 ceil(log X)
+    }),
+    "hybrid-mc": (_run_hybrid_mc, {
+        "n": (int, 8), "x": float, "y": (float, 4.0), "k": str, "samples": int, "seed": (int, 0),
+    }),
+    "toeplitz-check": (_run_toeplitz_check, {
+        "k": str, "x": (float, math.e**3), "y": (float, 4.0), "sizes": (str, "32,64,128"),
+    }),
+    "zeros compute": (_run_zeros_compute, {"t_max": float, "out": (str, None)}),
+    "zeros load": (_run_zeros_load, {"path": str}),
+    "zeros cross-validate": (_run_zeros_cross_validate, {
+        "a": str, "b": str, "tol": (float, 1e-6), "t_max": (float, 100.0),
+    }),
+    # x defaults to log T; zeros is a table path or "compute" (the default)
+    "px-mean": (_run_px_mean, {
+        "t": float, "x": (float, None), "k": (str, "1"), "m_max": (int, 10**6), "zeros": (str, None),
+    }),
+    "landau-gonek": (_run_landau_gonek, {"t": float, "m": int, "zeros": (str, None)}),
+    "twisted": (_run_twisted, {"t": float, "x": (float, None), "m_max": (int, 10**6), "zeros": (str, None)}),
+    "conjecture-table": (_run_conjecture_table, {"k": str, "t": str, "zeros": (str, None)}),
 }
 
+# fields of every subcommand; gates come from the config file only
+_GLOBAL_FIELDS = {"output_dir": (str, "zetalab-results"), "workers": (int, 1), "gates": (list, None)}
 
-def _default_gates(subcommand, cfg):
-    if subcommand == "zeros" and cfg.get("action") == "cross-validate":
-        tol = float(cfg.get("tol", 1e-6))
-        return [{"name": "cross-validate-tol", "column": "empirical_re", "abs_max": tol}]
-    if subcommand == "toeplitz-check" and cfg.get("k") is not None:
-        if parse_complex(cfg["k"]) == 0:
-            return [
-                {"name": "k0-exact-ladder-re", "column": "ratio_re", "min": 1 - 1e-8, "max": 1 + 1e-8},
-                {"name": "k0-exact-ladder-im", "column": "ratio_im", "min": -1e-8, "max": 1e-8},
-            ]
+_REQUIRED = object()
+
+
+def _spec(spec):
+    """(type, default) of a table entry; the default of a bare type is _REQUIRED."""
+    return spec if isinstance(spec, tuple) else (spec, _REQUIRED)
+
+
+def _resolve(name, args):
+    """The run's config: the field defaults, then the --config file, then the
+    flags, each cast once to its field's type.  ValueError names a key that is
+    no field, or a missing required field."""
+    fields = _SUBCOMMANDS[name][1] | _GLOBAL_FIELDS
+    path = args.pop("config")
+    given = json.loads(Path(path).read_text()) if path else {}
+    if not isinstance(given, dict):
+        raise ValueError(f"{path} holds no JSON object")
+    unknown = [key for key in given if key not in fields]
+    if unknown:
+        raise ValueError(f"unknown field {', '.join(map(repr, unknown))}")
+    given = {key: value for key, value in [*given.items(), *args.items()] if value is not None}
+    cfg = {}
+    for field, spec in fields.items():
+        typ, default = _spec(spec)
+        value = given.pop(field, default)
+        if value is _REQUIRED:
+            raise ValueError(f"missing field {field!r}")
+        cfg[field] = None if value is None else typ(value)
+    return cfg
+
+
+def _default_gates(name, cfg):
+    if name == "zeros cross-validate":
+        return [{"name": "cross-validate-tol", "column": "empirical_re", "abs_max": cfg["tol"]}]
+    if name == "toeplitz-check" and parse_complex(cfg["k"]) == 0:
+        return [
+            {"name": "k0-exact-ladder-re", "column": "ratio_re", "min": 1 - 1e-8, "max": 1 + 1e-8},
+            {"name": "k0-exact-ladder-im", "column": "ratio_im", "min": -1e-8, "max": 1e-8},
+        ]
     return []
 
 
@@ -321,21 +321,16 @@ def evaluate_gates(gates, rows):
     return failures
 
 
-def _write_outputs(out_dir, rows, extras_list, cfg, gates, gate_failures, wall_time):
+def _write_outputs(out_dir, rows, cfg, gates, gate_failures, wall_time):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "results.csv"
     with open(csv_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
     json_path = out_dir / "results.json"
-    json_rows = []
-    for row, extras in zip(rows, extras_list):
-        rec = dict(row)
-        rec["runtime"] = wall_time
-        rec.update(extras)
-        json_rows.append(rec)
+    json_rows = [row | {"runtime": wall_time} for row in rows]
     json_path.write_text(json.dumps(json_rows, indent=2, default=str) + "\n")
 
     manifest = {
@@ -355,98 +350,50 @@ def _write_outputs(out_dir, rows, extras_list, cfg, gates, gate_failures, wall_t
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, default=str) + "\n")
 
 
-def _build_parser():
+@functools.cache
+def _parser():
     parser = argparse.ArgumentParser(prog="zetalab", description=__doc__)
     parser.add_argument("--config", help="JSON config file; CLI flags override its fields")
     parser.add_argument("--output-dir", help="directory for results.csv/results.json/manifest.json")
     parser.add_argument("--workers", type=int, help="worker processes for Monte-Carlo sampling")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add(name, *flags):
-        p = sub.add_parser(name)
-        for flag, kwargs in flags:
-            p.add_argument(flag, **kwargs)
-        return p
-
-    add("rmt-moment", ("--n", {"type": int}), ("--k", {}), ("--samples", {"type": int}),
-        ("--seed", {"type": int}))
-    add("rmt-oracle", ("--n", {"type": int}), ("--k", {}), ("--grid", {"type": int}))
-    add("hybrid-fourier-check", ("--x", {"type": float}), ("--y", {"type": float}),
-        ("--k", {}), ("--j-window", {"type": int, "dest": "j_window"}),
-        ("--grid", {"type": int}), ("--m-max", {"type": int, "dest": "m_max"}))
-    add("hybrid-mc", ("--n", {"type": int}), ("--x", {"type": float}), ("--y", {"type": float}),
-        ("--k", {}), ("--samples", {"type": int}), ("--seed", {"type": int}))
-    add("toeplitz-check", ("--k", {}), ("--x", {"type": float}), ("--y", {"type": float}),
-        ("--sizes", {}))
-    zp = sub.add_parser("zeros")
-    zsub = zp.add_subparsers(dest="action", required=True)
-    zc = zsub.add_parser("compute")
-    zc.add_argument("--t-max", type=float, dest="t_max")
-    zc.add_argument("--out")
-    zl = zsub.add_parser("load")
-    zl.add_argument("--path")
-    zx = zsub.add_parser("cross-validate")
-    zx.add_argument("--a")
-    zx.add_argument("--b")
-    zx.add_argument("--tol", type=float, help="gate on max |delta gamma| (default 1e-6)")
-    zx.add_argument("--t-max", type=float, dest="t_max")
-    add("px-mean", ("--t", {"type": float}), ("--x", {"type": float}), ("--k", {}),
-        ("--m-max", {"type": int, "dest": "m_max"}), ("--zeros", {}))
-    add("landau-gonek", ("--t", {"type": float}), ("--m", {"type": int}), ("--zeros", {}))
-    add("twisted", ("--t", {"type": float}), ("--x", {"type": float}),
-        ("--m-max", {"type": int, "dest": "m_max"}), ("--zeros", {}))
-    add("conjecture-table", ("--k", {}), ("--t", {}), ("--zeros", {}))
+    subparsers = {"": parser.add_subparsers(dest="subcommand", required=True)}
+    for name, (_, fields) in _SUBCOMMANDS.items():
+        command, _, action = name.partition(" ")
+        if action and command not in subparsers:
+            actions = subparsers[""].add_parser(command).add_subparsers(dest="action", required=True)
+            subparsers[command] = actions
+        p = subparsers[command if action else ""].add_parser(action or command)
+        for field, spec in fields.items():
+            typ, default = _spec(spec)
+            more = "required" if default is _REQUIRED else "" if default is None else f"default {default}"
+            p.add_argument("--" + field.replace("_", "-"), type=typ,
+                           help=", ".join(filter(None, (typ.__name__, more))))
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-
-    cfg = {}
-    if args.config:
-        try:
-            cfg.update(json.loads(Path(args.config).read_text()))
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-    for key, value in vars(args).items():
-        if key in ("config",) or value is None:
-            continue
-        cfg[key] = value
-
-    subcommand = cfg.pop("subcommand")
-    out_dir = cfg.pop("output_dir", None) or cfg.pop("output-dir", None) or "zetalab-results"
-    gates = cfg.pop("gates", None)
-
-    runner = _RUNNERS[subcommand]
-    start = time.perf_counter()
+    args = vars(_parser().parse_args(argv))
+    command = {key: args.pop(key) for key in ("subcommand", "action") if key in args}
+    name = " ".join(command.values())
     try:
+        cfg = command | _resolve(name, args)
+        gates = cfg.pop("gates")
         if gates is None:
-            gates = _default_gates(subcommand, cfg)
-        results = runner(cfg)
-    except (KeyError, TypeError) as exc:
-        print(f"configuration error for {subcommand}: missing or bad field {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"missing input: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, MissingZeroError) as exc:
-        # bad values and every library input error (DomainError, CapabilityError,
+            gates = _default_gates(name, cfg)
+        start = time.perf_counter()
+        rows = _SUBCOMMANDS[name][0](cfg)
+        wall_time = time.perf_counter() - start
+        failures = evaluate_gates(gates, rows)
+    except (OSError, TypeError, ValueError, MissingZeroError) as exc:
+        # OSError is an unreadable config file or zero table; unknown, missing
+        # or uncastable fields, malformed JSON, a gate on a column of text and
+        # every library input error (DomainError, CapabilityError,
         # ZeroTableParseError, EmptyOverlapError, ...) subclass ValueError;
         # MissingZeroError is a zero scan that could not certify its count
         message = " ".join(str(exc).split())
-        print(f"{subcommand}: {type(exc).__name__}: {message}", file=sys.stderr)
+        print(f"{name}: {type(exc).__name__}: {message}", file=sys.stderr)
         return 2
-    wall_time = time.perf_counter() - start
-
-    rows = [r for r, _ in results]
-    extras = [e for _, e in results]
-    failures = evaluate_gates(gates, rows)
-    resolved = dict(cfg)
-    resolved["subcommand"] = subcommand
-    resolved["output_dir"] = str(out_dir)
-    _write_outputs(out_dir, rows, extras, resolved, gates, failures, wall_time)
+    _write_outputs(cfg["output_dir"], rows, cfg, gates, failures, wall_time)
 
     for row in rows:
         print(",".join(str(row[c]) for c in CSV_COLUMNS))

@@ -95,10 +95,11 @@ def _branch_power(values, k, branch):
 
 
 def _require_coverage(zeros, t_height):
-    """A list covers (0, T] if t_max reaches T, or failing that (a loaded
-    table's t_max is just its last ordinate) if it holds exactly the
-    certified number N(T) of zeros up to T."""
-    if zeros.t_max >= t_height:
+    """A list covers (0, T] if it holds exactly the certified number N(T) of
+    zeros up to T, whatever its t_max: a table that reaches T may still miss an
+    ordinate.  Beyond the range of :func:`zero_count` (10 <= T <= 1e5), a list
+    whose t_max reaches T is taken as it is."""
+    if zeros.t_max >= t_height and not 10.0 <= t_height <= 1e5:
         return
     expected = zero_count(t_height)
     if len(zeros.below(t_height)) == expected:

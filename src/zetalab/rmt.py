@@ -53,7 +53,6 @@ class MomentEstimate:
     se_re: float
     se_im: float
     samples: int
-    seed: object = None
 
     def within(self, target, n_se=3.0):
         """True if target lies inside the n_se band componentwise."""
@@ -226,7 +225,7 @@ def _mc_worker(args):
     return total, total_sq, done
 
 
-def _merge_mc(pieces, seed):
+def _merge_mc(pieces):
     total = sum(p[0] for p in pieces)
     total_sq = sum(p[1] for p in pieces)
     count = sum(p[2] for p in pieces)
@@ -238,7 +237,6 @@ def _merge_mc(pieces, seed):
         se_re=math.sqrt(var_re / count),
         se_im=math.sqrt(var_im / count),
         samples=count,
-        seed=seed,
     )
 
 
@@ -260,7 +258,7 @@ def _mc_estimate(n, k, samples, seed, workers, draw):
     if workers < 1:
         raise DomainError(f"need at least one worker, got {workers}")
     if k == 0:
-        return MomentEstimate(mean=1.0 + 0j, se_re=0.0, se_im=0.0, samples=samples, seed=seed)
+        return MomentEstimate(mean=1.0 + 0j, se_re=0.0, se_im=0.0, samples=samples)
 
     counts = [samples // workers] * workers
     counts[-1] += samples - sum(counts)
@@ -274,7 +272,7 @@ def _mc_estimate(n, k, samples, seed, workers, draw):
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             pieces = list(pool.map(_mc_worker, jobs))
-    return _merge_mc(pieces, seed)
+    return _merge_mc(pieces)
 
 
 def mc_moment(n, k, samples, seed, workers=1):

@@ -116,7 +116,6 @@ class ToeplitzResult:
     det: complex  # D_{N-1}[f]
     expectation: complex  # e^{i k pi/2} e^{k F_X(0)} det / N
     asymptotic: complex  # e^{i k pi/2} N^k / Gamma(k+2)
-    ratio: complex
 
 
 def es_comparison(k, params):
@@ -130,8 +129,7 @@ def es_comparison(k, params):
 
     The symbol has singularity exponents gamma = k+1, delta = 1, for which the
     Barnes-G constant collapses: G(2+k) G(2) / G(3+k) = 1 / Gamma(k+2), so the
-    prediction is e^{i k pi/2} N^k / Gamma(k+2).  At k = -2 it is 0 and the
-    ratio is nan.
+    prediction is e^{i k pi/2} N^k / Gamma(k+2), which is 0 at k = -2.
     """
     k = require_admissible(k)
     n = params.n
@@ -147,5 +145,4 @@ def es_comparison(k, params):
         det=det,
         expectation=complex(expectation),
         asymptotic=complex(asymptotic),
-        ratio=complex(expectation / asymptotic) if asymptotic else complex("nan"),
     )

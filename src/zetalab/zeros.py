@@ -343,10 +343,6 @@ class CrossValidation:
     count_b: int
     overlap_t: float
 
-    @property
-    def counts_agree(self):
-        return self.count_a == self.count_b
-
 
 def cross_validate(a, b):
     """Compare two zero lists on the overlap of their covered ranges.

@@ -119,7 +119,8 @@ def test_criterion_06_toeplitz_asymptotic_limit():
         errs = []
         for n in (32, 64, 128):
             params = hybrid.HybridParams(n=n, x_cutoff=math.e**3, smoothing=spec)
-            errs.append(abs(toeplitz.es_comparison(k, params).ratio - 1.0))
+            res = toeplitz.es_comparison(k, params)
+            errs.append(abs(res.expectation / res.asymptotic - 1.0))
         ok = ok and errs[0] > errs[1] > errs[2] and errs[2] < 0.1
         details.append(f"k={k}: |ratio-1| = " + "/".join(f"{e:.4f}" for e in errs))
     for n in (32, 64, 128):

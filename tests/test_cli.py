@@ -6,6 +6,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from zetalab import cli, zeros
@@ -92,6 +93,17 @@ class TestGates:
         err = capsys.readouterr().err
         assert "impossible" in err
 
+    def test_gates_read_json_extras(self, tmp_path, capsys, published_table_path):
+        # a numeric extra can be gated; a gate on a text column is a config error
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gates": [{"column": "count_a", "max": 10}]}))
+        assert run_cli(["--config", cfg, "--output-dir", tmp_path / "x", "zeros", "cross-validate",
+                        "--a", published_table_path, "--b", published_table_path]) == 3
+        cfg.write_text(json.dumps({"gates": [{"column": "source", "max": 10}]}))
+        assert run_cli(["--config", cfg, "--output-dir", tmp_path / "l", "zeros", "load",
+                        "--path", published_table_path]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 2
+
     @pytest.mark.parametrize(
         "gate",
         [
@@ -117,6 +129,37 @@ class TestGates:
     def test_missing_field_config_error(self, tmp_path):
         status = run_cli(["--output-dir", tmp_path, "rmt-moment", "--n", 4])
         assert status == 2
+
+    @pytest.mark.parametrize("bad", [{"seeed": 5, "gird": 8}, {"output-dir": "elsewhere"}],
+                             ids=["seeed", "output-dir"])
+    def test_unknown_config_key_exit_2(self, tmp_path, capsys, bad):
+        # a misspelled key would otherwise run with the default it meant to replace
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 4, "k": "1", "samples": 1000, **bad}))
+        status = run_cli(["--config", cfg, "--output-dir", tmp_path / "out", "rmt-moment"])
+        assert status == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and all(repr(key) in err[0] for key in bad)
+        assert not (tmp_path / "out" / "results.csv").exists()
+
+    def test_manifest_records_every_default(self, tmp_path):
+        assert run_cli(["--output-dir", tmp_path / "o", "rmt-oracle", "--n", 2, "--k", "1"]) == 0
+        assert read_outputs(tmp_path / "o")[2]["config"]["grid"] == 1024
+        assert run_cli(["--output-dir", tmp_path / "f", "hybrid-fourier-check", "--x", 7.389, "--k", "1",
+                        "--j-window", 20, "--grid", 32]) == 0
+        config = read_outputs(tmp_path / "f")[2]["config"]
+        assert (config["y"], config["m_max"], config["workers"]) == (4.0, 8, 1)
+        assert run_cli(["--output-dir", tmp_path / "p", "px-mean", "--t", 100, "--zeros", "compute"]) == 0
+        _, rows, manifest = read_outputs(tmp_path / "p")
+        assert manifest["config"]["x"] == math.log(100) == float(rows[0]["X"])
+        assert (manifest["config"]["k"], manifest["config"]["m_max"]) == ("1", 10**6)
+
+    @pytest.mark.parametrize("name", ["zeros", *cli._SUBCOMMANDS])
+    def test_help_for_every_subcommand(self, name, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*name.split(), "--help"])
+        assert exc.value.code == 0
+        assert "usage: zetalab " + name in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "workers, k_flag",
@@ -251,6 +294,17 @@ class TestExperimentSubcommands:
         _, rows, _ = read_outputs(tmp_path / "lg")
         assert float(rows[0]["predicted_re"]) == pytest.approx(-275.8, abs=0.1)
         assert float(rows[0]["empirical_re"]) == pytest.approx(-275.8, rel=0.2)
+
+    def test_table_with_a_gap_exit_2(self, tmp_path, zeros_5000, capsys):
+        # the table still reaches T = 4000: only N(4000) = 3474 shows the missing ordinate
+        table = tmp_path / "gap.txt"
+        table.write_text("".join(f"{g:.11f}\n" for g in np.delete(zeros_5000.gammas, 1000)))
+        status = run_cli(["--output-dir", tmp_path / "lg", "landau-gonek", "--t", 4000, "--m", 2,
+                          "--zeros", table])
+        assert status == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "3473 zeros, expected 3474" in err[0]
+        assert not (tmp_path / "lg" / "results.csv").exists()
 
     def test_conjecture_table(self, tmp_path, zeros_5000):
         table = tmp_path / "zeros.txt"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -76,6 +77,15 @@ class TestZetaPrimeMoment:
     def test_needs_covering_zero_list(self, zeros_100):
         with pytest.raises(DomainError):
             experiments.zeta_prime_moment(zeros_100, 5000.0, 1)
+
+    def test_gap_below_covered_height_is_caught(self, zeros_5000):
+        # t_max still reaches every height: only the certified count N(T) shows the gap
+        gap = dataclasses.replace(zeros_5000, gammas=np.delete(zeros_5000.gammas, 1000))
+        for run in (lambda t: experiments.zeta_prime_moments(gap, [1000.0, t], 1),
+                    lambda t: experiments.landau_gonek(gap, 2, t)):
+            with pytest.raises(DomainError, match="3473 zeros, expected 3474"):
+                run(4000.0)
+        assert experiments.landau_gonek(gap, 2, 1000.0).n_zeros == 649  # the gap lies above 1000
 
     def test_normalization_open_question_both_reported(self, zeros_5000):
         # exact count and main-term formula normalizations both present

@@ -211,6 +211,18 @@ class TestZeta:
             specfun.zeta_and_deriv(1.0)
         with pytest.raises(CapabilityError):
             specfun.zeta_and_deriv(0.5 + 2e5j)
+        # no depth <= 40 bounds the remainder at Re s <= -81, whatever M
+        with pytest.raises(CapabilityError, match="Re s"):
+            specfun.zeta_and_deriv(-100 + 10j)
+
+    def test_left_of_the_line_matches_mpmath(self):
+        # the default cutoff M is too short here: each chunk raises its own M
+        for s in (-1.5 + 3e4j, -3 + 2000j, -5 + 500j):
+            z, dz = specfun.zeta_and_deriv(s)
+            ref_z = complex(mp.zeta(mp.mpc(s.real, s.imag)))
+            ref_dz = complex(mp.zeta(mp.mpc(s.real, s.imag), derivative=1))
+            assert abs(z - ref_z) <= 1e-9 * abs(ref_z)
+            assert abs(dz - ref_dz) <= 1e-9 * abs(ref_dz)
 
     def test_two_truncation_depths_agree(self):
         rng = np.random.default_rng(5)
