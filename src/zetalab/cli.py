@@ -299,10 +299,19 @@ def evaluate_gates(gates, rows):
     """Each gate must hold on every row: min <= value <= max, |value| <= abs_max.
 
     An empty cell is skipped; a nan value fails every gate on its column.
+
+    Raises:
+        ValueError: if a gate has no ``column``, or names one that is neither
+            a CSV column nor a JSON extra of any row.
     """
+    known = set(CSV_COLUMNS).union(*rows)
     failures = []
     for gate in gates:
+        if "column" not in gate:
+            raise ValueError(f"gate {gate!r} names no column")
         col = gate["column"]
+        if col not in known:
+            raise ValueError(f"gate column {col!r} is neither a CSV column nor a JSON extra of these rows")
         name = gate.get("name", col)
         for i, row in enumerate(rows):
             text = row.get(col, "")

@@ -25,7 +25,7 @@ import numpy as np
 from .arithmetic import factorize, p_x_euler, von_mangoldt
 from .errors import DomainError
 from .rmt import conjecture_rhs, require_admissible
-from .specfun import GAMMA0, GAMMA1, zeta_and_deriv
+from .specfun import GAMMA0, GAMMA1, zeta_prime_at_zeros
 from .zeros import zero_count
 
 _TWO_PI = 2.0 * math.pi
@@ -124,14 +124,13 @@ def zeta_prime_moment(zeros, t_height, k):
 def zeta_prime_moments(zeros, heights, k):
     """:func:`zeta_prime_moment` at each of ``heights``, in their order.
 
-    zeta' is evaluated once, at the zeros below the largest height, and each
-    height reduces over its prefix of those values.  zeta_and_deriv takes the
-    zeros in chunks of 256 by height, so the zeros just below a smaller height
-    can share their chunk's Euler-Maclaurin cutoff with larger zeros, and a
-    moment can differ from a lone :func:`zeta_prime_moment` call by that
-    rounding.  Measured on the stored
-    table to T = 5000 at nine heights from 250 to 5000: at most 3e-14 relative
-    for k in {-1, -1/2, 1/2, 1, 1+i, 2}, 1.3e-13 at k = -2 and 2.5e-13 at k = 3.
+    zeta' is evaluated once, at the zeros below the largest height
+    (:func:`zeta_prime_at_zeros`), and each height reduces over its prefix of
+    those values.  From t = 200 (``specfun.RS_T_MIN``) on, each zero's zeta'
+    is computed on its own, so at every height T >= 200 a moment equals a
+    lone :func:`zeta_prime_moment` call bit for bit.  The zeros below 200 go
+    to Euler-Maclaurin, whose chunks share a cutoff, so a height below 200 can
+    differ from a lone call by that rounding.
     """
     k = require_admissible(k)
     for t in heights:
@@ -141,7 +140,7 @@ def zeta_prime_moments(zeros, heights, k):
     if k == 0:
         powers = np.ones(len(gammas), dtype=complex)
     else:
-        powers = _branch_power(zeta_and_deriv(0.5 + 1j * gammas)[1], k, branch)
+        powers = _branch_power(zeta_prime_at_zeros(gammas), k, branch)
     return [_zeta_prime_result(gammas, powers, t, k, branch) for t in heights]
 
 
@@ -248,7 +247,11 @@ def a1_term(m):
     """A1(1, m): p (log p)^2 / (p-1)^2 on prime powers m = p^a, else 0."""
     if m < 2:
         raise DomainError("A1 requires m >= 2")
-    fac = factorize(m)
+    return _a1(factorize(m))
+
+
+def _a1(fac):
+    """:func:`a1_term` from the factorization {p: a} of m."""
     if len(fac) == 1:
         (p,) = fac.keys()
         lp = math.log(p)
@@ -256,11 +259,9 @@ def a1_term(m):
     return 0.0
 
 
-def _b1_parts(m):
-    """B1(m, T) = b0 + b1 log(T/2pi): the pair (b0, b1); see :func:`b1_term`."""
-    if m < 2:
-        raise DomainError("B1 requires m >= 2")
-    fac = factorize(m)
+def _b1_parts(fac):
+    """B1(m, T) = b0 + b1 log(T/2pi): the pair (b0, b1) from the factorization
+    {p: a} of m; see :func:`b1_term`."""
     if len(fac) == 1:
         ((p, a),) = fac.items()
         lp = math.log(p)
@@ -279,7 +280,9 @@ def b1_term(m, t_height):
     m = p1^a1 p2^a2:  p1 p2 / ((p1-1)(p2-1)) log p1 log p2
     otherwise 0.
     """
-    b0, b1 = _b1_parts(m)
+    if m < 2:
+        raise DomainError("B1 requires m >= 2")
+    b0, b1 = _b1_parts(factorize(m))
     return b0 + b1 * math.log(t_height / _TWO_PI)
 
 
@@ -297,7 +300,7 @@ def twisted_first_moment(zeros, t_height, poly):
     _require_coverage(zeros, t_height)
     gammas = zeros.below(t_height)
     n = len(gammas)
-    zp = zeta_and_deriv(0.5 + 1j * gammas)[1]
+    zp = zeta_prime_at_zeros(gammas)
     pxinv = p_x_euler(0.5 + 1j * gammas, -1, poly.x_cutoff)
     empirical = complex_fsum(zp * pxinv)
 
@@ -309,8 +312,9 @@ def twisted_first_moment(zeros, t_height, poly):
         coeff = a.real  # a_{-1} is real for real k
         if coeff == 0.0:
             continue
-        b0, b1 = _b1_parts(int(m))
-        msum0 += coeff / m * (a1_term(int(m)) + b0)
+        fac = factorize(int(m))
+        b0, b1 = _b1_parts(fac)
+        msum0 += coeff / m * (_a1(fac) + b0)
         msum1 += coeff / m * b1
 
     main = cgg_main_term(t_height)

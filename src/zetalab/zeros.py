@@ -303,34 +303,44 @@ def compute_zeros(t_max, cache_dir=None):
 def load_zeros(path):
     """Parse a zero table: one decimal ordinate per line, ascending, no header."""
     path = Path(path)
-    gammas = []
-    prev = 0.0
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                value = float(text)
-            except ValueError:
-                raise ZeroTableParseError(
-                    f"{path}:{line_no}: not a decimal ordinate: {text!r}", line_number=line_no
-                ) from None
-            if value <= prev:
-                raise ZeroTableParseError(
-                    f"{path}:{line_no}: ordinates must be strictly ascending "
-                    f"({value} after {prev})",
-                    line_number=line_no,
-                )
-            gammas.append(value)
-            prev = value
-    arr = np.array(gammas)
+    lines = path.read_text().rstrip("\n").split("\n")
+    try:
+        arr = np.array(lines, dtype=float)
+    except ValueError:  # a blank or malformed line
+        arr = None
+    if arr is None or not np.all(np.diff(arr, prepend=0.0) > 0):
+        arr = _parse_lines(path, lines)
     return ZeroList(
         gammas=arr,
         t_max=float(arr[-1]) if len(arr) else 0.0,
         source=f"ingested:{path}",
         precision=1e-6,
     )
+
+
+def _parse_lines(path, lines):
+    """:func:`load_zeros` line by line: skips blank lines and names the first bad one."""
+    gammas = []
+    prev = 0.0
+    for line_no, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            value = float(text)
+        except ValueError:
+            raise ZeroTableParseError(
+                f"{path}:{line_no}: not a decimal ordinate: {text!r}", line_number=line_no
+            ) from None
+        if not value > prev:  # also refuses nan
+            raise ZeroTableParseError(
+                f"{path}:{line_no}: ordinates must be strictly ascending "
+                f"({value} after {prev})",
+                line_number=line_no,
+            )
+        gammas.append(value)
+        prev = value
+    return np.array(gammas)
 
 
 @dataclass(frozen=True)

@@ -104,6 +104,15 @@ class TestGates:
                         "--path", published_table_path]) == 2
         assert len(capsys.readouterr().err.strip().splitlines()) == 2
 
+    @pytest.mark.parametrize("gate", [{"column": "ratio_rr", "max": -1}, {"name": "nameless", "max": -1}])
+    def test_gate_naming_no_column_exits_2(self, tmp_path, capsys, gate):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gates": [gate]}))
+        status = run_cli(["--config", cfg, "--output-dir", tmp_path / "out", "toeplitz-check",
+                          "--k", "1", "--sizes", "8"])
+        assert status == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize(
         "gate",
         [

@@ -87,6 +87,12 @@ class TestZetaPrimeMoment:
                 run(4000.0)
         assert experiments.landau_gonek(gap, 2, 1000.0).n_zeros == 649  # the gap lies above 1000
 
+    def test_heights_from_rs_t_min_on_equal_lone_calls(self, zeros_5000):
+        heights = [250.0, 1000.0, 2500.0, 5000.0]
+        for k in (1, -1, 0.5 + 0.5j):
+            together = experiments.zeta_prime_moments(zeros_5000, heights, k)
+            assert together == [experiments.zeta_prime_moment(zeros_5000, t, k) for t in heights]
+
     def test_normalization_open_question_both_reported(self, zeros_5000):
         # exact count and main-term formula normalizations both present
         res = experiments.zeta_prime_moment(zeros_5000, 5000.0, 1)

@@ -188,6 +188,17 @@ class TestRiemannSiegelTheta:
         with pytest.raises(DomainError):
             specfun.riemann_siegel_theta(1.0)
 
+    def test_both_routes_match_mpmath(self):
+        # log_gamma below RS_T_MIN, the real asymptotic series from there on
+        t = np.geomspace(14.0, 1e5, 60)
+        ref = np.array([float(mp.siegeltheta(x)) for x in t])
+        assert np.all(np.abs(specfun.riemann_siegel_theta(t) - ref) <= 1e-15 * np.abs(ref) + 2e-13)
+
+    def test_derivative_matches_mpmath(self):
+        t = np.geomspace(specfun.RS_T_MIN, 1e5, 12)
+        ref = np.array([float(mp.diff(mp.siegeltheta, x)) for x in t])
+        assert np.max(np.abs(specfun._theta_prime(t) - ref)) < 2e-15
+
 
 # ------------------------------------------------------------------------ zeta
 
@@ -405,6 +416,62 @@ class TestHardyZRiemannSiegel:
     def test_domain(self):
         with pytest.raises(DomainError):
             specfun.hardy_z_rs(np.array([150.0, 300.0]))
+
+
+class TestZetaPrimeAtZeros:
+    def test_matches_euler_maclaurin_at_every_stored_zero(self, stored_table_5000):
+        g = stored_table_5000
+        ref = specfun.zeta_and_deriv(0.5 + 1j * g)[1]
+        err = np.abs(specfun.zeta_prime_at_zeros(g) - ref)
+        assert err.max() <= 3e-10
+        assert np.max(err / np.abs(ref)) <= 1e-10
+
+    def test_z_prime_matches_mpmath(self):
+        t = np.array([203.0, 260.0, 410.0, 870.0, 1600.0, 3100.0, 6200.0, 9900.0])
+        theta, z_prime = specfun._hardy_z_prime_rs(t)
+        ref = np.array([float(mp.siegelz(x, derivative=1)) for x in t])
+        # the truncation after C4 shows below 300; above, the rounding of the phases
+        assert np.all(np.abs(z_prime - ref) <= np.where(t < 300.0, 3e-10, 3e-11))
+        assert np.array_equal(theta, specfun.riemann_siegel_theta(t))
+
+    def test_c1_to_c4_match_closed_forms(self):
+        # C_j from the derivatives of Psi = C0 in p (Gabcke's forms), away from
+        # the removable singularities of the closed form at p = 1/4, 3/4
+        pi = mp.pi
+
+        def psi(p):
+            return mp.cos(2 * pi * (p * p - p - mp.mpf(1) / 16)) / mp.cos(2 * pi * p)
+
+        for p in (0.03, 0.17, 0.4, 0.5, 0.62, 0.88, 0.97):
+            d = [c * mp.factorial(k) for k, c in enumerate(mp.taylor(psi, mp.mpf(p), 12))]
+            closed = (
+                -d[3] / (96 * pi**2),
+                d[2] / (64 * pi**2) + d[6] / (18432 * pi**4),
+                -d[1] / (64 * pi**2) - d[5] / (3840 * pi**4) - d[9] / (5308416 * pi**6),
+                d[0] / (128 * pi**2) + 19 * d[4] / (24576 * pi**4) + 11 * d[8] / (5898240 * pi**6)
+                + d[12] / (2038431744 * pi**8),
+            )
+            z = 1.0 - 2.0 * p
+            for j, (coeffs, ref) in enumerate(zip(specfun._RS_C1_C4, closed), start=1):
+                series = np.polynomial.polynomial.polyval(z * z, coeffs) * (z if j % 2 else 1.0)
+                assert abs(series - float(ref)) < 1e-16
+
+    def test_zeros_below_rs_t_min_go_to_euler_maclaurin(self, stored_table_5000):
+        g = stored_table_5000
+        low = g[g < specfun.RS_T_MIN]
+        assert len(low) == 79
+        out = specfun.zeta_prime_at_zeros(g)
+        assert np.array_equal(out[: len(low)], specfun.zeta_and_deriv(0.5 + 1j * low)[1])
+
+    def test_prefix_is_bit_identical_to_the_whole(self, stored_table_5000):
+        # no value above RS_T_MIN depends on the other points: not on a chunk of
+        # one point, nor on the longest main sum of its chunk
+        g = stored_table_5000
+        whole = specfun.zeta_prime_at_zeros(g)
+        n_low = int(np.searchsorted(g, specfun.RS_T_MIN))
+        for n in (n_low, n_low + 1, n_low + 2049, 1000, 3333):
+            assert np.array_equal(specfun.zeta_prime_at_zeros(g[:n]), whole[:n])
+        assert specfun.zeta_prime_at_zeros(g[2000]) == whole[2000]
 
 
 # ------------------------------------------------------------------- constants

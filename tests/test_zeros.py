@@ -156,6 +156,21 @@ class TestLoadZeros:
             zeros.load_zeros(p)
         assert exc_info.value.line_number == 2
 
+    @pytest.mark.parametrize(
+        "text, bad_line",
+        [("14.1\n\n  \n21.0\n\n", None), ("14.1 21.0\n", 1), ("14.1\nnan\n", 2), ("-1.0\n2.0\n", 1)],
+    )
+    def test_line_rules(self, tmp_path, text, bad_line):
+        # blank lines are skipped; one ordinate a line, each positive and above the last
+        p = tmp_path / "t.txt"
+        p.write_text(text)
+        if bad_line is None:
+            assert list(zeros.load_zeros(p).gammas) == [14.1, 21.0]
+            return
+        with pytest.raises(ZeroTableParseError) as exc_info:
+            zeros.load_zeros(p)
+        assert exc_info.value.line_number == bad_line
+
     def test_malformed_line(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("14.1\nnot-a-number\n")
