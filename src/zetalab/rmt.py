@@ -15,9 +15,10 @@ with independent Verblunsky coefficients gamma_j (Bourgade, Hughes,
 Nikeghbali & Yor, Duke Math. J. 145 (2008); Bourgade, Nikeghbali & Rouault,
 IMRN 2009, delta = 1).  Under Haar gamma_j = sqrt(B_j) e^{i omega} with
 B_j ~ Beta(1, j) (B_0 = 1) and omega uniform; the weighting multiplies that
-law by |1 - gamma|^2.  Averaging over omega gives
-E[(1 - gamma_j)^k] = (j + k + 2)/(j + 2), whose product over j is the exact
-moment above divided by i^k.
+law by |1 - gamma|^2, and :func:`_weighted_verblunsky` draws from the
+weighted law exactly, by inversion, with no rejection.  Averaging over omega
+gives E[(1 - gamma_j)^k] = (j + k + 2)/(j + 2), whose product over j is the
+exact moment above divided by i^k.
 
 The same gamma_j are the deformed Verblunsky coefficients of the other N - 1
 eigenvalues e^{i delta_n}, delta_n = theta_n - theta_r: Szegő's recursion
@@ -28,8 +29,9 @@ Fourier weights need (:func:`_szego_power_sums`).
 ``_mc_estimate`` is the one Monte-Carlo driver and ``_verblunsky_draw`` its one
 sampler.  It serves :func:`mc_moment` (the bare Z'^k) and
 ``hybrid.mc_hybrid_moment`` (Z'^k weighted by the hybrid model's Fourier sum).
-The tests' independent reference, QR+eig Haar matrices and the statistic
-taken at their eigenangles, lives in ``tests/oracles.py``.
+The tests' independent references, QR+eig Haar matrices with the statistic
+taken at their eigenangles and a rejection sampler of the weighted factors,
+live in ``tests/oracles.py``.
 """
 
 import math
@@ -40,7 +42,10 @@ import numpy as np
 from .errors import AdmissibilityError, CapabilityError, DomainError, PoleError
 from .specfun import _stirling_series, log_gamma
 
-_FACTOR_BATCH = 1 << 16  # Verblunsky factors drawn at once by _verblunsky_draw
+# Verblunsky factors drawn at once by _verblunsky_draw.  Each takes five
+# uniforms and a dozen float temporaries, about 4 MB a batch; at 2^16 the
+# batch outgrew the cache and a factor cost about a third more
+_FACTOR_BATCH = 1 << 15
 _WEYL_BLOCK = 1 << 16  # grid points evaluated at once by weyl_average
 _TWO_PI = 2.0 * math.pi
 
@@ -131,24 +136,43 @@ def _weighted_verblunsky(j, rng):
     """One draw per entry of the index array ``j`` from the law of the j-th
     Verblunsky coefficient gamma_j, weighted by |1 - gamma|^2.
 
-    Rejection from the Haar law sqrt(B_j) e^{i omega}, with B_j ~ Beta(1, j)
-    by inversion (B_0 = 1) and omega uniform: a draw is kept with probability
-    |1 - gamma|^2 / 4 <= 1, so at least a quarter are kept, gamma = 1 never
-    is, and only the rejected entries are drawn again.
+    Under Haar gamma_j = r e^{i omega} with b = r^2 ~ Beta(1, j) (b = 1 at
+    j = 0) and omega uniform.  Averaged over omega, |1 - gamma|^2 =
+    1 + b - 2 r cos omega is 1 + b, so the weighted b has density proportional
+    to (1 - b)^{j-1} (1 + b): Beta(1, j) with probability (j+1)/(j+2) and
+    Beta(2, j) otherwise.  By inversion 1 - b = (1 - u_1)^{1/j} W with
+    W = min(1, ((j+2)(1 - u_2))^{1/(j+1)}), which is 1 with probability
+    (j+1)/(j+2) and Beta(j+1, 1) otherwise, so 1 - b is Beta(j, 1) or
+    Beta(j, 2).  Given r, 1 + b - 2 r cos omega = (1 - r)^2 + 2r (1 - cos omega):
+    omega is uniform with probability (1 - r)^2/(1 + b) and otherwise has
+    density (1 - cos omega)/2pi.  That is omega = 2 phi with cos phi = c the
+    x-coordinate of a uniform point of the unit disc, c = sqrt(u_5) cos alpha
+    with alpha = 2 pi u_4, so e^{i omega} = (c + i sqrt(1 - c^2))^2; the
+    uniform phase is alpha itself, and u_3 picks between the two.  Five
+    uniforms a factor and no loop that depends on the draws.
+
+    gamma = 1 cannot occur: Re gamma < 1.  Where r < 1 that is plain.  Where
+    r = 1 (always at j = 0, and by rounding when 1 - b < 2^-53) the uniform
+    phase has chance 0 under the strict comparison, and the other has
+    Re e^{i omega} = 2c^2 - 1 < 1, since |c| <= sqrt(u_5) < 1 for u_5 < 1.
     """
-    flat = np.asarray(j).ravel()
-    out = np.empty(flat.size, dtype=complex)
-    todo = np.arange(flat.size)
-    while todo.size:
-        jj = flat[todo]
-        u, v, w = rng.random((3, todo.size))
-        # 1 - u is uniform on (0, 1], and 1 - (1 - u)^{1/j} ~ Beta(1, j)
-        b = np.where(jj == 0, 1.0, -np.expm1(np.log1p(-u) / np.maximum(jj, 1)))
-        g = np.sqrt(b) * np.exp(_TWO_PI * 1j * v)
-        keep = np.flatnonzero(4.0 * w < (1.0 - g.real) ** 2 + g.imag**2)
-        out[todo[keep]] = g[keep]
-        todo = np.delete(todo, keep)
-    return out.reshape(np.shape(j))
+    j = np.asarray(j)
+    u = rng.random((5,) + j.shape)
+    # 1 - u is uniform on (0, 1]: no log of 0 and W <= 1 at u = 0
+    log_w = np.minimum(np.log((j + 2) * (1.0 - u[1])) / (j + 1), 0.0)
+    log_1mb = np.where(j == 0, -np.inf, np.log1p(-u[0]) / np.maximum(j, 1) + log_w)
+    b = -np.expm1(log_1mb)
+    r = np.sqrt(b)
+    alpha = _TWO_PI * u[3]
+    cos_a, sin_a = np.cos(alpha), np.sin(alpha)
+    c = np.sqrt(u[4]) * cos_a
+    uniform = u[2] * (1.0 + b) < (1.0 - r) ** 2
+    cos_w = np.where(uniform, cos_a, 2.0 * c * c - 1.0)
+    sin_w = np.where(uniform, sin_a, 2.0 * c * np.sqrt((1.0 - c) * (1.0 + c)))
+    gam = np.empty(j.shape, dtype=complex)
+    np.multiply(r, cos_w, out=gam.real)
+    np.multiply(r, sin_w, out=gam.imag)
+    return gam
 
 
 def _szego_power_sums(gam, m_max):
@@ -183,7 +207,7 @@ def _szego_power_sums(gam, m_max):
     return p[1:].T
 
 
-def _verblunsky_draw(n, k, count, rng, s_coeffs=()):
+def _verblunsky_draw(n, k, count, rng, s_coeffs=(), factors=_weighted_verblunsky):
     """Up to ``count`` samples of the Z'^k statistic from independent weighted factors.
 
     The sample is i^k e^{sum_m s_m} prod_j (1 - gamma_j)^k e^{sum_m s_m p_m},
@@ -191,14 +215,14 @@ def _verblunsky_draw(n, k, count, rng, s_coeffs=()):
     ``s_coeffs`` = s_1..s_M, with p_m the eigenvalue power sums of
     :func:`_szego_power_sums`; with no coefficients it is the bare
     i^k prod_j (1 - gamma_j)^k.  The N - 1 factors are independent weighted
-    Verblunsky coefficients (:func:`_weighted_verblunsky`), so a sample costs
-    O(N (M + 1)).  Each factor 1 - gamma has nonnegative real part and takes
-    the principal log, as each factor 1 - e^{i delta} does in the eigenangle
-    statistic of the tests' QR+eig reference; the two sums of logs agree
-    sample by sample.
+    Verblunsky coefficients drawn by ``factors(j, rng)``, by default
+    :func:`_weighted_verblunsky`, so a sample costs O(N (M + 1)).  Each
+    factor 1 - gamma has nonnegative real part and takes the principal log,
+    as each factor 1 - e^{i delta} does in the eigenangle statistic of the
+    tests' QR+eig reference; the two sums of logs agree sample by sample.
     """
     b = min(count, max(1, _FACTOR_BATCH // n))
-    gam = _weighted_verblunsky(np.broadcast_to(np.arange(n - 1), (b, n - 1)), rng)
+    gam = factors(np.broadcast_to(np.arange(n - 1), (b, n - 1)), rng)
     fac = 1.0 - gam
     # the principal log by real parts: numpy's complex log is many times slower
     log_abs = 0.5 * np.log(fac.real**2 + fac.imag**2).sum(axis=1)
@@ -284,9 +308,9 @@ def mc_moment(n, k, samples, seed, workers=1):
     coefficients gamma_j, each from its Haar law sqrt(Beta(1, j)) e^{i omega}
     weighted by |1 - gamma|^2 (Bourgade, Hughes, Nikeghbali & Yor, Duke
     Math. J. 145 (2008); Bourgade, Nikeghbali & Rouault, IMRN 2009).  Each
-    sample draws those N - 1 factors exactly (:func:`_verblunsky_draw`): O(N)
-    work and no cap on N.  ``workers`` >= 1 child streams; the result is
-    bit-reproducible for fixed (seed, workers).
+    sample draws those N - 1 factors exactly, five uniforms a factor
+    (:func:`_verblunsky_draw`): O(N) work and no cap on N.  ``workers`` >= 1
+    child streams; the result is bit-reproducible for fixed (seed, workers).
     """
     return _mc_estimate(n, k, samples, seed, workers, _verblunsky_draw)
 

@@ -83,6 +83,11 @@ _IM_S_LIMIT = 1.0e5
 _RE_S_MIN = -5.0
 # log of the bound the Euler-Maclaurin remainders of zeta and zeta' are held to
 _EM_LOG_TOL = math.log(1e-15)
+# _em_depth's tables: the Pochhammer indices i = 0..2 _EM_MAX_DEPTH, 2p and
+# log |B_{2p+2}/(2p+2)!| for p = 0.._EM_MAX_DEPTH
+_EM_I = np.arange(2.0 * _EM_MAX_DEPTH + 1)
+_EM_2P = _EM_I[::2]
+_EM_LOG_COEFFS = np.log(np.abs(_EM_COEFFS))
 
 
 def _asarray_complex(z):
@@ -139,17 +144,22 @@ def log_gamma(z):
     return out.item() if scalar else out
 
 
-def _e1_series(z, n_terms):
-    """Power series E1(z) = -gamma - log z - sum (-z)^m / (m! m).
+def _e1_series(z, terms):
+    """Power series E1(z) = -gamma - log z - sum_{m <= n} (-z)^m / (m! m), n = terms.
 
     Alternating (hence cancellation-prone) for Re z > 0, but term signs align
     in the left half-plane, which makes it the accurate route near the cut.
+    ``terms`` is one count for every point, or one per point with z ordered
+    by non-increasing count.
     """
+    terms = np.broadcast_to(terms, z.shape)
     acc = np.zeros_like(z)
     term = np.ones_like(z)
-    for m in range(1, n_terms + 1):
-        term = term * (-z) / m
-        acc = acc + term / m
+    for m, k in reversed(list(_backward_steps(terms))):  # m = 1..n on the points still running
+        head = term[:k]
+        head *= -z[:k]
+        head /= m
+        acc[:k] += head / m
     return -GAMMA0 - np.log(z) - acc
 
 
@@ -175,6 +185,23 @@ _E1_CF_REACH = 320.0
 _E1_ASYMPTOTIC_REACH = np.exp(
     [(math.lgamma(n + 2) - math.log(2.0**-53 * math.sin(_E1_CF_ARG_MAX))) / (n + 1) for n in range(34)]
 )
+
+
+# For |z| < 4 the series' tail after its z^n term is at most twice the first
+# omitted term, |z|^(n+1) / ((n+1)! (n+1)), since the terms then fall by at
+# least |z| / (n+2) <= 1/2 each.  Entry n - 1 is the |z| up to which that is at
+# most 2^-53 |z|, below the rounding of the first term alone; the entries grow
+# with n, and n = 29 is the first to reach |z| = 4.
+_E1_SERIES_REACH = np.exp(
+    [(math.lgamma(n + 2) + math.log(n + 1) - 54.0 * math.log(2.0)) / n for n in range(1, 30)]
+)
+
+
+def _e1_series_terms(r):
+    """The series' term count at points of modulus r: from the reach table below
+    |z| = 4, 3.2 r + 48 in the near-cut sector above.  Array r; integer result."""
+    small = np.searchsorted(_E1_SERIES_REACH, r) + 1
+    return np.where(r < _E1_CROSSOVER, small, (3.2 * r).astype(int) + 48)
 
 
 def _e1_depth(r):
@@ -235,13 +262,15 @@ def _e1_asymptotic(z, terms):
 def exp_integral_e1(z):
     """Exponential integral E1(z), principal branch, cut along (-inf, 0].
 
-    Power series for |z| < 4.  Above, in the sector |arg z| <= 2, the
-    continued fraction by its backward recurrence below |z| = 40 and the
-    asymptotic expansion from there on, each at the depth :func:`_e1_depth`
-    gives for the point's own |z|: 80 down to 8 backward steps, or 33 terms
-    at |z| = 40 down to 12 at 100 and 6 at 1000, for a truncation error
-    below 2^-53 relative.  In the near-cut sector |arg z| > 2 the
-    (cancellation-free) series is kept.
+    Power series for |z| < 4, with the fewest terms for the point's own |z|
+    whose tail is below 2^-53 |z|: 5 at |z| = 1e-3, 17 at 1, 29 just below 4.
+    Above, in the sector |arg z| <= 2, the continued fraction by its backward
+    recurrence below |z| = 40 and the asymptotic expansion from there on,
+    each at the depth :func:`_e1_depth` gives for the point's own |z|: 80
+    down to 8 backward steps, or 33 terms at |z| = 40 down to 12 at 100 and 6
+    at 1000, for a truncation error below 2^-53 relative.  In the near-cut
+    sector |arg z| > 2 the (cancellation-free) series is kept, with
+    3.2 |z| + 48 terms.
 
     Raises:
         DomainError: if z = 0 (logarithmic singularity).
@@ -254,34 +283,20 @@ def exp_integral_e1(z):
     if np.any(on_cut):
         raise BranchCutError("E1 is not defined on the negative real axis (branch cut)")
 
-    absz = np.abs(arr)
-    out = np.empty_like(arr)
-
-    small = absz < _E1_CROSSOVER
-    if np.any(small):
-        out[small] = _e1_series(arr[small], 64)
-
-    large = ~small
-    if np.any(large):
-        zl = arr[large]
-        res = np.empty_like(zl)
-        near_cut = np.abs(np.angle(zl)) > _E1_CF_ARG_MAX
-        if np.any(near_cut):
-            zc = zl[near_cut]
-            n_terms = int(3.2 * np.abs(zc).max()) + 48
-            res[near_cut] = _e1_series(zc, n_terms)
-        sector = np.flatnonzero(~near_cut)
-        r = np.abs(zl[sector])
-        depth = _e1_depth(r)
-        far = r >= _E1_ASYMPTOTIC_MIN
-        for route, pick in ((_e1_fraction, ~far), (_e1_asymptotic, far)):
-            if np.any(pick):
-                order = np.argsort(-depth[pick], kind="stable")
-                idx = sector[pick][order]
-                res[idx] = route(zl[idx], depth[pick][order])
-        out[large] = res
-
-    return out.item() if scalar else out
+    flat = arr.reshape(-1)
+    absz = np.abs(flat)
+    series = (absz < _E1_CROSSOVER) | (np.abs(np.angle(flat)) > _E1_CF_ARG_MAX)
+    far = ~series & (absz >= _E1_ASYMPTOTIC_MIN)
+    depth = np.empty(flat.shape, dtype=int)
+    depth[series] = _e1_series_terms(absz[series])
+    depth[~series] = _e1_depth(absz[~series])
+    out = np.empty_like(flat)
+    for route, pick in ((_e1_series, series), (_e1_fraction, ~series & ~far), (_e1_asymptotic, far)):
+        idx = np.flatnonzero(pick)
+        if idx.size:
+            idx = idx[np.argsort(-depth[idx], kind="stable")]
+            out[idx] = route(flat[idx], depth[idx])
+    return out.item() if scalar else out.reshape(arr.shape)
 
 
 def riemann_siegel_theta(t):
@@ -326,7 +341,8 @@ def _em_depth(s_abs, sigma, m_cut):
 
     and Cauchy's estimate on the circle |w - s| = r = 1/log M (where
     |M^{-w}| <= e |M^{-s}|) bounds |R_p'(s)| by max |R_p(w)| / r.  Both are
-    taken at the largest |s| and the smallest Re s of the call, in logs.
+    taken at the largest |s| and the smallest Re s of the call, in logs, for
+    every p <= _EM_MAX_DEPTH at once.
 
     Raises:
         CapabilityError: if no p <= _EM_MAX_DEPTH meets both bounds, which
@@ -334,22 +350,21 @@ def _em_depth(s_abs, sigma, m_cut):
     """
     log_m = math.log(m_cut)
     r = 1.0 / log_m
-    log_poch = log_poch_r = 0.0  # log of bounds on |(s)_{2p+1}| and |(w)_{2p+1}|
-    for p in range(_EM_MAX_DEPTH + 1):
-        for i in range(max(0, 2 * p - 1), 2 * p + 1):
-            log_poch += math.log(s_abs + i) if s_abs + i > 0 else -math.inf
-            log_poch_r += math.log(s_abs + r + i)
-        if sigma + 2 * p + 1 - r <= 0:
-            continue
-        head = math.log(abs(_EM_COEFFS[p])) - (sigma + 2 * p + 1) * log_m
-        rem = head + log_poch + math.log((s_abs + 2 * p + 1) / (sigma + 2 * p + 1))
-        drem = head + log_poch_r + 1.0 + math.log((s_abs + r + 2 * p + 1) / (sigma - r + 2 * p + 1) / r)
-        if max(rem, drem) <= _EM_LOG_TOL:
-            return p
-    raise CapabilityError(
-        f"Euler-Maclaurin truncation M = {m_cut} is too short for |s| = {s_abs:g}, "
-        f"Re s = {sigma:g}: no depth <= {_EM_MAX_DEPTH} bounds the remainder by 1e-15"
-    )
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 at s = 0; the p skipped below
+        # log of bounds on |(s)_{2p+1}| and |(w)_{2p+1}|: products over i = 0..2p
+        log_poch = np.cumsum(np.log(s_abs + _EM_I))[::2]
+        log_poch_r = np.cumsum(np.log((s_abs + r) + _EM_I))[::2]
+        den = (sigma + _EM_2P) + 1.0  # sigma + 2p + 1
+        head = _EM_LOG_COEFFS - den * log_m
+        rem = head + log_poch + np.log(((s_abs + _EM_2P) + 1.0) / den)
+        drem = head + log_poch_r + 1.0 + np.log(((s_abs + r + _EM_2P) + 1.0) / ((sigma - r + _EM_2P) + 1.0) / r)
+        ok = (den - r > 0) & (np.maximum(rem, drem) <= _EM_LOG_TOL)
+    if not ok.any():
+        raise CapabilityError(
+            f"Euler-Maclaurin truncation M = {m_cut} is too short for |s| = {s_abs:g}, "
+            f"Re s = {sigma:g}: no depth <= {_EM_MAX_DEPTH} bounds the remainder by 1e-15"
+        )
+    return int(ok.argmax())
 
 
 # Most points of one Euler-Maclaurin chunk, and most entries of its n^{-s}
@@ -691,6 +706,19 @@ RS_T_MIN = 200.0
 _RS_CHUNK = 2048
 
 
+def _sum_rows(terms):
+    """The sum over the first axis of a (terms x points) table, one row at a time.
+
+    Every point's terms are then added in one order, whatever the other points:
+    numpy's pairwise sum along an axis groups them by the table's length, so a
+    point's last bits would depend on the longest sum in its chunk.
+    """
+    total = np.zeros(terms.shape[1:])
+    for row in terms:
+        total += row
+    return total
+
+
 def hardy_z_rs(t):
     """Riemann-Siegel Z(t) through the C0 term, with Gabcke's bound on its error.
 
@@ -701,7 +729,8 @@ def hardy_z_rs(t):
 
     and |Z(t) - Z_RS| <= 0.127 tau^{-3/4} for t >= 200 (Gabcke 1979; Edwards,
     *Riemann's Zeta Function*, ch. 7).  O(sqrt t) per point, against O(t) for
-    :func:`hardy_z`, which stays the reference.
+    :func:`hardy_z`, which stays the reference.  Each value depends on its
+    own point alone, not on the others in t.
 
     Returns:
         (Z_RS, bound), scalars or arrays shaped like t.
@@ -718,15 +747,15 @@ def hardy_z_rs(t):
         tc = flat[lo : lo + _RS_CHUNK]
         root = np.sqrt(tc / _TWO_PI)
         n_terms = np.floor(root)
-        n = np.arange(1.0, n_terms.max() + 1.0)
-        phase = riemann_siegel_theta(tc)[:, None] - np.multiply.outer(tc, np.log(n))
-        terms = np.where(n <= n_terms[:, None], np.cos(phase) / np.sqrt(n), 0.0)
+        n = np.arange(1.0, n_terms.max() + 1.0)[:, None]
+        terms = np.cos(riemann_siegel_theta(tc) - np.log(n) * tc) / np.sqrt(n)
+        terms[n > n_terms] = 0.0
         w = (1.0 - 2.0 * (root - n_terms)) ** 2
         c0 = np.zeros_like(w)
         for c in reversed(_RS_C0):
             c0 = c0 * w + c
         sign = np.where(n_terms % 2 == 1, 1.0, -1.0)  # (-1)^{N-1}
-        z_rs[lo : lo + _RS_CHUNK] = 2.0 * terms.sum(axis=1) + sign * c0 / np.sqrt(root)
+        z_rs[lo : lo + _RS_CHUNK] = 2.0 * _sum_rows(terms) + sign * c0 / np.sqrt(root)
     bound = 0.127 * (arr / _TWO_PI) ** -0.75
     if arr.ndim == 0:
         return float(z_rs[0]), float(bound)
@@ -768,10 +797,7 @@ def _hardy_z_prime_rs(t):
             c_j, dc_j = series, 2.0 * z * slope
         corr += u**j * ((0.25 + 0.5 * j) * u * c_j + dc_j)
     sign = np.where(n_terms % 2 == 1, 1.0, -1.0)  # (-1)^{N-1}
-    main = np.zeros_like(u)
-    for row in terms:  # one order at every point, whatever the other points
-        main += row
-    return theta, -2.0 * main - sign * u / (_TWO_PI * np.sqrt(root)) * corr
+    return theta, -2.0 * _sum_rows(terms) - sign * u / (_TWO_PI * np.sqrt(root)) * corr
 
 
 def zeta_prime_at_zeros(gammas):

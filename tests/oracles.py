@@ -9,8 +9,13 @@ None of these runs on a path of the package itself:
 * :func:`haar_angle_batch` and :func:`zprime_pow_rows`, Haar matrices by
   QR+eig and the Z'^k statistic at their eigenangles, the reference of the
   Verblunsky-factor samplers in ``rmt``;
+* :func:`weighted_verblunsky_rejection`, the weighted Verblunsky
+  coefficients by rejection from their Haar law, the reference of
+  ``rmt._weighted_verblunsky``'s exact draw;
 * :func:`em_main_sums`, the Euler-Maclaurin main sums with one exp per term,
-  the reference of ``specfun._main_sums``'s multiplicative table.
+  the reference of ``specfun._main_sums``'s multiplicative table;
+* :func:`em_depth_loop`, the Euler-Maclaurin depth by a loop over p, the
+  reference of ``specfun._em_depth``'s all-p-at-once arrays.
 """
 
 import math
@@ -20,7 +25,7 @@ from scipy.integrate import quad
 
 from zetalab.errors import DomainError
 from zetalab.hybrid import _U_CHUNK, _u_nodes, u_weight
-from zetalab.specfun import exp_integral_e1
+from zetalab.specfun import _EM_COEFFS, _EM_LOG_TOL, _EM_MAX_DEPTH, exp_integral_e1
 
 _COINCIDENCE_TOL = 1e-14
 _TWO_PI = 2.0 * math.pi
@@ -75,6 +80,26 @@ def em_main_sums(s, m_cut):
     return term.sum(axis=-1), -(term * log_n).sum(axis=-1)
 
 
+def em_depth_loop(s_abs, sigma, m_cut):
+    """The fewest p whose Backlund and Cauchy remainder bounds meet 1e-15, found by
+    walking p up one step at a time; None where no p <= _EM_MAX_DEPTH does."""
+    log_m = math.log(m_cut)
+    r = 1.0 / log_m
+    log_poch = log_poch_r = 0.0  # log of bounds on |(s)_{2p+1}| and |(w)_{2p+1}|
+    for p in range(_EM_MAX_DEPTH + 1):
+        for i in range(max(0, 2 * p - 1), 2 * p + 1):
+            log_poch += math.log(s_abs + i) if s_abs + i > 0 else -math.inf
+            log_poch_r += math.log(s_abs + r + i)
+        if sigma + 2 * p + 1 - r <= 0:
+            continue
+        head = math.log(abs(_EM_COEFFS[p])) - (sigma + 2 * p + 1) * log_m
+        rem = head + log_poch + math.log((s_abs + 2 * p + 1) / (sigma + 2 * p + 1))
+        drem = head + log_poch_r + 1.0 + math.log((s_abs + r + 2 * p + 1) / (sigma - r + 2 * p + 1) / r)
+        if max(rem, drem) <= _EM_LOG_TOL:
+            return p
+    return None
+
+
 def haar_angle_batch(n, count, rng):
     """Sorted eigenangle rows, shape (count, n), of Haar-distributed unitaries.
 
@@ -87,6 +112,30 @@ def haar_angle_batch(n, count, rng):
     q = q * (d / np.abs(d))[:, None, :]
     eig = np.linalg.eigvals(q)
     return np.sort(np.mod(np.angle(eig), _TWO_PI), axis=1)
+
+
+def weighted_verblunsky_rejection(j, rng):
+    """One draw per entry of the index array ``j`` from the law of the j-th
+    Verblunsky coefficient gamma_j, weighted by |1 - gamma|^2.
+
+    Rejection from the Haar law sqrt(B_j) e^{i omega}, with B_j ~ Beta(1, j)
+    by inversion (B_0 = 1) and omega uniform: a draw is kept with probability
+    |1 - gamma|^2 / 4 <= 1, so at least a quarter are kept, gamma = 1 never
+    is, and only the rejected entries are drawn again.
+    """
+    flat = np.asarray(j).ravel()
+    out = np.empty(flat.size, dtype=complex)
+    todo = np.arange(flat.size)
+    while todo.size:
+        jj = flat[todo]
+        u, v, w = rng.random((3, todo.size))
+        # 1 - u is uniform on (0, 1], and 1 - (1 - u)^{1/j} ~ Beta(1, j)
+        b = np.where(jj == 0, 1.0, -np.expm1(np.log1p(-u) / np.maximum(jj, 1)))
+        g = np.sqrt(b) * np.exp(_TWO_PI * 1j * v)
+        keep = np.flatnonzero(4.0 * w < (1.0 - g.real) ** 2 + g.imag**2)
+        out[todo[keep]] = g[keep]
+        todo = np.delete(todo, keep)
+    return out.reshape(np.shape(j))
 
 
 def zprime_pow_rows(angle_rows, col_index, k, s_coeffs):

@@ -1,11 +1,12 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracles import haar_angle_batch, kernel_U, kernel_U_panels, zprime_pow_rows
-from zetalab import hybrid, toeplitz
+from oracles import haar_angle_batch, kernel_U, kernel_U_panels, weighted_verblunsky_rejection, zprime_pow_rows
+from zetalab import hybrid, rmt, toeplitz
 from zetalab.errors import DomainError
 from zetalab.specfun import exp_integral_e1
 
@@ -320,12 +321,31 @@ class TestMcHybridMoment:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_pinned_values(self, params_x_e3, workers):
-        # values of the factor sampler when it took over the hybrid route:
-        # they pin the seeding, batching and merge of the shared _mc_estimate
-        # and the Szegő weights.  The bits agree on the machine they were
-        # taken on; the 1e-12 allows another libm's rounding, far below a
-        # change of stream (~ se)
+        # values of the rejection sampler when it took over the hybrid route,
+        # reproduced by that sampler (now the tests' oracle) through the
+        # package's driver: they pin the seeding, batching and merge of the
+        # shared _mc_estimate and the Szegő weights.  The bits agree on the
+        # machine they were taken on; the 1e-12 allows another libm's
+        # rounding, far below a change of stream (~ se)
         mean, se_re, se_im = self._PINNED[workers]
+        k = 1 + 1j
+        s_coeffs = hybrid.fourier_coeffs(k, params_x_e3).values
+        draw = partial(rmt._verblunsky_draw, s_coeffs=s_coeffs, factors=weighted_verblunsky_rejection)
+        est = rmt._mc_estimate(params_x_e3.n, k, 2000, 6, workers, draw)
+        assert est.samples == 2000
+        assert est.mean == pytest.approx(mean, rel=1e-12, abs=0)
+        assert est.se_re == pytest.approx(se_re, rel=1e-12, abs=0)
+        assert est.se_im == pytest.approx(se_im, rel=1e-12, abs=0)
+
+    _PINNED_EXACT = {
+        1: (-1.3765912291406497 - 0.38946655815963827j, 0.024905582234867604, 0.024412945429075687),
+        2: (-1.339846223620622 - 0.37600389305765264j, 0.023648137691343003, 0.0237543200664671),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pinned_values_exact_draw(self, params_x_e3, workers):
+        # the same run on the exact factor draw: the stream mc_hybrid_moment gives
+        mean, se_re, se_im = self._PINNED_EXACT[workers]
         est = hybrid.mc_hybrid_moment(params_x_e3, 1 + 1j, 2000, seed=6, workers=workers)
         assert est.samples == 2000
         assert est.mean == pytest.approx(mean, rel=1e-12, abs=0)

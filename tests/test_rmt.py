@@ -1,12 +1,14 @@
 import math
+from functools import partial
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
-from oracles import haar_angle_batch, zprime_pow_rows
+from oracles import haar_angle_batch, weighted_verblunsky_rejection, zprime_pow_rows
 from zetalab import rmt
 from zetalab.errors import AdmissibilityError, CapabilityError, DomainError, PoleError
 
@@ -302,9 +304,10 @@ class TestMcMoment:
         assert abs(a.mean.imag - full.mean().imag) < 3 * math.hypot(a.se_im, b_se_im)
 
     def test_rejected_factor_redrawn(self):
-        # a first round proposing B = 0 for j >= 1 and gamma_0 = 1 (omega = 0),
-        # with the most favourable acceptance draw: the gamma = 0 proposals are
-        # kept, every gamma_0 = 1 is rejected, and only those are drawn again
+        # the rejection oracle: a first round proposing B = 0 for j >= 1 and
+        # gamma_0 = 1 (omega = 0), with the most favourable acceptance draw:
+        # the gamma = 0 proposals are kept, every gamma_0 = 1 is rejected, and
+        # only those are drawn again
         class FirstRoundZeros:
             def __init__(self, rng):
                 self.rng, self.calls = rng, 0
@@ -314,9 +317,9 @@ class TestMcMoment:
                 return np.zeros(shape) if self.calls == 1 else self.rng.random(shape)
 
         j = np.broadcast_to(np.arange(4), (10, 4))
-        gam = rmt._weighted_verblunsky(j, FirstRoundZeros(np.random.default_rng(31)))
+        gam = weighted_verblunsky_rejection(j, FirstRoundZeros(np.random.default_rng(31)))
         assert np.all(gam[:, 1:] == 0)
-        redrawn = rmt._weighted_verblunsky(np.zeros(10, dtype=int), np.random.default_rng(31))
+        redrawn = weighted_verblunsky_rejection(np.zeros(10, dtype=int), np.random.default_rng(31))
         assert np.array_equal(gam[:, 0], redrawn)
         assert np.all(gam[:, 0] != 1) and np.allclose(np.abs(gam[:, 0]), 1.0)
 
@@ -337,11 +340,27 @@ class TestMcMoment:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_pinned_values(self, workers):
-        # values of the factor sampler before the hybrid route shared it: the
-        # bare stream must not move.  The bits agree on the machine they were
-        # taken on; the 1e-12 allows another libm's rounding, far below a
-        # change of stream (~ se)
+        # values of the rejection sampler before the hybrid route shared it,
+        # reproduced by that sampler (now the tests' oracle) through the
+        # package's driver: the seeding, batching and merge must not move.
+        # The bits agree on the machine they were taken on; the 1e-12 allows
+        # another libm's rounding, far below a change of stream (~ se)
         mean, se_re, se_im = self._PINNED[workers]
+        draw = partial(rmt._verblunsky_draw, factors=weighted_verblunsky_rejection)
+        est = rmt._mc_estimate(8, 0.5 + 0.5j, 2000, 6, workers, draw)
+        assert est.mean == pytest.approx(mean, rel=1e-12, abs=0)
+        assert est.se_re == pytest.approx(se_re, rel=1e-12, abs=0)
+        assert est.se_im == pytest.approx(se_im, rel=1e-12, abs=0)
+
+    _PINNED_EXACT = {
+        1: (0.04028660403290238 + 1.0530329812632997j, 0.017082039239864878, 0.015856430132522525),
+        2: (0.005565556085845072 + 1.0660325430685993j, 0.016498026495693693, 0.01536494167630908),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pinned_values_exact_draw(self, workers):
+        # the same run on the exact factor draw: the stream mc_moment gives
+        mean, se_re, se_im = self._PINNED_EXACT[workers]
         est = rmt.mc_moment(8, 0.5 + 0.5j, 2000, seed=6, workers=workers)
         assert est.mean == pytest.approx(mean, rel=1e-12, abs=0)
         assert est.se_re == pytest.approx(se_re, rel=1e-12, abs=0)
@@ -369,6 +388,34 @@ class TestWeightedVerblunsky:
         sq = np.abs(gam) ** 2
         assert abs(sq.mean() - (j + 4) / (j + 2) ** 2) < 4 * sq.std(ddof=1) / math.sqrt(len(sq)) + 1e-15
 
+    @pytest.mark.parametrize("j", [0, 1, 5, 40])
+    def test_agrees_with_rejection(self, j):
+        # two-sample Kolmogorov-Smirnov tests of |gamma_j|^2 and arg(1 - gamma_j)
+        # against the rejection oracle, which draws from the same law.  |gamma_j|^2
+        # is rounded to 1e-12: at j = 0 it is 1, and the two differ only by rounding
+        count = 20_000
+        new = rmt._weighted_verblunsky(np.full(count, j), np.random.default_rng(80 + j))
+        ref = weighted_verblunsky_rejection(np.full(count, j), np.random.default_rng(90 + j))
+        for stat in (lambda g: np.round(np.abs(g) ** 2, 12), lambda g: np.angle(1.0 - g)):
+            assert ks_2samp(stat(new), stat(ref)).pvalue > 1e-3
+
+    def test_extreme_uniforms_keep_gamma_off_one(self):
+        # every uniform at either end of [0, 1).  At the bottom gamma_0 = -1 and
+        # gamma_j = 0 for j >= 1.  At the top r is 1 at j = 0 and rounds to 1 at
+        # j = 1, so only the weighted phase is drawn there, and Re gamma < 1
+        class Constant:
+            def __init__(self, value):
+                self.value = value
+
+            def random(self, shape):
+                return np.full(shape, self.value)
+
+        low = rmt._weighted_verblunsky(np.arange(4), Constant(0.0))
+        assert np.array_equal(low, [-1.0, 0.0, 0.0, 0.0])
+        high = rmt._weighted_verblunsky(np.arange(4), Constant(1.0 - 2.0**-53))
+        assert np.array_equal(np.abs(high[:2]), [1.0, 1.0])
+        assert np.all(high.real < 1.0) and np.all(np.isfinite(np.log(1.0 - high)))
+
     @pytest.mark.parametrize("n,k,seed", [(6, 1 + 1j, 60), (8, -1.5, 61), (12, 0.5, 62)])
     def test_agrees_with_qr_eig(self, n, k, seed):
         # two-sample test against the QR+eig oracle through the eigenangle
@@ -394,8 +441,8 @@ class TestWeightedVerblunsky:
         # the statistic sums the principal logs of the factors, which differs
         # from the principal log of their product wherever the args sum past pi
         n, k = 64, 0.5 + 0.5j
-        vals = rmt._verblunsky_draw(n, k, 1000, np.random.default_rng(65))
-        gam = rmt._weighted_verblunsky(np.broadcast_to(np.arange(n - 1), (1000, n - 1)), np.random.default_rng(65))
+        vals = rmt._verblunsky_draw(n, k, 1000, np.random.default_rng(65))  # one batch
+        gam = rmt._weighted_verblunsky(np.broadcast_to(np.arange(n - 1), (len(vals), n - 1)), np.random.default_rng(65))
         logs = np.log(1.0 - gam).sum(axis=1)
         assert (np.abs(logs.imag) > math.pi).any()
         assert np.allclose(vals, np.exp(k * (1j * math.pi / 2 + logs)), rtol=1e-12, atol=0)

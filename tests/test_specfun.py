@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from oracles import em_main_sums
+from oracles import em_depth_loop, em_main_sums
 from zetalab import arithmetic, specfun
 from zetalab.errors import BranchCutError, CapabilityError, DomainError, PoleError
 
@@ -154,6 +154,29 @@ class TestExpIntegralE1:
         # (e^{-z} underflows beyond Re z = 745, to 0 on both sides)
         assert np.all(np.abs(ours - ref) <= 1e-13 * np.abs(ref))
 
+    def test_series_near_zero_and_four_matches_mpmath(self):
+        # the per-point series stays within the 64-term series' own error: its
+        # cancellation near |z| = 4 reaches 8.2e-15, and the two differ by at
+        # most 4.4e-16 (measured); at |z| = 1e-300, E1 is about 690
+        rng = np.random.default_rng(21)
+        r = np.concatenate([np.exp(rng.uniform(math.log(1e-8), math.log(1e-2), 100)),
+                            rng.uniform(3.5, 4.0, 100), [4.0 - 2.0**-50, 1e-300]])
+        z = r * np.exp(1j * rng.uniform(-3.1, 3.1, r.size))
+        ours = specfun.exp_integral_e1(z)
+        ref = np.array([complex(mp.e1(mp.mpc(w))) for w in z])
+        assert np.all(np.abs(ours - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+        assert np.all(np.abs(ours - specfun._e1_series(z, 64)) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
+
+    def test_series_terms_grow_with_modulus(self):
+        r = np.geomspace(1e-300, 4.0 - 2.0**-50, 400)
+        terms = specfun._e1_series_terms(r)
+        assert np.all(np.diff(terms) >= 0) and terms[-1] == 29
+        # entry n - 1 of the reach table is where 2 |z|^n / ((n+1)! (n+1)) = 2^-53
+        reach = specfun._E1_SERIES_REACH
+        bound = [2 * mp.mpf(x) ** n / (mp.factorial(n + 1) * (n + 1)) for n, x in enumerate(reach, start=1)]
+        assert all(abs(b / mp.mpf(2) ** -53 - 1) < 1e-12 for b in bound)
+        assert np.all(np.diff(reach) > 0) and reach[-2] < 4.0 <= reach[-1]
+
     def test_depths_fall_with_modulus(self):
         r = np.geomspace(4.0, 1e4, 400)
         depth = specfun._e1_depth(r)
@@ -289,6 +312,27 @@ class TestEulerMaclaurinDepth:
             m_cut = 30 + math.ceil(t / math.pi)
             assert specfun._em_depth(abs(0.5 + 1j * t), 0.5, m_cut) <= 30
 
+    def test_matches_loop_over_p(self):
+        # the same p as walking p up one step at a time, on a grid of |s|,
+        # Re s and M that includes s = 0, the skipped p left of the line, and
+        # M too short for any depth
+        checked = refused = 0
+        for s_abs in np.concatenate([[0.0, 0.5, 1.0, 3.0], np.geomspace(5.0, 1e5, 40)]):
+            for sigma in (-5.0, -2.5, -0.3, 0.0, 0.5, 1.0, 2.0, 4.0):
+                if abs(sigma) > s_abs:
+                    continue
+                base = 30 + math.ceil(s_abs / math.pi)
+                for m_cut in (3, 10, base // 4 + 2, base // 2 + 2, base, 2 * base, 4 * base):
+                    ref = em_depth_loop(s_abs, sigma, m_cut)
+                    if ref is None:
+                        refused += 1
+                        with pytest.raises(CapabilityError):
+                            specfun._em_depth(s_abs, sigma, m_cut)
+                    else:
+                        checked += 1
+                        assert specfun._em_depth(s_abs, sigma, m_cut) == ref, (s_abs, sigma, m_cut)
+        assert checked > 1000 and refused > 100
+
     def test_short_truncation_raises(self):
         with pytest.raises(CapabilityError):
             specfun._em_depth(abs(0.5 + 1000j), 0.5, 50)
@@ -416,6 +460,14 @@ class TestHardyZRiemannSiegel:
     def test_domain(self):
         with pytest.raises(DomainError):
             specfun.hardy_z_rs(np.array([150.0, 300.0]))
+
+    def test_point_alone_matches_its_chunk(self, stored_table_5000):
+        # a full 2,048-point chunk whose sums run from 21 to 28 terms: each point
+        # alone gives the same bits as inside it
+        t = stored_table_5000[stored_table_5000 > 200.0][-specfun._RS_CHUNK :] + 0.25
+        z_rs, _ = specfun.hardy_z_rs(t)
+        for i in np.random.default_rng(46).choice(t.size, 46, replace=False):
+            assert specfun.hardy_z_rs(t[i])[0] == z_rs[i], t[i]
 
 
 class TestZetaPrimeAtZeros:
