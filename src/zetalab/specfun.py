@@ -8,7 +8,7 @@ All routines accept scalars or numpy arrays and evaluate in double precision:
   negative real axis: power series near 0 and near the cut, and elsewhere
   the continued fraction (backward, at a fixed depth) or the asymptotic
   series, each taken only as deep as the point's |z| needs for 2^-53
-  (:func:`_e1_depth`, which ``hybrid.kernel_U_batch`` shares).
+  (:func:`_e1_depth`).
 * :func:`riemann_siegel_theta` -- Im log Gamma(1/4 + it/2) - (t/2) log pi,
   through :func:`log_gamma` below t = RS_T_MIN (200) and by theta's own real
   asymptotic series from there on.
@@ -77,10 +77,6 @@ _EM_COEFFS = tuple(
 _TWO_PI = 2.0 * math.pi
 _HALF_LOG_2PI = 0.5 * math.log(_TWO_PI)
 _IM_S_LIMIT = 1.0e5
-# Left of the line the main-sum terms n^{-s} grow like n^{-Re s} and cancel:
-# measured against mpmath, the relative error at |Im s| <= 1e5 stays below
-# 5.2e-9 at Re s = -5 but reaches 7e-5 at -8 and 4e-2 at -10
-_RE_S_MIN = -5.0
 # log of the bound the Euler-Maclaurin remainders of zeta and zeta' are held to
 _EM_LOG_TOL = math.log(1e-15)
 # _em_depth's tables: the Pochhammer indices i = 0..2 _EM_MAX_DEPTH, 2p and
@@ -210,8 +206,8 @@ def _e1_depth(r):
     Below ``_E1_ASYMPTOTIC_MIN`` it is the number of backward steps of the
     continued fraction, ceil(320 / r); from there on it is the highest power
     n of the asymptotic series, the fewest whose remainder bound is 2^-53.
-    Both fall as r grows, so the depth at a chunk's smallest |z| serves the
-    whole chunk.  Scalar or array r; integer result.
+    Both fall as r grows, so the depth at r serves every point with |z| >= r.
+    Scalar or array r; integer result.
     """
     r = np.asarray(r, dtype=float)
     fraction = np.ceil(_E1_CF_REACH / r)
@@ -468,7 +464,9 @@ def _zeta_em(s, want_deriv):
 
     The points are taken in ascending |Im s|, in chunks of at most _EM_CHUNK
     points and _TABLE_ENTRIES table entries, and each chunk gets the cutoff M
-    and the depth of its own highest point, M raised as its lowest Re s needs.
+    and the depth of its own highest point.  Left of Re s = 0 the terms n^{-s}
+    grow and cancel to a far smaller zeta (zeta(-5) by this sum is 3.4e-5
+    off), and no caller evaluates there, so those points are refused.
     """
     arr, scalar = _asarray_complex(s)
     if np.any(arr == 1):
@@ -481,8 +479,8 @@ def _zeta_em(s, want_deriv):
         raise CapabilityError(
             f"zeta evaluation supports |Im s| <= {_IM_S_LIMIT:g} (got {heights[-1]:g})"
         )
-    if flat.size and flat.real.min() < _RE_S_MIN:
-        raise CapabilityError(f"zeta evaluation supports Re s >= {_RE_S_MIN:g} (got {flat.real.min():g})")
+    if flat.size and flat.real.min() < 0.0:
+        raise CapabilityError(f"zeta evaluation supports Re s >= 0 (got {flat.real.min():g})")
     z = np.empty_like(flat)
     dz = np.empty_like(flat) if want_deriv else None
     lo = 0
@@ -490,20 +488,9 @@ def _zeta_em(s, want_deriv):
         hi = min(lo + _EM_CHUNK, flat.size)
         hi = min(hi, lo + _TABLE_ENTRIES // (_cutoff(heights[hi - 1]) - 1))
         m_cut = _cutoff(heights[hi - 1])
-        m_cap = 4 * m_cut
-        while True:
-            # left of the line the remainder needs a longer main sum (1.95 M at
-            # Re s = -5, t = 1e5): raise M by a quarter until a depth is found
-            hi = min(hi, lo + _TABLE_ENTRIES // (m_cut - 1))
-            idx = order[lo:hi]
-            chunk = flat[idx]
-            try:
-                depth = _em_depth(float(np.abs(chunk).max()), float(chunk.real.min()), m_cut)
-                break
-            except CapabilityError:
-                if m_cut == m_cap:
-                    raise
-                m_cut = min(m_cap, math.ceil(1.25 * m_cut))
+        idx = order[lo:hi]
+        chunk = flat[idx]
+        depth = _em_depth(float(np.abs(chunk).max()), float(chunk.real.min()), m_cut)
         z[idx], dz_chunk = _euler_maclaurin(chunk, m_cut, depth, want_deriv)
         if want_deriv:
             dz[idx] = dz_chunk
@@ -517,16 +504,15 @@ def zeta_and_deriv(s):
     The points are taken in chunks of ascending |Im s|, and each chunk's main
     sum stops at M = 30 + ceil(|Im s| / pi) of its own highest point: at
     M ~ t/pi the corrections shrink about (|s| / 2 pi M)^2 ~ 4-fold per term.
-    Left of the line, where the remainder needs a longer sum, a chunk raises
-    its M by a quarter at a time until a depth exists (at most 4-fold).
-    There is no argument to set M.  The number of Bernoulli corrections is
-    the fewest (at most 40) for which Backlund's bound on the remainder of
-    zeta, and a Cauchy bound on the remainder of zeta', are both <= 1e-15 at
-    the chunk's M (see :func:`_em_depth`); it is at most 28 for
-    |Im s| <= 1e5.  The derivative is the term-by-term analytic derivative of
-    the same expansion.  What remains is rounding in the main sum: zeta' at
-    the zeros up to T = 5000 is within 2e-11 of mpmath, zeta and zeta' within
-    8e-11 relative at -1.5+3e4i, -3+2000i and -5+500i.  Of the M - 1
+    There is no argument to set M, and Re s < 0 is refused.  The number of
+    Bernoulli corrections is the fewest (at most 40) for which Backlund's
+    bound on the remainder of zeta, and a Cauchy bound on the remainder of
+    zeta', are both <= 1e-15 at the chunk's M (see :func:`_em_depth`); it is
+    at most 28 for |Im s| <= 1e5.  The derivative is the term-by-term
+    analytic derivative of the same expansion.  What remains is rounding in
+    the main sum: zeta' at the zeros up to T = 5000 is within 2e-11 of
+    mpmath, zeta and zeta' within 2.5e-13 relative on Re s in
+    {0, 1/4, 1/2, 1, 2}, t in [0, 300].  Of the M - 1
     main-sum terms n^{-s}, only the pi(M) at the primes take an exp; every
     other one is a single multiply of two earlier terms, and both sums come
     from one real product over that table.
@@ -536,7 +522,7 @@ def zeta_and_deriv(s):
 
     Raises:
         PoleError: if any s equals 1.
-        CapabilityError: if |Im s| exceeds 1e5 or Re s is below -5.
+        CapabilityError: if |Im s| exceeds 1e5 or Re s is below 0.
     """
     z, dz, scalar = _zeta_em(s, want_deriv=True)
     if scalar:

@@ -5,7 +5,7 @@ None of these runs on a path of the package itself:
 * :func:`kernel_U`, the hybrid kernel by adaptive quadrature, the reference
   of ``hybrid.kernel_U_batch``'s fixed panels;
 * :func:`kernel_U_panels`, the same panel sums with one E1 per node, the
-  reference of ``hybrid.kernel_U_batch``'s asymptotic moments;
+  reference of ``hybrid.kernel_U_batch``'s sum by parts, one E1 per z;
 * :func:`haar_angle_batch` and :func:`zprime_pow_rows`, Haar matrices by
   QR+eig and the Z'^k statistic at their eigenangles, the reference of the
   Verblunsky-factor samplers in ``rmt``;
@@ -24,7 +24,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from zetalab.errors import DomainError
-from zetalab.hybrid import _U_CHUNK, _u_nodes, u_weight
+from zetalab.hybrid import _U_CHUNK, _panel_count, _u_nodes, u_weight
 from zetalab.specfun import _EM_COEFFS, _EM_LOG_TOL, _EM_MAX_DEPTH, exp_integral_e1
 
 _COINCIDENCE_TOL = 1e-14
@@ -68,8 +68,8 @@ def kernel_U_panels(z_values, spec):
     out = np.empty_like(flat)
     for lo in range(0, flat.size, _U_CHUNK):
         idx = order[lo : lo + _U_CHUNK]
-        ell, uw = _u_nodes(np.abs(flat[idx]).max(), spec)
-        out[idx] = exp_integral_e1(np.multiply.outer(flat[idx], ell)) @ uw
+        y, ell, w = _u_nodes(_panel_count(np.abs(flat[idx]).max(), spec), spec)
+        out[idx] = exp_integral_e1(np.multiply.outer(flat[idx], ell)) @ (u_weight(y, spec) * w)
     return out.reshape(np.shape(z_values))
 
 

@@ -116,34 +116,38 @@ class TestKernelU:
         for z, b in zip(zs, batch):
             assert b == pytest.approx(kernel_U(z, spec), abs=1e-11)
 
-    def test_moment_route_matches_per_node_e1(self, smoothing_y4, monkeypatch):
-        # four chunks of 256 by ascending |z|: (1) series, near-cut and fraction
-        # points, |z| < 30; (2) |z| l straddling 40; (3) |z| l >= 40 and
-        # |arg z| <= pi/2, the moment route; (4) the same but for four values
-        # with |arg z| > 2, which send the chunk back to one E1 per node
-        rng = np.random.default_rng(14)
+    @pytest.mark.parametrize("y_sharp", [1.0, 1.02, 1.25, 2.0, 4.0, 8.0])
+    def test_by_parts_route_matches_per_node_e1(self, y_sharp, monkeypatch):
+        # four chunks of 256 by ascending |z|: (1) the right half-plane below
+        # |z| = 5; (2) |z| in [5, 60] with eight points left of the imaginary
+        # axis, four of them near the cut, which keep one E1 per node; (3) the
+        # right half-plane up to 300; (4) the imaginary axis up to 800
+        spec = hybrid.SmoothingSpec(y_sharp)
+        rng = np.random.default_rng(18)
 
         def ring(r_lo, r_hi, arg_max):
             r = np.exp(rng.uniform(math.log(r_lo), math.log(r_hi), 256))
             return r * np.exp(1j * rng.uniform(-arg_max, arg_max, 256))
 
-        chunks = [ring(0.2, 30.0, 3.0), ring(35.0, 55.0, 2.0), ring(55.0, 150.0, math.pi / 2),
-                  ring(160.0, 300.0, math.pi / 2)]
-        chunks[3][:4] = 250.0 * np.exp(1j * np.array([2.5, -2.5, 3.0, -3.0]))
-        reach = [np.abs(c).min() * hybrid._u_nodes(np.abs(c).max(), smoothing_y4)[0][0] for c in chunks]
-        assert reach[1] < 40.0 < np.abs(chunks[1]).max() * 0.75 and reach[2] >= 40.0
+        chunks = [ring(0.05, 5.0, math.pi / 2), ring(5.0, 60.0, math.pi / 2), ring(60.0, 300.0, math.pi / 2),
+                  1j * ring(300.0, 800.0, 0.0) * rng.choice([-1, 1], 256)]
+        chunks[1][:8] = 30.0 * np.exp(1j * np.array([1.7, -1.7, 2.2, -2.2, 2.5, -2.5, 3.0, -3.0]))
         shuffle = rng.permutation(4 * 256)
         zs = np.concatenate(chunks)[shuffle]
-        moments = shuffle // 256 == 2
-        e1_calls = []
-        monkeypatch.setattr(hybrid, "exp_integral_e1", lambda z: e1_calls.append(z) or exp_integral_e1(z))
-        batch = hybrid.kernel_U_batch(zs, smoothing_y4)
-        assert len(e1_calls) == 3  # every chunk but the third
-        panels = kernel_U_panels(zs, smoothing_y4)
-        # measured 7.3e-19, against terms W_q E1(z l_q) of order 1 / |z|
-        assert np.max(np.abs(batch - panels)[moments]) <= 1e-15
-        # the other chunks take the same E1 calls, whose values reach 1e98 near the cut
-        assert np.array_equal(batch[~moments], panels[~moments])
+        per_node = shuffle // 256 == 1
+        e1_args = []
+        monkeypatch.setattr(hybrid, "exp_integral_e1", lambda z: e1_args.append(np.shape(z)) or exp_integral_e1(z))
+        batch = hybrid.kernel_U_batch(zs, spec)
+        # one E1 per z on the three right-half-plane chunks, one per (z, node) on the second
+        nodes = 10 * hybrid._panel_count(np.abs(chunks[1]).max(), spec)
+        assert e1_args == [(256,), (256, nodes), (256,), (256,)]
+        panels = kernel_U_panels(zs, spec)
+        # measured 3.6e-14 at worst, at |z| < 0.06 and Y <= 1.02, where the
+        # adaptive kernel_U is within 5e-15 of the sum by parts and 3e-14 of the
+        # per-node sum; at most 6.4e-15 from Y = 1.25 up
+        assert np.max(np.abs(batch - panels)[~per_node]) <= 1e-13
+        # the per-node chunk takes the same E1 calls, whose values reach 5e10 near the cut
+        assert np.array_equal(batch[per_node], panels[per_node])
 
 
 class TestFourierS:
