@@ -157,7 +157,7 @@ def _u_nodes(panels, spec):
 
 
 def kernel_U_batch(z_values, spec):
-    """U on an array of z values, by fixed composite Gauss-Legendre in y.
+    """U on an array of z values with Re z >= 0, by fixed composite Gauss-Legendre in y.
 
     The z values are taken in chunks of ``_U_CHUNK`` by ascending |z|, each
     on the nodes y_q and weights w_q of :func:`_u_nodes`, with l_q = log y_q,
@@ -174,18 +174,23 @@ def kernel_U_batch(z_values, spec):
              = E1(z) + sum_q V_q e^{-z l_q},   V_q = F(l_q) w_q / (y_q l_q).
 
     F vanishes to all orders at l_0, so the 1/l does no harm even at Y = 1
-    (l_0 = 0).  A chunk whose points all have Re z >= 0 takes this route:
-    one E1 per z, and e^{-z l} from the real cos and sin of Im z l (times
-    e^{-Re z l} where Re z != 0), summed by two real products.  There
-    |e^{-z l}| <= 1; for |z| <= 800 it is within 5.2e-14 of the per-node sum
-    below at Y = 1, and within 4.2e-15 at Y = 4.  For Re z < 0 the factors
-    e^{-z l} grow, and E1(z) and the sum would cancel; a chunk with such a
-    point keeps U(z) = sum_q u(y_q) w_q E1(z l_q), one E1 per (z, node).
+    (l_0 = 0).  Each chunk takes one E1 per z, and e^{-z l} from the real
+    cos and sin of Im z l (times e^{-Re z l} where Re z != 0), summed by two
+    real products.  With Re z >= 0, |e^{-z l}| <= 1; for |z| <= 800 the sum
+    is within 5.2e-14 of the per-node sum sum_q u(y_q) w_q E1(z l_q) at
+    Y = 1, and within 4.2e-15 at Y = 4.  For Re z < 0 the factors e^{-z l}
+    grow and E1(z) and the sum would cancel, so such points are refused; the
+    model's kernel is only ever taken on the imaginary axis.
     Cross-checked against the adaptive ``kernel_U`` and the per-node E1 sum
     of ``tests/oracles.py``.
+
+    Raises:
+        DomainError: if any z has Re z < 0.
     """
     z = np.asarray(z_values, dtype=complex)
     flat = z.reshape(-1)
+    if flat.size and flat.real.min() < 0.0:
+        raise DomainError(f"kernel_U_batch supports Re z >= 0 (got {flat.real.min():g})")
     order = np.argsort(np.abs(flat))
     res = np.empty(flat.shape, dtype=complex)
     by_parts = {}  # panel count -> (l_q, V_q)
@@ -193,36 +198,20 @@ def kernel_U_batch(z_values, spec):
         idx = order[lo_i : lo_i + _U_CHUNK]
         zc = flat[idx]
         panels = _panel_count(np.abs(zc[-1]), spec)
-        if zc.real.min() >= 0.0:
-            if panels not in by_parts:
-                y, ell, w = _u_nodes(panels, spec)
-                cdf = spec.bump_cdf(spec.y_sharpness * (ell - 1.0) + 1.0)
-                by_parts[panels] = ell, cdf * w / (y * ell)
-            ell, v = by_parts[panels]
-            phase = np.multiply.outer(zc.imag, ell)
-            cos, sin = np.cos(phase), np.sin(phase)
-            if zc.real.any():
-                decay = np.exp(np.multiply.outer(-zc.real, ell))
-                cos *= decay
-                sin *= decay
-            # BLAS dgemv: 11-15 us at 256 x 240, and no stall in 16 fresh processes
-            res[idx] = exp_integral_e1(zc) + (cos @ v - 1j * (sin @ v))
-        else:
+        if panels not in by_parts:
             y, ell, w = _u_nodes(panels, spec)
-            res[idx] = exp_integral_e1(np.multiply.outer(zc, ell)) @ (u_weight(y, spec) * w)
+            cdf = spec.bump_cdf(spec.y_sharpness * (ell - 1.0) + 1.0)
+            by_parts[panels] = ell, cdf * w / (y * ell)
+        ell, v = by_parts[panels]
+        phase = np.multiply.outer(zc.imag, ell)
+        cos, sin = np.cos(phase), np.sin(phase)
+        if zc.real.any():
+            decay = np.exp(np.multiply.outer(-zc.real, ell))
+            cos *= decay
+            sin *= decay
+        # BLAS dgemv: 11-15 us at 256 x 240, and no stall in 16 fresh processes
+        res[idx] = exp_integral_e1(zc) + (cos @ v - 1j * (sin @ v))
     return res.reshape(z.shape)
-
-
-@dataclass(frozen=True)
-class FourierCoeffs:
-    """Coefficients s_1..s_{m_max} of the finite Fourier sum k F_X(-v) = sum s_m e^{imv}."""
-
-    values: np.ndarray  # s_m for m = 1 .. len(values)
-
-    @property
-    def sum(self):
-        """sum_m s_m = k F_X(0)."""
-        return complex(self.values.sum())
 
 
 def fourier_s(m, k, params):
@@ -241,12 +230,12 @@ def fourier_s(m, k, params):
 
 
 def fourier_coeffs(k, params):
-    """All nonzero coefficients s_1 .. s_{ceil(log X) - 1} as a FourierCoeffs."""
+    """The nonzero coefficients s_1 .. s_{ceil(log X) - 1} of the finite Fourier
+    sum k F_X(-v) = sum_m s_m e^{imv}, as an array."""
     m_top = int(math.ceil(params.log_x)) - 1
     if math.isclose(params.log_x, round(params.log_x), rel_tol=0, abs_tol=1e-12):
         m_top = int(round(params.log_x)) - 1
-    vals = np.array([fourier_s(m, k, params) for m in range(1, m_top + 1)], dtype=complex)
-    return FourierCoeffs(values=vals)
+    return np.array([fourier_s(m, k, params) for m in range(1, m_top + 1)], dtype=complex)
 
 
 def F_X_poly(v, k, params):
@@ -254,10 +243,10 @@ def F_X_poly(v, k, params):
     coeffs = fourier_coeffs(k, params)
     arr = np.asarray(v, dtype=float)
     scalar = arr.ndim == 0
-    m = np.arange(1, len(coeffs.values) + 1)
+    m = np.arange(1, len(coeffs) + 1)
     # einsum, not BLAS: at 4096 angles OpenBLAS's threaded product took 8 ms a
     # call, against 25 us, in 2 of 14 fresh processes on a 2-core Xeon
-    out = np.einsum("...m,m->...", np.exp(1j * np.multiply.outer(arr, m)), coeffs.values)
+    out = np.einsum("...m,m->...", np.exp(1j * np.multiply.outer(arr, m)), coeffs)
     return complex(out) if scalar else out
 
 
@@ -331,5 +320,5 @@ def mc_hybrid_moment(params, k, samples, seed, workers=1):
     Seeding and the other checks (``workers`` >= 1) are those of
     :func:`zetalab.rmt.mc_moment`: both run the one driver in ``rmt``.
     """
-    draw = partial(_verblunsky_draw, s_coeffs=fourier_coeffs(k, params).values)
+    draw = partial(_verblunsky_draw, s_coeffs=fourier_coeffs(k, params))
     return _mc_estimate(params.n, k, samples, seed, workers, draw)

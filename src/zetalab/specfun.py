@@ -6,9 +6,8 @@ All routines accept scalars or numpy arrays and evaluate in double precision:
   recurrence).
 * :func:`exp_integral_e1` -- exponential integral E1 with the cut along the
   negative real axis: power series near 0 and near the cut, and elsewhere
-  the continued fraction (backward, at a fixed depth) or the asymptotic
-  series, each taken only as deep as the point's |z| needs for 2^-53
-  (:func:`_e1_depth`).
+  the continued fraction (backward, at a fixed depth), each taken only as
+  deep as the point's |z| needs for 2^-53.
 * :func:`riemann_siegel_theta` -- Im log Gamma(1/4 + it/2) - (t/2) log pi,
   through :func:`log_gamma` below t = RS_T_MIN (200) and by theta's own real
   asymptotic series from there on.
@@ -161,26 +160,19 @@ def _e1_series(z, terms):
 
 # |z| below which the power series is the production route everywhere.
 _E1_CROSSOVER = 4.0
-# |z| from which the asymptotic expansion replaces the continued fraction.
-_E1_ASYMPTOTIC_MIN = 40.0
-# Largest |arg z| for which the continued fraction / asymptotic expansion is
-# used above the crossover.  The fraction converges for |arg z| < pi but
-# impractically slowly near the cut, where the series has aligned term signs
-# and stays accurate instead.
+# Largest |arg z| for which the continued fraction is used above the
+# crossover.  The fraction converges for |arg z| < pi but impractically slowly
+# near the cut, where the series has aligned term signs and stays accurate
+# instead.
 _E1_CF_ARG_MAX = 2.0
-# The fraction's depth is ceil(_E1_CF_REACH / |z|).  Its truncation error
+# The fraction's depth is ceil(_E1_CF_REACH / |z|) + 2.  Its truncation error
 # behaves like exp(-4 cos(arg z / 2) sqrt(depth |z|)), worst at |arg z| = 2.
 # There the fewest depths for 2^-53 relative, measured against mpmath, are 78,
 # 62, 51, 37, 29, 22, 17, 14, 11, 9 and 7 at |z| = 4, 5, 6, 8, 10, 13, 16, 20,
-# 25, 32 and 40, all at most 320 / |z|.
+# 25, 32 and 40, all at most 320 / |z|, and 6, 5, 4, 3, 2 and 2 at |z| = 60,
+# 100, 200, 400, 1000 and 1e4.  From |z| = 80 on 320 / |z| alone falls short
+# (4 steps at 80, where 5 are needed); the two extra steps cover that.
 _E1_CF_REACH = 320.0
-# For |arg z| <= 2 the asymptotic series' remainder after its z^-n term is at
-# most csc(2) (n+1)! / |z|^(n+1) times its leading term (DLMF 6.12.1).  Entry n
-# is the |z| from which that bound is 2^-53; the entries fall with n, and the
-# last one (n = 33) is the first below _E1_ASYMPTOTIC_MIN.
-_E1_ASYMPTOTIC_REACH = np.exp(
-    [(math.lgamma(n + 2) - math.log(2.0**-53 * math.sin(_E1_CF_ARG_MAX))) / (n + 1) for n in range(34)]
-)
 
 
 # For |z| < 4 the series' tail after its z^n term is at most twice the first
@@ -201,18 +193,9 @@ def _e1_series_terms(r):
 
 
 def _e1_depth(r):
-    """The depth of E1's route at points with |z| >= r, for r >= 4 and |arg z| <= 2.
-
-    Below ``_E1_ASYMPTOTIC_MIN`` it is the number of backward steps of the
-    continued fraction, ceil(320 / r); from there on it is the highest power
-    n of the asymptotic series, the fewest whose remainder bound is 2^-53.
-    Both fall as r grows, so the depth at r serves every point with |z| >= r.
-    Scalar or array r; integer result.
-    """
-    r = np.asarray(r, dtype=float)
-    fraction = np.ceil(_E1_CF_REACH / r)
-    asymptotic = np.searchsorted(-_E1_ASYMPTOTIC_REACH, -r)  # entries above r
-    return np.where(r < _E1_ASYMPTOTIC_MIN, fraction, asymptotic).astype(int)
+    """The continued fraction's number of backward steps at |z| = r >= 4, for
+    |arg z| <= 2: ceil(320 / r) + 2.  Array r; integer result."""
+    return np.ceil(_E1_CF_REACH / r).astype(int) + 2
 
 
 def _backward_steps(depth):
@@ -240,31 +223,15 @@ def _e1_fraction(z, depth):
     return np.exp(-z) / t
 
 
-def _e1_asymptotic(z, terms):
-    """Large-|z| expansion e^{-z}/z * sum_{m <= n} (-1)^m m! / z^m, n = terms per point.
-
-    Nested Horner form; z is ordered by non-increasing n.  With n from
-    :func:`_e1_depth` the remainder is below 2^-53 relative for |arg z| <= 2.
-    """
-    w = 1.0 / z
-    acc = np.ones_like(z)
-    for m, k in _backward_steps(terms):
-        head = acc[:k]
-        head *= -float(m) * w[:k]
-        head += 1.0
-    return np.exp(-z) * w * acc
-
-
 def exp_integral_e1(z):
     """Exponential integral E1(z), principal branch, cut along (-inf, 0].
 
     Power series for |z| < 4, with the fewest terms for the point's own |z|
     whose tail is below 2^-53 |z|: 5 at |z| = 1e-3, 17 at 1, 29 just below 4.
     Above, in the sector |arg z| <= 2, the continued fraction by its backward
-    recurrence below |z| = 40 and the asymptotic expansion from there on,
-    each at the depth :func:`_e1_depth` gives for the point's own |z|: 80
-    down to 8 backward steps, or 33 terms at |z| = 40 down to 12 at 100 and 6
-    at 1000, for a truncation error below 2^-53 relative.  In the near-cut
+    recurrence, at the depth :func:`_e1_depth` gives for the point's own |z|:
+    82 backward steps at |z| = 4, 10 at 40, 6 at 100 and 3 from 320 on, for a
+    truncation error below 2^-53 relative.  In the near-cut
     sector |arg z| > 2 the (cancellation-free) series is kept, with
     3.2 |z| + 48 terms.
 
@@ -282,12 +249,11 @@ def exp_integral_e1(z):
     flat = arr.reshape(-1)
     absz = np.abs(flat)
     series = (absz < _E1_CROSSOVER) | (np.abs(np.angle(flat)) > _E1_CF_ARG_MAX)
-    far = ~series & (absz >= _E1_ASYMPTOTIC_MIN)
     depth = np.empty(flat.shape, dtype=int)
     depth[series] = _e1_series_terms(absz[series])
     depth[~series] = _e1_depth(absz[~series])
     out = np.empty_like(flat)
-    for route, pick in ((_e1_series, series), (_e1_fraction, ~series & ~far), (_e1_asymptotic, far)):
+    for route, pick in ((_e1_series, series), (_e1_fraction, ~series)):
         idx = np.flatnonzero(pick)
         if idx.size:
             idx = idx[np.argsort(-depth[idx], kind="stable")]
@@ -328,7 +294,8 @@ def _theta_prime(t):
 
 
 def _em_depth(s_abs, sigma, m_cut):
-    """Fewest Euler-Maclaurin corrections p whose remainders are proven below 1e-15.
+    """Fewest Euler-Maclaurin corrections p whose remainders are proven below 1e-15
+    at every point of a chunk with moduli ``s_abs`` and real parts ``sigma``.
 
     With the main sum cut at M, Backlund's bound on the remainder after p
     corrections is
@@ -337,30 +304,39 @@ def _em_depth(s_abs, sigma, m_cut):
 
     and Cauchy's estimate on the circle |w - s| = r = 1/log M (where
     |M^{-w}| <= e |M^{-s}|) bounds |R_p'(s)| by max |R_p(w)| / r.  Both are
-    taken at the largest |s| and the smallest Re s of the call, in logs, for
-    every p <= _EM_MAX_DEPTH at once.
+    taken in logs, at each point for every p <= _EM_MAX_DEPTH at once, and
+    the chunk gets the largest of the points' depths.  Both bounds grow with
+    |s| and fall with Re s, so a point that another beats on both needs no
+    row: after sorting by Re s, only those whose |s| tops all before.
 
     Raises:
-        CapabilityError: if no p <= _EM_MAX_DEPTH meets both bounds, which
-            only an M far below |s| can cause.
+        CapabilityError: if at some point no p <= _EM_MAX_DEPTH meets both
+            bounds, which only an M far below |s| can cause.
     """
     log_m = math.log(m_cut)
     r = 1.0 / log_m
+    s_abs, sigma = np.ravel(s_abs), np.ravel(sigma)
+    order = np.lexsort((-s_abs, sigma))  # by Re s, and by falling |s| at equal Re s
+    s_abs, sigma = s_abs[order], sigma[order]
+    front = s_abs >= np.maximum.accumulate(s_abs)
+    s_abs, sigma = s_abs[front, None], sigma[front, None]
     with np.errstate(divide="ignore", invalid="ignore"):  # log 0 at s = 0; the p skipped below
         # log of bounds on |(s)_{2p+1}| and |(w)_{2p+1}|: products over i = 0..2p
-        log_poch = np.cumsum(np.log(s_abs + _EM_I))[::2]
-        log_poch_r = np.cumsum(np.log((s_abs + r) + _EM_I))[::2]
+        log_poch = np.cumsum(np.log(s_abs + _EM_I), axis=1)[:, ::2]
+        log_poch_r = np.cumsum(np.log((s_abs + r) + _EM_I), axis=1)[:, ::2]
         den = (sigma + _EM_2P) + 1.0  # sigma + 2p + 1
         head = _EM_LOG_COEFFS - den * log_m
         rem = head + log_poch + np.log(((s_abs + _EM_2P) + 1.0) / den)
         drem = head + log_poch_r + 1.0 + np.log(((s_abs + r + _EM_2P) + 1.0) / ((sigma - r + _EM_2P) + 1.0) / r)
         ok = (den - r > 0) & (np.maximum(rem, drem) <= _EM_LOG_TOL)
-    if not ok.any():
+    served = ok.any(axis=1)
+    if not served.all():
+        bad = served.argmin()
         raise CapabilityError(
-            f"Euler-Maclaurin truncation M = {m_cut} is too short for |s| = {s_abs:g}, "
-            f"Re s = {sigma:g}: no depth <= {_EM_MAX_DEPTH} bounds the remainder by 1e-15"
+            f"Euler-Maclaurin truncation M = {m_cut} is too short for |s| = {s_abs[bad, 0]:g}, "
+            f"Re s = {sigma[bad, 0]:g}: no depth <= {_EM_MAX_DEPTH} bounds the remainder by 1e-15"
         )
-    return int(ok.argmax())
+    return int(ok.argmax(axis=1).max())
 
 
 # Most points of one Euler-Maclaurin chunk, and most entries of its n^{-s}
@@ -464,7 +440,8 @@ def _zeta_em(s, want_deriv):
 
     The points are taken in ascending |Im s|, in chunks of at most _EM_CHUNK
     points and _TABLE_ENTRIES table entries, and each chunk gets the cutoff M
-    and the depth of its own highest point.  Left of Re s = 0 the terms n^{-s}
+    of its own highest point and the largest depth any of its points needs
+    at that M.  Left of Re s = 0 the terms n^{-s}
     grow and cancel to a far smaller zeta (zeta(-5) by this sum is 3.4e-5
     off), and no caller evaluates there, so those points are refused.
     """
@@ -490,7 +467,7 @@ def _zeta_em(s, want_deriv):
         m_cut = _cutoff(heights[hi - 1])
         idx = order[lo:hi]
         chunk = flat[idx]
-        depth = _em_depth(float(np.abs(chunk).max()), float(chunk.real.min()), m_cut)
+        depth = _em_depth(np.abs(chunk), chunk.real, m_cut)
         z[idx], dz_chunk = _euler_maclaurin(chunk, m_cut, depth, want_deriv)
         if want_deriv:
             dz[idx] = dz_chunk

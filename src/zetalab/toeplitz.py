@@ -76,7 +76,7 @@ def symbol_coeffs(k, params, max_freq):
     k = require_admissible(k)
     if max_freq < 0:
         raise DomainError("max_freq must be >= 0")
-    h = exp_series_coeffs(fourier_coeffs(k, params).values, max_freq + 2)
+    h = exp_series_coeffs(fourier_coeffs(k, params), max_freq + 2)
     # fhat_n = sum_l h_l d_{n-l} with d_j = c_j - c_{j+1} (c_j = 0 for j < 0),
     # so d_{-1} = -c_0; d is stored from j = -1, and fhat_n sits at index n + 1
     d = -np.diff(binomial_series(k + 1, max_freq + 2), prepend=0.0)
@@ -134,11 +134,11 @@ def es_comparison(k, params):
     k = require_admissible(k)
     n = params.n
     s = fourier_coeffs(k, params)
-    terms = binomial_series(-k - 2, n) * exp_series_coeffs(-s.values, n)[::-1]
+    terms = binomial_series(-k - 2, n) * exp_series_coeffs(-s, n)[::-1]
     det = complex(terms.sum())
     _warn_cancellation(np.abs(terms).sum(), abs(det), f"the size-{n - 1} determinant")
     phase = 1j * math.pi * k / 2.0
-    expectation = np.exp(phase + s.sum) * det / n
+    expectation = np.exp(phase + s.sum()) * det / n
     # 1/Gamma(k+2) vanishes at k = -2, the admissible pole of Gamma
     asymptotic = 0j if k == -2 else np.exp(phase + k * math.log(n) - log_gamma(k + 2.0))
     return ToeplitzResult(

@@ -98,7 +98,7 @@ class TestKernelU:
             kernel_U(0.0, smoothing_y4)
 
     def test_batch_matches_adaptive(self, smoothing_y4):
-        zs = np.array([0.5, 2.0 + 1.0j, 40j, 200j, -3.0 + 5.0j])
+        zs = np.array([0.5, 2.0 + 1.0j, 40j, 200j, 3.0 + 5.0j])
         batch = hybrid.kernel_U_batch(zs, smoothing_y4)
         for z, b in zip(zs, batch):
             assert b == pytest.approx(kernel_U(z, smoothing_y4), abs=1e-11)
@@ -107,10 +107,10 @@ class TestKernelU:
         # at Y = 1 the phase of E1(z log y) turns |z| / 2 pi times across the
         # support, 48 to 64 times here, so the one-panel-per-turn rule, not
         # the floor, sets the count.  The floor's 24 panels alone miss U by
-        # 1.3e-9, 4.0e-8 and 1.1e-7
+        # 1.3e-9, 9.8e-11 and 1.1e-7
         spec = hybrid.SmoothingSpec(1.0)
         lo, hi = spec.support
-        zs = np.array([300j, -15.0 + 300j, 400j])
+        zs = np.array([300j, 15.0 + 300j, 400j])
         assert np.abs(zs).min() * math.log(hi / lo) / (2 * math.pi) > hybrid._MIN_PANELS
         batch = hybrid.kernel_U_batch(zs, spec)
         for z, b in zip(zs, batch):
@@ -119,9 +119,8 @@ class TestKernelU:
     @pytest.mark.parametrize("y_sharp", [1.0, 1.02, 1.25, 2.0, 4.0, 8.0])
     def test_by_parts_route_matches_per_node_e1(self, y_sharp, monkeypatch):
         # four chunks of 256 by ascending |z|: (1) the right half-plane below
-        # |z| = 5; (2) |z| in [5, 60] with eight points left of the imaginary
-        # axis, four of them near the cut, which keep one E1 per node; (3) the
-        # right half-plane up to 300; (4) the imaginary axis up to 800
+        # |z| = 5; (2) |z| in [5, 60] with eight points near the positive real
+        # axis; (3) the right half-plane up to 300; (4) the imaginary axis up to 800
         spec = hybrid.SmoothingSpec(y_sharp)
         rng = np.random.default_rng(18)
 
@@ -131,23 +130,25 @@ class TestKernelU:
 
         chunks = [ring(0.05, 5.0, math.pi / 2), ring(5.0, 60.0, math.pi / 2), ring(60.0, 300.0, math.pi / 2),
                   1j * ring(300.0, 800.0, 0.0) * rng.choice([-1, 1], 256)]
-        chunks[1][:8] = 30.0 * np.exp(1j * np.array([1.7, -1.7, 2.2, -2.2, 2.5, -2.5, 3.0, -3.0]))
-        shuffle = rng.permutation(4 * 256)
-        zs = np.concatenate(chunks)[shuffle]
-        per_node = shuffle // 256 == 1
+        near_axis = math.pi - np.array([1.7, -1.7, 2.2, -2.2, 2.5, -2.5, 3.0, -3.0])
+        chunks[1][:8] = 30.0 * np.exp(1j * near_axis)
+        zs = np.concatenate(chunks)[rng.permutation(4 * 256)]
         e1_args = []
         monkeypatch.setattr(hybrid, "exp_integral_e1", lambda z: e1_args.append(np.shape(z)) or exp_integral_e1(z))
         batch = hybrid.kernel_U_batch(zs, spec)
-        # one E1 per z on the three right-half-plane chunks, one per (z, node) on the second
-        nodes = 10 * hybrid._panel_count(np.abs(chunks[1]).max(), spec)
-        assert e1_args == [(256,), (256, nodes), (256,), (256,)]
-        panels = kernel_U_panels(zs, spec)
+        assert e1_args == [(256,)] * 4  # one E1 per z on every chunk
         # measured 3.6e-14 at worst, at |z| < 0.06 and Y <= 1.02, where the
         # adaptive kernel_U is within 5e-15 of the sum by parts and 3e-14 of the
         # per-node sum; at most 6.4e-15 from Y = 1.25 up
-        assert np.max(np.abs(batch - panels)[~per_node]) <= 1e-13
-        # the per-node chunk takes the same E1 calls, whose values reach 5e10 near the cut
-        assert np.array_equal(batch[per_node], panels[per_node])
+        assert np.max(np.abs(batch - kernel_U_panels(zs, spec))) <= 1e-13
+
+    @pytest.mark.parametrize("z", [-3.0 + 5.0j, -15.0 + 300j, -1e-300 + 1j, 30.0 * np.exp(3j), -2.0])
+    def test_left_half_plane_is_refused(self, z, smoothing_y4):
+        # alone and among valid points; the message is one line
+        for zs in (np.array([z]), np.array([1j, 2.0, z, 40j])):
+            with pytest.raises(DomainError, match="Re z >= 0") as info:
+                hybrid.kernel_U_batch(zs, smoothing_y4)
+            assert "\n" not in str(info.value)
 
 
 class TestFourierS:
@@ -171,7 +172,7 @@ class TestFourierS:
             if m >= params_x_e3.log_x:
                 assert val == 0
         coeffs = hybrid.fourier_coeffs(1 + 1j, params_x_e3)
-        assert len(coeffs.values) == 2  # log X = 3: support m in {1, 2}
+        assert len(coeffs) == 2  # log X = 3: support m in {1, 2}
 
     def test_scaling_in_k(self, params_x_e3):
         base = hybrid.fourier_s(2, 1, params_x_e3)
@@ -184,7 +185,7 @@ class TestFXRepresentations:
         assert hybrid.F_X_poly(0.7, 0, params_x_e3) == 0
 
     def test_fx0_real_positive(self, params_x_e3):
-        total = hybrid.fourier_coeffs(1.0, params_x_e3).sum
+        total = hybrid.fourier_coeffs(1.0, params_x_e3).sum()
         assert total.imag == pytest.approx(0.0, abs=1e-14)
         assert total.real > 0
         assert hybrid.F_X_poly(0.0, 1.0, params_x_e3) == pytest.approx(total)
@@ -211,7 +212,7 @@ class TestFXRepresentations:
 
     def test_exp_fx0_limit_of_direct_form(self, params_x_e3):
         # e^{k F_X(0)} from the Fourier sum vs the v -> 0 limit of the direct form
-        from_poly = np.exp(hybrid.fourier_coeffs(1.0, params_x_e3).sum)
+        from_poly = np.exp(hybrid.fourier_coeffs(1.0, params_x_e3).sum())
         from_direct = np.exp(hybrid.F_X_direct(1e-6, params_x_e3, j_window=50))
         assert abs(from_poly - from_direct) < 1e-4
 
@@ -269,12 +270,12 @@ class TestMcHybridMoment:
         s1 = hybrid.fourier_coeffs(1.0, params_x_e3)
         base = (
             1j
-            * np.exp(s1.sum)
+            * np.exp(s1.sum())
             * np.prod(1.0 - np.exp(1j * diffs))
             * np.exp(np.sum(hybrid.F_X_poly(diffs, 1.0, params_x_e3)))
         )
         s2 = hybrid.fourier_coeffs(2.0, params_x_e3)
-        stat = zprime_pow_rows(ang, np.array([params_x_e3.n - 1]), 2.0, s2.values)
+        stat = zprime_pow_rows(ang, np.array([params_x_e3.n - 1]), 2.0, s2)
         assert stat[0] == pytest.approx(base * base, rel=1e-9)
 
     def test_dimension_cap(self, smoothing_y4):
@@ -312,7 +313,7 @@ class TestMcHybridMoment:
         est = hybrid.mc_hybrid_moment(params, k, 100_000, seed)
         rng = np.random.default_rng(seed + 100)
         count = 20_000
-        s_coeffs = hybrid.fourier_coeffs(k, params).values
+        s_coeffs = hybrid.fourier_coeffs(k, params)
         qr = zprime_pow_rows(haar_angle_batch(n, count, rng), rng.integers(0, n, size=count), k, s_coeffs)
         for part, se in ((np.real, est.se_re), (np.imag, est.se_im)):
             se_qr = part(qr).std(ddof=1) / math.sqrt(count)
@@ -333,7 +334,7 @@ class TestMcHybridMoment:
         # rounding, far below a change of stream (~ se)
         mean, se_re, se_im = self._PINNED[workers]
         k = 1 + 1j
-        s_coeffs = hybrid.fourier_coeffs(k, params_x_e3).values
+        s_coeffs = hybrid.fourier_coeffs(k, params_x_e3)
         draw = partial(rmt._verblunsky_draw, s_coeffs=s_coeffs, factors=weighted_verblunsky_rejection)
         est = rmt._mc_estimate(params_x_e3.n, k, 2000, 6, workers, draw)
         assert est.samples == 2000

@@ -139,19 +139,22 @@ class TestExpIntegralE1:
             ref = complex(mp.e1(mp.mpc(z)))
             assert abs(ours - ref) <= 1e-13 * max(1.0, abs(ref))
 
-    def test_fraction_and_asymptotic_match_mpmath(self):
-        # 4 <= |z| <= 1000 in the sector |arg z| <= 2, with the rings where the
-        # depths are largest (|z| just above 4 and 40) and the sector's edges;
-        # the worst relative error measured is 4.4e-16
+    def test_fraction_matches_mpmath_in_sector(self):
+        # 4 <= |z| <= 1e4 in the sector |arg z| <= 2, with the rings where the
+        # depth is largest (|z| just above 4) and where the fraction's rule
+        # gains its two extra steps (38-110), and the sector's edges; beyond
+        # |Re z| = 700 e^{-z} leaves the double range, so those draws are
+        # dropped.  The worst relative error measured is 3.9e-16
         rng = np.random.default_rng(13)
-        r = np.concatenate([rng.uniform(4.0, 4.3, 50), rng.uniform(38.0, 42.0, 50),
-                            np.exp(rng.uniform(math.log(4.0), math.log(1000.0), 140)),
-                            [4.0, 4.0, 40.0, 40.0, 1000.0, 1000.0]])
-        phi = np.concatenate([rng.uniform(-2.0, 2.0, 240), [2.0, -2.0] * 3])
+        r = np.concatenate([rng.uniform(4.0, 4.3, 50), rng.uniform(38.0, 110.0, 100),
+                            np.exp(rng.uniform(math.log(4.0), math.log(1e4), 300)),
+                            [4.0, 4.0, 40.0, 40.0, 1000.0, 1000.0, 1e4, 1e4]])
+        phi = np.concatenate([rng.uniform(-2.0, 2.0, 450), [2.0, -2.0] * 3, [1.9, -1.6]])
         z = r * np.exp(1j * phi)
+        z = z[np.abs(z.real) < 700.0]
+        assert z.size > 350 and np.abs(z).max() > 5e3
         ours = specfun.exp_integral_e1(z)
         ref = np.array([complex(mp.e1(mp.mpc(w))) for w in z])
-        # (e^{-z} underflows beyond Re z = 745, to 0 on both sides)
         assert np.all(np.abs(ours - ref) <= 1e-13 * np.abs(ref))
 
     def test_series_near_zero_and_four_matches_mpmath(self):
@@ -180,14 +183,21 @@ class TestExpIntegralE1:
     def test_depths_fall_with_modulus(self):
         r = np.geomspace(4.0, 1e4, 400)
         depth = specfun._e1_depth(r)
-        fraction, far = depth[r < 40.0], depth[r >= 40.0]
-        assert fraction[0] == 80 and np.all(np.diff(fraction) <= 0)
-        assert specfun._e1_depth(40.0) == 33 and np.all(np.diff(far) <= 0)
-        # entry n of the reach table is where csc(2) (n+1)! / |z|^(n+1) = 2^-53
-        reach = specfun._E1_ASYMPTOTIC_REACH
-        bound = [mp.factorial(n + 1) / mp.mpf(x) ** (n + 1) / mp.sin(2) for n, x in enumerate(reach)]
-        assert all(abs(b / mp.mpf(2) ** -53 - 1) < 1e-12 for b in bound)
-        assert np.all(np.diff(reach) < 0) and reach[-1] <= 40.0 < reach[-2]
+        assert depth[0] == 82 and depth[-1] == 3 and np.all(np.diff(depth) <= 0)
+
+    def test_depth_reaches_double_precision_at_sector_edge(self):
+        # the fraction at the rule's depth, in exact arithmetic, against E1 at
+        # |arg z| = 2, where its truncation error is largest: within 2^-53
+        # relative, so the rule gives at least the fewest depth that works
+        with mp.workdps(40):
+            for x in np.geomspace(4.0, 1000.0, 60):
+                z = mp.mpf(x) * mp.expj(2)
+                depth = int(specfun._e1_depth(np.array([x]))[0])
+                t = z + 2 * depth + 1
+                for i in range(depth, 0, -1):
+                    t = z + 2 * i - 1 - i * i / t
+                ref = mp.e1(z)
+                assert abs(mp.exp(-z) / t - ref) <= mp.mpf(2) ** -53 * abs(ref), x
 
 
 # ----------------------------------------------------------------------- theta
@@ -343,6 +353,36 @@ class TestEulerMaclaurinDepth:
                         assert specfun._em_depth(s_abs, sigma, m_cut) == ref, (s_abs, sigma, m_cut)
         assert checked > 1000 and refused > 100
 
+    def test_chunk_depth_is_the_largest_point_depth(self):
+        # a chunk of points gets the largest of their own depths, and is
+        # refused only where one of them is; the points pair large and small
+        # |s| with small and large Re s, so that no corner of the chunk is a point
+        rng = np.random.default_rng(19)
+        checked = refused = 0
+        for _ in range(300):
+            size = int(rng.integers(1, 9))
+            sigma = rng.choice([-0.3, 0.0, 0.5, 1.0, 4.0, 30.0, 1000.0], size)
+            s_abs = np.abs(sigma) + np.exp(rng.uniform(0.0, math.log(1e4), size))
+            m_cut = int(rng.choice([10, 30, 100, 1000]))
+            refs = [em_depth_loop(a, b, m_cut) for a, b in zip(s_abs, sigma)]
+            if None in refs:
+                refused += 1
+                with pytest.raises(CapabilityError):
+                    specfun._em_depth(s_abs, sigma, m_cut)
+            else:
+                checked += 1
+                assert specfun._em_depth(s_abs, sigma, m_cut) == max(refs), (s_abs, sigma, m_cut)
+        assert checked > 100 and refused > 30
+
+    def test_mixed_chunk_matches_lone_points(self):
+        # each pair shares its lone points' cutoff (M = 30 and 62), which is
+        # too short for the larger |s| at the smaller Re s; no point has both
+        for pair in ([0.0, 1000.0], [100j, 1000.0 + 100j]):
+            z, dz = specfun.zeta_and_deriv(np.array(pair))
+            for i, point in enumerate(pair):
+                z1, dz1 = specfun.zeta_and_deriv(point)
+                assert abs(z[i] - z1) <= 1e-15 * abs(z1) and abs(dz[i] - dz1) <= 1e-15 * abs(dz1)
+
     def test_short_truncation_raises(self):
         with pytest.raises(CapabilityError):
             specfun._em_depth(abs(0.5 + 1000j), 0.5, 50)
@@ -360,7 +400,7 @@ class TestEulerMaclaurinDepth:
 
 def _em_at(s, m_cut):
     """(zeta, zeta') on a 1-D array s by Euler-Maclaurin at a fixed cutoff M."""
-    depth = specfun._em_depth(float(np.abs(s).max()), float(s.real.min()), m_cut)
+    depth = specfun._em_depth(np.abs(s), s.real, m_cut)
     return specfun._euler_maclaurin(s, m_cut, depth, want_deriv=True)
 
 
