@@ -63,25 +63,6 @@ def von_mangoldt(n):
     return 0.0
 
 
-def divisor_general(k, m):
-    """Generalized divisor function d_k(m), multiplicative with d_k(p^r) = C(k+r-1, r).
-
-    Computed as the rising-factorial product k(k+1)...(k+r-1)/r!, which is
-    valid for every complex k (including negative integers, where it vanishes
-    for large r).
-    """
-    if m < 1:
-        raise DomainError("divisor_general requires m >= 1")
-    k = complex(k)
-    out = 1.0 + 0j
-    for _, r in factorize(m).items():
-        val = 1.0 + 0j
-        for i in range(r):
-            val *= (k + i) / (i + 1)
-        out *= val
-    return out
-
-
 @dataclass(frozen=True)
 class DirichletPoly:
     """Truncated Dirichlet expansion of P_X(s)^k over X-smooth support.

@@ -261,7 +261,13 @@ def _a1(fac):
 
 def _b1_parts(fac):
     """B1(m, T) = b0 + b1 log(T/2pi): the pair (b0, b1) from the factorization
-    {p: a} of m; see :func:`b1_term`."""
+    {p: a} of m, for the prime-power and two-prime cases of the twisted
+    subsidiary term:
+
+        m = p^a:          B1 = -(p/(p-1)) (log p (log(T/2pi) - 1 + gamma0) + (a - 1/2) log^2 p)
+        m = p1^a1 p2^a2:  B1 = p1 p2 / ((p1-1)(p2-1)) log p1 log p2
+        otherwise 0.
+    """
     if len(fac) == 1:
         ((p, a),) = fac.items()
         lp = math.log(p)
@@ -271,19 +277,6 @@ def _b1_parts(fac):
         (p1, p2) = fac.keys()
         return p1 * p2 / ((p1 - 1.0) * (p2 - 1.0)) * math.log(p1) * math.log(p2), 0.0
     return 0.0, 0.0
-
-
-def b1_term(m, t_height):
-    """B1(m, T): the prime-power and two-prime cases of the twisted subsidiary term.
-
-    m = p^a:          -(p/(p-1)) (log p (log(T/2pi) - 1 + gamma0) + (a - 1/2) log^2 p)
-    m = p1^a1 p2^a2:  p1 p2 / ((p1-1)(p2-1)) log p1 log p2
-    otherwise 0.
-    """
-    if m < 2:
-        raise DomainError("B1 requires m >= 2")
-    b0, b1 = _b1_parts(factorize(m))
-    return b0 + b1 * math.log(t_height / _TWO_PI)
 
 
 def twisted_first_moment(zeros, t_height, poly):

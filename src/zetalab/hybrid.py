@@ -12,6 +12,12 @@ coefficients are (k/m) * (mass of u above e^{m/log X}) for 1 <= m < log X and
 vanish otherwise, so the direct and polynomial representations can be played
 against each other numerically.
 
+The direct form sums the j-window in closed form: U by parts is E1(z) plus a
+node sum of e^{-z l}, and on the lattice z = i (v + 2*pi*j) log X that factor
+splits into a part in v and a part in j, so each angle takes one E1 per z and
+the j-sum of the node factors is one real Dirichlet kernel per node
+(:func:`_f_x_direct_values`).
+
 The Monte-Carlo estimate of the model's moment, :func:`mc_hybrid_moment`, is
 one call to ``rmt._mc_estimate``, the driver behind ``rmt.mc_moment`` too,
 drawing the same independent weighted Verblunsky factors with the Fourier
@@ -30,11 +36,10 @@ from .specfun import exp_integral_e1
 
 _TWO_PI = 2.0 * math.pi
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)  # one panel's rule on [-1, 1]
-_BUMP_PANELS = 64  # equal panels on [0, x] for the bump's integral
-# the panel rule's nodes on [0, 1]; times x they are its nodes on [0, x]
-_BUMP_NODES = (np.arange(_BUMP_PANELS)[:, None] + 0.5 * (1.0 + _GL_NODES)) / _BUMP_PANELS
-_MIN_PANELS = 24  # kernel_U_batch's floor on its Gauss-Legendre panels
-_U_CHUNK = 256  # z values per kernel_U_batch chunk
+_BUMP_PANELS = 64  # equal panels on [0, 1] for the bump's integral
+_MIN_PANELS = 24  # floor on the Gauss-Legendre panels of U's nodes
+# cos or sin values per block of the node sums: 256 rows on the fewest nodes
+_BLOCK_VALUES = 256 * 10 * _MIN_PANELS
 
 
 def _raw_bump(x):
@@ -47,16 +52,28 @@ def _raw_bump(x):
     return out
 
 
+def _bump_panel(a, b):
+    """Integral of the unnormalized bump over [a, b] by one 10-node Gauss-Legendre panel."""
+    half = 0.5 * (b - a)
+    return (_raw_bump((a + half)[..., None] + half[..., None] * _GL_NODES) @ _GL_WEIGHTS) * half
+
+
+_BUMP_EDGES = np.arange(_BUMP_PANELS + 1) / _BUMP_PANELS
+# the integral of the unnormalized bump over [0, k/64], for k = 0..64
+_BUMP_CUMULATIVE = np.concatenate(([0.0], np.cumsum(_bump_panel(_BUMP_EDGES[:-1], _BUMP_EDGES[1:]))))
+
+
 def _bump_integral(x):
     """Integral of the unnormalized bump over [0, x], for each x in [0, 1].
 
-    ``_BUMP_PANELS`` equal 10-node Gauss-Legendre panels on [0, x].  The
-    bump is smooth and vanishes to all orders at 0 and 1; the rule agrees
+    The table of the integrals over [0, k/64] up to the panel edge below x,
+    plus one 10-node Gauss-Legendre panel on [edge, x]: ten exps a point.
+    The bump is smooth and vanishes to all orders at 0 and 1; the rule agrees
     with adaptive quadrature to rounding (``tests/test_hybrid.py``).
     """
     x = np.asarray(x, dtype=float)
-    pts = x[..., None, None] * _BUMP_NODES
-    return (_raw_bump(pts) @ _GL_WEIGHTS).sum(axis=-1) * ((0.5 / _BUMP_PANELS) * x)
+    k = (x * _BUMP_PANELS).astype(int)
+    return _BUMP_CUMULATIVE[k] + _bump_panel(_BUMP_EDGES[k], x)
 
 
 class SmoothingSpec:
@@ -64,8 +81,9 @@ class SmoothingSpec:
 
     The weight u(y) = Y f(Y log(y/e) + 1) / y then has mass 1 supported on
     [e^{1-1/Y}, e].  The normalization and the bump CDF are integrals of the
-    unnormalized bump over [0, 1] and [0, x], each by the same panel
-    Gauss-Legendre rule (:func:`_bump_integral`).
+    unnormalized bump over [0, 1] and [0, x], both from the one table of the
+    64 fixed Gauss-Legendre panels on [0, 1] and one panel up to x
+    (:func:`_bump_integral`).
     """
 
     def __init__(self, y_sharpness=4.0):
@@ -136,10 +154,10 @@ def mass_above(v, spec):
 
 
 def _panel_count(z_abs_max, spec):
-    """Gauss-Legendre panels on the support for a chunk up to |z| = z_abs_max.
+    """Gauss-Legendre panels on the support for every z up to |z| = z_abs_max.
 
     The phase of E1(z log y) turns through |z| log(hi/lo) across the support,
-    so the chunk takes one 10-node panel per turn at its largest |z|, and at
+    so the rule takes one 10-node panel per turn at the largest |z|, and at
     least ``_MIN_PANELS``.
     """
     lo, hi = spec.support
@@ -156,62 +174,27 @@ def _u_nodes(panels, spec):
     return y, np.log(y), np.tile(_GL_WEIGHTS, panels) * half
 
 
-def kernel_U_batch(z_values, spec):
-    """U on an array of z values with Re z >= 0, by fixed composite Gauss-Legendre in y.
-
-    The z values are taken in chunks of ``_U_CHUNK`` by ascending |z|, each
-    on the nodes y_q and weights w_q of :func:`_u_nodes`, with l_q = log y_q,
-    and as many panels as :func:`_panel_count` gives the chunk's largest |z|.
-    The weight vanishes to all orders at the support endpoints, so panel
-    quadrature converges fast, and oscillatory integrands (z on the
-    imaginary axis in the periodized sums) stay resolved.
+def _by_parts_nodes(panels, spec):
+    """l_q = log y_q and the weights V_q of U's sum by parts on ``panels`` panels.
 
     Let F(l) = bump_cdf(Y (l - 1) + 1) be the mass of u below e^l, so that
     F = 0 at l_0 = 1 - 1/Y and F = 1 at l = 1.  Since d/dl E1(z l) =
     -e^{-z l} / l, integrating by parts in l gives
 
         U(z) = E1(z) + integral_{l_0}^{1} F(l) e^{-z l} dl / l
-             = E1(z) + sum_q V_q e^{-z l_q},   V_q = F(l_q) w_q / (y_q l_q).
+             = E1(z) + sum_q V_q e^{-z l_q},   V_q = F(l_q) w_q / (y_q l_q),
 
-    F vanishes to all orders at l_0, so the 1/l does no harm even at Y = 1
-    (l_0 = 0).  Each chunk takes one E1 per z, and e^{-z l} from the real
-    cos and sin of Im z l (times e^{-Re z l} where Re z != 0), summed by two
-    real products.  With Re z >= 0, |e^{-z l}| <= 1; for |z| <= 800 the sum
-    is within 5.2e-14 of the per-node sum sum_q u(y_q) w_q E1(z l_q) at
-    Y = 1, and within 4.2e-15 at Y = 4.  For Re z < 0 the factors e^{-z l}
-    grow and E1(z) and the sum would cancel, so such points are refused; the
-    model's kernel is only ever taken on the imaginary axis.
-    Cross-checked against the adaptive ``kernel_U`` and the per-node E1 sum
-    of ``tests/oracles.py``.
-
-    Raises:
-        DomainError: if any z has Re z < 0.
+    on the nodes y_q and weights w_q of :func:`_u_nodes`.  F vanishes to all
+    orders at l_0, so the 1/l does no harm even at Y = 1 (l_0 = 0).
     """
-    z = np.asarray(z_values, dtype=complex)
-    flat = z.reshape(-1)
-    if flat.size and flat.real.min() < 0.0:
-        raise DomainError(f"kernel_U_batch supports Re z >= 0 (got {flat.real.min():g})")
-    order = np.argsort(np.abs(flat))
-    res = np.empty(flat.shape, dtype=complex)
-    by_parts = {}  # panel count -> (l_q, V_q)
-    for lo_i in range(0, len(flat), _U_CHUNK):
-        idx = order[lo_i : lo_i + _U_CHUNK]
-        zc = flat[idx]
-        panels = _panel_count(np.abs(zc[-1]), spec)
-        if panels not in by_parts:
-            y, ell, w = _u_nodes(panels, spec)
-            cdf = spec.bump_cdf(spec.y_sharpness * (ell - 1.0) + 1.0)
-            by_parts[panels] = ell, cdf * w / (y * ell)
-        ell, v = by_parts[panels]
-        phase = np.multiply.outer(zc.imag, ell)
-        cos, sin = np.cos(phase), np.sin(phase)
-        if zc.real.any():
-            decay = np.exp(np.multiply.outer(-zc.real, ell))
-            cos *= decay
-            sin *= decay
-        # BLAS dgemv: 11-15 us at 256 x 240, and no stall in 16 fresh processes
-        res[idx] = exp_integral_e1(zc) + (cos @ v - 1j * (sin @ v))
-    return res.reshape(z.shape)
+    y, ell, w = _u_nodes(panels, spec)
+    return ell, spec.bump_cdf(spec.y_sharpness * (ell - 1.0) + 1.0) * w / (y * ell)
+
+
+def _row_blocks(rows, cols):
+    """Slices of ``rows`` rows, each block at most ``_BLOCK_VALUES`` values of ``cols`` columns."""
+    step = max(1, _BLOCK_VALUES // cols)
+    return (slice(i, i + step) for i in range(0, rows, step))
 
 
 def fourier_s(m, k, params):
@@ -251,15 +234,42 @@ def F_X_poly(v, k, params):
 
 
 def _f_x_direct_values(v_array, params, j_window):
-    """F_X on an array of angles via the defining combination (truncated j-sum)."""
+    """F_X on an array of angles via the defining combination (truncated j-sum).
+
+    With z_j = i (v + 2 pi j) log X, U by parts (:func:`_by_parts_nodes`) on
+    one node set, with as many panels as :func:`_panel_count` gives the
+    window's largest |z|, separates e^{-z_j l} into e^{-i v log X l}
+    e^{-2 pi i j log X l}, so the window sums in closed form:
+
+        sum_{|j|<=J} U(z_j) = sum_j E1(z_j) + sum_q V_q e^{-i v a_q} D_J(a_q),
+
+    with a_q = log X l_q and D_J(a) = 1 + 2 sum_{j=1}^{J} cos(2 pi j a) the
+    real Dirichlet kernel.  E1 is taken once per z; cos and sin at grid x
+    nodes values for the angles and cos at J x nodes for D_J, each in blocks
+    of at most ``_BLOCK_VALUES`` values, so memory stays bounded at any J.
+    D_J is summed term by term: the closed form sin((2J+1) pi a) / sin(pi a)
+    loses digits near integer a and divides by 0 at them.  Cross-checked
+    against the per-z and per-node sums of ``tests/oracles.py``.
+    """
     if j_window < 0:
         raise DomainError(f"j_window must be >= 0 (got {j_window})")
     v = np.asarray(v_array, dtype=float)
     log_x = params.log_x
-    j = np.arange(-j_window, j_window + 1)
-    z = 1j * (v[:, None] + _TWO_PI * j[None, :]) * log_x
-    u_sum = kernel_U_batch(z, params.smoothing).sum(axis=1)
-    return -np.log(1.0 - np.exp(-1j * v)) - u_sum
+    z = 1j * (v[:, None] + _TWO_PI * np.arange(-j_window, j_window + 1)) * log_x
+    spec = params.smoothing
+    ell, weights = _by_parts_nodes(_panel_count(np.abs(z).max(initial=0.0), spec), spec)
+    a = log_x * ell
+    dirichlet = np.ones_like(a)
+    freqs = _TWO_PI * np.arange(1, j_window + 1)
+    for rows in _row_blocks(j_window, a.size):
+        dirichlet += 2.0 * np.cos(np.multiply.outer(freqs[rows], a)).sum(axis=0)
+    weights = weights * dirichlet
+    node_sum = np.empty(v.shape, dtype=complex)
+    for rows in _row_blocks(v.size, a.size):
+        phase = np.multiply.outer(v[rows], a)
+        # BLAS dgemv on at most 256 x 240 values, a size that never stalled in 16 fresh processes
+        node_sum[rows] = np.cos(phase) @ weights - 1j * (np.sin(phase) @ weights)
+    return -np.log(1.0 - np.exp(-1j * v)) - exp_integral_e1(z).sum(axis=1) - node_sum
 
 
 def F_X_direct(v, params, j_window=50):
@@ -267,7 +277,10 @@ def F_X_direct(v, params, j_window=50):
 
     The two logarithmic singularities cancel, but each term alone diverges at
     v = 0 mod 2*pi, so that point is served from the (exact) Fourier
-    polynomial instead -- call :func:`F_X_poly` there.
+    polynomial instead -- call :func:`F_X_poly` there.  A call takes E1 at
+    each of the angles x (2 j_window + 1) points, and cos and sin at (angles +
+    j_window) x nodes values, one node set for the whole window
+    (:func:`_f_x_direct_values`).
 
     Raises:
         DomainError: at v = 0 mod 2*pi, and for j_window < 0.
@@ -280,7 +293,7 @@ def F_X_direct(v, params, j_window=50):
             "F_X_direct is termwise singular at v = 0 mod 2*pi; "
             "use F_X_poly (exact finite sum) for that point"
         )
-    out = _f_x_direct_values(np.atleast_1d(arr), params, j_window)
+    out = _f_x_direct_values(arr.reshape(-1), params, j_window)
     return complex(out[0]) if scalar else out.reshape(arr.shape)
 
 
@@ -291,7 +304,10 @@ def fourier_coeffs_by_quadrature(params, m_max, j_window=50, grid=128):
     points dodge its termwise singularity at v = 0); since F_X is a finite
     trigonometric polynomial the rule is exact up to the j-window truncation
     noise.  Multiplying by k gives the quantities checked against the
-    closed form :func:`fourier_s`.
+    closed form :func:`fourier_s`.  The direct samples cost E1 at grid x
+    (2 j_window + 1) points and cos and sin at (grid + j_window) x nodes
+    values; at X = e^2, Y = 4, j_window 30 and grid 40 that is 2,440 E1
+    values and 240 nodes.
 
     Raises:
         DomainError: for grid < 1, j_window < 0 or m_max < 0.

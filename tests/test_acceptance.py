@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import divisor_general
 from zetalab import arithmetic, experiments, hybrid, rmt, toeplitz, zeros
 
 TWO_PI = 2 * math.pi
@@ -158,7 +159,7 @@ def test_criterion_07_dirichlet_coefficients():
         ok = ok and abs(lookup[m1 * m2] - lookup[m1] * lookup[m2]) < 1e-12
         checked += 1
     for m, a in zip(poly.m, poly.a):
-        bound = abs(arithmetic.divisor_general(abs(0.5 + 0.5j), int(m)))
+        bound = abs(divisor_general(abs(0.5 + 0.5j), int(m)))
         ok = ok and abs(a) <= bound + 1e-12
     _report(7, "dirichlet-coefficients", ok, "4 regimes x 4 k; 1000 coprime pairs; bound on full support")
 

