@@ -2,15 +2,16 @@
 
 The scan walks the critical line over Gram intervals [g_n, g_{n+1}], where
 theta(g_n) = n*pi, with _POINTS_PER_GRAM points in each, and refines every
-sign-change bracket in lockstep by Illinois (modified regula falsi) steps down
-to 1e-11.  A Gram point is good when (-1)^n Z(g_n) > 0, and a Rosser block is
-the span between two consecutive good Gram points.  The count is certified by
-Rosser's rule: every Rosser block up to Gram index 13,999,525, far above the
-heights here, holds exactly as many zeros as it has Gram intervals, all simple
-and on the critical line (Brent, van de Lune, te Riele & Winter, Math. Comp.
-39 (1982) 681-688).  So a block that shows that many sign changes of Z has
-all its zeros bracketed, and N(g_a) = a + 1 at every good Gram point g_a.  A
-block that shows fewer (two close zeros between neighbouring scan points) is
+sign-change bracket in lockstep by Anderson-Björck (modified regula falsi)
+steps down to 1e-11, or to adjacent doubles where one ulp is wider.  A Gram
+point is good when (-1)^n Z(g_n) > 0, and a Rosser block is the span between
+two consecutive good Gram points.  The count is certified by Rosser's rule:
+every Rosser block up to Gram index 13,999,525, far above the heights here,
+holds exactly as many zeros as it has Gram intervals, all simple and on the
+critical line (Brent, van de Lune, te Riele & Winter, Math. Comp. 39 (1982)
+681-688).  So a block that shows that many sign changes of Z has all its
+zeros bracketed, and N(g_a) = a + 1 at every good Gram point g_a.  A block
+that shows fewer (two close zeros between neighbouring scan points) is
 rescanned alone at doubling density, and MissingZeroError names it if its
 count still differs.
 
@@ -193,20 +194,30 @@ def zero_count(t):
     return a + 1 + int(np.count_nonzero(hi <= t))
 
 
-def _refine_brackets(lo, hi, z):
-    """Lockstep Illinois refinement of sign-change brackets to _BRACKET_WIDTH.
+def _is_open(a, b):
+    """Whether the brackets [a, b] (either order) are wider than _BRACKET_WIDTH and
+    hold a double strictly between their ends."""
+    return (np.abs(b - a) > _BRACKET_WIDTH) & (np.nextafter(a, b) != b)
 
-    Each step evaluates Z once per bracket still wider than _BRACKET_WIDTH, at
-    the regula falsi point kept at least _BRACKET_WIDTH/4 inside either end,
-    so that an iterate landing next to the root closes the bracket on the next
-    step; the end retained twice in a row has its value halved (Illinois).
-    Near a root |Z| falls below the Riemann-Siegel margin of :func:`_eval_z`,
-    so the final ends carry Euler-Maclaurin signs.  Returns the midpoints.
+
+def _refine_brackets(lo, hi, z):
+    """Lockstep Anderson-Björck refinement of sign-change brackets to _BRACKET_WIDTH.
+
+    Each step evaluates Z once per bracket still open, at the regula falsi
+    point kept at least _BRACKET_WIDTH/4 inside either end, so that an iterate
+    landing next to the root closes the bracket on the next step.  When the
+    new point c replaces the end b of its own sign, the value kept at the
+    other end is scaled by 1 - Z(c)/Z(b), or by 1/2 where that is not
+    positive (Anderson & Björck, BIT 13 (1973) 253-264).  A bracket is open
+    while it is wider than _BRACKET_WIDTH and its ends are not adjacent
+    doubles: from t = 2^16 on one ulp of t exceeds _BRACKET_WIDTH.  Near a
+    root |Z| falls below the Riemann-Siegel margin of :func:`_eval_z`, so the
+    final ends carry Euler-Maclaurin signs.  Returns the midpoints.
     """
     x0, x1 = lo.copy(), hi.copy()
     f0, f1 = z[:, 0].copy(), z[:, 1].copy()
     margin = 0.25 * _BRACKET_WIDTH
-    active = np.flatnonzero(np.abs(x1 - x0) > _BRACKET_WIDTH)
+    active = np.flatnonzero(_is_open(x0, x1))
     while active.size:
         a, b, fa, fb = x0[active], x1[active], f0[active], f1[active]
         c = np.clip(
@@ -214,10 +225,11 @@ def _refine_brackets(lo, hi, z):
         )
         fc = _eval_z(c)
         crossed = np.signbit(fc) != np.signbit(fb)
+        scale = 1.0 - fc / fb
         x0[active] = np.where(crossed, b, a)
-        f0[active] = np.where(crossed, fb, 0.5 * fa)
+        f0[active] = np.where(crossed, fb, np.where(scale > 0.0, scale, 0.5) * fa)
         x1[active], f1[active] = c, fc
-        active = active[np.abs(c - x0[active]) > _BRACKET_WIDTH]
+        active = active[_is_open(x0[active], c)]
     return 0.5 * (x0 + x1)
 
 

@@ -22,7 +22,9 @@ None of these runs on a path of the package itself:
 * :func:`em_main_sums`, the Euler-Maclaurin main sums with one exp per term,
   the reference of ``specfun._main_sums``'s multiplicative table;
 * :func:`em_depth_loop`, the Euler-Maclaurin depth by a loop over p, the
-  reference of ``specfun._em_depth``'s all-p-at-once arrays.
+  reference of ``specfun._em_depth``'s all-p-at-once arrays;
+* :func:`em_corrections_loop`, the Euler-Maclaurin corrections by a loop over
+  j, the reference of ``specfun._em_corrections``'s one-pass sums.
 """
 
 import math
@@ -166,6 +168,25 @@ def em_depth_loop(s_abs, sigma, m_cut):
         if max(rem, drem) <= _EM_LOG_TOL:
             return p
     return None
+
+
+def em_corrections_loop(s, m_cut, depth):
+    """(sum_j c_j q_j, sum_j c_j (dq_j - q_j log M)) for j = 1..depth, one j at a time:
+    q_j = (s)_{2j-1} / M^{2j-1} and dq_j/ds by the product rule, one factor
+    (s + i) / M at a time."""
+    log_m = math.log(m_cut)
+    q = s / m_cut
+    dq = np.full_like(s, 1.0 / m_cut)
+    corr = np.zeros_like(s)
+    dcorr = np.zeros_like(s)
+    for j, c in enumerate(_EM_COEFFS[:depth], start=1):
+        corr += c * q
+        dcorr += c * (dq - log_m * q)
+        for i in (2 * j - 1, 2 * j):
+            f = (s + i) / m_cut
+            dq = dq * f + q / m_cut
+            q = q * f
+    return corr, dcorr
 
 
 def haar_angle_batch(n, count, rng):

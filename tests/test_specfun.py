@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from oracles import em_depth_loop, em_main_sums
+from oracles import em_corrections_loop, em_depth_loop, em_main_sums
 from zetalab import arithmetic, specfun
 from zetalab.errors import BranchCutError, CapabilityError, DomainError, PoleError
 
@@ -88,6 +88,20 @@ class TestLogGamma:
         product = np.exp(specfun.log_gamma(z) + specfun.log_gamma(1 - z))
         expected = np.pi / np.sin(np.pi * z)
         assert np.max(np.abs(product - expected) / np.abs(expected)) < 1e-12
+
+    def test_array_call_matches_scalar_calls(self):
+        # a scalar runs the same array loops as an array's points
+        rng = np.random.default_rng(21)
+        z = np.concatenate(
+            [
+                rng.uniform(-30, 30, 200) + 1j * rng.uniform(-30, 30, 200),
+                1e-3 * (rng.uniform(-1, 1, 50) + 1j * rng.uniform(-1, 1, 50)),
+                -rng.uniform(0, 20, 50) + 0.5j,
+                [0.25 + 3.5j, 1.0, 0.5, 1e4 + 1e4j],
+            ]
+        )
+        ours = specfun.log_gamma(z.reshape(2, -1)).ravel()
+        assert np.array_equal(ours, [specfun.log_gamma(x) for x in z])
 
     def test_matches_mpmath(self):
         # the last three take the Stirling series with no recurrence (|Im z| >= 10)
@@ -222,13 +236,20 @@ class TestRiemannSiegelTheta:
             specfun.riemann_siegel_theta(1.0)
 
     def test_both_routes_match_mpmath(self):
-        # log_gamma below RS_T_MIN, the real asymptotic series from there on
-        t = np.geomspace(14.0, 1e5, 60)
+        # log_gamma below t = 7, the real asymptotic series from there on:
+        # both sides of the crossover, g_{-1} = 9.67 and the first zero
+        t = np.concatenate([[2.0, 4.5, 6.999, 7.0, 7.001, 9.6669080561, 14.1347251], np.geomspace(7.0, 1e5, 60)])
         ref = np.array([float(mp.siegeltheta(x)) for x in t])
         assert np.all(np.abs(specfun.riemann_siegel_theta(t) - ref) <= 1e-15 * np.abs(ref) + 2e-13)
 
+    def test_series_keeps_its_stokes_term(self):
+        # without e^{-pi t}/2 the series is 2.6e-13 off at t = 9
+        t = np.array([7.0, 8.0, 9.0, 10.0])
+        ref = np.array([float(mp.siegeltheta(x)) for x in t])
+        assert np.max(np.abs(specfun._theta_series(t) - ref)) < 2e-15
+
     def test_derivative_matches_mpmath(self):
-        t = np.geomspace(specfun.RS_T_MIN, 1e5, 12)
+        t = np.geomspace(7.0, 1e5, 16)
         ref = np.array([float(mp.diff(mp.siegeltheta, x)) for x in t])
         assert np.max(np.abs(specfun._theta_prime(t) - ref)) < 2e-15
 
@@ -382,6 +403,20 @@ class TestEulerMaclaurinDepth:
             for i, point in enumerate(pair):
                 z1, dz1 = specfun.zeta_and_deriv(point)
                 assert abs(z[i] - z1) <= 1e-15 * abs(z1) and abs(dz[i] - dz1) <= 1e-15 * abs(dz1)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("height", [0.0, 1e5])
+    def test_one_pass_corrections_match_loop(self, sigma, height):
+        # every depth the chunks can take, at s = sigma and s = sigma + 1e5 i;
+        # measured: 5.6e-16 relative at worst
+        s = np.array([sigma + 1j * height])
+        m_cut = 30 + math.ceil(height / math.pi)
+        for depth in range(specfun._EM_MAX_DEPTH + 1):
+            corr, dcorr = specfun._em_corrections(s, m_cut, depth, want_deriv=True)
+            ref, dref = em_corrections_loop(s, m_cut, depth)
+            assert np.all(np.abs(corr - ref) <= 2e-15 * np.abs(ref)), depth
+            assert np.all(np.abs(dcorr - dref) <= 2e-15 * np.abs(dref)), depth
+            assert np.array_equal(specfun._em_corrections(s, m_cut, depth, want_deriv=False)[0], corr)
 
     def test_short_truncation_raises(self):
         with pytest.raises(CapabilityError):

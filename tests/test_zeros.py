@@ -104,35 +104,73 @@ class TestComputeZeros:
 
 
 class TestComputeZerosTo1000:
-    """The Riemann-Siegel scan and Illinois refinement, with Euler-Maclaurin as the oracle."""
+    """The Riemann-Siegel scan and Anderson-Björck refinement, with Euler-Maclaurin as the oracle."""
 
     @pytest.fixture(scope="class")
     def counted(self):
         em_points = []
+        log_gamma_calls = []
 
         def counting_hardy_z(t):
             em_points.append(np.size(t))
             return specfun.hardy_z(t)
 
+        def counting_log_gamma(z):
+            log_gamma_calls.append(np.size(z))
+            return real_log_gamma(z)
+
+        real_log_gamma = specfun.log_gamma
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(zeros, "hardy_z", counting_hardy_z)
+            mp.setattr(specfun, "log_gamma", counting_log_gamma)
             zl = zeros.compute_zeros(1000.0, cache_dir=False)
-        return zl, sum(em_points)
+            count = zeros.zero_count(1000.0)
+        return zl, sum(em_points), len(log_gamma_calls), count
 
     def test_count(self, counted):
-        zl, _ = counted
-        assert len(zl) == 649
+        zl, _, _, count = counted
+        assert len(zl) == count == 649
 
     def test_sign_change_across_every_ordinate(self, counted):
-        zl, _ = counted
+        zl = counted[0]
         w = zl.precision
         lo = specfun.hardy_z(zl.gammas - w)
         hi = specfun.hardy_z(zl.gammas + w)
         assert np.all(np.signbit(lo) != np.signbit(hi))
 
     def test_euler_maclaurin_points_per_zero(self, counted):
-        zl, em_points = counted
-        assert em_points <= 12 * len(zl)
+        # measured: 5.55 a zero (6.47 with Illinois' fixed halving)
+        zl, em_points, _, _ = counted
+        assert em_points <= 6 * len(zl)
+
+    def test_theta_never_reaches_log_gamma(self, counted):
+        # theta's series serves from t = 7, below g_{-1} = 9.67, so neither the
+        # scan, the Gram points nor the refinement take log_gamma
+        assert counted[2] == 0
+
+
+class TestRefinementAbove2To16:
+    """From t = 2^16 on one ulp of t exceeds the bracket width of 1e-11."""
+
+    def test_brackets_end_at_adjacent_doubles(self, monkeypatch):
+        # three Rosser blocks, one the block at 1e5 with its zero at 99,999.70095
+        parts = [zeros._rosser_scan(t, from_first=False)[1:] for t in (65600.0, 8e4, 1e5)]
+        lo, hi, z = map(np.concatenate, zip(*parts))
+        steps = []
+        real_eval_z = zeros._eval_z
+
+        def counting_eval_z(points):
+            steps.append(len(points))
+            if len(steps) > 100:  # a bracket that cannot close would loop for ever
+                raise RuntimeError("refinement does not end")
+            return real_eval_z(points)
+
+        monkeypatch.setattr(zeros, "_eval_z", counting_eval_z)
+        gammas = zeros._refine_brackets(lo, hi, z)
+        assert np.any(np.abs(gammas - 99999.70095) < 1e-5)
+        for g in gammas:
+            z3 = specfun.hardy_z(np.array([np.nextafter(g, 0.0), g, np.nextafter(g, np.inf)]))
+            assert np.any(np.signbit(z3[:-1]) != np.signbit(z3[1:])), g
 
 
 class TestLoadZeros:
