@@ -7,7 +7,8 @@ per-prime coefficient generator is
 
     sum_r a_k(p^r) z^r = exp(sum_{j<=l(p)} (k/j) z^j),   l(p) = max{l : p^l <= X},
 
-assembled multiplicatively over smooth integers.
+assembled multiplicatively over smooth integers; at z = 1/p it is P_X's Euler
+factor at s = 1 (:func:`prime_power_sums`).
 """
 
 import math
@@ -72,7 +73,6 @@ class DirichletPoly:
         x_cutoff: the prime cutoff X.
         m: sorted X-smooth integers <= m_max (support; a_k vanishes elsewhere).
         a: coefficients a_k(m), with a_k(1) = 1.
-        lam: von Mangoldt values Lambda(m) on the support.
         m_max: truncation bound.
     """
 
@@ -80,7 +80,6 @@ class DirichletPoly:
     x_cutoff: float
     m: np.ndarray
     a: np.ndarray
-    lam: np.ndarray
     m_max: int
 
     def coeff(self, m):
@@ -100,7 +99,7 @@ class DirichletPoly:
         primes = [int(p) for p in sieve_primes(int(self.x_cutoff))]
         full = math.prod((1.0 - p**-0.5) ** (-kk) for p in primes)
         tables = [binomial_series(-kk, _prime_power_limit(p, self.m_max) + 1) for p in primes]
-        m, d, _ = _smooth_expand(primes, tables, self.m_max)
+        m, d = _smooth_expand(primes, tables, self.m_max)
         captured = np.sum(np.abs(d) / np.sqrt(m))
         return max(full - captured, 0.0)
 
@@ -115,30 +114,43 @@ def _prime_power_limit(p, x_cutoff):
     return ell
 
 
+def prime_power_sums(x_cutoff):
+    """The primes p <= X, with g_p = sum_{j<=l(p)} p^{-j}/j and h_p = sum_{j<=l(p)} p^{-j}.
+
+    Over the powers of p, sum_r a_k(p^r) p^{-r} = e^{k g_p} and
+    sum_r r a_k(p^r) p^{-r} = k h_p e^{k g_p}, for every k.  Returns three
+    float arrays (p, g, h).
+    """
+    if not (math.isfinite(x_cutoff) and x_cutoff >= 2):
+        raise DomainError(f"prime cutoff X must be finite and >= 2 (got {x_cutoff:g})")
+    primes = sieve_primes(int(x_cutoff))
+    g, h = [], []
+    for p in primes:
+        inv = [float(p) ** -j for j in range(1, _prime_power_limit(p, x_cutoff) + 1)]
+        g.append(math.fsum(v / j for j, v in enumerate(inv, start=1)))
+        h.append(math.fsum(inv))
+    return primes.astype(float), np.array(g), np.array(h)
+
+
 def _smooth_expand(primes, tables, m_max):
     """Multiply per-prime tables out over the X-smooth integers m <= m_max.
 
     ``tables[i][r]`` is the factor at ``primes[i]**r``.  m stays sorted: for
     each prime and each r >= 1 the prefix m <= m_max // p^r is appended, times
-    p^r, with its values times ``tables[i][r]`` and Lambda = log p where the
-    old m was 1.  Returns (m, values, Lambda).
+    p^r, with its values times ``tables[i][r]``.  Returns (m, values).
     """
     m = np.ones(1, dtype=np.int64)
     vals = np.ones(1, dtype=complex)
-    lam = np.zeros(1)
     for p, table in zip(primes, tables):
         powers = [p**r for r in range(1, len(table))]
         cuts = [int(np.searchsorted(m, m_max // v, side="right")) for v in powers]
         if len(m) + sum(cuts) > _SMOOTH_BUDGET:
             raise CapabilityError("smooth-number enumeration exceeds the memory budget")
-        m, vals, lam = (
-            np.concatenate([m] + [m[:c] * v for c, v in zip(cuts, powers)]),
-            np.concatenate([vals] + [vals[:c] * t for c, t in zip(cuts, table[1:])]),
-            np.concatenate([lam] + [np.where(m[:c] == 1, math.log(p), 0.0) for c in cuts]),
-        )
+        m = np.concatenate([m] + [m[:c] * v for c, v in zip(cuts, powers)])
+        vals = np.concatenate([vals] + [vals[:c] * t for c, t in zip(cuts, table[1:])])
         order = np.argsort(m)
-        m, vals, lam = m[order], vals[order], lam[order]
-    return m, vals, lam
+        m, vals = m[order], vals[order]
+    return m, vals
 
 
 def a_coeffs(k, x_cutoff, m_max=10**6):
@@ -159,8 +171,8 @@ def a_coeffs(k, x_cutoff, m_max=10**6):
                           _prime_power_limit(p, m_max) + 1)
         for p in primes
     ]
-    m, a, lam = _smooth_expand(primes, tables, m_max)
-    return DirichletPoly(k=k, x_cutoff=float(x_cutoff), m=m, a=a, lam=lam, m_max=int(m_max))
+    m, a = _smooth_expand(primes, tables, m_max)
+    return DirichletPoly(k=k, x_cutoff=float(x_cutoff), m=m, a=a, m_max=int(m_max))
 
 
 def p_x_pow(s, k, poly):

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, arithmetic, experiments, hybrid, rmt, toeplitz, zeros
+from . import __version__, experiments, hybrid, rmt, toeplitz, zeros
 from .errors import MissingZeroError
 
 CSV_COLUMNS = [
@@ -177,7 +177,7 @@ def _run_px_mean(cfg):
         cfg["x"] = math.log(t)
     k = parse_complex(cfg["k"])
     zl = _resolve_zeros(cfg["zeros"], t)
-    res = experiments.px_mean(zl, t, k, arithmetic.a_coeffs(k, cfg["x"], cfg["m_max"]))
+    res = experiments.px_mean(zl, t, k, cfg["x"])
     return [_row("px-mean", k=cfg["k"], t=t, x=cfg["x"], empirical=res.empirical,
                  predicted=res.predicted, n_zeros=res.n_zeros,
                  predicted_bare=res.details["predicted_bare"].real,
@@ -196,7 +196,7 @@ def _run_twisted(cfg):
     if cfg["x"] is None:
         cfg["x"] = math.log(t)
     zl = _resolve_zeros(cfg["zeros"], t)
-    res = experiments.twisted_first_moment(zl, t, arithmetic.a_coeffs(-1, cfg["x"], cfg["m_max"]))
+    res = experiments.twisted_first_moment(zl, t, cfg["x"])
     return [_row("twisted", k="-1", t=t, x=cfg["x"], empirical=res.empirical,
                  predicted=res.predicted, n_zeros=res.n_zeros,
                  main_term=res.details["main_term"], subsidiary_term=res.details["subsidiary_term"])]
@@ -242,11 +242,9 @@ _SUBCOMMANDS = {
         "a": str, "b": str, "tol": (float, 1e-6), "t_max": (float, 100.0),
     }),
     # x defaults to log T; zeros is a table path or "compute" (the default)
-    "px-mean": (_run_px_mean, {
-        "t": float, "x": (float, None), "k": (str, "1"), "m_max": (int, 10**6), "zeros": (str, None),
-    }),
+    "px-mean": (_run_px_mean, {"t": float, "x": (float, None), "k": (str, "1"), "zeros": (str, None)}),
     "landau-gonek": (_run_landau_gonek, {"t": float, "m": int, "zeros": (str, None)}),
-    "twisted": (_run_twisted, {"t": float, "x": (float, None), "m_max": (int, 10**6), "zeros": (str, None)}),
+    "twisted": (_run_twisted, {"t": float, "x": (float, None), "zeros": (str, None)}),
     "conjecture-table": (_run_conjecture_table, {"k": str, "t": str, "zeros": (str, None)}),
 }
 

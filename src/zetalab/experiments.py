@@ -12,8 +12,10 @@ math.fsum, with the closed-form prediction it is conjectured (or proven) to trac
 * :func:`twisted_first_moment` -- sum zeta'(rho) P_X(rho)^{-1} against the
   three-term polynomial main term plus the A1/B1 prime sums.
 
-Main and subsidiary prediction pieces are always reported separately so
-slow-convergence diagnostics stay visible.
+The m-sums of the last two over the coefficients a_k(m) of P_X(s)^k are
+taken in closed form over the primes p <= X, untruncated.  Main and subsidiary
+prediction pieces are always reported separately so slow-convergence
+diagnostics stay visible.
 """
 
 import math
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arithmetic import factorize, p_x_euler, von_mangoldt
+from .arithmetic import p_x_euler, prime_power_sums, von_mangoldt
 from .errors import DomainError
 from .rmt import conjecture_rhs, require_admissible
 from .specfun import GAMMA0, GAMMA1, zeta_prime_at_zeros
@@ -190,29 +192,27 @@ def landau_gonek(zeros, m, t_height):
     )
 
 
-def px_mean(zeros, t_height, k, poly):
-    """sum_{gamma<=T} P_X(rho)^k vs N(T) - (T/2pi) sum a_k(m) Lambda(m)/m.
+def px_mean(zeros, t_height, k, x_cutoff):
+    """sum_{gamma<=T} P_X(rho)^k vs N(T) - (T/2pi) sum_m a_k(m) Lambda(m)/m.
 
     The empirical side is the exact P_X(rho)^k = exp(k sum_{n<=X}
-    Lambda(n)/(log n n^rho)) (:func:`p_x_euler`); ``poly``'s coefficients
-    a_k(m) enter only the prediction.  Both the bare N(T) comparison and the
-    two-term comparison are reported (details["predicted_bare"] vs the
-    headline prediction).
+    Lambda(n)/(log n n^rho)) (:func:`p_x_euler`).  The m-sum is
+    :func:`_px_subsidiary`'s closed form; its real part enters the
+    prediction.  Both the bare N(T) comparison and the two-term comparison
+    are reported (details["predicted_bare"] vs the headline prediction).
     """
     k = require_admissible(k)
-    if complex(poly.k) != k:
-        raise DomainError("DirichletPoly was built for a different k")
-    if poly.x_cutoff > 4.0 * math.log(t_height):
+    subsidiary = _px_subsidiary(k, x_cutoff).real
+    if x_cutoff > 4.0 * math.log(t_height):
         warnings.warn(
-            f"X = {poly.x_cutoff:g} strains the X = O(log T) growth condition at T = {t_height:g}",
+            f"X = {x_cutoff:g} strains the X = O(log T) growth condition at T = {t_height:g}",
             stacklevel=2,
         )
     _require_coverage(zeros, t_height)
     gammas = zeros.below(t_height)
     n = len(gammas)
-    values = p_x_euler(0.5 + 1j * gammas, k, poly.x_cutoff)
+    values = p_x_euler(0.5 + 1j * gammas, k, x_cutoff)
     empirical = complex_fsum(values)
-    subsidiary = float(np.real(np.sum(poly.a * poly.lam / poly.m)))
     predicted = n - (t_height / _TWO_PI) * subsidiary
     return MomentResult(
         k=k,
@@ -222,6 +222,13 @@ def px_mean(zeros, t_height, k, poly):
         n_zeros=n,
         details={"predicted_bare": complex(n), "subsidiary_sum": subsidiary},
     )
+
+
+def _px_subsidiary(k, x_cutoff):
+    """sum_m a_k(m) Lambda(m)/m = sum_{p<=X} log p (e^{k g_p} - 1): Lambda
+    vanishes off the prime powers (g_p from :func:`arithmetic.prime_power_sums`)."""
+    p, g, _ = prime_power_sums(x_cutoff)
+    return complex(np.sum(np.log(p) * np.expm1(k * g)))
 
 
 def cgg_main_term(t_height):
@@ -243,75 +250,48 @@ def cgg_leading_term(t_height):
     return (t_height / (4.0 * math.pi)) * ell * ell
 
 
-def a1_term(m):
-    """A1(1, m): p (log p)^2 / (p-1)^2 on prime powers m = p^a, else 0."""
-    if m < 2:
-        raise DomainError("A1 requires m >= 2")
-    return _a1(factorize(m))
+def _twisted_m_sum(t_height, x_cutoff):
+    """sum_{m>=2} (a_{-1}(m)/m) (A1(1,m) + B1(m,T)), prime by prime.
 
+    With c_p = (p/(p-1)) log p, A1(1, p^a) = c_p log p/(p-1) and
+    B1 = -c_p (log(T/2pi) - 1 + gamma0 + (a - 1/2) log p) on prime powers,
+    B1 = c_p c_q on p^a q^b, and both vanish elsewhere.  So with
+    S0_p = sum_{a>=1} a_{-1}(p^a) p^{-a} = e^{-g_p} - 1 and
+    S1_p = sum_{a>=1} a a_{-1}(p^a) p^{-a} = -h_p e^{-g_p}
+    (:func:`arithmetic.prime_power_sums`) the sum is
 
-def _a1(fac):
-    """:func:`a1_term` from the factorization {p: a} of m."""
-    if len(fac) == 1:
-        (p,) = fac.keys()
-        lp = math.log(p)
-        return p * lp * lp / (p - 1.0) ** 2
-    return 0.0
-
-
-def _b1_parts(fac):
-    """B1(m, T) = b0 + b1 log(T/2pi): the pair (b0, b1) from the factorization
-    {p: a} of m, for the prime-power and two-prime cases of the twisted
-    subsidiary term:
-
-        m = p^a:          B1 = -(p/(p-1)) (log p (log(T/2pi) - 1 + gamma0) + (a - 1/2) log^2 p)
-        m = p1^a1 p2^a2:  B1 = p1 p2 / ((p1-1)(p2-1)) log p1 log p2
-        otherwise 0.
+        sum_p [(A1(1, p) - c_p (log(T/2pi) - 1 + gamma0 - log(p)/2)) S0_p - c_p log p S1_p]
+          + sum_{p<q} c_p c_q S0_p S0_q.
     """
-    if len(fac) == 1:
-        ((p, a),) = fac.items()
-        lp = math.log(p)
-        slope = -(p / (p - 1.0)) * lp
-        return slope * (GAMMA0 - 1.0 + (a - 0.5) * lp), slope
-    if len(fac) == 2:
-        (p1, p2) = fac.keys()
-        return p1 * p2 / ((p1 - 1.0) * (p2 - 1.0)) * math.log(p1) * math.log(p2), 0.0
-    return 0.0, 0.0
+    p, g, h = prime_power_sums(x_cutoff)
+    log_p = np.log(p)
+    c = p / (p - 1.0) * log_p
+    s0 = np.expm1(-g)
+    s1 = -h * np.exp(-g)
+    ell = math.log(t_height / _TWO_PI)
+    prime_powers = (c * log_p / (p - 1.0) - c * (ell - 1.0 + GAMMA0 - 0.5 * log_p)) * s0 - c * log_p * s1
+    pairs = np.triu(np.multiply.outer(c * s0, c * s0), 1)
+    return float(prime_powers.sum() + pairs.sum())
 
 
-def twisted_first_moment(zeros, t_height, poly):
+def twisted_first_moment(zeros, t_height, x_cutoff):
     """sum_{gamma<=T} zeta'(rho) P_X(rho)^{-1} vs the twisted-moment expansion.
 
-    ``poly`` must be the k = -1 coefficient set.  The prediction is the
-    three-term polynomial main term plus (T/2pi) sum_{m>=2} (a_{-1}(m)/m)
-    (A1(1,m) + B1(m,T)) over the Dirichlet support, where a_{-1} vanishes off
-    X-smooth integers.  The empirical side uses the exact P_X(rho)^{-1}
-    (:func:`p_x_euler`), not the truncated Dirichlet series.
+    The prediction is the three-term polynomial main term plus
+    (T/2pi) sum_{m>=2} (a_{-1}(m)/m) (A1(1,m) + B1(m,T)), taken in closed form
+    over the primes p <= X (:func:`_twisted_m_sum`).  The empirical side uses
+    the exact P_X(rho)^{-1} (:func:`p_x_euler`).
     """
-    if complex(poly.k) != -1:
-        raise DomainError("twisted first moment needs the k = -1 DirichletPoly")
+    m_sum = _twisted_m_sum(t_height, x_cutoff)
     _require_coverage(zeros, t_height)
     gammas = zeros.below(t_height)
     n = len(gammas)
     zp = zeta_prime_at_zeros(gammas)
-    pxinv = p_x_euler(0.5 + 1j * gammas, -1, poly.x_cutoff)
+    pxinv = p_x_euler(0.5 + 1j * gammas, -1, x_cutoff)
     empirical = complex_fsum(zp * pxinv)
 
-    # B1 is linear in log(T/2pi), so the m-sum is msum0 + msum1 log(T/2pi)
-    msum0 = msum1 = 0.0
-    for m, a in zip(poly.m, poly.a):
-        if m < 2:
-            continue
-        coeff = a.real  # a_{-1} is real for real k
-        if coeff == 0.0:
-            continue
-        fac = factorize(int(m))
-        b0, b1 = _b1_parts(fac)
-        msum0 += coeff / m * (_a1(fac) + b0)
-        msum1 += coeff / m * b1
-
     main = cgg_main_term(t_height)
-    subsidiary = (t_height / _TWO_PI) * (msum0 + msum1 * math.log(t_height / _TWO_PI))
+    subsidiary = (t_height / _TWO_PI) * m_sum
     return MomentResult(
         k=-1,
         t_height=float(t_height),

@@ -87,8 +87,8 @@ class SmoothingSpec:
     """
 
     def __init__(self, y_sharpness=4.0):
-        if y_sharpness < 1.0:
-            raise DomainError("smoothing sharpness Y must be >= 1")
+        if not (math.isfinite(y_sharpness) and y_sharpness >= 1.0):
+            raise DomainError(f"smoothing sharpness Y must be finite and >= 1 (got {y_sharpness:g})")
         self.y_sharpness = float(y_sharpness)
         self.normalization = float(_bump_integral(1.0))
 
@@ -117,8 +117,8 @@ class HybridParams:
     smoothing: SmoothingSpec
 
     def __post_init__(self):
-        if self.x_cutoff < 2.0:
-            raise DomainError("prime cutoff X must be >= 2")
+        if not (math.isfinite(self.x_cutoff) and self.x_cutoff >= 2.0):
+            raise DomainError(f"prime cutoff X must be finite and >= 2 (got {self.x_cutoff:g})")
         if self.n < 1:
             raise DomainError("matrix dimension must be >= 1")
 

@@ -11,8 +11,12 @@ None of these runs on a path of the package itself:
   reference of both sums by parts;
 * :func:`divisor_general`, the generalized divisor function, the reference
   of ``arithmetic.a_coeffs``'s convolution;
-* :func:`b1_term`, the twisted moment's B1(m, T) at one m, assembled from
-  ``experiments._b1_parts`` so that tests can check its formula;
+* :func:`a1_term` and :func:`b1_term`, the twisted moment's A1(1, m) and
+  B1(m, T) at one m from the factorization of m;
+* :func:`px_support_sum` and :func:`twisted_support_sum`, the m-sums of
+  ``px_mean`` and ``twisted_first_moment`` term by term over the support of
+  ``arithmetic.a_coeffs``, the references of their closed forms over the
+  primes;
 * :func:`haar_angle_batch` and :func:`zprime_pow_rows`, Haar matrices by
   QR+eig and the Z'^k statistic at their eigenangles, the reference of the
   Verblunsky-factor samplers in ``rmt``;
@@ -34,9 +38,8 @@ from scipy.integrate import quad
 
 from zetalab.errors import DomainError
 from zetalab.arithmetic import factorize
-from zetalab.experiments import _b1_parts
 from zetalab.hybrid import _by_parts_nodes, _panel_count, _u_nodes, u_weight
-from zetalab.specfun import _EM_COEFFS, _EM_LOG_TOL, _EM_MAX_DEPTH, exp_integral_e1
+from zetalab.specfun import _EM_COEFFS, _EM_LOG_TOL, _EM_MAX_DEPTH, GAMMA0, exp_integral_e1
 
 _COINCIDENCE_TOL = 1e-14
 _TWO_PI = 2.0 * math.pi
@@ -135,12 +138,76 @@ def divisor_general(k, m):
     return out
 
 
+def _a1(fac):
+    """A1(1, m) from the factorization {p: a} of m."""
+    if len(fac) == 1:
+        (p,) = fac.keys()
+        lp = math.log(p)
+        return p * lp * lp / (p - 1.0) ** 2
+    return 0.0
+
+
+def _b1_parts(fac):
+    """B1(m, T) = b0 + b1 log(T/2pi): the pair (b0, b1) from the factorization
+    {p: a} of m, for the prime-power and two-prime cases of the twisted
+    subsidiary term:
+
+        m = p^a:          B1 = -(p/(p-1)) (log p (log(T/2pi) - 1 + gamma0) + (a - 1/2) log^2 p)
+        m = p1^a1 p2^a2:  B1 = p1 p2 / ((p1-1)(p2-1)) log p1 log p2
+        otherwise 0.
+    """
+    if len(fac) == 1:
+        ((p, a),) = fac.items()
+        lp = math.log(p)
+        slope = -(p / (p - 1.0)) * lp
+        return slope * (GAMMA0 - 1.0 + (a - 0.5) * lp), slope
+    if len(fac) == 2:
+        (p1, p2) = fac.keys()
+        return p1 * p2 / ((p1 - 1.0) * (p2 - 1.0)) * math.log(p1) * math.log(p2), 0.0
+    return 0.0, 0.0
+
+
+def a1_term(m):
+    """A1(1, m): p (log p)^2 / (p-1)^2 on prime powers m = p^a, else 0."""
+    if m < 2:
+        raise DomainError("A1 requires m >= 2")
+    return _a1(factorize(m))
+
+
 def b1_term(m, t_height):
-    """B1(m, T) from ``experiments._b1_parts``: b0 + b1 log(T/2pi)."""
+    """B1(m, T) = b0 + b1 log(T/2pi) of :func:`_b1_parts`."""
     if m < 2:
         raise DomainError("B1 requires m >= 2")
     b0, b1 = _b1_parts(factorize(m))
     return b0 + b1 * math.log(t_height / _TWO_PI)
+
+
+def px_support_sum(poly):
+    """sum_m a_k(m) Lambda(m)/m over the support of ``poly``, one m at a time."""
+    total = 0j
+    for m, a in zip(poly.m.tolist(), poly.a.tolist()):
+        fac = factorize(m)
+        if len(fac) == 1:
+            total += a * math.log(next(iter(fac))) / m
+    return total
+
+
+def twisted_support_sum(poly, t_height):
+    """sum_{m>=2} (a_{-1}(m)/m) (A1(1,m) + B1(m,T)) over the support of the
+    k = -1 ``poly``, one m at a time.  B1 is linear in log(T/2pi), so the
+    m-sum is msum0 + msum1 log(T/2pi)."""
+    msum0 = msum1 = 0.0
+    for m, a in zip(poly.m.tolist(), poly.a.tolist()):
+        if m < 2:
+            continue
+        coeff = a.real  # a_{-1} is real
+        if coeff == 0.0:
+            continue
+        fac = factorize(m)
+        b0, b1 = _b1_parts(fac)
+        msum0 += coeff / m * (_a1(fac) + b0)
+        msum1 += coeff / m * b1
+    return msum0 + msum1 * math.log(t_height / _TWO_PI)
 
 
 def em_main_sums(s, m_cut):

@@ -216,8 +216,7 @@ def test_criterion_10_px_mean_subsidiary(zeros_5000):
     ok = True
     details = []
     for k in (1.0, -1.0):
-        poly = arithmetic.a_coeffs(k, x, m_max=10**6)
-        res = experiments.px_mean(zeros_5000, 5000.0, k, poly)
+        res = experiments.px_mean(zeros_5000, 5000.0, k, x)
         rel = abs(res.empirical - res.predicted) / abs(res.predicted)
         ok = ok and rel < 0.10
         details.append(f"k={k:g}: emp {res.empirical.real:.0f} vs pred {res.predicted.real:.0f} ({rel * 100:.1f}%)")
@@ -272,8 +271,7 @@ def test_criterion_12_reciprocal_known_case(zeros_5000):
 
 
 def test_criterion_13_twisted_first_moment(zeros_5000):
-    poly = arithmetic.a_coeffs(-1.0, math.log(5000.0), m_max=10**6)
-    res = experiments.twisted_first_moment(zeros_5000, 5000.0, poly)
+    res = experiments.twisted_first_moment(zeros_5000, 5000.0, math.log(5000.0))
     rel = abs(res.empirical - res.predicted) / abs(res.predicted)
     bare = res.details["main_term"]
     worse_without = abs(res.empirical.real - bare) > abs(res.empirical.real - res.predicted.real)

@@ -124,13 +124,6 @@ class TestACoeffs:
         assert poly.m.tolist() == expected
         assert len(set(poly.m.tolist())) == len(poly.m)
 
-    def test_lam_column(self):
-        poly = arithmetic.a_coeffs(1.0, 10.0, m_max=100)
-        idx = {int(m): i for i, m in enumerate(poly.m)}
-        assert poly.lam[idx[8]] == pytest.approx(math.log(2))
-        assert poly.lam[idx[6]] == 0.0
-        assert poly.lam[idx[1]] == 0.0
-
 
 class TestSmoothExpansion:
     @pytest.mark.parametrize("k, x, m_max", [(1.0, 10.0, 10**5), (-1.0, math.log(5000), 10**5),

@@ -161,7 +161,18 @@ class TestGates:
         assert run_cli(["--output-dir", tmp_path / "p", "px-mean", "--t", 100, "--zeros", "compute"]) == 0
         _, rows, manifest = read_outputs(tmp_path / "p")
         assert manifest["config"]["x"] == math.log(100) == float(rows[0]["X"])
-        assert (manifest["config"]["k"], manifest["config"]["m_max"]) == ("1", 10**6)
+        assert manifest["config"]["k"] == "1" and "m_max" not in manifest["config"]
+
+    def test_m_max_is_no_field_of_the_zeta_side_predictions(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"t": 100, "m_max": 10**6}))
+        assert run_cli(["--config", cfg, "--output-dir", tmp_path / "out", "twisted"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "'m_max'" in err[0]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["--output-dir", tmp_path / "out", "px-mean", "--t", 100, "--m-max", 10**6])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out" / "results.csv").exists()
 
     @pytest.mark.parametrize("name", ["zeros", *cli._SUBCOMMANDS])
     def test_help_for_every_subcommand(self, name, capsys):
@@ -288,6 +299,26 @@ class TestOracleAndHybrid:
              "j-window-neg", "m-max-neg"],
     )
     def test_senseless_grid_exit_2(self, tmp_path, capsys, args):
+        assert run_cli(["--output-dir", tmp_path, *args]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "DomainError" in err
+        assert not (tmp_path / "results.csv").exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["px-mean", "--t", 100, "--x", "inf"],
+            ["twisted", "--t", 100, "--x", "inf"],
+            ["hybrid-fourier-check", "--x", "inf", "--k", "1"],
+            ["toeplitz-check", "--k", "1", "--x", "inf"],
+            ["hybrid-mc", "--x", "inf", "--k", "1", "--samples", 100],
+            ["hybrid-fourier-check", "--x", 20, "--k", "1", "--y", "inf"],
+            ["px-mean", "--t", 100, "--x", "nan"],
+        ],
+        ids=["px-mean-x-inf", "twisted-x-inf", "fourier-x-inf", "toeplitz-x-inf", "hybrid-mc-x-inf",
+             "fourier-y-inf", "px-mean-x-nan"],
+    )
+    def test_non_finite_cutoff_exit_2(self, tmp_path, capsys, args):
         assert run_cli(["--output-dir", tmp_path, *args]) == 2
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "DomainError" in err

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import b1_term
+from oracles import a1_term, b1_term, px_support_sum, twisted_support_sum
 from zetalab import arithmetic, experiments
 from zetalab.errors import DomainError
 from zetalab.specfun import GAMMA0, zeta_and_deriv
@@ -126,14 +126,11 @@ class TestLandauGonek:
 
 class TestPxMean:
     def test_k0_counts_zeros(self, zeros_5000):
-        poly = arithmetic.a_coeffs(0.0, 8.5, m_max=1000)
-        res = experiments.px_mean(zeros_5000, 5000.0, 0, poly)
+        res = experiments.px_mean(zeros_5000, 5000.0, 0, 8.5)
         assert res.empirical == res.n_zeros == 4520
 
     def test_k1_two_term_prediction(self, zeros_5000):
-        x = math.log(5000.0)
-        poly = arithmetic.a_coeffs(1.0, x, m_max=10**6)
-        res = experiments.px_mean(zeros_5000, 5000.0, 1, poly)
+        res = experiments.px_mean(zeros_5000, 5000.0, 1, math.log(5000.0))
         assert res.details["predicted_bare"].real == 4520
         # subsidiary sum contains at least the prime part sum_{p<=8.5} log p / p
         prime_part = sum(math.log(p) / p for p in (2, 3, 5, 7))
@@ -141,51 +138,73 @@ class TestPxMean:
         assert res.empirical.real == pytest.approx(res.predicted.real, rel=0.10)
 
     def test_k_minus1_sign_flip(self, zeros_5000):
-        x = math.log(5000.0)
-        poly = arithmetic.a_coeffs(-1.0, x, m_max=10**6)
-        res = experiments.px_mean(zeros_5000, 5000.0, -1, poly)
+        res = experiments.px_mean(zeros_5000, 5000.0, -1, math.log(5000.0))
         # a_{-1}(p) = -1 flips the prime part of the subsidiary term
         assert res.details["subsidiary_sum"] < 0
         assert res.predicted.real > res.n_zeros
 
     def test_truncation_stability(self, zeros_5000):
-        # the empirical side no longer depends on m_max; the truncated
-        # Dirichlet series stays within its tail bound of the exact P_X
+        # the truncated Dirichlet series stays within its tail bound of the exact P_X
         x = math.log(5000.0)
-        big = arithmetic.a_coeffs(1.0, x, m_max=10**6)
-        small = arithmetic.a_coeffs(1.0, x, m_max=10**5)
-        r_big = experiments.px_mean(zeros_5000, 5000.0, 1, big)
-        r_small = experiments.px_mean(zeros_5000, 5000.0, 1, small)
-        assert r_big.empirical == r_small.empirical
+        res = experiments.px_mean(zeros_5000, 5000.0, 1, x)
         s = 0.5 + 1j * zeros_5000.below(5000.0)
-        for poly in (big, small):
+        for m_max in (10**6, 10**5):
+            poly = arithmetic.a_coeffs(1.0, x, m_max=m_max)
             series = experiments.complex_fsum(arithmetic.p_x_pow(s, 1.0, poly))
-            assert abs(series - r_big.empirical) < len(s) * poly.tail_bound()
+            assert abs(series - res.empirical) < len(s) * poly.tail_bound()
 
     def test_empirical_is_exact_p_x(self, zeros_5000):
         x = math.log(5000.0)
-        poly = arithmetic.a_coeffs(1.0, x, m_max=10**6)
-        res = experiments.px_mean(zeros_5000, 5000.0, 1, poly)
+        res = experiments.px_mean(zeros_5000, 5000.0, 1, x)
         exact = experiments.complex_fsum(arithmetic.p_x_euler(0.5 + 1j * zeros_5000.below(5000.0), 1.0, x))
         assert abs(res.empirical - exact) <= 1e-12 * abs(exact)
 
     def test_growth_condition_warning(self, zeros_100):
-        poly = arithmetic.a_coeffs(1.0, 64.0, m_max=10**4)
         with pytest.warns(UserWarning):
-            experiments.px_mean(zeros_100, 100.0, 1, poly)
+            experiments.px_mean(zeros_100, 100.0, 1, 64.0)
+
+
+class TestClosedForms:
+    """The m-sums of the predictions over the primes, against the same sums
+    term by term over the support of a_coeffs."""
+
+    X = math.log(5000.0)
+
+    @pytest.mark.parametrize("k", [1, -1, 0.5 + 0.5j, 2, -0.5])
+    def test_px_subsidiary_against_the_support_sum(self, k):
+        ref = px_support_sum(arithmetic.a_coeffs(k, self.X, m_max=10**10))
+        assert abs(experiments._px_subsidiary(k, self.X) - ref) <= 1e-14 * abs(ref)
+
+    @pytest.mark.parametrize("t", [1000.0, 5000.0])
+    def test_twisted_m_sum_against_the_support_sum(self, t):
+        ref = twisted_support_sum(arithmetic.a_coeffs(-1, self.X, m_max=10**10), t)
+        assert abs(experiments._twisted_m_sum(t, self.X) - ref) <= 1e-14 * abs(ref)
+
+    def test_support_sums_converge_to_the_closed_forms(self):
+        # the closed forms are the limit m_max -> infinity: at X = 20 the gap
+        # shrinks strictly from m_max = 1e6 to 1e8 to 1e10
+        x = 20.0
+        px = experiments._px_subsidiary(1, x)
+        twisted = experiments._twisted_m_sum(5000.0, x)
+        px_gaps, twisted_gaps = [], []
+        for m_max in (10**6, 10**8, 10**10):
+            px_gaps.append(abs(px_support_sum(arithmetic.a_coeffs(1, x, m_max)) - px))
+            twisted_gaps.append(abs(twisted_support_sum(arithmetic.a_coeffs(-1, x, m_max), 5000.0) - twisted))
+        for gaps in (px_gaps, twisted_gaps):
+            assert gaps[0] > gaps[1] > gaps[2]
 
 
 class TestA1B1:
     def test_a1_at_4(self):
-        assert experiments.a1_term(4) == pytest.approx(2 * math.log(2) ** 2, rel=1e-12)
-        assert experiments.a1_term(4) == pytest.approx(0.9609, abs=1e-4)
+        assert a1_term(4) == pytest.approx(2 * math.log(2) ** 2, rel=1e-12)
+        assert a1_term(4) == pytest.approx(0.9609, abs=1e-4)
 
     def test_a1_two_primes_is_zero(self):
-        assert experiments.a1_term(6) == 0.0
+        assert a1_term(6) == 0.0
 
     def test_a1_depends_on_p_only(self):
-        assert experiments.a1_term(8) == pytest.approx(experiments.a1_term(2))
-        assert experiments.a1_term(8) == pytest.approx(0.9609, abs=1e-4)
+        assert a1_term(8) == pytest.approx(a1_term(2))
+        assert a1_term(8) == pytest.approx(0.9609, abs=1e-4)
 
     def test_b1_semiprime(self):
         val = b1_term(6, 5000.0)
@@ -201,12 +220,12 @@ class TestA1B1:
         assert b1_term(9, t) == pytest.approx(expected, rel=1e-12)
 
     def test_three_primes_vanish(self):
-        assert experiments.a1_term(30) == 0.0
+        assert a1_term(30) == 0.0
         assert b1_term(30, 5000.0) == 0.0
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            experiments.a1_term(1)
+            a1_term(1)
         with pytest.raises(DomainError):
             b1_term(0, 100.0)
 
@@ -224,14 +243,8 @@ class TestTwisted:
             rel=1e-14,
         )
 
-    def test_requires_k_minus_one(self, zeros_5000):
-        poly = arithmetic.a_coeffs(1.0, 8.5, m_max=100)
-        with pytest.raises(DomainError):
-            experiments.twisted_first_moment(zeros_5000, 5000.0, poly)
-
     def test_twisted_tracks_prediction(self, zeros_5000):
-        poly = arithmetic.a_coeffs(-1.0, math.log(5000.0), m_max=10**6)
-        res = experiments.twisted_first_moment(zeros_5000, 5000.0, poly)
+        res = experiments.twisted_first_moment(zeros_5000, 5000.0, math.log(5000.0))
         assert res.empirical.real == pytest.approx(res.predicted.real, rel=0.07)
         # dropping the m-sum must worsen agreement
         bare = res.details["main_term"]

@@ -45,7 +45,7 @@ def test_tracer_installs_counts_and_uninstalls(monkeypatch, smoothing_y4, zeros_
         hybrid.mc_hybrid_moment(params, 1.0, 200, 0)
         rmt.weyl_quadrature_oracle(2, 1.0, 64)
         specfun.zeta_and_deriv(0.5 + 1j * np.linspace(100.0, 200.0, 10))
-        experiments.px_mean(zeros_100, 100.0, 1.0, poly)
+        experiments.px_mean(zeros_100, 100.0, 1.0, math.log(100.0))
         zeros.compute_zeros(60.0, cache_dir=False)
     finally:
         tracer.job = None
