@@ -114,6 +114,12 @@ def _prime_power_limit(p, x_cutoff):
     return ell
 
 
+def _require_cutoff(x_cutoff):
+    """Refuse a prime cutoff X that is not finite or is below 2."""
+    if not (math.isfinite(x_cutoff) and x_cutoff >= 2):
+        raise DomainError(f"prime cutoff X must be finite and >= 2 (got {x_cutoff:g})")
+
+
 def prime_power_sums(x_cutoff):
     """The primes p <= X, with g_p = sum_{j<=l(p)} p^{-j}/j and h_p = sum_{j<=l(p)} p^{-j}.
 
@@ -121,8 +127,7 @@ def prime_power_sums(x_cutoff):
     sum_r r a_k(p^r) p^{-r} = k h_p e^{k g_p}, for every k.  Returns three
     float arrays (p, g, h).
     """
-    if not (math.isfinite(x_cutoff) and x_cutoff >= 2):
-        raise DomainError(f"prime cutoff X must be finite and >= 2 (got {x_cutoff:g})")
+    _require_cutoff(x_cutoff)
     primes = sieve_primes(int(x_cutoff))
     g, h = [], []
     for p in primes:
@@ -160,8 +165,7 @@ def a_coeffs(k, x_cutoff, m_max=10**6):
     :func:`exp_series_coeffs`, and :func:`_smooth_expand` multiplies the
     tables out over the smooth integers.
     """
-    if x_cutoff < 2:
-        raise DomainError("prime cutoff X must be >= 2")
+    _require_cutoff(x_cutoff)
     if m_max < 1:
         raise DomainError("m_max must be >= 1")
     k = complex(k)
@@ -202,7 +206,11 @@ def p_x_euler(s, k, x_cutoff):
 
     The defining exponential form, exact up to rounding with one term per
     prime power n <= X; the experiments evaluate P_X at the zeros with it.
+
+    Raises:
+        DomainError: unless X is finite and >= 2.
     """
+    _require_cutoff(x_cutoff)
     k = complex(k)
     arr = np.asarray(s, dtype=complex)
     scalar = arr.ndim == 0

@@ -181,7 +181,7 @@ def _run_px_mean(cfg):
     return [_row("px-mean", k=cfg["k"], t=t, x=cfg["x"], empirical=res.empirical,
                  predicted=res.predicted, n_zeros=res.n_zeros,
                  predicted_bare=res.details["predicted_bare"].real,
-                 subsidiary_sum=res.details["subsidiary_sum"])]
+                 subsidiary_sum=res.details["subsidiary_sum"].real)]
 
 
 def _run_landau_gonek(cfg):

@@ -18,18 +18,26 @@ All routines accept scalars or numpy arrays and evaluate in double precision:
   Bernoulli corrections is the fewest for which Backlund's remainder bound,
   and a Cauchy bound on its derivative, are <= 1e-15.  The main sum takes an
   exp only at the primes below M and builds every other n^{-s} by complete
-  multiplicativity, one multiply per term; the corrections are one cumprod
-  of their rising-factorial pair factors and one real product.
+  multiplicativity, one multiply per term, from index tables cached per M;
+  the corrections are one cumprod of their rising-factorial pair factors and
+  one real product.
 * :func:`hardy_z` -- the real-valued rotation of zeta on the critical line.
-* :func:`hardy_z_rs` -- Z by the Riemann-Siegel formula, with its proven error
-  bound.
+* :func:`riemann_siegel_z` -- Z by the Riemann-Siegel formula through its C4
+  term, the five C-series stacked in one table and summed by one elementwise
+  Horner pass; O(sqrt t) a point.
+* :func:`hardy_z_rs` -- the same sum from t = 200 on, with Gabcke's bound on
+  the remainder after C4 plus a stated allowance for the rounding of its
+  phases.
 * :func:`zeta_prime_at_zeros` -- zeta' at zeros of zeta, as -i e^{-i theta} Z'
   with Z' the term-by-term derivative of the Riemann-Siegel formula through
   its C4 term: O(sqrt t) a zero from t = RS_T_MIN on, Euler-Maclaurin below.
 
-Everything here is pure and reentrant; there is no shared mutable state.
+Everything here is pure and reentrant; the one shared state is the per-M
+cache of the main sum's index tables, whose arrays are read-only.
 """
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -388,6 +396,28 @@ def _spf_omega(m_cut):
     return spf, omega
 
 
+@functools.lru_cache(maxsize=128)
+def _main_sum_plan(m_cut):
+    """The tables of :func:`_main_sums` that depend on M alone, read-only: the
+    weights (1, -log n) per row, the rows of spf(n) and of n/spf(n), and the
+    bounds of the Omega levels.  At most 1.3 MB an entry (M = 31,861, t = 1e5).
+    """
+    spf, omega = _spf_omega(m_cut)
+    order = 1 + np.argsort(omega[1:], kind="stable")  # the n of each row
+    row = np.empty(m_cut, dtype=np.intp)
+    row[order] = np.arange(m_cut - 1)
+    log_n = np.log(order)
+    plan = (
+        np.stack((np.ones_like(log_n), -log_n)),
+        row[spf[order]],
+        row[order // spf[order]],
+        np.cumsum(np.bincount(omega[1:], minlength=2)),  # row 0 is n = 1
+    )
+    for table in plan:
+        table.setflags(write=False)
+    return plan
+
+
 def _main_sums(s, m_cut, want_deriv):
     """sum_{n<M} n^{-s} and, if wanted, its derivative -sum_{n<M} log(n) n^{-s}.
 
@@ -397,23 +427,15 @@ def _main_sums(s, m_cut, want_deriv):
     rows hold n = 1..M-1 in order of Omega(n), so each level is one slice.
     Takes a 1-D array s and returns an array of shape (1 + want_deriv, len(s)).
     """
-    spf, omega = _spf_omega(m_cut)
-    order = 1 + np.argsort(omega[1:], kind="stable")  # the n of each row
-    row = np.empty(m_cut, dtype=np.intp)
-    row[order] = np.arange(m_cut - 1)
-    spf_row, rest_row = row[spf[order]], row[order // spf[order]]
-    bounds = np.cumsum(np.bincount(omega[1:], minlength=2))  # row 0 is n = 1
-    log_n = np.log(order)
-    weights = np.stack((np.ones_like(log_n), -log_n)[: 1 + want_deriv])
-
+    weights, spf_row, rest_row, bounds = _main_sum_plan(m_cut)
     table = np.empty((m_cut - 1, s.size), dtype=complex)
     table[0] = 1.0
-    np.exp(np.multiply.outer(-log_n[1 : bounds[1]], s), out=table[1 : bounds[1]])
+    np.exp(np.multiply.outer(weights[1, 1 : bounds[1]], s), out=table[1 : bounds[1]])
     for a, b in zip(bounds[1:-1], bounds[2:]):
         np.multiply(table[spf_row[a:b]], table[rest_row[a:b]], out=table[a:b])
     # one real product over the table; einsum, not BLAS, whose threaded dgemm
     # at this shape stalled by tens of ms a call on a 2-core Xeon
-    return np.einsum("kn,np->kp", weights, table.view(float)).view(complex)
+    return np.einsum("kn,np->kp", weights[: 1 + want_deriv], table.view(float)).view(complex)
 
 
 def _euler_maclaurin(s, m_cut, depth, want_deriv):
@@ -710,11 +732,18 @@ _RS_C1_C4 = (
         -5.1786552736466837e-17,
     ),
 )
-# Height from which Gabcke's bound on the C0-truncated remainder holds.
+# C0..C4 stacked into one table of series in w = z^2, zero-padded at the high end,
+# so that one elementwise Horner pass evaluates all five at every point.
+_RS_SERIES = np.array(list(itertools.zip_longest(_RS_C0, *_RS_C1_C4, fillvalue=0.0))).T
+# Height from which Gabcke's bound on the C4-truncated remainder holds.
 RS_T_MIN = 200.0
 # Points per Riemann-Siegel chunk: the (terms x points) tables stay below 1 MB
 # at t = 5000 and 4 MB at t = 1e5.
 _RS_CHUNK = 2048
+# hardy_z_rs's allowance for the rounding of the phases theta(t) - t log n, in
+# units of tau^{1/4} t log t: a phase rounds by about eps t log n, and the
+# weights n^{-1/2} sum to about 2 tau^{1/4}
+_RS_PHASE_ROUNDING = 16.0 * np.finfo(float).eps
 
 
 def _sum_rows(terms):
@@ -730,30 +759,26 @@ def _sum_rows(terms):
     return total
 
 
-def hardy_z_rs(t):
-    """Riemann-Siegel Z(t) through the C0 term, with Gabcke's bound on its error.
+def riemann_siegel_z(t):
+    """Z(t) by the Riemann-Siegel formula through its C4 term, for t >= 2 pi.
 
-    With tau = t/2pi, N = floor(sqrt(tau)) and p = sqrt(tau) - N,
+    With tau = t/2pi, N = floor(sqrt(tau)), p = sqrt(tau) - N and z = 1 - 2p,
 
         Z_RS = 2 sum_{n<=N} n^{-1/2} cos(theta(t) - t log n)
-               + (-1)^{N-1} tau^{-1/4} C0(p),
+               + (-1)^{N-1} tau^{-1/4} sum_{j<=4} C_j(z) tau^{-j/2}.
 
-    and |Z(t) - Z_RS| <= 0.127 tau^{-3/4} for t >= 200 (Gabcke 1979; Edwards,
-    *Riemann's Zeta Function*, ch. 7).  O(sqrt t) per point, against O(t) for
-    :func:`hardy_z`, which stays the reference.  Each value depends on its
-    own point alone, not on the others in t.
-
-    Returns:
-        (Z_RS, bound), scalars or arrays shaped like t.
-
-    Raises:
-        DomainError: if any t < 200, where the bound is not established.
+    The five C_j come from one elementwise Horner pass over their stacked
+    series, so each value depends on its own point alone, not on the others
+    in t.  O(sqrt t) per point, against O(t) for :func:`hardy_z`.  No bound
+    is attached here (see :func:`hardy_z_rs` from t = 200 on); below 200 the
+    sum is still within 1.5e-5 of Z on [10, 20], close enough for the zero
+    refinement to predict its roots with.
     """
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < RS_T_MIN):
-        raise DomainError(f"hardy_z_rs requires t >= {RS_T_MIN:g}")
+    if np.any(arr < _TWO_PI):
+        raise DomainError("riemann_siegel_z requires t >= 2 pi")
     flat = arr.reshape(-1)
-    z_rs = np.empty_like(flat)
+    out = np.empty_like(flat)
     for lo in range(0, flat.size, _RS_CHUNK):
         tc = flat[lo : lo + _RS_CHUNK]
         root = np.sqrt(tc / _TWO_PI)
@@ -761,23 +786,53 @@ def hardy_z_rs(t):
         n = np.arange(1.0, n_terms.max() + 1.0)[:, None]
         terms = np.cos(riemann_siegel_theta(tc) - np.log(n) * tc) / np.sqrt(n)
         terms[n > n_terms] = 0.0
-        w = (1.0 - 2.0 * (root - n_terms)) ** 2
-        c0 = np.zeros_like(w)
-        for c in reversed(_RS_C0):
-            c0 = c0 * w + c
+        z = 1.0 - 2.0 * (root - n_terms)
+        w = z * z
+        series = np.zeros((len(_RS_SERIES), tc.size))
+        for column in _RS_SERIES.T[::-1]:
+            series *= w
+            series += column[:, None]
+        # sum_j C_j u^j by Horner in u = tau^{-1/2}; an odd C_j is z times its series
+        u = 1.0 / root
+        corr = series[-1]
+        for j in range(len(series) - 2, -1, -1):
+            corr = corr * u + (z * series[j] if j % 2 else series[j])
         sign = np.where(n_terms % 2 == 1, 1.0, -1.0)  # (-1)^{N-1}
-        z_rs[lo : lo + _RS_CHUNK] = 2.0 * _sum_rows(terms) + sign * c0 / np.sqrt(root)
-    bound = 0.127 * (arr / _TWO_PI) ** -0.75
-    if arr.ndim == 0:
-        return float(z_rs[0]), float(bound)
-    return z_rs.reshape(arr.shape), bound
+        out[lo : lo + _RS_CHUNK] = 2.0 * _sum_rows(terms) + sign * corr / np.sqrt(root)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+def hardy_z_rs(t):
+    """Riemann-Siegel Z(t) through the C4 term, with a bound on its error.
+
+    Z_RS is :func:`riemann_siegel_z`.  Gabcke's bound on the remainder after
+    C4 is 0.017 tau^{-11/4} for t >= 200 (Gabcke 1979, tabulated by Gourdon
+    2004; Edwards, *Riemann's Zeta Function*, ch. 7): 1.2e-6 at t = 200,
+    2.6e-11 at 1e4.  The rounding of the phases theta(t) - t log n then
+    dominates, and the bound adds 16 eps tau^{1/4} t log t for it (2.1e-9 at
+    t = 1e4, 4.6e-8 at 1e5): stated, not proven.  Against Euler-Maclaurin the
+    measured error stays below 0.015 of the whole bound at 300 log-uniform
+    points on [200, 1e5].  :func:`hardy_z` stays the reference.
+
+    Returns:
+        (Z_RS, bound), scalars or arrays shaped like t.
+
+    Raises:
+        DomainError: if any t < 200, where Gabcke's bound is not established.
+    """
+    arr = np.asarray(t, dtype=float)
+    if np.any(arr < RS_T_MIN):
+        raise DomainError(f"hardy_z_rs requires t >= {RS_T_MIN:g}")
+    tau = arr / _TWO_PI
+    bound = 0.017 * tau**-2.75 + _RS_PHASE_ROUNDING * tau**0.25 * arr * np.log(arr)
+    return riemann_siegel_z(arr), (float(bound) if arr.ndim == 0 else bound)
 
 
 def _hardy_z_prime_rs(t):
     """(theta(t), Z'(t)) on a 1-D array of t >= RS_T_MIN, Z' by the Riemann-Siegel
     formula through C4, differentiated term by term.
 
-    With tau, N and p as in :func:`hardy_z_rs`, and dp/dt = 1/(4 pi sqrt(tau)),
+    With tau, N and p as in :func:`riemann_siegel_z`, and dp/dt = 1/(4 pi sqrt(tau)),
 
         Z'(t) = -2 sum_{n<=N} n^{-1/2} (theta'(t) - log n) sin(theta(t) - t log n)
                 + (-1)^{N-1} sum_{j<=4} d/dt [tau^{-1/4-j/2} C_j(p)].
@@ -797,7 +852,7 @@ def _hardy_z_prime_rs(t):
     w = z * z
     u = 1.0 / root
     corr = np.zeros_like(u)
-    for j, coeffs in enumerate((_RS_C0,) + _RS_C1_C4):
+    for j, coeffs in enumerate(_RS_SERIES):
         series = slope = np.zeros_like(u)  # the series in w and its w-derivative, by Horner
         for c in reversed(coeffs):
             slope = slope * w + series

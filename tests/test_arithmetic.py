@@ -116,6 +116,11 @@ class TestACoeffs:
             bound = abs(divisor_general(abs(k), int(m)))
             assert abs(a) <= bound + 1e-12
 
+    @pytest.mark.parametrize("x", [math.inf, math.nan, 1.5])
+    def test_cutoff_must_be_finite_and_at_least_two(self, x):
+        with pytest.raises(DomainError):
+            arithmetic.a_coeffs(1.0, x)
+
     def test_support_completeness(self):
         poly = arithmetic.a_coeffs(1.0, 4.0, m_max=50)
         expected = sorted(
@@ -189,6 +194,11 @@ class TestPxPow:
         product = arithmetic.p_x_pow(s, 1.0, p_plus) * arithmetic.p_x_pow(s, -1.0, p_minus)
         assert abs(product - 1.0) < p_plus.tail_bound() + p_minus.tail_bound()
         assert abs(product - 1.0) < 1e-2
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 1.0])
+    def test_euler_cutoff_must_be_finite_and_at_least_two(self, x):
+        with pytest.raises(DomainError):
+            arithmetic.p_x_euler(0.5 + 14.13j, 1.0, x)
 
     def test_mismatched_k_rejected(self):
         poly = arithmetic.a_coeffs(1.0, 10.0, m_max=100)

@@ -58,9 +58,10 @@ def test_tracer_installs_counts_and_uninstalls(monkeypatch, smoothing_y4, zeros_
     # the Weyl oracle's points are grid**n, read from positions 0 and 2
     weyl = [s[tracing.WORK] for s in tracer.spans if s[tracing.NAME] == "rmt.weyl_quadrature_oracle"]
     assert weyl == [64**2]
-    # zeta' points are the size of the s argument
+    # zeta' points are the size of the s argument; compute_zeros(60) takes Z and
+    # Z' by Euler-Maclaurin once at each of its 13 predicted roots
     zeta = [s[tracing.WORK] for s in tracer.spans if s[tracing.NAME] == "specfun.zeta_and_deriv"]
-    assert zeta == [10]
+    assert zeta == [10, 13]
     # px_mean counts its zeros; P_X at the zeros is its traced child
     # p_x_euler, and the truncated series p_x_pow is not called
     spans = tracer.spans

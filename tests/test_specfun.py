@@ -524,10 +524,17 @@ class TestHardyZ:
 
 class TestHardyZRiemannSiegel:
     def test_within_gabcke_bound_of_euler_maclaurin(self):
-        t = np.sort(np.random.default_rng(11).uniform(200.0, 1e4, 200))
+        # log-uniform over the whole range; measured error / bound <= 0.015
+        t = np.sort(np.exp(np.random.default_rng(11).uniform(math.log(200.0), math.log(1e5), 300)))
         z_rs, bound = specfun.hardy_z_rs(t)
         assert z_rs.shape == bound.shape == t.shape
-        assert np.all(np.abs(z_rs - specfun.hardy_z(t)) <= bound)
+        assert np.all(np.abs(z_rs - specfun.hardy_z(t)) <= 0.05 * bound)
+
+    def test_sum_predicts_z_below_200(self):
+        # no bound holds there, but the C4 sum is still close enough to aim at roots
+        for lo, hi, tol in ((10.0, 20.0, 1.5e-5), (50.0, 200.0, 3e-7)):
+            t = np.linspace(lo, hi, 200)
+            assert np.max(np.abs(specfun.riemann_siegel_z(t) - specfun.hardy_z(t))) <= tol
 
     def test_scalar(self):
         z_rs, bound = specfun.hardy_z_rs(1000.0)
@@ -545,6 +552,8 @@ class TestHardyZRiemannSiegel:
     def test_domain(self):
         with pytest.raises(DomainError):
             specfun.hardy_z_rs(np.array([150.0, 300.0]))
+        with pytest.raises(DomainError):
+            specfun.riemann_siegel_z(np.array([6.0, 300.0]))
 
     def test_point_alone_matches_its_chunk(self, stored_table_5000):
         # a full 2,048-point chunk whose sums run from 21 to 28 terms: each point

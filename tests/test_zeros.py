@@ -115,6 +115,10 @@ class TestComputeZerosTo1000:
             em_points.append(np.size(t))
             return specfun.hardy_z(t)
 
+        def counting_zeta_and_deriv(s):
+            em_points.append(np.size(s))
+            return specfun.zeta_and_deriv(s)
+
         def counting_log_gamma(z):
             log_gamma_calls.append(np.size(z))
             return real_log_gamma(z)
@@ -122,6 +126,7 @@ class TestComputeZerosTo1000:
         real_log_gamma = specfun.log_gamma
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(zeros, "hardy_z", counting_hardy_z)
+            mp.setattr(zeros, "zeta_and_deriv", counting_zeta_and_deriv)
             mp.setattr(specfun, "log_gamma", counting_log_gamma)
             zl = zeros.compute_zeros(1000.0, cache_dir=False)
             count = zeros.zero_count(1000.0)
@@ -139,14 +144,43 @@ class TestComputeZerosTo1000:
         assert np.all(np.signbit(lo) != np.signbit(hi))
 
     def test_euler_maclaurin_points_per_zero(self, counted):
-        # measured: 5.55 a zero (6.47 with Illinois' fixed halving)
+        # measured: 3.49 a zero, hardy_z and zeta_and_deriv together (5.55 with
+        # every refinement step near a root on Euler-Maclaurin, 6.47 with
+        # Illinois' fixed halving)
         zl, em_points, _, _ = counted
-        assert em_points <= 6 * len(zl)
+        assert em_points <= 4 * len(zl)
 
     def test_theta_never_reaches_log_gamma(self, counted):
         # theta's series serves from t = 7, below g_{-1} = 9.67, so neither the
         # scan, the Gram points nor the refinement take log_gamma
         assert counted[2] == 0
+
+
+class TestRefinementFallback:
+    """A bracket whose Newton point fails its Euler-Maclaurin check goes back to
+    Anderson-Björck on :func:`zeros._eval_z`."""
+
+    def test_shifted_predictor_falls_back_to_the_same_zeros(self, monkeypatch):
+        base = zeros.compute_zeros(1000.0, cache_dir=False)
+        real_ab, real_rs = zeros._anderson_bjorck, zeros.riemann_siegel_z
+        fallen_back = []
+
+        def recording_ab(x0, x1, f0, f1, evaluate, width):
+            if evaluate is zeros._eval_z:
+                fallen_back.append(len(x0))
+            return real_ab(x0, x1, f0, f1, evaluate, width)
+
+        monkeypatch.setattr(zeros, "_anderson_bjorck", recording_ab)
+        # every predicted root lands 1e-6 high, and one Newton step from there
+        # misses some roots by more than _BRACKET_WIDTH/4
+        monkeypatch.setattr(zeros, "riemann_siegel_z", lambda t: real_rs(t - 1e-6))
+        shifted = zeros.compute_zeros(1000.0, cache_dir=False)
+        assert sum(fallen_back) > 0
+        assert len(shifted) == len(base) == 649
+        assert np.max(np.abs(shifted.gammas - base.gammas)) <= 1e-11
+        w = zeros._BRACKET_WIDTH
+        lo, hi = specfun.hardy_z(shifted.gammas - w), specfun.hardy_z(shifted.gammas + w)
+        assert np.all(np.signbit(lo) != np.signbit(hi))
 
 
 class TestRefinementAbove2To16:
