@@ -57,13 +57,17 @@ class SymbolCoeffs:
         return complex(self.values[j + 1])
 
 
-def _warn_cancellation(magnitude, value, what):
-    """Warn when summands of total size ``magnitude`` cancel to ``value`` by more than 1e6."""
+def _warn_cancellation(magnitude, value, what, stacklevel=3):
+    """Warn when summands of total size ``magnitude`` cancel to ``value`` by more than 1e6.
+
+    ``stacklevel`` counts from here, as in :func:`warnings.warn`: 3 names the
+    line that called this function's caller.
+    """
     if magnitude > 1e6 * value:
         warnings.warn(
             f"cancellation amplifies rounding by {magnitude / value:.1e} in {what}, "
             "which may carry fewer than 10 digits",
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 
@@ -131,18 +135,33 @@ def es_comparison(k, params):
     Barnes-G constant collapses: G(2+k) G(2) / G(3+k) = 1 / Gamma(k+2), so the
     prediction is e^{i k pi/2} N^k / Gamma(k+2), which is 0 at k = -2.
     """
+    return _es_comparisons(k, params, [params.n])[0]
+
+
+def _es_comparisons(k, params, sizes):
+    """:func:`es_comparison` at each N in ``sizes``, whatever ``params.n`` is.
+
+    S does not depend on N, and a prefix of the two series is the series of
+    that length, so both are built once, to the largest N; each D_{N-1} then
+    sums the same terms, in the same order, as a series built to N would.
+    """
     k = require_admissible(k)
-    n = params.n
+    if min(sizes) < 1:
+        raise DomainError("matrix dimension must be >= 1")
     s = fourier_coeffs(k, params)
-    terms = binomial_series(-k - 2, n) * exp_series_coeffs(-s, n)[::-1]
-    det = complex(terms.sum())
-    _warn_cancellation(np.abs(terms).sum(), abs(det), f"the size-{n - 1} determinant")
+    n_max = max(sizes)
+    binom = binomial_series(-k - 2, n_max)
+    exp_s = exp_series_coeffs(-s, n_max)
     phase = 1j * math.pi * k / 2.0
-    expectation = np.exp(phase + s.sum()) * det / n
     # 1/Gamma(k+2) vanishes at k = -2, the admissible pole of Gamma
-    asymptotic = 0j if k == -2 else np.exp(phase + k * math.log(n) - log_gamma(k + 2.0))
-    return ToeplitzResult(
-        det=det,
-        expectation=complex(expectation),
-        asymptotic=complex(asymptotic),
-    )
+    log_gamma_k2 = None if k == -2 else log_gamma(k + 2.0)
+    out = []
+    for n in sizes:
+        terms = binom[:n] * exp_s[:n][::-1]
+        det = complex(terms.sum())
+        # the line that called es_comparison
+        _warn_cancellation(np.abs(terms).sum(), abs(det), f"the size-{n - 1} determinant", stacklevel=4)
+        expectation = np.exp(phase + s.sum()) * det / n
+        asymptotic = 0j if log_gamma_k2 is None else np.exp(phase + k * math.log(n) - log_gamma_k2)
+        out.append(ToeplitzResult(det=det, expectation=complex(expectation), asymptotic=complex(asymptotic)))
+    return out

@@ -2,8 +2,8 @@
 
 The scan walks the critical line over Gram intervals [g_n, g_{n+1}], where
 theta(g_n) = n*pi, with _POINTS_PER_GRAM points in each, and refines every
-sign-change bracket down to 1e-11, or to adjacent doubles where one ulp is
-wider (:func:`_refine_brackets`).  A Gram point is good when
+sign-change bracket down to 1e-11, or to within two ulps where one ulp is
+wider than half that (:func:`_refine_brackets`).  A Gram point is good when
 (-1)^n Z(g_n) > 0, and a Rosser block is the span between two consecutive
 good Gram points.  The count is certified by Rosser's rule:
 every Rosser block up to Gram index 13,999,525, far above the heights here,
@@ -22,10 +22,11 @@ each sign the scan sees is the Euler-Maclaurin sign while most points cost
 O(sqrt t) instead of O(t).  The refinement predicts each root on the
 Riemann-Siegel sum alone, then corrects it by one Newton step on an
 Euler-Maclaurin Z and Z' and certifies it by the Euler-Maclaurin signs of Z
-at two points 2.5e-12 either side: three Euler-Maclaurin points a zero (3.49
-a zero at T = 1000, scan included, against 5.55 when every step near a root
-ran on Euler-Maclaurin).  A zero that fails the check is refined as before,
-by Anderson-Björck steps on Euler-Maclaurin signs.  The Euler-Maclaurin
+at two points 2.5e-12 either side, or at the doubles either side from
+t = 2^15 on, where those two round onto it: three Euler-Maclaurin points a
+zero (3.49 a zero at T = 1000, scan included, against 5.55 when every step
+near a root ran on Euler-Maclaurin).  A zero that fails the check is refined
+as before, by Anderson-Björck steps on Euler-Maclaurin signs.  The Euler-Maclaurin
 points of a scan or a refinement step go to specfun in one call, which gives
 each chunk of ascending height the cutoff of its own highest point.
 
@@ -271,7 +272,9 @@ def _narrow(x0, x1, f0, f1, p, fp):
 def _refine_brackets(lo, hi, z):
     """Ordinates of the zeros in the scan brackets lo < hi (Z at their ends in z),
     each between two ends of opposite Euler-Maclaurin sign at most
-    _BRACKET_WIDTH apart, or adjacent doubles.  Returns their midpoints.
+    _BRACKET_WIDTH apart, adjacent doubles, or the two doubles either side of
+    a double.  Returns their midpoints, each within one ulp or
+    _BRACKET_WIDTH/2 of a sign change.
 
     1. *Predict.* Anderson-Björck on :func:`riemann_siegel_z` narrows every
        bracket to _PREDICT_WIDTH with no Euler-Maclaurin call: through C4 the
@@ -279,12 +282,13 @@ def _refine_brackets(lo, hi, z):
     2. *Correct and certify.* At each predicted root x0, one Euler-Maclaurin
        Z and Z' (:func:`_z_and_slope_em`) give the Newton point x1, and
        :func:`hardy_z` at x1 -+ _BRACKET_WIDTH/4 must show opposite signs.
+       From t = 2^15 on one ulp of t exceeds _BRACKET_WIDTH/2, both ends
+       round onto x1, and the doubles either side of x1 take their place.
     3. *Fall back.* A bracket whose two ends share a sign, or do not lie
        strictly inside its scan bracket, starts again from the tightest
        bracket its Euler-Maclaurin points give, and runs Anderson-Björck on
-       :func:`_eval_z`, whose signs are Euler-Maclaurin's, to _BRACKET_WIDTH.
-       From t = 2^16 on x1 -+ _BRACKET_WIDTH/4 round onto x1, so every bracket
-       there falls back and ends at adjacent doubles.
+       :func:`_eval_z`, whose signs are Euler-Maclaurin's, to _BRACKET_WIDTH
+       or adjacent doubles.
 
     Each scan bracket holds one zero (Rosser's rule), so any sign change of Z
     inside it brackets that zero.
@@ -294,6 +298,9 @@ def _refine_brackets(lo, hi, z):
     z_guess, slope = _z_and_slope_em(guess)
     root = guess - z_guess / slope
     ends = root[:, None] + np.array([-0.25, 0.25]) * _BRACKET_WIDTH
+    # from t = 2^15 on both round onto the root: the doubles either side of it stand in
+    collapsed = ends[:, 0] == ends[:, 1]
+    ends[collapsed] = np.nextafter(root[collapsed, None], [-np.inf, np.inf])
     inside = (lo < ends[:, 0]) & (ends[:, 1] < hi)  # false at a nan root
     ends[~inside] = np.nan
     z_ends = np.full(ends.shape, np.nan)

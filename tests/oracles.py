@@ -23,6 +23,9 @@ None of these runs on a path of the package itself:
 * :func:`weighted_verblunsky_rejection`, the weighted Verblunsky
   coefficients by rejection from their Haar law, the reference of
   ``rmt._weighted_verblunsky``'s exact draw;
+* :func:`szego_power_sums_phase`, Szegő's recursion with the phase of
+  Phi_i(1) summed from the factors' args, the reference of
+  ``rmt._szego_power_sums``'s rotated frame;
 * :func:`em_main_sums`, the Euler-Maclaurin main sums with one exp per term,
   the reference of ``specfun._main_sums``'s multiplicative table;
 * :func:`em_depth_loop`, the Euler-Maclaurin depth by a loop over p, the
@@ -292,6 +295,34 @@ def weighted_verblunsky_rejection(j, rng):
         out[todo[keep]] = g[keep]
         todo = np.delete(todo, keep)
     return out.reshape(np.shape(j))
+
+
+def szego_power_sums_phase(gam, m_max):
+    """Power sums p_m, m = 1..m_max, of the roots of the Szegő polynomial whose
+    deformed Verblunsky coefficients are the columns of ``gam``, shape
+    (B, N - 1), column N - 2 first; returns shape (B, m_max).
+
+    Phi_{i+1}(z) = z Phi_i(z) - gamma_i u_i^2 Phi_i^*(z) as it stands, with the
+    phase u_i of Phi_i(1) = prod_{j<i} (1 - gamma_j) as e^{i sum_{j<i} arg(1 - gamma_j)}:
+    the top m_max + 1 coefficients T_t and the conjugated bottom ones C_t are
+    carried, and Newton's identities read p_m = -(m T_m + sum_{t<m} T_t p_{m-t}).
+    """
+    b = gam.shape[0]
+    gam = gam[:, ::-1]
+    arg = np.arctan2(-gam.imag, 1.0 - gam.real)
+    phase = np.cumsum(arg, axis=1) - arg  # arg Phi_i(1): the columns already used
+    alpha_bar = gam * np.exp(2j * phase)
+    top = np.zeros((m_max + 1, b), dtype=complex)
+    top[0] = 1.0
+    cbot = top.copy()
+    shifted = np.zeros_like(top)  # C_{t-1}, with C_{-1} = 0
+    for a, a_conj in zip(alpha_bar.T, alpha_bar.T.conj()):
+        shifted[1:] = cbot[:-1]
+        top, cbot = top - a * shifted, shifted - a_conj * top
+    p = np.zeros((m_max + 1, b), dtype=complex)
+    for m in range(1, m_max + 1):
+        p[m] = -(m * top[m] + sum(top[t] * p[m - t] for t in range(1, m)))
+    return p[1:].T
 
 
 def zprime_pow_rows(angle_rows, col_index, k, s_coeffs):

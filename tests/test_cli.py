@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zetalab import cli, zeros
+from zetalab import cli, hybrid, toeplitz, zeros
 
 
 def run_cli(args):
@@ -323,6 +323,27 @@ class TestOracleAndHybrid:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "DomainError" in err
         assert not (tmp_path / "results.csv").exists()
+
+    @pytest.mark.parametrize("k", ["0", "1", "-0.5", "0.5+0.5i", "1+i", "-2"])
+    def test_toeplitz_check_rows_are_per_size_es_comparison(self, tmp_path, k):
+        # the subcommand builds one series to its largest size; every row must
+        # carry the bits es_comparison gives at that size alone
+        sizes = [32, 8, 512, 64]
+        status = run_cli(["--output-dir", tmp_path, "toeplitz-check", "--k=" + k, "--x", math.e**3,
+                          "--sizes", ",".join(map(str, sizes))])
+        assert status == 0
+        _, rows, _ = read_outputs(tmp_path)
+        assert [row["n"] for row in rows] == sizes
+        for n, row in zip(sizes, rows):
+            params = hybrid.HybridParams(n=n, x_cutoff=math.e**3, smoothing=hybrid.SmoothingSpec(4.0))
+            res = toeplitz.es_comparison(cli.parse_complex(k), params)
+            assert (row["det_re"], row["det_im"]) == (res.det.real, res.det.imag)
+            for column, value in (("empirical", res.expectation), ("predicted", res.asymptotic)):
+                assert (row[f"{column}_re"], row[f"{column}_im"]) == (cli._fmt(value.real), cli._fmt(value.imag))
+
+    def test_toeplitz_check_refuses_size_0(self, tmp_path, capsys):
+        assert run_cli(["--output-dir", tmp_path, "toeplitz-check", "--k", "1", "--sizes", "8,0"]) == 2
+        assert "DomainError" in capsys.readouterr().err
 
     def test_heine_routes_at_k_minus_2(self, tmp_path):
         # k = -2 is admissible: the power law is 0 there, and the Heine value exists

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
-from oracles import haar_angle_batch, weighted_verblunsky_rejection, zprime_pow_rows
+from oracles import haar_angle_batch, szego_power_sums_phase, weighted_verblunsky_rejection, zprime_pow_rows
 from zetalab import rmt
 from zetalab.errors import AdmissibilityError, CapabilityError, DomainError, PoleError
 
@@ -416,6 +416,34 @@ class TestWeightedVerblunsky:
         assert np.array_equal(np.abs(high[:2]), [1.0, 1.0])
         assert np.all(high.real < 1.0) and np.all(np.isfinite(np.log(1.0 - high)))
 
+    def test_turn_by_quadrants(self):
+        # e^{2 pi i u} by quadrants against numpy's cos and sin of 2 pi u, at
+        # the quadrant and octant points, either side of a quarter and at the
+        # top of [0, 1), and at random u; the quarters themselves are exact
+        edges = [0.0, 1 / 8, 0.25 - 2.0**-53, 0.25 + 2.0**-53, 3 / 8, 0.5, 5 / 8, 0.75, 7 / 8, 1.0 - 2.0**-53]
+        u = np.concatenate((edges, np.random.default_rng(68).random(100_000)))
+        e = rmt._turn(u)
+        assert np.abs(e.real - np.cos(2 * math.pi * u)).max() <= 1e-15
+        assert np.abs(e.imag - np.sin(2 * math.pi * u)).max() <= 1e-15
+        assert np.array_equal(rmt._turn(np.array([0.0, 0.25, 0.5, 0.75])), [1.0, 1j, -1.0, -1j])
+
+    @pytest.mark.parametrize("n,s_coeffs", [(1, ()), (2, ()), (8, ()), (8, (0.3 - 0.2j, 0.1)), (64, (0.1j,))])
+    def test_five_uniforms_a_factor(self, n, s_coeffs):
+        # a batch of the draw takes its 5 (N - 1) uniforms a sample in one
+        # random call, bare and hybrid alike
+        class Counting:
+            def __init__(self, rng):
+                self.rng, self.shapes = rng, []
+
+            def random(self, shape):
+                self.shapes.append(shape)
+                return self.rng.random(shape)
+
+        rng = Counting(np.random.default_rng(69))
+        vals = rmt._verblunsky_draw(n, 0.5 + 0.5j, 1000, rng, s_coeffs=s_coeffs)
+        assert len(rng.shapes) == 1
+        assert math.prod(rng.shapes[0]) == 5 * (n - 1) * len(vals)
+
     @pytest.mark.parametrize("n,k,seed", [(6, 1 + 1j, 60), (8, -1.5, 61), (12, 0.5, 62)])
     def test_agrees_with_qr_eig(self, n, k, seed):
         # two-sample test against the QR+eig oracle through the eigenangle
@@ -459,6 +487,11 @@ def _full_szego(gam_row):
     return phi
 
 
+def _unit(gam):
+    """(1 - gamma)/|1 - gamma|, the factor by which the phase of Phi_i(1) turns."""
+    return (1.0 - gam) / np.abs(1.0 - gam)
+
+
 class TestSzegoPowerSums:
     def test_pathwise_against_roots(self):
         # from the same gammas the whole polynomial and its roots give
@@ -466,7 +499,7 @@ class TestSzegoPowerSums:
         # log sum (where it passes pi too) and the recursion's power sums
         n, b, m_max = 64, 400, 3
         gam = rmt._weighted_verblunsky(np.broadcast_to(np.arange(n - 1), (b, n - 1)), np.random.default_rng(66))
-        p = rmt._szego_power_sums(gam, m_max)
+        p = rmt._szego_power_sums(gam, _unit(gam), m_max)
         past_pi = 0
         for row, p_row in zip(gam, p):
             phi = _full_szego(row)
@@ -485,6 +518,17 @@ class TestSzegoPowerSums:
         # N = 2: Phi_0(1) = 1 has phase 1, so the one root is gamma_0 itself and
         # p_m = gamma_0^m also for m > N - 1; N = 1 has no root and p_m = 0
         gam = rmt._weighted_verblunsky(np.zeros((50, 1), dtype=int), np.random.default_rng(67))
-        p = rmt._szego_power_sums(gam, 3)
+        p = rmt._szego_power_sums(gam, _unit(gam), 3)
         assert np.allclose(p, gam ** np.arange(1, 4), rtol=0, atol=1e-15)
-        assert np.array_equal(rmt._szego_power_sums(np.empty((5, 0)), 2), np.zeros((5, 2)))
+        empty = np.empty((5, 0), dtype=complex)
+        assert np.array_equal(rmt._szego_power_sums(empty, empty, 2), np.zeros((5, 2)))
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 64])
+    @pytest.mark.parametrize("m_max", [1, 2, 3])
+    def test_frame_against_phase_recursion(self, n, m_max):
+        # the rotated frame against the recursion with the phase of Phi_i(1)
+        # summed from the args and exponentiated; both round at each of the
+        # N - 1 steps, and p_m is up to N - 1 in size (measured: 2.5e-14)
+        gam = rmt._weighted_verblunsky(np.broadcast_to(np.arange(n - 1), (2000, n - 1)), np.random.default_rng(70 + n))
+        p = rmt._szego_power_sums(gam, _unit(gam), m_max)
+        assert np.abs(p - szego_power_sums_phase(gam, m_max)).max() < 1e-13

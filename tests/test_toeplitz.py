@@ -242,8 +242,9 @@ class TestEsComparison:
 
     def test_cancellation_warns(self, smoothing_y4):
         params = hybrid.HybridParams(n=32, x_cutoff=math.e**3, smoothing=smoothing_y4)
-        with pytest.warns(UserWarning, match="cancellation"):
+        with pytest.warns(UserWarning, match="cancellation") as record:
             toeplitz.es_comparison(10 + 10j, params)
+        assert record[0].filename == __file__  # the caller's line, not the module's
 
     def test_no_warning_at_benchmark_orders(self, smoothing_y4):
         # the toeplitz-check orders of the cross-checks benchmark, every size it could ask for

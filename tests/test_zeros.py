@@ -184,12 +184,19 @@ class TestRefinementFallback:
 
 
 class TestRefinementAbove2To16:
-    """From t = 2^16 on one ulp of t exceeds the bracket width of 1e-11."""
+    """From t = 2^16 on one ulp of t exceeds the bracket width of 1e-11, and
+    from t = 2^15 on the certifying points x1 -+ 2.5e-12 round onto x1."""
 
     def test_brackets_end_at_adjacent_doubles(self, monkeypatch):
-        # three Rosser blocks, one the block at 1e5 with its zero at 99,999.70095
-        parts = [zeros._rosser_scan(t, from_first=False)[1:] for t in (65600.0, 8e4, 1e5)]
+        # four Rosser blocks: three above 2^16, one the block at 1e5 with its
+        # zero at 99,999.70095, and one at 4e4, where one ulp is 7.3e-12.  Each
+        # certifies on the doubles either side of its Newton point, with no
+        # fallback step, and lands within one ulp of Anderson-Björck's run on
+        # Euler-Maclaurin signs down to adjacent doubles
+        parts = [zeros._rosser_scan(t, from_first=False)[1:] for t in (40000.0, 65600.0, 8e4, 1e5)]
         lo, hi, z = map(np.concatenate, zip(*parts))
+        x0, x1 = zeros._anderson_bjorck(lo, hi, z[:, 0], z[:, 1], zeros._eval_z, zeros._BRACKET_WIDTH)
+        by_em_steps = 0.5 * (x0 + x1)
         steps = []
         real_eval_z = zeros._eval_z
 
@@ -201,6 +208,8 @@ class TestRefinementAbove2To16:
 
         monkeypatch.setattr(zeros, "_eval_z", counting_eval_z)
         gammas = zeros._refine_brackets(lo, hi, z)
+        assert steps == []
+        assert np.all(np.abs(gammas - by_em_steps) <= np.spacing(gammas))
         assert np.any(np.abs(gammas - 99999.70095) < 1e-5)
         for g in gammas:
             z3 = specfun.hardy_z(np.array([np.nextafter(g, 0.0), g, np.nextafter(g, np.inf)]))
