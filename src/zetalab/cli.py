@@ -19,6 +19,7 @@ the JSON rows only.
 """
 
 import argparse
+import cmath
 import csv
 import functools
 import hashlib
@@ -63,10 +64,14 @@ _COLUMN_CONTRACT_VERSION = 1
 
 
 def parse_complex(text):
-    """Parse '2', '-1', '0.5+0.5i', '1+i', 'i' (j also accepted)."""
+    """Parse '2', '-1', '0.5+0.5i', '1+i', 'i' (j also accepted); ValueError
+    unless both parts are finite."""
     s = str(text).strip().replace(" ", "").replace("i", "j")
     s = re.sub(r"(?<![0-9.])j", "1j", s)
-    return complex(s)
+    value = complex(s)
+    if not cmath.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite complex number")
+    return value
 
 
 def _fmt(value):
@@ -146,7 +151,7 @@ def _run_toeplitz_check(cfg):
     k = parse_complex(cfg["k"])
     sizes = [int(s) for s in cfg["sizes"].split(",")]
     # one series to the largest size: the Fourier coefficients do not depend on N
-    results = toeplitz._es_comparisons(k, _hybrid_params(cfg, 1), sizes)
+    results = toeplitz.es_comparisons(k, _hybrid_params(cfg, 1), sizes)
     return [_row("toeplitz-check", k=cfg["k"], x=cfg["x"], empirical=res.expectation,
                  predicted=res.asymptotic, n=n, det_re=res.det.real, det_im=res.det.imag)
             for n, res in zip(sizes, results)]

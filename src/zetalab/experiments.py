@@ -133,11 +133,17 @@ def zeta_prime_moments(zeros, heights, k):
     lone :func:`zeta_prime_moment` call bit for bit.  The zeros below 200 go
     to Euler-Maclaurin, whose chunks share a cutoff, so a height below 200 can
     differ from a lone call by that rounding.
+
+    Raises:
+        DomainError: for a height with no zero at or below it, where the
+            moment would average over no zeros.
     """
     k = require_admissible(k)
+    gammas = zeros.below(max(heights))
     for t in heights:
         _require_coverage(zeros, t)
-    gammas = zeros.below(max(heights))
+        if not (gammas.size and gammas[0] <= t):
+            raise DomainError(f"no zero at or below T = {t:g}: the moment averages over the zeros up to T")
     branch = resolve_branch(k)
     if k == 0:
         powers = np.ones(len(gammas), dtype=complex)

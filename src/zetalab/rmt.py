@@ -43,7 +43,9 @@ Szegő's recursion with the phase of Phi_i(1) summed, live in
 ``tests/oracles.py``.
 """
 
+import cmath
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,8 +83,10 @@ class MomentEstimate:
 
 
 def require_admissible(k):
-    """Validate Re(k) > -3 (convergence region of the exact moment formula)."""
+    """Validate a finite k with Re(k) > -3 (convergence region of the exact moment formula)."""
     k = complex(k)
+    if not cmath.isfinite(k):
+        raise AdmissibilityError(f"moment order must be finite, got {k}")
     if k.real <= -3.0:
         raise AdmissibilityError(f"moment order must satisfy Re(k) > -3, got {k}")
     return k
@@ -320,7 +324,8 @@ def _mc_estimate(n, k, samples, seed, workers, draw):
     ``count`` independent samples of the statistic; it picks its own batch
     size.  Sampling splits deterministically into ``workers`` child streams
     spawned from the seed; the merged result is bit-reproducible for fixed
-    (seed, workers).
+    (seed, workers).  The streams run on at most one process per CPU, since
+    the pool forks all its processes at once.
     """
     if n < 1:
         raise DomainError("matrix dimension must be >= 1")
@@ -342,7 +347,7 @@ def _mc_estimate(n, k, samples, seed, workers, draw):
         # imported here: a one-worker run never pays for multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
             pieces = list(pool.map(_mc_worker, jobs))
     return _merge_mc(pieces)
 

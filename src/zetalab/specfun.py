@@ -21,7 +21,8 @@ All routines accept scalars or numpy arrays and evaluate in double precision:
   multiplicativity, one multiply per term, from index tables cached per M;
   the corrections are one cumprod of their rising-factorial pair factors and
   one real product.
-* :func:`hardy_z` -- the real-valued rotation of zeta on the critical line.
+* :func:`hardy_z` -- the real-valued rotation of zeta on the critical line,
+  from the value-only pass of the Euler-Maclaurin sum.
 * :func:`riemann_siegel_z` -- Z by the Riemann-Siegel formula through its C4
   term, the five C-series stacked in one table and summed by one elementwise
   Horner pass; O(sqrt t) a point.
@@ -31,6 +32,9 @@ All routines accept scalars or numpy arrays and evaluate in double precision:
 * :func:`zeta_prime_at_zeros` -- zeta' at zeros of zeta, as -i e^{-i theta} Z'
   with Z' the term-by-term derivative of the Riemann-Siegel formula through
   its C4 term: O(sqrt t) a zero from t = RS_T_MIN on, Euler-Maclaurin below.
+
+The last three sit on one kernel, :func:`_riemann_siegel`: one chunk loop and
+one Horner pass, which carries the C-series' derivatives when Z' is wanted.
 
 Everything here is pure and reentrant; the one shared state is the per-M
 cache of the main sum's index tables, whose arrays are read-only.
@@ -577,16 +581,6 @@ def zeta_and_deriv(s):
     return z, dz
 
 
-def zeta_only(s):
-    """zeta(s) alone (skips the derivative accumulation; hot path for zero scans).
-
-    Same per-chunk cutoff M and bound-driven depth as :func:`zeta_and_deriv`,
-    and likewise no argument to set M.
-    """
-    z, _, scalar = _zeta_em(s, want_deriv=False)
-    return z.item() if scalar else z
-
-
 def hardy_z(t):
     """Hardy's Z(t) = Re(e^{i theta(t)} zeta(1/2 + it)) for t >= 2.
 
@@ -598,7 +592,7 @@ def hardy_z(t):
     if np.any(arr < 2.0):
         raise DomainError("hardy_z requires t >= 2")
     theta = riemann_siegel_theta(arr)
-    zeta = zeta_only(0.5 + 1j * arr)
+    zeta, _, _ = _zeta_em(0.5 + 1j * arr, want_deriv=False)
     out = np.real(np.exp(1j * theta) * zeta)
     return float(out) if scalar else out
 
@@ -759,6 +753,63 @@ def _sum_rows(terms):
     return total
 
 
+def _riemann_siegel(t, want_deriv):
+    """Z_RS(t) of :func:`riemann_siegel_z` on a 1-D array of t >= 2 pi, or, if
+    ``want_deriv``, (theta(t), Z_RS'(t)) with Z_RS' differentiated term by term:
+
+        Z_RS' = -2 sum_{n<=N} n^{-1/2} (theta'(t) - log n) sin(theta(t) - t log n)
+                + (-1)^{N-1} sum_{j<=4} d/dt [tau^{-1/4-j/2} C_j(z)],
+
+    dp/dt being 1/(4 pi sqrt(tau)).  With ``want_deriv`` the one Horner pass
+    over the stacked C-series also carries their w-derivatives.
+    """
+    out = np.empty_like(t)
+    thetas = np.empty_like(t)
+    for lo in range(0, t.size, _RS_CHUNK):
+        tc = t[lo : lo + _RS_CHUNK]
+        root = np.sqrt(tc / _TWO_PI)
+        n_terms = np.floor(root)
+        n = np.arange(1.0, n_terms.max() + 1.0)[:, None]
+        log_n = np.log(n)
+        theta = thetas[lo : lo + _RS_CHUNK] = riemann_siegel_theta(tc)
+        if want_deriv:
+            terms = (_theta_prime(tc) - log_n) * np.sin(theta - log_n * tc) / np.sqrt(n)
+        else:
+            terms = np.cos(theta - log_n * tc) / np.sqrt(n)
+        terms[n > n_terms] = 0.0
+        z = 1.0 - 2.0 * (root - n_terms)
+        w = z * z
+        # the series in w and their w-derivatives; the zero padding leaves both at 0
+        series = np.zeros((len(_RS_SERIES), tc.size))
+        slope = np.zeros_like(series)
+        for column in _RS_SERIES.T[::-1]:
+            if want_deriv:
+                slope *= w
+                slope += series
+            series *= w
+            series += column[:, None]
+        u = 1.0 / root
+        sign = np.where(n_terms % 2 == 1, 1.0, -1.0)  # (-1)^{N-1}
+        if want_deriv:
+            # d/dt [tau^{-1/4} u^j C_j] with d/dp = -2 d/dz is
+            # -tau^{-1/4} u^{j+1} / 2pi * ((1/4 + j/2) u C_j + dC_j/dz)
+            corr = np.zeros_like(u)
+            for j in range(len(series)):
+                if j % 2:
+                    c_j, dc_j = z * series[j], series[j] + 2.0 * w * slope[j]
+                else:
+                    c_j, dc_j = series[j], 2.0 * z * slope[j]
+                corr += u**j * ((0.25 + 0.5 * j) * u * c_j + dc_j)
+            out[lo : lo + _RS_CHUNK] = -2.0 * _sum_rows(terms) - sign * u / (_TWO_PI * np.sqrt(root)) * corr
+        else:
+            # sum_j C_j u^j by Horner in u = tau^{-1/2}; an odd C_j is z times its series
+            corr = series[-1]
+            for j in range(len(series) - 2, -1, -1):
+                corr = corr * u + (z * series[j] if j % 2 else series[j])
+            out[lo : lo + _RS_CHUNK] = 2.0 * _sum_rows(terms) + sign * corr / np.sqrt(root)
+    return (thetas, out) if want_deriv else out
+
+
 def riemann_siegel_z(t):
     """Z(t) by the Riemann-Siegel formula through its C4 term, for t >= 2 pi.
 
@@ -777,28 +828,7 @@ def riemann_siegel_z(t):
     arr = np.asarray(t, dtype=float)
     if np.any(arr < _TWO_PI):
         raise DomainError("riemann_siegel_z requires t >= 2 pi")
-    flat = arr.reshape(-1)
-    out = np.empty_like(flat)
-    for lo in range(0, flat.size, _RS_CHUNK):
-        tc = flat[lo : lo + _RS_CHUNK]
-        root = np.sqrt(tc / _TWO_PI)
-        n_terms = np.floor(root)
-        n = np.arange(1.0, n_terms.max() + 1.0)[:, None]
-        terms = np.cos(riemann_siegel_theta(tc) - np.log(n) * tc) / np.sqrt(n)
-        terms[n > n_terms] = 0.0
-        z = 1.0 - 2.0 * (root - n_terms)
-        w = z * z
-        series = np.zeros((len(_RS_SERIES), tc.size))
-        for column in _RS_SERIES.T[::-1]:
-            series *= w
-            series += column[:, None]
-        # sum_j C_j u^j by Horner in u = tau^{-1/2}; an odd C_j is z times its series
-        u = 1.0 / root
-        corr = series[-1]
-        for j in range(len(series) - 2, -1, -1):
-            corr = corr * u + (z * series[j] if j % 2 else series[j])
-        sign = np.where(n_terms % 2 == 1, 1.0, -1.0)  # (-1)^{N-1}
-        out[lo : lo + _RS_CHUNK] = 2.0 * _sum_rows(terms) + sign * corr / np.sqrt(root)
+    out = _riemann_siegel(arr.reshape(-1), want_deriv=False)
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
@@ -828,51 +858,13 @@ def hardy_z_rs(t):
     return riemann_siegel_z(arr), (float(bound) if arr.ndim == 0 else bound)
 
 
-def _hardy_z_prime_rs(t):
-    """(theta(t), Z'(t)) on a 1-D array of t >= RS_T_MIN, Z' by the Riemann-Siegel
-    formula through C4, differentiated term by term.
-
-    With tau, N and p as in :func:`riemann_siegel_z`, and dp/dt = 1/(4 pi sqrt(tau)),
-
-        Z'(t) = -2 sum_{n<=N} n^{-1/2} (theta'(t) - log n) sin(theta(t) - t log n)
-                + (-1)^{N-1} sum_{j<=4} d/dt [tau^{-1/4-j/2} C_j(p)].
-
-    Each point's value depends on that point alone, not on the others in t.
-    """
-    root = np.sqrt(t / _TWO_PI)
-    n_terms = np.floor(root)
-    n = np.arange(1.0, n_terms.max() + 1.0)[:, None]
-    log_n = np.log(n)
-    theta = _theta_series(t)
-    terms = (_theta_prime(t) - log_n) * np.sin(theta - log_n * t) / np.sqrt(n)
-    terms[n > n_terms] = 0.0
-    # d/dt [tau^{-1/4} u^j C_j] with u = tau^{-1/2} and d/dp = -2 d/dz is
-    # -tau^{-1/4} u^{j+1} / 2pi * ((1/4 + j/2) u C_j + dC_j/dz)
-    z = 1.0 - 2.0 * (root - n_terms)
-    w = z * z
-    u = 1.0 / root
-    corr = np.zeros_like(u)
-    for j, coeffs in enumerate(_RS_SERIES):
-        series = slope = np.zeros_like(u)  # the series in w and its w-derivative, by Horner
-        for c in reversed(coeffs):
-            slope = slope * w + series
-            series = series * w + c
-        if j % 2:
-            c_j, dc_j = z * series, series + 2.0 * w * slope
-        else:
-            c_j, dc_j = series, 2.0 * z * slope
-        corr += u**j * ((0.25 + 0.5 * j) * u * c_j + dc_j)
-    sign = np.where(n_terms % 2 == 1, 1.0, -1.0)  # (-1)^{N-1}
-    return theta, -2.0 * _sum_rows(terms) - sign * u / (_TWO_PI * np.sqrt(root)) * corr
-
-
 def zeta_prime_at_zeros(gammas):
     """zeta'(1/2 + i gamma) at ordinates gamma of zeros of zeta.
 
     Z(t) = e^{i theta(t)} zeta(1/2 + it) and Z(gamma) = 0, so at a zero
     zeta'(rho) = -i e^{-i theta(gamma)} Z'(gamma) exactly.  From RS_T_MIN on,
     Z' is the derivative of the Riemann-Siegel formula through C4
-    (:func:`_hardy_z_prime_rs`): O(sqrt t) a point, against O(t) for
+    (:func:`_riemann_siegel`): O(sqrt t) a point, against O(t) for
     Euler-Maclaurin.  Below RS_T_MIN the points go to :func:`zeta_and_deriv`.
     At an ordinate that is not a zero the result is not zeta'.
 
@@ -900,9 +892,6 @@ def zeta_prime_at_zeros(gammas):
     out = np.empty(flat.shape, dtype=complex)
     low = flat < RS_T_MIN
     out[low] = zeta_and_deriv(0.5 + 1j * flat[low])[1]
-    high = np.flatnonzero(~low)
-    for lo in range(0, high.size, _RS_CHUNK):
-        idx = high[lo : lo + _RS_CHUNK]
-        theta, z_prime = _hardy_z_prime_rs(flat[idx])
-        out[idx] = -z_prime * (np.sin(theta) + 1j * np.cos(theta))
+    theta, z_prime = _riemann_siegel(flat[~low], want_deriv=True)
+    out[~low] = -z_prime * (np.sin(theta) + 1j * np.cos(theta))
     return out.item() if arr.ndim == 0 else out.reshape(arr.shape)

@@ -135,10 +135,10 @@ def es_comparison(k, params):
     Barnes-G constant collapses: G(2+k) G(2) / G(3+k) = 1 / Gamma(k+2), so the
     prediction is e^{i k pi/2} N^k / Gamma(k+2), which is 0 at k = -2.
     """
-    return _es_comparisons(k, params, [params.n])[0]
+    return es_comparisons(k, params, [params.n])[0]
 
 
-def _es_comparisons(k, params, sizes):
+def es_comparisons(k, params, sizes):
     """:func:`es_comparison` at each N in ``sizes``, whatever ``params.n`` is.
 
     S does not depend on N, and a prefix of the two series is the series of

@@ -41,6 +41,11 @@ class TestParseComplex:
     def test_forms(self, text, expected):
         assert cli.parse_complex(text) == expected
 
+    @pytest.mark.parametrize("text", ["nan", "1e400", "-1e400i", "1+1e400i", "1e400+1i"])
+    def test_non_finite_refused(self, text):
+        with pytest.raises(ValueError, match="is not a finite complex number"):
+            cli.parse_complex(text)
+
 
 class TestRmtMoment:
     def test_row_and_manifest(self, tmp_path):
@@ -195,6 +200,27 @@ class TestGates:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("k", ["nan", "1e400"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["rmt-moment", "--n", 4, "--samples", 100],
+            ["rmt-oracle", "--n", 2],
+            ["hybrid-fourier-check", "--x", 20],
+            ["hybrid-mc", "--x", 20, "--samples", 100],
+            ["toeplitz-check"],
+            ["px-mean", "--t", 100],
+            ["conjecture-table", "--t", 100],
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_non_finite_k_exit_2(self, tmp_path, capsys, published_table_path, args, k):
+        zeros_flag = ["--zeros", published_table_path] if "--t" in args else []
+        assert run_cli(["--output-dir", tmp_path, *args, "--k", k, *zeros_flag]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "is not a finite complex number" in err[0]
+        assert not (tmp_path / "results.csv").exists()
 
 
 class TestZerosSubcommands:
@@ -393,6 +419,15 @@ class TestExperimentSubcommands:
         _, rows, _ = read_outputs(tmp_path / "ct")
         assert [float(r["T"]) for r in rows] == [1000.0, 2500.0]
         assert all(r["n_zeros"] for r in rows)
+
+    @pytest.mark.parametrize("heights", ["10", "5", "14", "10,200"])
+    def test_conjecture_table_below_the_first_zero_exit_2(self, tmp_path, capsys, published_table_path, heights):
+        status = run_cli(["--output-dir", tmp_path, "conjecture-table", "--k", "1", "--t", heights,
+                          "--zeros", published_table_path])
+        assert status == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "DomainError: no zero at or below T = " in err[0]
+        assert not (tmp_path / "results.csv").exists()
 
 
 class TestRuntimeWithoutScipy:

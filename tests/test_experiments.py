@@ -79,6 +79,18 @@ class TestZetaPrimeMoment:
         with pytest.raises(DomainError):
             experiments.zeta_prime_moment(zeros_100, 5000.0, 1)
 
+    @pytest.mark.parametrize("heights", [[10.0], [5.0], [14.0], [10.0, 100.0]])
+    def test_height_below_the_first_zero_is_refused(self, zeros_100, heights):
+        # the moment would average over no zeros
+        with pytest.raises(DomainError, match=f"no zero at or below T = {heights[0]:g}:"):
+            experiments.zeta_prime_moments(zeros_100, heights, 1)
+
+    def test_sums_below_the_first_zero_are_kept(self, zeros_100):
+        # a sum over no zeros is 0 and defined: these rows stay
+        assert experiments.landau_gonek(zeros_100, 2, 10.0).n_zeros == 0
+        assert experiments.px_mean(zeros_100, 10.0, 1, math.log(10.0)).n_zeros == 0
+        assert experiments.twisted_first_moment(zeros_100, 10.0, math.log(10.0)).n_zeros == 0
+
     def test_gap_below_covered_height_is_caught(self, zeros_5000):
         # t_max still reaches every height: only the certified count N(T) shows the gap
         gap = dataclasses.replace(zeros_5000, gammas=np.delete(zeros_5000.gammas, 1000))

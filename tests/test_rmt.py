@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import os
 from functools import partial
 
 import mpmath
@@ -290,6 +292,11 @@ class TestMcMoment:
         # no dimension cap: the factor sampler costs O(N) per sample
         assert rmt.mc_moment(1000, 1, 1000, seed=0).samples == 1000
 
+    def test_non_finite_k_refused(self):
+        for k in (math.nan, math.inf, complex(1.0, -math.inf), complex(math.nan, 1.0)):
+            with pytest.raises(AdmissibilityError, match="must be finite"):
+                rmt.require_admissible(k)
+
     def test_index_invariance(self):
         # single random-angle evaluation vs the full average over all N:
         # same mean by rotation invariance (label exchangeability)
@@ -362,6 +369,25 @@ class TestMcMoment:
         # the same run on the exact factor draw: the stream mc_moment gives
         mean, se_re, se_im = self._PINNED_EXACT[workers]
         est = rmt.mc_moment(8, 0.5 + 0.5j, 2000, seed=6, workers=workers)
+        assert est.mean == pytest.approx(mean, rel=1e-12, abs=0)
+        assert est.se_re == pytest.approx(se_re, rel=1e-12, abs=0)
+        assert est.se_im == pytest.approx(se_im, rel=1e-12, abs=0)
+
+    def test_pool_has_at_most_one_process_per_cpu(self, monkeypatch):
+        # two child streams on one CPU: one process runs both, and the result
+        # is still that of two workers
+        sizes = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        est = rmt.mc_moment(8, 0.5 + 0.5j, 2000, seed=6, workers=2)
+        assert sizes == [1]
+        mean, se_re, se_im = self._PINNED_EXACT[2]
         assert est.mean == pytest.approx(mean, rel=1e-12, abs=0)
         assert est.se_re == pytest.approx(se_re, rel=1e-12, abs=0)
         assert est.se_im == pytest.approx(se_im, rel=1e-12, abs=0)

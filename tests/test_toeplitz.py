@@ -1,5 +1,6 @@
 import math
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -8,7 +9,7 @@ import scipy.linalg
 from scipy.integrate import quad
 
 from zetalab import hybrid, powerseries, rmt, toeplitz
-from zetalab.errors import DomainError, IncompleteCoefficientsError
+from zetalab.errors import AdmissibilityError, DomainError, IncompleteCoefficientsError
 
 
 class TestExpTrigPolyCoeffs:
@@ -193,6 +194,30 @@ class TestEsComparison:
     def test_pole_k(self, params_x_e3):
         with pytest.raises(DomainError):
             toeplitz.es_comparison(-3, params_x_e3)
+
+    def test_non_finite_k(self, params_x_e3):
+        for k in (math.inf, math.nan, complex(0.0, math.inf)):
+            with pytest.raises(AdmissibilityError, match="must be finite"):
+                toeplitz.es_comparison(k, params_x_e3)
+
+    def test_traced_series_is_a_toeplitz_span(self, monkeypatch, params_x_e3):
+        # the benchmark's tracer wraps public functions only; toeplitz-check
+        # calls es_comparisons directly, so it must be one to count as toeplitz
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import tracing
+
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            tracer.job = 0
+            toeplitz.es_comparison(1.0, params_x_e3)
+        finally:
+            tracer.job = None
+            tracer.uninstall()
+        spans = tracer.spans
+        es = [i for i, s in enumerate(spans) if s[tracing.NAME] == "toeplitz.es_comparison"]
+        children = [s[tracing.NAME] for s in spans if s[tracing.PARENT] == es[0]]
+        assert children == ["toeplitz.es_comparisons"]
 
     def test_k0_ladder_is_exact(self, smoothing_y4):
         # (1 - w)^{-2} has the integer coefficients j + 1, and e^{-S} = 1 at k = 0
