@@ -39,7 +39,3 @@ class ZeroTableParseError(ValueError):
 
 class EmptyOverlapError(ValueError):
     """Two zero lists have no common height range to compare."""
-
-
-class IncompleteCoefficientsError(KeyError):
-    """A Toeplitz determinant needs symbol frequencies that were not built."""

@@ -3,9 +3,9 @@
 Each experiment pairs an empirical sum over zeros, correctly rounded by
 math.fsum, with the closed-form prediction it is conjectured (or proven) to track:
 
-* :func:`zeta_prime_moment` -- (1/N(T)) sum zeta'(rho)^k against
-  (1/Gamma(k+2)) log(T/2pi)^k; :func:`zeta_prime_moments` takes several
-  heights T from one evaluation of zeta' at the zeros.
+* :func:`zeta_prime_moments` -- (1/N(T)) sum zeta'(rho)^k against
+  (1/Gamma(k+2)) log(T/2pi)^k, at several heights T from one evaluation of
+  zeta' at the zeros.
 * :func:`landau_gonek` -- sum m^{-rho} against -(T/2pi) Lambda(m)/m.
 * :func:`px_mean` -- sum P_X(rho)^k against N(T) minus the subsidiary
   (T/2pi) sum a_k(m) Lambda(m)/m term.
@@ -41,8 +41,6 @@ PRINCIPAL_LOG = "principal-log"
 class MomentResult:
     """One experiment outcome: empirical sum vs prediction."""
 
-    k: object  # complex moment order, or None when not applicable
-    t_height: float
     empirical: complex
     predicted: complex
     n_zeros: int
@@ -112,27 +110,24 @@ def _require_coverage(zeros, t_height):
     )
 
 
-def zeta_prime_moment(zeros, t_height, k):
-    """(1/N(T)) sum_{gamma<=T} zeta'(1/2+i gamma)^k vs (1/Gamma(k+2)) log(T/2pi)^k.
+def zeta_prime_moments(zeros, heights, k):
+    """(1/N(T)) sum_{gamma<=T} zeta'(1/2+i gamma)^k vs (1/Gamma(k+2)) log(T/2pi)^k,
+    at each T of ``heights``, in their order.
 
     Args:
-        zeros: a ZeroList covering (0, T].
-        t_height: the height T.
+        zeros: a ZeroList covering (0, T] for every T.
+        heights: the heights T.
         k: moment order, Re(k) > -3; the power takes :func:`resolve_branch`'s branch.
-    """
-    return zeta_prime_moments(zeros, [t_height], k)[0]
-
-
-def zeta_prime_moments(zeros, heights, k):
-    """:func:`zeta_prime_moment` at each of ``heights``, in their order.
 
     zeta' is evaluated once, at the zeros below the largest height
     (:func:`zeta_prime_at_zeros`), and each height reduces over its prefix of
     those values.  From t = 200 (``specfun.RS_T_MIN``) on, each zero's zeta'
-    is computed on its own, so at every height T >= 200 a moment equals a
-    lone :func:`zeta_prime_moment` call bit for bit.  The zeros below 200 go
-    to Euler-Maclaurin, whose chunks share a cutoff, so a height below 200 can
-    differ from a lone call by that rounding.
+    is computed on its own, so at every height T >= 200 a moment equals the
+    one-height call ``zeta_prime_moments(zeros, [T], k)`` bit for bit.  The
+    zeros below 200 go to Euler-Maclaurin, whose chunks share a cutoff, so a
+    height below 200 can differ from a one-height call by that rounding.
+    Each result's details hold the bare sum, the main term n_formula of N(T)
+    and the sum normalized by it.
 
     Raises:
         DomainError: for a height with no zero at or below it, where the
@@ -149,29 +144,15 @@ def zeta_prime_moments(zeros, heights, k):
         powers = np.ones(len(gammas), dtype=complex)
     else:
         powers = _branch_power(zeta_prime_at_zeros(gammas), k, branch)
-    return [_zeta_prime_result(gammas, powers, t, k, branch) for t in heights]
-
-
-def _zeta_prime_result(gammas, powers, t_height, k, branch):
-    n = int(np.searchsorted(gammas, t_height, side="right"))
-    total = complex_fsum(powers[:n])
-    empirical = total / n
-    predicted = conjecture_rhs(t_height, k)
-    n_formula = (t_height / _TWO_PI) * math.log(t_height / (_TWO_PI * math.e))
-    details = {
-        "sum": total,
-        "n_formula": n_formula,
-        "normalized_by_formula": total / n_formula,
-    }
-    return MomentResult(
-        k=k,
-        t_height=float(t_height),
-        empirical=complex(empirical),
-        predicted=complex(predicted),
-        n_zeros=n,
-        branch=branch,
-        details=details,
-    )
+    out = []
+    for t in heights:
+        n = int(np.searchsorted(gammas, t, side="right"))
+        total = complex_fsum(powers[:n])
+        n_formula = (t / _TWO_PI) * math.log(t / (_TWO_PI * math.e))
+        details = {"sum": total, "n_formula": n_formula, "normalized_by_formula": total / n_formula}
+        out.append(MomentResult(empirical=total / n, predicted=complex(conjecture_rhs(t, k)), n_zeros=n,
+                                branch=branch, details=details))
+    return out
 
 
 def landau_gonek(zeros, m, t_height):
@@ -188,14 +169,7 @@ def landau_gonek(zeros, m, t_height):
     terms = m**-0.5 * np.exp(-1j * gammas * math.log(m))
     empirical = complex_fsum(terms)
     predicted = complex(-(t_height / _TWO_PI) * von_mangoldt(m) / m)
-    return MomentResult(
-        k=None,
-        t_height=float(t_height),
-        empirical=complex(empirical),
-        predicted=predicted,
-        n_zeros=len(gammas),
-        details={"m": m},
-    )
+    return MomentResult(empirical=complex(empirical), predicted=predicted, n_zeros=len(gammas))
 
 
 def px_mean(zeros, t_height, k, x_cutoff):
@@ -223,8 +197,6 @@ def px_mean(zeros, t_height, k, x_cutoff):
     empirical = complex_fsum(values)
     predicted = n - (t_height / _TWO_PI) * subsidiary
     return MomentResult(
-        k=k,
-        t_height=float(t_height),
         empirical=complex(empirical),
         predicted=complex(predicted),
         n_zeros=n,
@@ -301,11 +273,8 @@ def twisted_first_moment(zeros, t_height, x_cutoff):
     main = cgg_main_term(t_height)
     subsidiary = (t_height / _TWO_PI) * m_sum
     return MomentResult(
-        k=-1,
-        t_height=float(t_height),
         empirical=complex(empirical),
         predicted=complex(main + subsidiary),
         n_zeros=n,
-        branch=RECIPROCAL,
         details={"main_term": main, "subsidiary_term": subsidiary},
     )

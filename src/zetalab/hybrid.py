@@ -24,13 +24,14 @@ drawing the same independent weighted Verblunsky factors with the Fourier
 coefficients s_m as the statistic's weights.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import AdmissibilityError, DomainError
 from .rmt import _mc_estimate, _verblunsky_draw
 from .specfun import exp_integral_e1
 
@@ -197,13 +198,21 @@ def _row_blocks(rows, cols):
     return (slice(i, i + step) for i in range(0, rows, step))
 
 
+def _finite_order(k):
+    """k as a complex number; AdmissibilityError unless finite (s_m is defined for every finite k)."""
+    k = complex(k)
+    if not cmath.isfinite(k):
+        raise AdmissibilityError(f"moment order must be finite, got {k}")
+    return k
+
+
 def fourier_s(m, k, params):
-    """The m-th Fourier coefficient of k F_X(-v).
+    """The m-th Fourier coefficient of k F_X(-v), for any finite k.
 
     Zero for m <= 0 and for m >= log X; (k/m) * mass_above(m / log X) in
     between.
     """
-    k = complex(k)
+    k = _finite_order(k)
     if m <= 0:
         return 0j
     v = m / params.log_x
@@ -215,6 +224,7 @@ def fourier_s(m, k, params):
 def fourier_coeffs(k, params):
     """The nonzero coefficients s_1 .. s_{ceil(log X) - 1} of the finite Fourier
     sum k F_X(-v) = sum_m s_m e^{imv}, as an array."""
+    k = _finite_order(k)
     m_top = int(math.ceil(params.log_x)) - 1
     if math.isclose(params.log_x, round(params.log_x), rel_tol=0, abs_tol=1e-12):
         m_top = int(round(params.log_x)) - 1

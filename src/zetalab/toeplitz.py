@@ -16,66 +16,49 @@ determinant is one power-series coefficient:
 The coefficients fhat_j themselves are assembled by exact convolution
 (generalized binomials x two-term factor x entire exponential series) rather
 than grid transforms, since the symbol's algebraic singularity at v = 0 makes
-trigonometric-grid extraction converge slowly.  With a dense LU they are the
-test oracle of the series.
+trigonometric-grid extraction converge slowly.  :func:`symbol_coeffs` returns
+fhat_{-1} .. fhat_{max_freq} as one complex array, fhat_j at index j + 1; with
+a dense LU (:func:`toeplitz_det`) they are the test oracle of the series.
 """
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IncompleteCoefficientsError
+from .errors import DomainError
 from .hybrid import fourier_coeffs
 from .powerseries import binomial_series, exp_series_coeffs
 from .rmt import require_admissible
 from .specfun import log_gamma
 
 
-@dataclass(frozen=True)
-class SymbolCoeffs:
-    """Fourier coefficients fhat_{-1} .. fhat_{max_freq} of the symbol.
-
-    ``fhat[j]`` is stored at ``values[j + 1]``; frequencies below -1 vanish
-    identically.
-    """
-
-    values: np.ndarray
-
-    @property
-    def max_freq(self):
-        return len(self.values) - 2
-
-    def fhat(self, j):
-        if j <= -2:
-            return 0j
-        if j > self.max_freq:
-            raise IncompleteCoefficientsError(
-                f"frequency {j} not built (max_freq = {self.max_freq})"
-            )
-        return complex(self.values[j + 1])
-
-
-def _warn_cancellation(magnitude, value, what, stacklevel=3):
+def _warn_cancellation(magnitude, value, what):
     """Warn when summands of total size ``magnitude`` cancel to ``value`` by more than 1e6.
 
-    ``stacklevel`` counts from here, as in :func:`warnings.warn`: 3 names the
-    line that called this function's caller.
+    The warning names the first line outside this package up the stack: the
+    line that called into it.
     """
     if magnitude > 1e6 * value:
+        frame, level = sys._getframe(1), 2  # stacklevel 2 is this function's caller
+        while frame is not None and frame.f_globals.get("__name__", "").partition(".")[0] == "zetalab":
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"cancellation amplifies rounding by {magnitude / value:.1e} in {what}, "
             "which may carry fewer than 10 digits",
-            stacklevel=stacklevel,
+            stacklevel=level,
         )
 
 
 def symbol_coeffs(k, params, max_freq):
-    """Symbol coefficients by exact convolution, for frequencies -1 .. max_freq.
+    """Symbol coefficients fhat_{-1} .. fhat_{max_freq} by exact convolution.
 
-    Warns when the convolution cancels: when the largest sum of the summands'
-    magnitudes exceeds 1e6 times the largest |fhat|.
+    Returns them as one complex array of length max_freq + 2, fhat_j at index
+    j + 1; fhat_j vanishes for j <= -2.  Warns when the convolution cancels:
+    when the largest sum of the summands' magnitudes exceeds 1e6 times the
+    largest |fhat|.
     """
     k = require_admissible(k)
     if max_freq < 0:
@@ -90,12 +73,13 @@ def symbol_coeffs(k, params, max_freq):
     mag = np.convolve(np.abs(h), np.abs(d))[: max_freq + 2]
     _warn_cancellation(mag.max(), np.abs(values).max(),
                        f"the coefficients to max_freq = {max_freq}, relative to the largest")
-    return SymbolCoeffs(values=values)
+    return values
 
 
-def toeplitz_det(sc, size, method="dense"):
+def toeplitz_det(fhat, size, method="dense"):
     """D_size[f] = det(fhat_{j-l}), 1 <= j, l <= size, by LU with partial pivoting.
 
+    ``fhat`` is :func:`symbol_coeffs`' array, built to max_freq >= size - 1.
     The test oracle of the power series in :func:`es_comparison`.
     ``"dense"`` is the only ``method``.
     """
@@ -103,12 +87,10 @@ def toeplitz_det(sc, size, method="dense"):
         raise ValueError(f"unknown method {method!r}")
     if size < 1:
         raise DomainError("determinant size must be >= 1")
-    if size - 1 > sc.max_freq:
-        raise IncompleteCoefficientsError(
-            f"size {size} needs frequencies up to {size - 1}, built up to {sc.max_freq}"
-        )
+    if size + 1 > len(fhat):
+        raise DomainError(f"size {size} needs frequencies up to {size - 1}, built up to {len(fhat) - 2}")
     # entry (j, l) is fhat_{j-l}, at index j - l + size - 1 of fhat_{1-size} .. fhat_{size-1}
-    diagonals = np.concatenate((np.zeros(size), sc.values[: size + 1]))[2:]
+    diagonals = np.concatenate((np.zeros(size), fhat[: size + 1]))[2:]
     j = np.arange(size)
     return complex(np.linalg.det(diagonals[j[:, None] - j[None, :] + size - 1]))
 
@@ -159,8 +141,7 @@ def es_comparisons(k, params, sizes):
     for n in sizes:
         terms = binom[:n] * exp_s[:n][::-1]
         det = complex(terms.sum())
-        # the line that called es_comparison
-        _warn_cancellation(np.abs(terms).sum(), abs(det), f"the size-{n - 1} determinant", stacklevel=4)
+        _warn_cancellation(np.abs(terms).sum(), abs(det), f"the size-{n - 1} determinant")
         expectation = np.exp(phase + s.sum()) * det / n
         asymptotic = 0j if log_gamma_k2 is None else np.exp(phase + k * math.log(n) - log_gamma_k2)
         out.append(ToeplitzResult(det=det, expectation=complex(expectation), asymptotic=complex(asymptotic)))

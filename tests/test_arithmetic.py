@@ -19,6 +19,7 @@ class TestVonMangoldt:
 
     def test_composite(self):
         assert arithmetic.von_mangoldt(6) == 0.0
+        assert arithmetic.von_mangoldt(1) == 0.0  # 1 is no prime power
 
     def test_prime(self):
         assert arithmetic.von_mangoldt(5) == pytest.approx(math.log(5))
@@ -26,10 +27,13 @@ class TestVonMangoldt:
     def test_domain(self):
         with pytest.raises(DomainError):
             arithmetic.von_mangoldt(0)
+        with pytest.raises(DomainError):
+            arithmetic.factorize(0)
 
     def test_prime_table_lookup(self):
         primes = arithmetic.sieve_primes(100)
         assert list(primes[:5]) == [2, 3, 5, 7, 11] and len(primes) == 25
+        assert arithmetic.sieve_primes(1).size == 0
         assert arithmetic.von_mangoldt(49) == pytest.approx(math.log(7))
 
 
@@ -120,6 +124,10 @@ class TestACoeffs:
     def test_cutoff_must_be_finite_and_at_least_two(self, x):
         with pytest.raises(DomainError):
             arithmetic.a_coeffs(1.0, x)
+
+    def test_m_max_must_be_positive(self):
+        with pytest.raises(DomainError, match="m_max"):
+            arithmetic.a_coeffs(1, 10, m_max=0)
 
     def test_support_completeness(self):
         poly = arithmetic.a_coeffs(1.0, 4.0, m_max=50)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zetalab import cli, hybrid, toeplitz, zeros
+from zetalab import cli, experiments, hybrid, toeplitz, zeros
 
 
 def run_cli(args):
@@ -87,16 +87,17 @@ class TestGates:
 
     def test_failing_gate_nonzero_exit(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "gates": [{"name": "impossible", "column": "ratio_re", "min": 0.999999, "max": 1.000001}]
-        }))
+        cfg.write_text(json.dumps({"gates": [
+            {"name": "impossible", "column": "ratio_re", "min": 0.999999, "max": 1.000001},
+            {"name": "floor", "column": "ratio_re", "min": 1e6},
+        ]}))
         status = run_cli(
             ["--config", cfg, "--output-dir", tmp_path / "out", "toeplitz-check",
              "--k", "1", "--sizes", "8"]
         )
         assert status == 3
         err = capsys.readouterr().err
-        assert "impossible" in err
+        assert "'impossible'" in err and "'floor'" in err and "< min 1e+06" in err
 
     def test_gates_read_json_extras(self, tmp_path, capsys, published_table_path):
         # a numeric extra can be gated; a gate on a text column is a config error
@@ -155,6 +156,13 @@ class TestGates:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and all(repr(key) in err[0] for key in bad)
         assert not (tmp_path / "out" / "results.csv").exists()
+
+    def test_config_holding_no_object_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([{"n": 4}]))
+        assert run_cli(["--config", cfg, "--output-dir", tmp_path / "out", "rmt-oracle", "--n", 2, "--k", "1"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "holds no JSON object" in err[0]
 
     def test_manifest_records_every_default(self, tmp_path):
         assert run_cli(["--output-dir", tmp_path / "o", "rmt-oracle", "--n", 2, "--k", "1"]) == 0
@@ -407,6 +415,18 @@ class TestExperimentSubcommands:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "3473 zeros, expected 3474" in err[0]
         assert not (tmp_path / "lg" / "results.csv").exists()
+
+    @pytest.mark.parametrize("x_flag", [[], ["--x", 8]], ids=["x-default", "x-8"])
+    def test_twisted_on_the_stored_table(self, tmp_path, x_flag):
+        table = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "zeros_t5000.txt"
+        assert run_cli(["--output-dir", tmp_path, "twisted", "--t", 5000, "--zeros", table, *x_flag]) == 0
+        _, rows, manifest = read_outputs(tmp_path)
+        x = manifest["config"]["x"]
+        assert x == (8.0 if x_flag else math.log(5000))
+        res = experiments.twisted_first_moment(zeros.load_zeros(table), 5000.0, x)
+        assert len(rows) == 1 and rows[0]["n_zeros"] == "4520" and float(rows[0]["X"]) == x
+        assert complex(float(rows[0]["empirical_re"]), float(rows[0]["empirical_im"])) == res.empirical
+        assert complex(float(rows[0]["predicted_re"]), float(rows[0]["predicted_im"])) == res.predicted
 
     def test_conjecture_table(self, tmp_path, zeros_5000):
         table = tmp_path / "zeros.txt"

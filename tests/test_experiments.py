@@ -49,22 +49,22 @@ def test_kahan_sum_matches_fsum():
 
 class TestZetaPrimeMoment:
     def test_k0_trivial(self, zeros_5000):
-        res = experiments.zeta_prime_moment(zeros_5000, 1000.0, 0)
+        res = experiments.zeta_prime_moments(zeros_5000, [1000.0], 0)[0]
         assert res.empirical == 1.0
         assert res.predicted == 1.0
 
     def test_k1_tracks_main_term(self, zeros_5000):
-        res = experiments.zeta_prime_moment(zeros_5000, 5000.0, 1)
+        res = experiments.zeta_prime_moments(zeros_5000, [5000.0], 1)[0]
         total = res.details["sum"]
         assert total.real == pytest.approx(experiments.cgg_main_term(5000.0), rel=0.05)
 
     def test_conjugate_reality_proxy(self, zeros_5000):
-        res = experiments.zeta_prime_moment(zeros_5000, 5000.0, 1)
+        res = experiments.zeta_prime_moments(zeros_5000, [5000.0], 1)[0]
         total = res.details["sum"]
         assert abs(total.imag) / abs(total.real) < 0.1
 
     def test_k_minus_1_known_case(self, zeros_5000):
-        res = experiments.zeta_prime_moment(zeros_5000, 5000.0, -1)
+        res = experiments.zeta_prime_moments(zeros_5000, [5000.0], -1)[0]
         assert res.branch == experiments.RECIPROCAL
         # the empirical tracks the proven asymptotic sum ~ T/2pi, i.e. the
         # normalized value 1/(L-1); the conjecture target 1/L differs from it
@@ -77,7 +77,7 @@ class TestZetaPrimeMoment:
 
     def test_needs_covering_zero_list(self, zeros_100):
         with pytest.raises(DomainError):
-            experiments.zeta_prime_moment(zeros_100, 5000.0, 1)
+            experiments.zeta_prime_moments(zeros_100, [5000.0], 1)
 
     @pytest.mark.parametrize("heights", [[10.0], [5.0], [14.0], [10.0, 100.0]])
     def test_height_below_the_first_zero_is_refused(self, zeros_100, heights):
@@ -104,11 +104,11 @@ class TestZetaPrimeMoment:
         heights = [250.0, 1000.0, 2500.0, 5000.0]
         for k in (1, -1, 0.5 + 0.5j):
             together = experiments.zeta_prime_moments(zeros_5000, heights, k)
-            assert together == [experiments.zeta_prime_moment(zeros_5000, t, k) for t in heights]
+            assert together == [experiments.zeta_prime_moments(zeros_5000, [t], k)[0] for t in heights]
 
     def test_normalization_open_question_both_reported(self, zeros_5000):
         # exact count and main-term formula normalizations both present
-        res = experiments.zeta_prime_moment(zeros_5000, 5000.0, 1)
+        res = experiments.zeta_prime_moments(zeros_5000, [5000.0], 1)[0]
         assert res.n_zeros == 4520
         assert res.details["n_formula"] == pytest.approx(4519.46, abs=0.1)
         assert res.details["normalized_by_formula"] != res.empirical

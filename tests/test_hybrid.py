@@ -49,6 +49,10 @@ class TestMassAbove:
         val = hybrid.mass_above(v, smoothing_y4)
         assert 0.0 < val < 1.0
 
+    def test_domain(self, smoothing_y4):
+        with pytest.raises(DomainError):
+            hybrid.mass_above(-0.1, smoothing_y4)
+
     def test_non_increasing(self, smoothing_y4):
         v = np.linspace(0.0, 1.05, 300)
         vals = hybrid.mass_above(v, smoothing_y4)
@@ -218,6 +222,7 @@ class TestFourierS:
     def test_scaling_in_k(self, params_x_e3):
         base = hybrid.fourier_s(2, 1, params_x_e3)
         assert hybrid.fourier_s(2, 2 - 0.5j, params_x_e3) == pytest.approx((2 - 0.5j) * base)
+        assert hybrid.fourier_s(2, -4, params_x_e3) == pytest.approx(-4 * base)  # any finite k
         assert (base / 1).real > 0  # s_m / k is real and positive on the support
 
 
@@ -380,6 +385,10 @@ class TestMcHybridMoment:
         est = hybrid.mc_hybrid_moment(params, 1.0, 2000, seed=0)
         heine = toeplitz.es_comparison(1.0, params).expectation
         assert est.within(heine, n_se=4.0), (est.mean, est.se_re, est.se_im, heine)
+
+    def test_dimension_must_be_positive(self, smoothing_y4):
+        with pytest.raises(DomainError, match="dimension"):
+            hybrid.HybridParams(n=0, x_cutoff=math.e**3, smoothing=smoothing_y4)
 
     def test_seed_reproducible(self, params_x_e3):
         a = hybrid.mc_hybrid_moment(params_x_e3, 1.0, 2000, seed=6)

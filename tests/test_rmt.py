@@ -132,6 +132,10 @@ class TestExactMoment:
     def test_k_minus_2_vanishes(self):
         assert rmt.exact_moment(9, -2) == 0
 
+    def test_zero_dimension_rejected(self):
+        with pytest.raises(DomainError):
+            rmt.exact_moment(0, 1)
+
     def test_k_minus_2_at_n1_is_i_to_the_k(self):
         # at N = 1 the Gamma(k+2) factors cancel; the Monte-Carlo and Weyl
         # routes agree

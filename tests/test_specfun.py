@@ -522,6 +522,10 @@ class TestHardyZ:
     def test_sign_change_on_14_15(self):
         assert specfun.hardy_z(14.0) * specfun.hardy_z(15.0) < 0
 
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            specfun.hardy_z(1.0)
+
 
 class TestHardyZRiemannSiegel:
     def test_within_gabcke_bound_of_euler_maclaurin(self):

@@ -9,7 +9,7 @@ import scipy.linalg
 from scipy.integrate import quad
 
 from zetalab import hybrid, powerseries, rmt, toeplitz
-from zetalab.errors import AdmissibilityError, DomainError, IncompleteCoefficientsError
+from zetalab.errors import AdmissibilityError, DomainError
 
 
 class TestExpTrigPolyCoeffs:
@@ -40,19 +40,15 @@ class TestSymbolCoeffs:
         for k, x in ((1.0, math.e**2), (0.5 + 0.5j, math.e**3), (2.0, math.e**4)):
             params = hybrid.HybridParams(n=8, x_cutoff=x, smoothing=smoothing_y4)
             sc = toeplitz.symbol_coeffs(k, params, max_freq=8)
-            assert sc.fhat(-1) == pytest.approx(-1.0, abs=1e-14)
-
-    def test_no_frequencies_below_minus1(self, params_x_e3):
-        sc = toeplitz.symbol_coeffs(1.3 - 0.2j, params_x_e3, max_freq=8)
-        assert sc.fhat(-2) == 0 and sc.fhat(-3) == 0
+            assert sc[0] == pytest.approx(-1.0, abs=1e-14)
 
     def test_k0_symbol(self, params_x_e3):
         sc = toeplitz.symbol_coeffs(0, params_x_e3, max_freq=6)
-        assert sc.fhat(0) == pytest.approx(2.0)
-        assert sc.fhat(1) == pytest.approx(-1.0)
-        assert sc.fhat(-1) == pytest.approx(-1.0)
+        assert sc[1] == pytest.approx(2.0)
+        assert sc[2] == pytest.approx(-1.0)
+        assert sc[0] == pytest.approx(-1.0)
         for j in range(2, 7):
-            assert sc.fhat(j) == pytest.approx(0.0, abs=1e-15)
+            assert sc[j + 1] == pytest.approx(0.0, abs=1e-15)
 
     def test_against_quadrature_of_defining_integral(self, params_x_e3):
         k = 0.7 + 0.3j
@@ -74,7 +70,7 @@ class TestSymbolCoeffs:
             return (re + 1j * im) / (2 * math.pi)
 
         for j in rng.choice(np.arange(-1, 17), size=10, replace=False):
-            assert abs(sc.fhat(int(j)) - fhat_quad(int(j))) < 1e-8
+            assert abs(sc[j + 1] - fhat_quad(int(j))) < 1e-8
 
 
     def test_matches_termwise_convolution(self, smoothing_y4):
@@ -89,7 +85,7 @@ class TestSymbolCoeffs:
                 sum(h[ell] * (c[n - ell] - c[n + 1 - ell] if n >= ell else -c[0]) for ell in range(n + 2))
                 for n in range(-1, max_freq + 1)
             ]
-            assert np.max(np.abs(sc.values - ref)) < 1e-13 * np.max(np.abs(ref))
+            assert np.max(np.abs(sc - ref)) < 1e-13 * np.max(np.abs(ref))
 
     def test_cancellation_warning_measured_against_largest_coefficient(self, smoothing_y4):
         # at X = e^4 every s_m = k/m, so fhat_2 = 0 exactly; its rounding
@@ -108,7 +104,7 @@ class TestSymbolCoeffs:
 class TestToeplitzDet:
     def test_size_one(self, params_x_e3):
         sc = toeplitz.symbol_coeffs(1.0, params_x_e3, max_freq=4)
-        assert toeplitz.toeplitz_det(sc, 1) == pytest.approx(sc.fhat(0))
+        assert toeplitz.toeplitz_det(sc, 1) == pytest.approx(sc[1])
 
     def test_k0_ladder(self, params_x_e3, smoothing_y4):
         sc = toeplitz.symbol_coeffs(0, params_x_e3, max_freq=50)
@@ -151,14 +147,21 @@ class TestToeplitzDet:
         for k in (1.0, 0.5 + 0.5j, -1.5 + 0.5j):
             params = hybrid.HybridParams(n=8, x_cutoff=math.e**3, smoothing=smoothing_y4)
             sc = toeplitz.symbol_coeffs(k, params, max_freq=size - 1)
-            first_row = np.pad([sc.fhat(0), sc.fhat(-1)], (0, size))[:size]
-            column = [sc.fhat(j) for j in range(size)]
+            first_row = np.pad([sc[1], sc[0]], (0, size))[:size]
+            column = [sc[j + 1] for j in range(size)]
             assert toeplitz.toeplitz_det(sc, size) == np.linalg.det(scipy.linalg.toeplitz(column, first_row))
 
     def test_missing_frequency(self, params_x_e3):
         sc = toeplitz.symbol_coeffs(1.0, params_x_e3, max_freq=4)
-        with pytest.raises(IncompleteCoefficientsError):
+        with pytest.raises(DomainError, match="needs frequencies up to 7"):
             toeplitz.toeplitz_det(sc, 8)
+
+    def test_size_and_max_freq_below_range(self, params_x_e3):
+        with pytest.raises(DomainError, match="max_freq must be >= 0"):
+            toeplitz.symbol_coeffs(1.0, params_x_e3, max_freq=-1)
+        sc = toeplitz.symbol_coeffs(1.0, params_x_e3, max_freq=4)
+        with pytest.raises(DomainError, match="size must be >= 1"):
+            toeplitz.toeplitz_det(sc, 0)
 
     def test_dense_is_the_only_method(self, params_x_e3):
         sc = toeplitz.symbol_coeffs(1.0, params_x_e3, max_freq=4)
@@ -196,9 +199,13 @@ class TestEsComparison:
             toeplitz.es_comparison(-3, params_x_e3)
 
     def test_non_finite_k(self, params_x_e3):
+        # the hybrid model's coefficients refuse it too, though they take any finite k
+        routes = (toeplitz.es_comparison, lambda k, p: hybrid.fourier_s(1, k, p), hybrid.fourier_coeffs,
+                  lambda k, p: hybrid.F_X_poly(0.7, k, p))
         for k in (math.inf, math.nan, complex(0.0, math.inf)):
-            with pytest.raises(AdmissibilityError, match="must be finite"):
-                toeplitz.es_comparison(k, params_x_e3)
+            for route in routes:
+                with pytest.raises(AdmissibilityError, match="must be finite"):
+                    route(k, params_x_e3)
 
     def test_traced_series_is_a_toeplitz_span(self, monkeypatch, params_x_e3):
         # the benchmark's tracer wraps public functions only; toeplitz-check
@@ -266,10 +273,15 @@ class TestEsComparison:
         assert abs(toeplitz.es_comparison(k, params).det - ref) < 1e-13 * abs(ref)
 
     def test_cancellation_warns(self, smoothing_y4):
+        # each call's warning names the caller's file and line, not the module's
         params = hybrid.HybridParams(n=32, x_cutoff=math.e**3, smoothing=smoothing_y4)
-        with pytest.warns(UserWarning, match="cancellation") as record:
-            toeplitz.es_comparison(10 + 10j, params)
-        assert record[0].filename == __file__  # the caller's line, not the module's
+        calls = (lambda: toeplitz.es_comparison(10 + 10j, params),
+                 lambda: toeplitz.es_comparisons(10 + 10j, params, [32]),
+                 lambda: toeplitz.symbol_coeffs(10 + 10j, params, 126))
+        for call in calls:
+            with pytest.warns(UserWarning, match="cancellation") as record:
+                call()
+            assert (record[0].filename, record[0].lineno) == (__file__, call.__code__.co_firstlineno)
 
     def test_no_warning_at_benchmark_orders(self, smoothing_y4):
         # the toeplitz-check orders of the cross-checks benchmark, every size it could ask for

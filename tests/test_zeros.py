@@ -58,6 +58,15 @@ class TestComputeZeros:
         b = zeros.compute_zeros(60.0, cache_dir=tmp_path)
         assert np.max(np.abs(a.gammas - b.gammas)) < 1e-10
 
+    def test_failed_write_leaves_no_tmp_file(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(zeros.os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            zeros._write_atomic(tmp_path / "zeros_t60.txt", "14.134725\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_cache_keys_exact(self, tmp_path):
         near, _ = zeros._cache_paths(tmp_path, 100.0000001)
         exact, _ = zeros._cache_paths(tmp_path, 100.0)
@@ -229,6 +238,11 @@ class TestLoadZeros:
         p.write_text("")
         zl = zeros.load_zeros(p)
         assert len(zl) == 0 and zl.t_max == 0.0
+
+    def test_zero_list_invariants(self):
+        for gammas, t_max, what in (([21.0, 21.0], 30.0, "strictly increasing"), ([14.1, 21.0], 20.0, "exceed")):
+            with pytest.raises(ValueError, match=what):
+                zeros.ZeroList(gammas=np.array(gammas), t_max=t_max, source="x", precision=1e-6)
 
     def test_descending_pair(self, tmp_path):
         p = tmp_path / "bad.txt"
