@@ -267,7 +267,8 @@ def _spec(spec):
 def _resolve(name, args):
     """The run's config: the field defaults, then the --config file, then the
     flags, each cast once to its field's type.  ValueError names a key that is
-    no field, or a missing required field."""
+    no field, a missing required field, or a bool or non-integral number given
+    for an int field (an integral float such as 1e6 is taken)."""
     fields = _SUBCOMMANDS[name][1] | _GLOBAL_FIELDS
     path = args.pop("config")
     given = json.loads(Path(path).read_text()) if path else {}
@@ -283,6 +284,8 @@ def _resolve(name, args):
         value = given.pop(field, default)
         if value is _REQUIRED:
             raise ValueError(f"missing field {field!r}")
+        if typ is int and (isinstance(value, bool) or isinstance(value, float) and not value.is_integer()):
+            raise ValueError(f"field {field!r} needs an integer, got {value!r}")
         cfg[field] = None if value is None else typ(value)
     return cfg
 

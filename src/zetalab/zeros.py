@@ -454,6 +454,10 @@ class CrossValidation:
 def cross_validate(a, b):
     """Compare two zero lists on the overlap of their covered ranges.
 
+    ``max_abs_diff`` is the largest |gamma_a - gamma_b| over the ordinates
+    paired in order, or inf when the two lists hold different counts below
+    the overlap (a zero missing from one list is no small difference).
+
     Raises:
         EmptyOverlapError: if the ranges are disjoint (no common height).
     """
@@ -465,7 +469,7 @@ def cross_validate(a, b):
     diffs = np.abs(ga[:n] - gb[:n])
     report = CrossValidation(
         n_compared=n,
-        max_abs_diff=float(diffs.max()) if n else math.inf,
+        max_abs_diff=float(diffs.max()) if len(ga) == len(gb) else math.inf,
         count_a=len(ga),
         count_b=len(gb),
         overlap_t=float(overlap),

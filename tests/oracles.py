@@ -31,7 +31,11 @@ None of these runs on a path of the package itself:
 * :func:`em_depth_loop`, the Euler-Maclaurin depth by a loop over p, the
   reference of ``specfun._em_depth``'s all-p-at-once arrays;
 * :func:`em_corrections_loop`, the Euler-Maclaurin corrections by a loop over
-  j, the reference of ``specfun._em_corrections``'s one-pass sums.
+  j, the reference of ``specfun._em_corrections``'s one-pass sums;
+* :func:`weyl_average`, the Weyl integral on U(n), n <= 3, by a sum over the
+  tensor grid of n lattice angles, and :func:`weyl_oracle_tensor_grid`, the
+  Z'^k oracle as an (n-1)-angle such sum, the reference of
+  ``rmt.weyl_quadrature_oracle``'s Toeplitz determinant.
 """
 
 import math
@@ -39,14 +43,16 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from zetalab.errors import DomainError
+from zetalab.errors import CapabilityError, DomainError
 from zetalab.arithmetic import factorize
 from zetalab.hybrid import _by_parts_nodes, _panel_count, _u_nodes, u_weight
+from zetalab.rmt import _require_grid
 from zetalab.specfun import _EM_COEFFS, _EM_LOG_TOL, _EM_MAX_DEPTH, GAMMA0, exp_integral_e1
 
 _COINCIDENCE_TOL = 1e-14
 _TWO_PI = 2.0 * math.pi
 _U_CHUNK = 256  # z values per kernel_U_batch chunk
+_WEYL_BLOCK = 1 << 16  # grid points evaluated at once by weyl_average
 
 
 def kernel_U(z, spec):
@@ -360,3 +366,67 @@ def zprime_pow_rows(angle_rows, col_index, k, s_coeffs):
     out = np.exp(logs)
     out[bad] = np.nan
     return out
+
+
+def weyl_average(n, statistic, grid):
+    """Tensor-grid quadrature of a statistic against the Weyl density on U(n).
+
+    The nodes are the lattice theta_j = 2 pi j / grid on every axis (rectangle
+    rule; the integrand is 2*pi-periodic in every variable) and the density is
+    prod_{a<b} |e^{i theta_a} - e^{i theta_b}|^2 / (n! (2 pi)^n).  The first
+    axis is walked in blocks and the other n - 1 broadcast, so at most
+    max(2^16, grid^(n-1)) points are held at once.
+
+    Args:
+        n: 1, 2 or 3 (the cost explodes combinatorially by design).
+        statistic: callable mapping broadcastable angle arrays (theta_1, ...,
+            theta_n) to a complex array.
+        grid: points per angle axis.
+
+    Raises:
+        CapabilityError: for n > 3.
+        DomainError: for grid < 1.
+    """
+    _require_weyl_dim(n)
+    _require_grid(grid)
+    theta = np.arange(grid) * (_TWO_PI / grid)
+    # angle a varies along array axis a
+    axes = [theta.reshape((grid,) + (1,) * (n - 1 - a)) for a in range(n)]
+    phases = [np.exp(1j * ax) for ax in axes]
+    rest_dens = 1.0
+    for a in range(1, n):
+        for b in range(a + 1, n):
+            rest_dens = rest_dens * np.abs(phases[a] - phases[b]) ** 2
+    rows = max(1, _WEYL_BLOCK // grid ** (n - 1))
+    acc = 0j
+    for lo in range(0, grid, rows):
+        dens = rest_dens
+        for ph in phases[1:]:
+            dens = dens * np.abs(phases[0][lo : lo + rows] - ph) ** 2
+        acc += np.sum(dens * statistic(axes[0][lo : lo + rows], *axes[1:]))
+    return complex(acc / (math.factorial(n) * grid**n))
+
+
+def _require_weyl_dim(n):
+    if n not in (1, 2, 3):
+        raise CapabilityError("the tensor-grid Weyl average supports n in {1, 2, 3} only")
+
+
+def weyl_oracle_tensor_grid(n, k, grid):
+    """(i^k / n) times the U(n-1) Weyl average of prod_m |1 - e^{i theta_m}|^2 (1 - e^{i theta_m})^k
+    by :func:`weyl_average`, n <= 3; a factor with 1 - e^{i theta} = 0 contributes 0."""
+    i_k = complex(np.exp(1j * math.pi * k / 2.0))
+    if n == 1:
+        # single-point product: the integrand is the constant i^k
+        return i_k
+
+    def stat(*thetas):
+        out = 1.0
+        for th in thetas:
+            fac = 1.0 - np.exp(1j * th)
+            hit = fac == 0
+            power = np.exp(k * np.log(np.where(hit, 1.0, fac)))
+            out = out * np.where(hit, 0.0, np.abs(fac) ** 2 * power)
+        return out
+
+    return i_k / n * weyl_average(n - 1, stat, grid)

@@ -164,6 +164,29 @@ class TestGates:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "holds no JSON object" in err[0]
 
+    @pytest.mark.parametrize(
+        "name, bad",
+        [("rmt-oracle", {"n": 2.7, "k": "1", "grid": 64}), ("rmt-moment", {"n": True, "k": "1", "samples": 1000}),
+         ("rmt-oracle", {"n": 2, "k": "1", "grid": 64.5})],
+        ids=["oracle-n-2.7", "moment-n-true", "oracle-grid-64.5"],
+    )
+    def test_int_field_refuses_bool_and_fraction(self, tmp_path, capsys, name, bad):
+        # int(2.7) and int(True) would run at n = 2 and n = 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(bad))
+        assert run_cli(["--config", cfg, "--output-dir", tmp_path / "out", name]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "needs an integer" in err[0]
+        assert not (tmp_path / "out" / "results.csv").exists()
+
+    def test_int_field_takes_an_integral_float(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 2.0, "k": "1", "samples": 1e3}))
+        assert run_cli(["--config", cfg, "--output-dir", tmp_path / "out", "rmt-moment"]) == 0
+        config = read_outputs(tmp_path / "out")[2]["config"]
+        assert (config["n"], config["samples"]) == (2, 1000)
+        assert type(config["samples"]) is int
+
     def test_manifest_records_every_default(self, tmp_path):
         assert run_cli(["--output-dir", tmp_path / "o", "rmt-oracle", "--n", 2, "--k", "1"]) == 0
         assert read_outputs(tmp_path / "o")[2]["config"]["grid"] == 1024
@@ -282,6 +305,19 @@ class TestZerosSubcommands:
         assert manifest["gate_failures"]
 
 
+    def test_cross_validate_counts_differ_exit_3(self, tmp_path, published_table_path):
+        # the 29 zeros below 100 and a spurious 30th at 99.5: the first 29 pair
+        # up within 1e-10, but the lists disagree and the default gate fails
+        lines = published_table_path.read_text().splitlines()[:29]
+        b = tmp_path / "b.txt"
+        b.write_text("\n".join(lines + ["99.5"]) + "\n")
+        args = ["zeros", "cross-validate", "--a", "compute", "--t-max", 100, "--b", b]
+        assert run_cli(["--output-dir", tmp_path / "x"] + args) == 3
+        _, rows, _ = read_outputs(tmp_path / "x")
+        assert (rows[0]["count_a"], rows[0]["count_b"]) == (29, 30)
+        assert rows[0]["empirical_re"] == "inf"
+
+
 class TestOracleAndHybrid:
     def test_rmt_oracle(self, tmp_path):
         status = run_cli(
@@ -290,6 +326,12 @@ class TestOracleAndHybrid:
         assert status == 0
         _, rows, _ = read_outputs(tmp_path)
         assert float(rows[0]["empirical_im"]) == pytest.approx(1.5, abs=1e-5)
+
+    def test_rmt_oracle_beyond_three(self, tmp_path):
+        assert run_cli(["--output-dir", tmp_path, "rmt-oracle", "--n", 4, "--k", "0.5"]) == 0
+        csv_text, rows, _ = read_outputs(tmp_path)
+        assert len(rows) == 1 and len(csv_text.splitlines()) == 2
+        assert float(rows[0]["ratio_re"]) == pytest.approx(1.0, abs=1e-9)
 
     def test_hybrid_fourier_check(self, tmp_path):
         status = run_cli(

@@ -10,9 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
-from oracles import haar_angle_batch, szego_power_sums_phase, weighted_verblunsky_rejection, zprime_pow_rows
+from oracles import (
+    haar_angle_batch,
+    szego_power_sums_phase,
+    weighted_verblunsky_rejection,
+    weyl_average,
+    weyl_oracle_tensor_grid,
+    zprime_pow_rows,
+)
 from zetalab import rmt
-from zetalab.errors import AdmissibilityError, CapabilityError, DomainError, PoleError
+from zetalab.errors import AdmissibilityError, DomainError, PoleError
 
 
 class TestSampleHaar:
@@ -61,7 +68,7 @@ class TestSampleHaar:
                 prod = prod * (1.0 - np.exp(1j * th))
             return np.abs(prod) ** 2
 
-        oracle = rmt.weyl_average(3, stat, grid=64)
+        oracle = weyl_average(3, stat, grid=64)
         assert oracle.real == pytest.approx(4.0, abs=1e-9)
 
         rng = np.random.default_rng(23)
@@ -227,9 +234,36 @@ class TestWeylOracle:
         val = rmt.weyl_quadrature_oracle(3, 2, 96)
         assert val == pytest.approx(rmt.exact_moment(3, 2), abs=1e-6)
 
-    def test_capability_cap(self):
-        with pytest.raises(CapabilityError):
-            rmt.weyl_quadrature_oracle(4, 1, 16)
+    def test_beyond_three(self):
+        # relative errors recorded at k = 1/2: 1.7e-10 (n = 4), 1.9e-9 (n = 8)
+        # at grid 1024 and 2.0e-8 (n = 64) at grid 4096
+        for n, grid, band in ((4, 1024, 5e-10), (8, 1024, 5e-9), (64, 4096, 5e-8)):
+            exact = rmt.exact_moment(n, 0.5)
+            assert abs(rmt.weyl_quadrature_oracle(n, 0.5, grid) - exact) <= band * abs(exact), n
+
+    def test_rate_in_the_grid(self):
+        # grid^-(3 + Re k): at k = 1/2 four times the grid is 4^3.5 = 128 times
+        # closer (recorded 127.9 at n = 8, grid 1024 -> 4096)
+        exact = rmt.exact_moment(8, 0.5)
+        coarse, fine = (abs(rmt.weyl_quadrature_oracle(8, 0.5, g) - exact) for g in (1024, 4096))
+        assert 110 < coarse / fine < 150
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_determinant_is_the_tensor_grid_sum(self, n):
+        # Heine's identity holds exactly on the lattice; where grid < n the
+        # lattice has fewer nonzero nodes than angles and the sum is exactly 0
+        for k in (0, 1, 2, 3, 0.5, -0.5, -2, 1 + 1j, 2j, -1.5 + 0.5j):
+            for grid in (1, 2, 3, 16, 24, 64, 96, 512, 1024):
+                det = rmt.weyl_quadrature_oracle(n, k, grid)
+                ref = weyl_oracle_tensor_grid(n, complex(k), grid)
+                if ref == 0:
+                    assert abs(det) <= 1e-15, (k, grid)
+                else:
+                    assert abs(det - ref) <= 1e-13 * abs(ref), (k, grid)
+
+    def test_zero_dimension_rejected(self):
+        with pytest.raises(DomainError):
+            rmt.weyl_quadrature_oracle(0, 1, 16)
 
     @pytest.mark.parametrize("grid", [0, -3])
     def test_empty_grid_is_rejected(self, grid):
@@ -237,7 +271,7 @@ class TestWeylOracle:
             with pytest.raises(DomainError):
                 rmt.weyl_quadrature_oracle(n, 1, grid)
         with pytest.raises(DomainError):
-            rmt.weyl_average(2, lambda *a: np.ones(np.shape(a[-1])), grid)
+            weyl_average(2, lambda *a: np.ones(np.shape(a[-1])), grid)
 
     def test_reduction_is_an_identity_on_the_lattice(self):
         # the (N-1)-angle sum with theta_1 fixed equals the full N-angle Weyl
@@ -260,12 +294,12 @@ class TestWeylOracle:
 
         for k in (0.5, 1 + 1j, -1.5 + 0.5j):
             reduced = rmt.weyl_quadrature_oracle(3, k, 24)
-            full = rmt.weyl_average(3, symmetric(k), 24)
+            full = weyl_average(3, symmetric(k), 24)
             assert abs(reduced - full) <= 1e-13 * abs(full)
 
     def test_density_mass(self):
         for n in (1, 2, 3):
-            mass = rmt.weyl_average(n, lambda *a: np.ones(np.shape(a[-1])), 48)
+            mass = weyl_average(n, lambda *a: np.ones(np.shape(a[-1])), 48)
             assert mass == pytest.approx(1.0, abs=1e-10)
 
 

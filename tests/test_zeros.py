@@ -291,6 +291,13 @@ class TestCrossValidate:
         assert rep.overlap_t == 50.0
         assert rep.n_compared == len(half)
 
+    def test_counts_differ(self, zeros_100):
+        # one zero more below the overlap: the paired ordinates agree, the lists do not
+        extra = zeros.ZeroList(gammas=np.append(zeros_100.gammas, 99.5), t_max=99.5, source="x", precision=1e-6)
+        rep = zeros.cross_validate(zeros_100, extra)
+        assert (rep.count_a, rep.count_b, rep.n_compared) == (29, 30, 29)
+        assert rep.max_abs_diff == math.inf
+
     def test_disjoint(self, tmp_path):
         a = zeros.ZeroList(gammas=np.array([14.13]), t_max=20.0, source="x", precision=1e-6)
         p = tmp_path / "empty.txt"
