@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, experiments, hybrid, rmt, toeplitz, zeros
-from .errors import MissingZeroError
+from .errors import DomainError, MissingZeroError
 
 CSV_COLUMNS = [
     "experiment",
@@ -129,6 +129,8 @@ def _run_hybrid_fourier_check(cfg):
     k = parse_complex(cfg["k"])
     if cfg["m_max"] is None:
         cfg["m_max"] = 4 * math.ceil(params.log_x)
+    if cfg["m_max"] < 1:
+        raise DomainError(f"hybrid-fourier-check compares m = 1..m_max, so m_max >= 1 (got {cfg['m_max']})")
     quad_coeffs = hybrid.fourier_coeffs_by_quadrature(params, cfg["m_max"], j_window=cfg["j_window"],
                                                       grid=cfg["grid"])
     return [
@@ -267,8 +269,9 @@ def _spec(spec):
 def _resolve(name, args):
     """The run's config: the field defaults, then the --config file, then the
     flags, each cast once to its field's type.  ValueError names a key that is
-    no field, a missing required field, or a bool or non-integral number given
-    for an int field (an integral float such as 1e6 is taken)."""
+    no field, a missing required field, a bool given for any field (no field
+    is one), or a non-integral number given for an int field (an integral
+    float such as 1e6 is taken)."""
     fields = _SUBCOMMANDS[name][1] | _GLOBAL_FIELDS
     path = args.pop("config")
     given = json.loads(Path(path).read_text()) if path else {}
@@ -284,8 +287,9 @@ def _resolve(name, args):
         value = given.pop(field, default)
         if value is _REQUIRED:
             raise ValueError(f"missing field {field!r}")
-        if typ is int and (isinstance(value, bool) or isinstance(value, float) and not value.is_integer()):
-            raise ValueError(f"field {field!r} needs an integer, got {value!r}")
+        if isinstance(value, bool) or typ is int and isinstance(value, float) and not value.is_integer():
+            wanted = "an integer" if typ is int else f"a {typ.__name__}"
+            raise ValueError(f"field {field!r} needs {wanted}, got {value!r}")
         cfg[field] = None if value is None else typ(value)
     return cfg
 

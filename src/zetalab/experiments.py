@@ -250,8 +250,9 @@ def _twisted_m_sum(t_height, x_cutoff):
     s1 = -h * np.exp(-g)
     ell = math.log(t_height / _TWO_PI)
     prime_powers = (c * log_p / (p - 1.0) - c * (ell - 1.0 + GAMMA0 - 0.5 * log_p)) * s0 - c * log_p * s1
-    pairs = np.triu(np.multiply.outer(c * s0, c * s0), 1)
-    return float(prime_powers.sum() + pairs.sum())
+    a = c * s0
+    pairs = a[1:] @ np.cumsum(a)[:-1]  # sum over primes q of a_q times the a_p with p < q
+    return float(prime_powers.sum() + pairs)
 
 
 def twisted_first_moment(zeros, t_height, x_cutoff):

@@ -24,15 +24,14 @@ drawing the same independent weighted Verblunsky factors with the Fourier
 coefficients s_m as the statistic's weights.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .errors import AdmissibilityError, DomainError
-from .rmt import _mc_estimate, _verblunsky_draw
+from .errors import DomainError
+from .rmt import _finite_order, _mc_estimate, _verblunsky_draw
 from .specfun import exp_integral_e1
 
 _TWO_PI = 2.0 * math.pi
@@ -196,14 +195,6 @@ def _row_blocks(rows, cols):
     """Slices of ``rows`` rows, each block at most ``_BLOCK_VALUES`` values of ``cols`` columns."""
     step = max(1, _BLOCK_VALUES // cols)
     return (slice(i, i + step) for i in range(0, rows, step))
-
-
-def _finite_order(k):
-    """k as a complex number; AdmissibilityError unless finite (s_m is defined for every finite k)."""
-    k = complex(k)
-    if not cmath.isfinite(k):
-        raise AdmissibilityError(f"moment order must be finite, got {k}")
-    return k
 
 
 def fourier_s(m, k, params):

@@ -83,11 +83,17 @@ class MomentEstimate:
         )
 
 
-def require_admissible(k):
-    """Validate a finite k with Re(k) > -3 (convergence region of the exact moment formula)."""
+def _finite_order(k):
+    """k as a complex number; AdmissibilityError unless finite."""
     k = complex(k)
     if not cmath.isfinite(k):
         raise AdmissibilityError(f"moment order must be finite, got {k}")
+    return k
+
+
+def require_admissible(k):
+    """Validate a finite k with Re(k) > -3 (convergence region of the exact moment formula)."""
+    k = _finite_order(k)
     if k.real <= -3.0:
         raise AdmissibilityError(f"moment order must satisfy Re(k) > -3, got {k}")
     return k

@@ -26,9 +26,10 @@ at two points 2.5e-12 either side, or at the doubles either side from
 t = 2^15 on, where those two round onto it: three Euler-Maclaurin points a
 zero (3.49 a zero at T = 1000, scan included, against 5.55 when every step
 near a root ran on Euler-Maclaurin).  A zero that fails the check is refined
-as before, by Anderson-Björck steps on Euler-Maclaurin signs.  The Euler-Maclaurin
-points of a scan or a refinement step go to specfun in one call, which gives
-each chunk of ascending height the cutoff of its own highest point.
+again from its scan bracket, by Anderson-Björck steps on Euler-Maclaurin signs.
+The Euler-Maclaurin points of a scan or a refinement step go to specfun in one
+call, which gives each chunk of ascending height the cutoff of its own highest
+point.
 
 Computed lists are cached on disk (one ordinate per line, the same plain-text
 format the loader ingests) under the directory named by the ``ZETALAB_CACHE``
@@ -70,7 +71,6 @@ class ZeroList:
     gammas: np.ndarray  # strictly increasing positive reals
     t_max: float
     source: str  # "computed" or "ingested:<path>"
-    precision: float  # estimated ordinate accuracy
 
     def __post_init__(self):
         g = self.gammas
@@ -110,7 +110,7 @@ def _grid(g, per, t):
 
 
 def _eval_z(points):
-    """Hardy Z on ascending points, each with the sign Euler-Maclaurin gives it.
+    """Hardy Z at the points, each with the sign Euler-Maclaurin gives it.
 
     The Riemann-Siegel value stands in wherever it clears twice its error bound,
     so that its sign is Z's; every other point (below RS_T_MIN, or near a root)
@@ -259,16 +259,6 @@ def _z_and_slope_em(t):
     return np.real(rot * zeta), -np.imag(rot * (0.5 * np.log(t / _TWO_PI) * zeta + zeta_prime))
 
 
-def _narrow(x0, x1, f0, f1, p, fp):
-    """Move the end of each bracket x0 < x1 that has p's sign to p, where p lies
-    strictly inside; in place.  A nan p is never inside."""
-    inside = (x0 < p) & (p < x1)
-    low = inside & (np.signbit(fp) == np.signbit(f0))
-    high = inside & ~low
-    x0[low], f0[low] = p[low], fp[low]
-    x1[high], f1[high] = p[high], fp[high]
-
-
 def _refine_brackets(lo, hi, z):
     """Ordinates of the zeros in the scan brackets lo < hi (Z at their ends in z),
     each between two ends of opposite Euler-Maclaurin sign at most
@@ -285,10 +275,10 @@ def _refine_brackets(lo, hi, z):
        From t = 2^15 on one ulp of t exceeds _BRACKET_WIDTH/2, both ends
        round onto x1, and the doubles either side of x1 take their place.
     3. *Fall back.* A bracket whose two ends share a sign, or do not lie
-       strictly inside its scan bracket, starts again from the tightest
-       bracket its Euler-Maclaurin points give, and runs Anderson-Björck on
-       :func:`_eval_z`, whose signs are Euler-Maclaurin's, to _BRACKET_WIDTH
-       or adjacent doubles.
+       strictly inside its scan bracket, runs Anderson-Björck on
+       :func:`_eval_z`, whose signs are Euler-Maclaurin's, from its scan
+       bracket and the scan's values of Z to _BRACKET_WIDTH or adjacent
+       doubles.
 
     Each scan bracket holds one zero (Rosser's rule), so any sign change of Z
     inside it brackets that zero.
@@ -301,19 +291,15 @@ def _refine_brackets(lo, hi, z):
     # from t = 2^15 on both round onto the root: the doubles either side of it stand in
     collapsed = ends[:, 0] == ends[:, 1]
     ends[collapsed] = np.nextafter(root[collapsed, None], [-np.inf, np.inf])
-    inside = (lo < ends[:, 0]) & (ends[:, 1] < hi)  # false at a nan root
-    ends[~inside] = np.nan
-    z_ends = np.full(ends.shape, np.nan)
-    z_ends[inside] = hardy_z(ends[inside].ravel()).reshape(-1, 2)
-    certified = inside & (np.signbit(z_ends[:, 0]) != np.signbit(z_ends[:, 1]))
+    certified = (lo < ends[:, 0]) & (ends[:, 1] < hi)  # false at a nan root
+    z_ends = hardy_z(ends[certified].ravel()).reshape(-1, 2)
+    certified[certified] = np.signbit(z_ends[:, 0]) != np.signbit(z_ends[:, 1])
     gammas = 0.5 * (ends[:, 0] + ends[:, 1])
     redo = np.flatnonzero(~certified)
     if redo.size:
-        x0, x1 = lo[redo], hi[redo]
-        f0, f1 = z[redo, 0], z[redo, 1]
-        for p, fp in ((guess, z_guess), (ends[:, 0], z_ends[:, 0]), (ends[:, 1], z_ends[:, 1])):
-            _narrow(x0, x1, f0, f1, p[redo], fp[redo])
-        x0, x1 = _anderson_bjorck(x0, x1, f0, f1, _eval_z, _BRACKET_WIDTH)
+        x0, x1 = _anderson_bjorck(
+            lo[redo], hi[redo], z[redo, 0], z[redo, 1], _eval_z, _BRACKET_WIDTH
+        )
         gammas[redo] = 0.5 * (x0 + x1)
     return gammas
 
@@ -379,16 +365,12 @@ def compute_zeros(t_max, cache_dir=None):
         path, digest_path = _cache_paths(cache_dir, t_max)
         cached = _read_cache(path, digest_path)
         if cached is not None:
-            return ZeroList(
-                gammas=cached, t_max=float(t_max), source="computed", precision=_BRACKET_WIDTH
-            )
+            return ZeroList(gammas=cached, t_max=float(t_max), source="computed")
 
     _, lo, hi, z = _rosser_scan(t_max, from_first=True)
     below = hi <= t_max
     gammas = _refine_brackets(lo[below], hi[below], z[below])
-    result = ZeroList(
-        gammas=np.sort(gammas), t_max=float(t_max), source="computed", precision=_BRACKET_WIDTH
-    )
+    result = ZeroList(gammas=np.sort(gammas), t_max=float(t_max), source="computed")
     if cache_dir:
         Path(cache_dir).mkdir(parents=True, exist_ok=True)
         text = _format_table(result.gammas)
@@ -407,12 +389,7 @@ def load_zeros(path):
         arr = None
     if arr is None or not np.all(np.diff(arr, prepend=0.0) > 0):
         arr = _parse_lines(path, lines)
-    return ZeroList(
-        gammas=arr,
-        t_max=float(arr[-1]) if len(arr) else 0.0,
-        source=f"ingested:{path}",
-        precision=1e-6,
-    )
+    return ZeroList(gammas=arr, t_max=float(arr[-1]) if len(arr) else 0.0, source=f"ingested:{path}")
 
 
 def _parse_lines(path, lines):

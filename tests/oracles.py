@@ -17,6 +17,9 @@ None of these runs on a path of the package itself:
   ``px_mean`` and ``twisted_first_moment`` term by term over the support of
   ``arithmetic.a_coeffs``, the references of their closed forms over the
   primes;
+* :func:`twisted_m_sum_triangular`, the same closed form with its sum over
+  prime pairs taken over the upper triangle of the pi(X) x pi(X) outer
+  product, the reference of ``experiments._twisted_m_sum``'s running sum;
 * :func:`haar_angle_batch` and :func:`zprime_pow_rows`, Haar matrices by
   QR+eig and the Z'^k statistic at their eigenangles, the reference of the
   Verblunsky-factor samplers in ``rmt``;
@@ -44,7 +47,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from zetalab.errors import CapabilityError, DomainError
-from zetalab.arithmetic import factorize
+from zetalab.arithmetic import factorize, prime_power_sums
 from zetalab.hybrid import _by_parts_nodes, _panel_count, _u_nodes, u_weight
 from zetalab.rmt import _require_grid
 from zetalab.specfun import _EM_COEFFS, _EM_LOG_TOL, _EM_MAX_DEPTH, GAMMA0, exp_integral_e1
@@ -217,6 +220,20 @@ def twisted_support_sum(poly, t_height):
         msum0 += coeff / m * (_a1(fac) + b0)
         msum1 += coeff / m * b1
     return msum0 + msum1 * math.log(t_height / _TWO_PI)
+
+
+def twisted_m_sum_triangular(t_height, x_cutoff):
+    """``experiments._twisted_m_sum`` with sum_{p<q} c_p c_q S0_p S0_q taken
+    over the upper triangle of the outer product of c S0 with itself."""
+    p, g, h = prime_power_sums(x_cutoff)
+    log_p = np.log(p)
+    c = p / (p - 1.0) * log_p
+    s0 = np.expm1(-g)
+    s1 = -h * np.exp(-g)
+    ell = math.log(t_height / _TWO_PI)
+    prime_powers = (c * log_p / (p - 1.0) - c * (ell - 1.0 + GAMMA0 - 0.5 * log_p)) * s0 - c * log_p * s1
+    pairs = np.triu(np.multiply.outer(c * s0, c * s0), 1)
+    return float(prime_powers.sum() + pairs.sum())
 
 
 def em_main_sums(s, m_cut):

@@ -11,6 +11,8 @@ import pytest
 
 from zetalab import cli, experiments, hybrid, toeplitz, zeros
 
+TABLE_5000 = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "zeros_t5000.txt"
+
 
 def run_cli(args):
     return cli.main([str(a) for a in args])
@@ -178,6 +180,23 @@ class TestGates:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "needs an integer" in err[0]
         assert not (tmp_path / "out" / "results.csv").exists()
+
+    @pytest.mark.parametrize(
+        "name, bad, field",
+        [("hybrid-fourier-check", {"x": 7.389, "k": "1", "y": True, "j_window": 20, "grid": 32}, "y"),
+         ("landau-gonek", {"t": True, "m": 2, "zeros": str(TABLE_5000)}, "t"),
+         ("zeros compute", {"t_max": 50, "out": True}, "out")],
+        ids=["fourier-y-true", "landau-gonek-t-true", "zeros-out-true"],
+    )
+    def test_every_field_refuses_bool(self, tmp_path, capsys, monkeypatch, name, bad, field):
+        # float(True) would run at Y = 1 or T = 1, and str(True) write the table to a file "True"
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(bad))
+        assert run_cli(["--config", cfg, "--output-dir", tmp_path / "out", *name.split()]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"field {field!r} needs a" in err[0]
+        assert not (tmp_path / "out" / "results.csv").exists() and not (tmp_path / "True").exists()
 
     def test_int_field_takes_an_integral_float(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -370,9 +389,10 @@ class TestOracleAndHybrid:
             ["rmt-oracle", "--n", 2, "--k", "1", "--grid", -3],
             ["hybrid-fourier-check", "--x", 20, "--k", "1", "--j-window", -1],
             ["hybrid-fourier-check", "--x", 20, "--k", "1", "--m-max", -1],
+            ["hybrid-fourier-check", "--x", 20, "--k", "1", "--m-max", 0],
         ],
         ids=["fourier-grid-0", "oracle-grid-0", "fourier-grid-neg", "oracle-grid-neg",
-             "j-window-neg", "m-max-neg"],
+             "j-window-neg", "m-max-neg", "m-max-0"],
     )
     def test_senseless_grid_exit_2(self, tmp_path, capsys, args):
         assert run_cli(["--output-dir", tmp_path, *args]) == 2

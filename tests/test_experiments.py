@@ -1,10 +1,11 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import a1_term, b1_term, px_support_sum, twisted_support_sum
+from oracles import a1_term, b1_term, px_support_sum, twisted_m_sum_triangular, twisted_support_sum
 from zetalab import arithmetic, experiments
 from zetalab.errors import DomainError
 from zetalab.specfun import GAMMA0, zeta_and_deriv
@@ -196,6 +197,21 @@ class TestClosedForms:
     def test_twisted_m_sum_against_the_support_sum(self, t):
         ref = twisted_support_sum(arithmetic.a_coeffs(-1, self.X, m_max=10**10), t)
         assert abs(experiments._twisted_m_sum(t, self.X) - ref) <= 1e-14 * abs(ref)
+
+    @pytest.mark.parametrize("x", [1e3, 1e4])
+    def test_twisted_pair_sum_against_the_triangle(self, x):
+        ref = twisted_m_sum_triangular(5000.0, x)
+        assert abs(experiments._twisted_m_sum(5000.0, x) - ref) <= 1e-15 * abs(ref)
+
+    def test_twisted_pair_sum_forms_no_prime_by_prime_matrix(self):
+        # a pi(X) x pi(X) product would take 87 MB at X = 2e4 (2262 primes)
+        tracemalloc.start()
+        try:
+            experiments._twisted_m_sum(5000.0, 2e4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_support_sums_converge_to_the_closed_forms(self):
         # the closed forms are the limit m_max -> infinity: at X = 20 the gap
