@@ -55,8 +55,6 @@ def von_mangoldt(n):
     """Lambda(n): log p if n = p^a for a prime p, else 0."""
     if n < 1:
         raise DomainError("von Mangoldt function requires n >= 1")
-    if n == 1:
-        return 0.0
     fac = factorize(n)
     if len(fac) == 1:
         (p,) = fac.keys()

@@ -77,8 +77,6 @@ def parse_complex(text):
 def _fmt(value):
     if value is None:
         return ""
-    if isinstance(value, float) and math.isnan(value):
-        return "nan"
     return repr(float(value))
 
 

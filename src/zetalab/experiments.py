@@ -98,9 +98,16 @@ def _require_coverage(zeros, t_height):
     """A list covers (0, T] if it holds exactly the certified number N(T) of
     zeros up to T, whatever its t_max: a table that reaches T may still miss an
     ordinate.  Beyond the range of :func:`zero_count` (10 <= T <= 1e5), a list
-    whose t_max reaches T is taken as it is."""
-    if zeros.t_max >= t_height and not 10.0 <= t_height <= 1e5:
-        return
+    whose t_max reaches T is taken as it is.  T must be a positive finite number."""
+    if not (math.isfinite(t_height) and t_height > 0):
+        raise DomainError(f"height T = {t_height:g} is not a positive finite number")
+    if not 10.0 <= t_height <= 1e5:
+        if zeros.t_max >= t_height:
+            return
+        raise DomainError(
+            f"zero list reaches only t = {zeros.t_max:g}, below T = {t_height:g}, "
+            "and N(T) is certified only on 10 <= T <= 1e5"
+        )
     expected = zero_count(t_height)
     if len(zeros.below(t_height)) == expected:
         return
@@ -140,10 +147,7 @@ def zeta_prime_moments(zeros, heights, k):
         if not (gammas.size and gammas[0] <= t):
             raise DomainError(f"no zero at or below T = {t:g}: the moment averages over the zeros up to T")
     branch = resolve_branch(k)
-    if k == 0:
-        powers = np.ones(len(gammas), dtype=complex)
-    else:
-        powers = _branch_power(zeta_prime_at_zeros(gammas), k, branch)
+    powers = _branch_power(zeta_prime_at_zeros(gammas), k, branch)
     out = []
     for t in heights:
         n = int(np.searchsorted(gammas, t, side="right"))

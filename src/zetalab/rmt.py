@@ -33,8 +33,7 @@ complex exponential taken.
 
 At N = 8, 4096 rows a batch, the sampler costs about 100 ns a factor and the
 recursion at m_max = 2 about 35 ns (timeit, best of 45 runs of 30 calls, on
-a 2-core x86-64 box), against 125 and 60 ns with cos and sin taken on
-[0, 2 pi) and the phase of Phi_i(1) summed and exponentiated.
+a 2-core x86-64 box).
 
 ``_mc_estimate`` is the one Monte-Carlo driver and ``_verblunsky_draw`` its one
 sampler.  It serves :func:`mc_moment` (the bare Z'^k) and
@@ -341,8 +340,6 @@ def _mc_estimate(n, k, samples, seed, workers, draw):
         raise DomainError("need at least 100 samples")
     if workers < 1:
         raise DomainError(f"need at least one worker, got {workers}")
-    if k == 0:
-        return MomentEstimate(mean=1.0 + 0j, se_re=0.0, se_im=0.0, samples=samples)
 
     counts = [samples // workers] * workers
     counts[-1] += samples - sum(counts)

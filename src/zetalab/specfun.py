@@ -8,9 +8,9 @@ All routines accept scalars or numpy arrays and evaluate in double precision:
   negative real axis: power series near 0 and near the cut, and elsewhere
   the continued fraction (backward, at a fixed depth), each taken only as
   deep as the point's |z| needs for 2^-53.
-* :func:`riemann_siegel_theta` -- Im log Gamma(1/4 + it/2) - (t/2) log pi,
-  through :func:`log_gamma` below t = 7 and by theta's own real asymptotic
-  series, nine terms plus the Stokes term e^{-pi t}/2, from there on.
+* :func:`riemann_siegel_theta` -- Im log Gamma(1/4 + it/2) - (t/2) log pi
+  from t = 7 on, by theta's own real asymptotic series, nine terms plus the
+  Stokes term e^{-pi t}/2.
 * :func:`zeta_and_deriv` -- zeta and zeta' by Euler-Maclaurin with an analytic
   term-by-term derivative (no numerical differentiation).  The points of a
   call are taken in chunks of ascending |Im s|, and each chunk's main sum
@@ -277,27 +277,22 @@ def exp_integral_e1(z):
 
 
 def riemann_siegel_theta(t):
-    """theta(t) = Im log Gamma(1/4 + it/2) - (t/2) log pi for t >= 2.
+    """theta(t) = Im log Gamma(1/4 + it/2) - (t/2) log pi for t >= 7, by theta's
+    own real asymptotic series (:func:`_theta_series`).
 
-    From t = 7 on, below g_{-1} = 9.67 and the first zero, by theta's own real
-    asymptotic series (:func:`_theta_series`); on 2 <= t < 7, through
-    :func:`log_gamma`.
+    The floor t = 7 lies below g_{-1} = 9.67, where every scan starts, and below
+    the first zero.
     """
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < 2.0):
-        raise DomainError("riemann_siegel_theta requires t >= 2")
-    out = np.empty(arr.shape)
-    high = arr >= _THETA_SERIES_MIN
-    out[high] = _theta_series(arr[high])
-    low = arr[~high]
-    if low.size:
-        out[~high] = np.imag(log_gamma(0.25 + 0.5j * low)) - 0.5 * low * math.log(math.pi)
+    if np.any(arr < _THETA_T_MIN):
+        raise DomainError("riemann_siegel_theta requires t >= 7")
+    out = _theta_series(arr)
     return float(out) if arr.ndim == 0 else out
 
 
-# Height from which theta is taken from its series, and the series' coefficients
+# Height from which theta is defined here, and its series' coefficients
 # c_k = (1 - 2^{1-2k}) |B_2k| / (4k (2k-1)) for k = 1..9: 1/48, 7/5760, 31/80640, ...
-_THETA_SERIES_MIN = 7.0
+_THETA_T_MIN = 7.0
 _THETA_COEFFS = tuple((1.0 - 2.0 ** (1 - 2 * k)) * abs(c) / 2 for k, c in enumerate(_STIRLING[:9], start=1))
 # (2k - 1) c_k: the coefficients of -theta'(t) in t^{-2k}
 _THETA_PRIME_COEFFS = tuple((2 * k - 1) * c for k, c in enumerate(_THETA_COEFFS, start=1))
@@ -311,7 +306,7 @@ def _theta_series(t):
     Stokes term e^{-pi t}/2 (2.6e-13 at t = 9; measured 0.5000003 e^{-pi t} at
     t = 7, 0.5000085 e^{-pi t} at t = 10).  Against 50-digit mpmath the sum is
     within 1.8e-15 on [7, 14] and 5.7e-14 on [14, 200], the rounding of its
-    leading term; the log_gamma route reaches 6.2e-15 and 1.4e-13 there.
+    leading term.
     """
     u = 1.0 / (t * t)
     tail = _THETA_COEFFS[-1]
@@ -582,15 +577,15 @@ def zeta_and_deriv(s):
 
 
 def hardy_z(t):
-    """Hardy's Z(t) = Re(e^{i theta(t)} zeta(1/2 + it)) for t >= 2.
+    """Hardy's Z(t) = Re(e^{i theta(t)} zeta(1/2 + it)) for t >= 7.
 
     Z is real with |Z(t)| = |zeta(1/2+it)|; its sign changes locate the
     critical-line zeros.
     """
     arr = np.asarray(t, dtype=float)
     scalar = arr.ndim == 0
-    if np.any(arr < 2.0):
-        raise DomainError("hardy_z requires t >= 2")
+    if np.any(arr < _THETA_T_MIN):
+        raise DomainError("hardy_z requires t >= 7")
     theta = riemann_siegel_theta(arr)
     zeta, _, _ = _zeta_em(0.5 + 1j * arr, want_deriv=False)
     out = np.real(np.exp(1j * theta) * zeta)
@@ -754,7 +749,7 @@ def _sum_rows(terms):
 
 
 def _riemann_siegel(t, want_deriv):
-    """Z_RS(t) of :func:`riemann_siegel_z` on a 1-D array of t >= 2 pi, or, if
+    """Z_RS(t) of :func:`riemann_siegel_z` on a 1-D array of t >= 7, or, if
     ``want_deriv``, (theta(t), Z_RS'(t)) with Z_RS' differentiated term by term:
 
         Z_RS' = -2 sum_{n<=N} n^{-1/2} (theta'(t) - log n) sin(theta(t) - t log n)
@@ -811,7 +806,7 @@ def _riemann_siegel(t, want_deriv):
 
 
 def riemann_siegel_z(t):
-    """Z(t) by the Riemann-Siegel formula through its C4 term, for t >= 2 pi.
+    """Z(t) by the Riemann-Siegel formula through its C4 term, for t >= 7.
 
     With tau = t/2pi, N = floor(sqrt(tau)), p = sqrt(tau) - N and z = 1 - 2p,
 
@@ -826,8 +821,8 @@ def riemann_siegel_z(t):
     refinement to predict its roots with.
     """
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < _TWO_PI):
-        raise DomainError("riemann_siegel_z requires t >= 2 pi")
+    if np.any(arr < _THETA_T_MIN):
+        raise DomainError("riemann_siegel_z requires t >= 7")
     out = _riemann_siegel(arr.reshape(-1), want_deriv=False)
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 

@@ -24,9 +24,9 @@ Riemann-Siegel sum alone, then corrects it by one Newton step on an
 Euler-Maclaurin Z and Z' and certifies it by the Euler-Maclaurin signs of Z
 at two points 2.5e-12 either side, or at the doubles either side from
 t = 2^15 on, where those two round onto it: three Euler-Maclaurin points a
-zero (3.49 a zero at T = 1000, scan included, against 5.55 when every step
-near a root ran on Euler-Maclaurin).  A zero that fails the check is refined
-again from its scan bracket, by Anderson-Björck steps on Euler-Maclaurin signs.
+zero (3.49 a zero at T = 1000, scan included).  A zero that fails the check
+is refined again from its scan bracket, by Anderson-Björck steps on
+Euler-Maclaurin signs.
 The Euler-Maclaurin points of a scan or a refinement step go to specfun in one
 call, which gives each chunk of ascending height the cutoff of its own highest
 point.
@@ -119,10 +119,9 @@ def _eval_z(points):
     """
     out = np.empty(len(points))
     certified = points >= RS_T_MIN
-    if certified.any():
-        z_rs, bound = hardy_z_rs(points[certified])
-        out[certified] = z_rs
-        certified[certified] = np.abs(z_rs) > 2.0 * bound
+    z_rs, bound = hardy_z_rs(points[certified])
+    out[certified] = z_rs
+    certified[certified] = np.abs(z_rs) > 2.0 * bound
     out[~certified] = hardy_z(points[~certified])
     return out
 
@@ -296,11 +295,8 @@ def _refine_brackets(lo, hi, z):
     certified[certified] = np.signbit(z_ends[:, 0]) != np.signbit(z_ends[:, 1])
     gammas = 0.5 * (ends[:, 0] + ends[:, 1])
     redo = np.flatnonzero(~certified)
-    if redo.size:
-        x0, x1 = _anderson_bjorck(
-            lo[redo], hi[redo], z[redo, 0], z[redo, 1], _eval_z, _BRACKET_WIDTH
-        )
-        gammas[redo] = 0.5 * (x0 + x1)
+    x0, x1 = _anderson_bjorck(lo[redo], hi[redo], z[redo, 0], z[redo, 1], _eval_z, _BRACKET_WIDTH)
+    gammas[redo] = 0.5 * (x0 + x1)
     return gammas
 
 

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -47,6 +49,21 @@ class TestParseComplex:
     def test_non_finite_refused(self, text):
         with pytest.raises(ValueError, match="is not a finite complex number"):
             cli.parse_complex(text)
+
+
+@pytest.mark.parametrize("value", [float("nan"), np.float64("nan")], ids=["float", "float64"])
+def test_fmt_nan(value):
+    assert cli._fmt(value) == "nan"
+
+
+def test_readme_commands_parse():
+    # a renamed flag or subcommand fails here instead of leaving the README stale
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = re.findall(r"^zetalab (.+)$", readme, flags=re.MULTILINE)
+    assert lines
+    parser = cli._parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line))
 
 
 class TestRmtMoment:
@@ -501,6 +518,22 @@ class TestExperimentSubcommands:
         _, rows, _ = read_outputs(tmp_path / "ct")
         assert [float(r["T"]) for r in rows] == [1000.0, 2500.0]
         assert all(r["n_zeros"] for r in rows)
+
+    @pytest.mark.parametrize("args, fault", [
+        (["landau-gonek", "--t", -100, "--m", 2], "height T = -100 is not a positive finite number"),
+        (["landau-gonek", "--t", 0, "--m", 2], "height T = 0 is not a positive finite number"),
+        (["landau-gonek", "--t", "inf", "--m", 2], "height T = inf is not a positive finite number"),
+        (["conjecture-table", "--k", "1", "--t", "nan"], "height T = nan is not a positive finite number"),
+        (["px-mean", "--t", 2e5, "--k", "1"], "zero list reaches only t = 4999.33, below T = 200000"),
+        (["twisted", "--t", 2e5, "--x", 20], "zero list reaches only t = 4999.33, below T = 200000"),
+        (["landau-gonek", "--t", 2e5, "--m", 2], "zero list reaches only t = 4999.33, below T = 200000"),
+    ], ids=["negative", "zero", "inf", "nan", "px-mean-beyond", "twisted-beyond", "landau-gonek-beyond"])
+    def test_height_the_table_cannot_read_exit_2(self, tmp_path, capsys, args, fault):
+        status = run_cli(["--output-dir", tmp_path, *args, "--zeros", TABLE_5000])
+        assert status == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"DomainError: {fault}" in err[0]
+        assert not (tmp_path / "results.csv").exists()
 
     @pytest.mark.parametrize("heights", ["10", "5", "14", "10,200"])
     def test_conjecture_table_below_the_first_zero_exit_2(self, tmp_path, capsys, published_table_path, heights):

@@ -308,6 +308,11 @@ class TestMcMoment:
         est = rmt.mc_moment(5, 0, 1000, seed=1)
         assert est.mean == 1.0 and est.se_re == 0.0 and est.se_im == 0.0
 
+    def test_k0_exact_on_two_workers(self):
+        # every draw is e^0 = 1, so the merged streams give mean 1 and no spread
+        est = rmt.mc_moment(5, 0, 1000, seed=1, workers=2)
+        assert est.mean == 1.0 and est.se_re == 0.0 and est.se_im == 0.0 and est.samples == 1000
+
     def test_n2_k1(self):
         est = rmt.mc_moment(2, 1, 100_000, seed=2)
         assert est.within(1.5j), (est.mean, est.se_re, est.se_im)

@@ -236,12 +236,17 @@ class TestRiemannSiegelTheta:
         with pytest.raises(DomainError):
             specfun.riemann_siegel_theta(1.0)
 
-    def test_both_routes_match_mpmath(self):
-        # log_gamma below t = 7, the real asymptotic series from there on:
-        # both sides of the crossover, g_{-1} = 9.67 and the first zero
-        t = np.concatenate([[2.0, 4.5, 6.999, 7.0, 7.001, 9.6669080561, 14.1347251], np.geomspace(7.0, 1e5, 60)])
+    def test_series_matches_mpmath(self):
+        # from the floor t = 7 on, through g_{-1} = 9.67 and the first zero
+        t = np.concatenate([[7.0, 7.001, 9.6669080561, 14.1347251], np.geomspace(7.0, 1e5, 60)])
         ref = np.array([float(mp.siegeltheta(x)) for x in t])
         assert np.all(np.abs(specfun.riemann_siegel_theta(t) - ref) <= 1e-15 * np.abs(ref) + 2e-13)
+
+    @pytest.mark.parametrize("name", ["riemann_siegel_theta", "hardy_z", "riemann_siegel_z"])
+    @pytest.mark.parametrize("t", [2.0, 4.5, 6.999])
+    def test_floor_at_7(self, name, t):
+        with pytest.raises(DomainError, match=f"{name} requires t >= 7"):
+            getattr(specfun, name)(t)
 
     def test_series_keeps_its_stokes_term(self):
         # without e^{-pi t}/2 the series is 2.6e-13 off at t = 9

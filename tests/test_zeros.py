@@ -118,7 +118,6 @@ class TestComputeZerosTo1000:
     @pytest.fixture(scope="class")
     def counted(self):
         em_points = []
-        log_gamma_calls = []
 
         def counting_hardy_z(t):
             em_points.append(np.size(t))
@@ -128,21 +127,15 @@ class TestComputeZerosTo1000:
             em_points.append(np.size(s))
             return specfun.zeta_and_deriv(s)
 
-        def counting_log_gamma(z):
-            log_gamma_calls.append(np.size(z))
-            return real_log_gamma(z)
-
-        real_log_gamma = specfun.log_gamma
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(zeros, "hardy_z", counting_hardy_z)
             mp.setattr(zeros, "zeta_and_deriv", counting_zeta_and_deriv)
-            mp.setattr(specfun, "log_gamma", counting_log_gamma)
             zl = zeros.compute_zeros(1000.0, cache_dir=False)
             count = zeros.zero_count(1000.0)
-        return zl, sum(em_points), len(log_gamma_calls), count
+        return zl, sum(em_points), count
 
     def test_count(self, counted):
-        zl, _, _, count = counted
+        zl, _, count = counted
         assert len(zl) == count == 649
 
     def test_sign_change_across_every_ordinate(self, counted):
@@ -156,13 +149,8 @@ class TestComputeZerosTo1000:
         # measured: 3.49 a zero, hardy_z and zeta_and_deriv together (5.55 with
         # every refinement step near a root on Euler-Maclaurin, 6.47 with
         # Illinois' fixed halving)
-        zl, em_points, _, _ = counted
+        zl, em_points, _ = counted
         assert em_points <= 4 * len(zl)
-
-    def test_theta_never_reaches_log_gamma(self, counted):
-        # theta's series serves from t = 7, below g_{-1} = 9.67, so neither the
-        # scan, the Gram points nor the refinement take log_gamma
-        assert counted[2] == 0
 
 
 class TestRefinementFallback:
