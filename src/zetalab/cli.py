@@ -178,7 +178,7 @@ def _run_zeros_cross_validate(cfg):
 
 def _run_px_mean(cfg):
     t = cfg["t"]
-    if cfg["x"] is None:
+    if cfg["x"] is None and t > 0:  # any other height fails the library's check before X is read
         cfg["x"] = math.log(t)
     k = parse_complex(cfg["k"])
     zl = _resolve_zeros(cfg["zeros"], t)
@@ -198,7 +198,7 @@ def _run_landau_gonek(cfg):
 
 def _run_twisted(cfg):
     t = cfg["t"]
-    if cfg["x"] is None:
+    if cfg["x"] is None and t > 0:  # any other height fails the library's check before X is read
         cfg["x"] = math.log(t)
     zl = _resolve_zeros(cfg["zeros"], t)
     res = experiments.twisted_first_moment(zl, t, cfg["x"])
@@ -339,8 +339,6 @@ def evaluate_gates(gates, rows):
 
 
 def _write_outputs(out_dir, rows, cfg, gates, gate_failures, wall_time):
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "results.csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, extrasaction="ignore")
@@ -397,20 +395,23 @@ def main(argv=None):
         gates = cfg.pop("gates")
         if gates is None:
             gates = _default_gates(name, cfg)
+        out_dir = Path(cfg["output_dir"])
+        out_dir.mkdir(parents=True, exist_ok=True)  # before the run, which a bad path would waste
         start = time.perf_counter()
         rows = _SUBCOMMANDS[name][0](cfg)
         wall_time = time.perf_counter() - start
         failures = evaluate_gates(gates, rows)
     except (OSError, TypeError, ValueError, MissingZeroError) as exc:
-        # OSError is an unreadable config file or zero table; unknown, missing
-        # or uncastable fields, malformed JSON, a gate on a column of text and
-        # every library input error (DomainError, CapabilityError,
+        # OSError is an unreadable config file or zero table, or an output
+        # directory that cannot be made; unknown, missing or uncastable
+        # fields, malformed JSON, a gate on a column of text and every
+        # library input error (DomainError, CapabilityError,
         # ZeroTableParseError, EmptyOverlapError, ...) subclass ValueError;
         # MissingZeroError is a zero scan that could not certify its count
         message = " ".join(str(exc).split())
         print(f"{name}: {type(exc).__name__}: {message}", file=sys.stderr)
         return 2
-    _write_outputs(cfg["output_dir"], rows, cfg, gates, failures, wall_time)
+    _write_outputs(out_dir, rows, cfg, gates, failures, wall_time)
 
     for row in rows:
         print(",".join(str(row[c]) for c in CSV_COLUMNS))

@@ -187,6 +187,7 @@ def px_mean(zeros, t_height, k, x_cutoff):
     comparison are reported (details["predicted_bare"] vs the headline
     prediction).
     """
+    _require_coverage(zeros, t_height)
     k = require_admissible(k)
     subsidiary = _px_subsidiary(k, x_cutoff)
     if x_cutoff > 4.0 * math.log(t_height):
@@ -194,7 +195,6 @@ def px_mean(zeros, t_height, k, x_cutoff):
             f"X = {x_cutoff:g} strains the X = O(log T) growth condition at T = {t_height:g}",
             stacklevel=2,
         )
-    _require_coverage(zeros, t_height)
     gammas = zeros.below(t_height)
     n = len(gammas)
     values = p_x_euler(0.5 + 1j * gammas, k, x_cutoff)
@@ -267,8 +267,8 @@ def twisted_first_moment(zeros, t_height, x_cutoff):
     over the primes p <= X (:func:`_twisted_m_sum`).  The empirical side uses
     the exact P_X(rho)^{-1} (:func:`p_x_euler`).
     """
-    m_sum = _twisted_m_sum(t_height, x_cutoff)
     _require_coverage(zeros, t_height)
+    m_sum = _twisted_m_sum(t_height, x_cutoff)
     gammas = zeros.below(t_height)
     n = len(gammas)
     zp = zeta_prime_at_zeros(gammas)

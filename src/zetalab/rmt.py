@@ -4,11 +4,11 @@ Implements the exact Haar average
 
     E_N[(1/N) sum_n Z'(theta_n, A)^k] = e^{i pi k / 2} Gamma(N+k+1) / (N! Gamma(k+2)),
 
-its Monte-Carlo estimation with branch-correct complex powers, and a
-Weyl-measure quadrature oracle that fixes one eigenangle by rotation
-invariance and takes the lattice sum over the other N - 1 as one Toeplitz
-determinant of the lattice Fourier coefficients of one factor (Heine's
-identity).
+its two Gamma quotients taken by :func:`specfun.log_gamma_ratio`, its
+Monte-Carlo estimation with branch-correct complex powers, and a Weyl-measure
+quadrature oracle that fixes one eigenangle by rotation invariance and takes
+the lattice sum over the other N - 1 as one Toeplitz determinant of the
+lattice Fourier coefficients of one factor (Heine's identity).
 
 Seen from one eigenangle theta_r of a Haar matrix, the other N - 1 angles
 are CUE_{N-1} weighted by prod |1 - e^{i theta}|^2, a circular Jacobi
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError, DomainError, PoleError
-from .specfun import _stirling_series, log_gamma
+from .specfun import log_gamma_ratio
 
 # Verblunsky factors drawn at once by _verblunsky_draw.  Each takes five
 # uniforms; at the peak a draw holds about 20 float temporaries a factor
@@ -98,39 +98,18 @@ def require_admissible(k):
     return k
 
 
-def _log1p(w):
-    """Principal log(1 + w) for complex w, accurate to a few ulps of |w| when w is small."""
-    return complex(0.5 * math.log1p(w.real * (2.0 + w.real) + w.imag**2), math.atan2(w.imag, 1.0 + w.real))
-
-
-def _log_gamma_ratio(z, a):
-    """log Gamma(z + a) - log Gamma(z) for real z >= 1 and complex a, forming neither term.
-
-    The recurrence log Gamma(w + 1) = log Gamma(w) + log w walks z up until z
-    and Re(z + a) reach 10; there the two Stirling series are differenced as
-
-        (z - 1/2) log(1 + a/z) + a log(z + a) - a + sigma(z + a) - sigma(z),
-
-    sigma being the series' correction sum.  Every term is of size |a| log z,
-    so the rounding error is a few ulps of that, where log Gamma(z + a) and
-    log Gamma(z) are each of size z log z.
-    """
-    shift = max(0, math.ceil(10.0 - z - min(a.real, 0.0)))
-    acc = -sum(_log1p(a / (z + m)) for m in range(shift))
-    z += shift
-    sigma = _stirling_series(np.array([z + a, z]))
-    return acc + (z - 0.5) * _log1p(a / z) + a * np.log(z + a) - a + complex(sigma[0] - sigma[1])
-
-
 def exact_moment(n, k):
     """e^{i pi k/2} Gamma(N+k+1) / (N! Gamma(k+2)) via log-Gamma arithmetic.
 
     Valid for complex k with k not in {-3, -4, ...}; no overflow for any n.
-    log Gamma(N+k+1) - log Gamma(N+1) is taken as one difference
-    (:func:`_log_gamma_ratio`), so the relative error stays a few ulps of
-    |k| log N instead of growing like N log N.  At k = -2 the reciprocal
-    Gamma factor vanishes and the moment is 0, except at N = 1, where
-    Gamma(N+k+1) cancels it and the moment is i^k.
+    Gamma(N+k+1)/N! and Gamma(k+2) = Gamma(k+2)/Gamma(2) are each one
+    difference of log Gammas (:func:`specfun.log_gamma_ratio`), so the
+    relative error stays a few ulps of |k| log N instead of growing like
+    N log N, near the poles at k = -2 and -3 too.  At N = 1 the two
+    differences cancel exactly, so the moment is exactly i^k, and at k = 0
+    it is exactly 1.  At k = -2 the reciprocal Gamma factor vanishes and the
+    moment is 0, except at N = 1, where Gamma(N+k+1) cancels it and the
+    moment is i^k.
     """
     if n < 1:
         raise DomainError("matrix dimension must be >= 1")
@@ -139,7 +118,7 @@ def exact_moment(n, k):
         raise PoleError(f"exact moment has poles at negative integers k <= -3 (got k={k.real:g})")
     if k == -2:
         return complex(np.exp(1j * math.pi * k / 2.0)) if n == 1 else 0j
-    log_val = 1j * math.pi * k / 2.0 + _log_gamma_ratio(n + 1.0, k) - log_gamma(k + 2.0)
+    log_val = 1j * math.pi * k / 2.0 + (log_gamma_ratio(n + 1.0, k) - log_gamma_ratio(2.0, k))
     return complex(np.exp(log_val))
 
 
@@ -151,7 +130,7 @@ def conjecture_rhs(t_height, k):
     if k == -2:
         return 0j
     log_l = math.log(math.log(t_height / _TWO_PI))
-    return complex(np.exp(k * log_l - log_gamma(k + 2.0)))
+    return complex(np.exp(k * log_l - log_gamma_ratio(2.0, k)))
 
 
 def _turn(u):

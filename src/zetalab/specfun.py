@@ -1,9 +1,12 @@
 """Complex special functions underpinning the laboratory.
 
-All routines accept scalars or numpy arrays and evaluate in double precision:
+All routines evaluate in double precision, and all but the scalar
+:func:`log_gamma_ratio` accept scalars or numpy arrays:
 
-* :func:`log_gamma` -- principal-branch log Gamma (Stirling series plus upward
-  recurrence).
+* :func:`log_gamma_ratio` -- log Gamma(z + a) - log Gamma(z) for real z >= 1
+  and complex a, the one log Gamma of the laboratory (upward recurrence plus
+  the differenced Stirling series); log Gamma(k + 2) is
+  ``log_gamma_ratio(2, k)``.
 * :func:`exp_integral_e1` -- exponential integral E1 with the cut along the
   negative real axis: power series near 0 and near the cut, and elsewhere
   the continued fraction (backward, at a fixed depth), each taken only as
@@ -40,6 +43,7 @@ Everything here is pure and reentrant; the one shared state is the per-M
 cache of the main sum's index tables, whose arrays are read-only.
 """
 
+import cmath
 import functools
 import itertools
 import math
@@ -87,7 +91,6 @@ _EM_COEFFS = tuple(
 )
 
 _TWO_PI = 2.0 * math.pi
-_HALF_LOG_2PI = 0.5 * math.log(_TWO_PI)
 _IM_S_LIMIT = 1.0e5
 # log of the bound the Euler-Maclaurin remainders of zeta and zeta' are held to
 _EM_LOG_TOL = math.log(1e-15)
@@ -107,51 +110,51 @@ def _asarray_complex(z):
 def _stirling_series(z):
     """The correction sum of the Stirling series: sum_j B_2j/(2j(2j-1)) z^{1-2j}, 12 terms."""
     zinv2 = 1.0 / (z * z)
-    corr = np.zeros_like(z)
+    corr = 0.0
     power = 1.0 / z
     for c in _STIRLING:
-        corr = corr + c * power
-        power = power * zinv2
+        corr += c * power
+        power *= zinv2
     return corr
 
 
-def _stirling_log_gamma(z):
-    """Stirling series, valid for Re(z) >= 10 (or |z| >= 10 with |arg z| <= pi/2)."""
-    out = (z - 0.5) * np.log(z) - z + _HALF_LOG_2PI
-    return out + _stirling_series(z)
+def _log1p_ratio(a, v):
+    """Principal log(1 + a/v) for complex a and real v > 0.
 
-
-def log_gamma(z):
-    """Principal branch of log Gamma(z).
-
-    Satisfies exp(log_gamma(z)) = Gamma(z) and the recurrence
-    log_gamma(z+1) = log_gamma(z) + log z away from the cut (-inf, 0].
-
-    Raises:
-        PoleError: if z is a non-positive integer (a pole of Gamma).
+    Where |a/v| < 1/2 the modulus is taken as log1p(|1 + a/v|^2 - 1)/2, to a
+    few ulps of |a/v|; beyond, as log|v + a| - log v, where v + a is exact as
+    it nears 0 (Sterbenz), so a near-pole factor keeps its digits.
     """
-    arr, scalar = _asarray_complex(z)
-    on_pole = (arr.imag == 0) & (arr.real <= 0) & (arr.real == np.floor(arr.real))
-    if np.any(on_pole):
-        bad = arr[on_pole].flat[0]
-        raise PoleError(f"Gamma has a pole at z = {bad.real:g}")
+    w = a / v
+    if abs(w) < 0.5:
+        return complex(0.5 * math.log1p(w.real * (2.0 + w.real) + w.imag**2), math.atan2(w.imag, 1.0 + w.real))
+    u = v + a
+    return complex(math.log(abs(u)) - math.log(v), math.atan2(u.imag, u.real))
 
-    work = arr.reshape(-1).copy()
-    shift = np.zeros_like(work)
-    # Upward recurrence into the Stirling region: Re z >= 10, or Re z >= 0 with
-    # |Im z| >= 10, where |z| >= 10 and |arg z| <= pi/2 bound the remainder of
-    # the 12-term series by 2e-18.  log_gamma(z) = log_gamma(z + n) - sum
-    # log(z + i) reproduces the principal branch because both sides are
-    # analytic off (-inf, 0] and agree on the positive reals.  A scalar runs
-    # as a one-point array, so it gives the same bits as inside an array.
-    while True:
-        need = (work.real < 10.0) & ((work.real < 0.0) | (np.abs(work.imag) < 10.0))
-        if not np.any(need):
-            break
-        shift = np.where(need, shift + np.log(work), shift)
-        work = np.where(need, work + 1.0, work)
-    out = (_stirling_log_gamma(work) - shift).reshape(arr.shape)
-    return out.item() if scalar else out
+
+def log_gamma_ratio(z, a):
+    """log Gamma(z + a) - log Gamma(z) for real z >= 1 and complex a, forming neither term.
+
+    The lab's one log Gamma: log Gamma(k + 2) is ``log_gamma_ratio(2.0, k)``,
+    since log Gamma(2) = 0, and it is exactly 0 at k = 0.  The recurrence
+    log Gamma(w + 1) = log Gamma(w) + log w walks z up until z and Re(z + a)
+    reach 10; there the two Stirling series are differenced as
+
+        (z - 1/2) log(1 + a/z) + a log(z + a) - a + sigma(z + a) - sigma(z),
+
+    sigma being the series' 12-term correction sum, whose remainder is below
+    2e-18 where |w| >= 10 and |arg w| <= pi/2.  Every term is of size
+    |a| log z, so the rounding error is a few ulps of that, where
+    log Gamma(z + a) and log Gamma(z) are each of size z log z.  The
+    imaginary part is the sum of the factors' arguments: one logarithm of
+    Gamma(z + a)/Gamma(z), which is what its exp needs.  z + a must not be a
+    pole of Gamma (0, -1, -2, ...), where log 0 raises ValueError.
+    """
+    shift = max(0, math.ceil(10.0 - z - min(a.real, 0.0)))
+    acc = -sum(_log1p_ratio(a, z + m) for m in range(shift))
+    z += shift
+    sigma = _stirling_series(z + a) - _stirling_series(z)
+    return acc + (z - 0.5) * _log1p_ratio(a, z) + a * cmath.log(z + a) - a + sigma
 
 
 def _e1_series(z, terms):

@@ -32,7 +32,7 @@ from .errors import DomainError
 from .hybrid import fourier_coeffs
 from .powerseries import binomial_series, exp_series_coeffs
 from .rmt import require_admissible
-from .specfun import log_gamma
+from .specfun import log_gamma_ratio
 
 
 def _warn_cancellation(magnitude, value, what):
@@ -136,7 +136,7 @@ def es_comparisons(k, params, sizes):
     exp_s = exp_series_coeffs(-s, n_max)
     phase = 1j * math.pi * k / 2.0
     # 1/Gamma(k+2) vanishes at k = -2, the admissible pole of Gamma
-    log_gamma_k2 = None if k == -2 else log_gamma(k + 2.0)
+    log_gamma_k2 = None if k == -2 else log_gamma_ratio(2.0, k)
     out = []
     for n in sizes:
         terms = binom[:n] * exp_s[:n][::-1]

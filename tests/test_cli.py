@@ -176,6 +176,23 @@ class TestGates:
         assert len(err) == 1 and all(repr(key) in err[0] for key in bad)
         assert not (tmp_path / "out" / "results.csv").exists()
 
+    def test_output_dir_that_cannot_be_made_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
+        # the directory is made before the job, so a long run is not lost to a path that is a file
+        def job(*args):
+            raise AssertionError("the job ran")
+
+        monkeypatch.setattr(cli.rmt, "weyl_quadrature_oracle", job)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert run_cli(["--output-dir", taken, "rmt-oracle", "--n", 2, "--k", "1", "--grid", 64]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "FileExistsError" in err[0]
+        # a run refused at config time makes no directory
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 2.5, "k": "1"}))
+        assert run_cli(["--config", cfg, "--output-dir", tmp_path / "out", "rmt-oracle"]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_config_holding_no_object_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps([{"n": 4}]))
@@ -527,7 +544,11 @@ class TestExperimentSubcommands:
         (["px-mean", "--t", 2e5, "--k", "1"], "zero list reaches only t = 4999.33, below T = 200000"),
         (["twisted", "--t", 2e5, "--x", 20], "zero list reaches only t = 4999.33, below T = 200000"),
         (["landau-gonek", "--t", 2e5, "--m", 2], "zero list reaches only t = 4999.33, below T = 200000"),
-    ], ids=["negative", "zero", "inf", "nan", "px-mean-beyond", "twisted-beyond", "landau-gonek-beyond"])
+        # the default X = log T is taken only for a height that can pass the check
+        (["px-mean", "--t", -100, "--k", "1"], "height T = -100 is not a positive finite number"),
+        (["twisted", "--t", 0], "height T = 0 is not a positive finite number"),
+    ], ids=["negative", "zero", "inf", "nan", "px-mean-beyond", "twisted-beyond", "landau-gonek-beyond",
+            "px-mean-negative-default-x", "twisted-zero-default-x"])
     def test_height_the_table_cannot_read_exit_2(self, tmp_path, capsys, args, fault):
         status = run_cli(["--output-dir", tmp_path, *args, "--zeros", TABLE_5000])
         assert status == 2

@@ -101,6 +101,13 @@ class TestZetaPrimeMoment:
                 run(4000.0)
         assert experiments.landau_gonek(gap, 2, 1000.0).n_zeros == 649  # the gap lies above 1000
 
+    def test_height_is_checked_before_log_t(self, zeros_5000):
+        # px_mean's X-growth warning and twisted's m-sum take log T
+        for run, t in ((lambda t: experiments.px_mean(zeros_5000, t, 1, 8.0), -100.0),
+                       (lambda t: experiments.twisted_first_moment(zeros_5000, t, 8.0), 0.0)):
+            with pytest.raises(DomainError, match=f"height T = {t:g} is not a positive finite number"):
+                run(t)
+
     def test_heights_from_rs_t_min_on_equal_lone_calls(self, zeros_5000):
         heights = [250.0, 1000.0, 2500.0, 5000.0]
         for k in (1, -1, 0.5 + 0.5j):

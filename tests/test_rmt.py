@@ -175,6 +175,21 @@ class TestExactMoment:
                 )
                 assert abs(mpmath.mpc(rmt.exact_moment(n, k)) - ref) <= 1e-14 * abs(ref), k
 
+    @pytest.mark.parametrize("n, k", [(1, -1.9999999), (2, -2.9999999), (2, -2.9999)])
+    def test_near_the_poles_against_mpmath(self, n, k):
+        # Gamma(k + 2) and Gamma(N + k + 1) near their poles: v + k is exact
+        # where it nears 0, so the factor keeps its digits (recorded 2.1e-16,
+        # 3.6e-15 and 7.8e-16; 1.2e-2, 5.5e-2 and 5.9e-8 before)
+        with mpmath.workdps(40):
+            kk = mpmath.mpf(k)
+            ref = mpmath.exp(1j * mpmath.pi * kk / 2) * mpmath.gamma(n + kk + 1) / mpmath.factorial(n)
+            ref /= mpmath.gamma(kk + 2)
+            assert abs(mpmath.mpc(rmt.exact_moment(n, k)) - ref) <= 1e-14 * abs(ref)
+
+    def test_n1_is_i_to_the_k(self):
+        for k in (0.5, 3, 1 + 1j, -2.5 + 0.5j, -1.9999999):
+            assert rmt.exact_moment(1, k) == complex(np.exp(1j * math.pi * k / 2.0))
+
     def test_asymptotic_ratio(self):
         # exact(n, k) / (e^{i pi k/2} n^k / Gamma(k+2)) -> 1; at k=1 it is (N+1)/N
         for n in (10, 100, 1000):
