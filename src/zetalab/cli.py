@@ -23,6 +23,7 @@ import cmath
 import csv
 import functools
 import hashlib
+import io
 import json
 import math
 import re
@@ -339,14 +340,17 @@ def evaluate_gates(gates, rows):
 
 
 def _write_outputs(out_dir, rows, cfg, gates, gate_failures, wall_time):
-    csv_path = out_dir / "results.csv"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, extrasaction="ignore")
-        writer.writeheader()
-        writer.writerows(rows)
-    json_path = out_dir / "results.json"
+    csv_text = io.StringIO(newline="")
+    writer = csv.DictWriter(csv_text, fieldnames=CSV_COLUMNS, extrasaction="ignore")
+    writer.writeheader()
+    writer.writerows(rows)
     json_rows = [row | {"runtime": wall_time} for row in rows]
-    json_path.write_text(json.dumps(json_rows, indent=2, default=str) + "\n")
+    outputs = {
+        "results.csv": csv_text.getvalue().encode(),
+        "results.json": (json.dumps(json_rows, indent=2, default=str) + "\n").encode(),
+    }
+    for name, data in outputs.items():
+        (out_dir / name).write_bytes(data)
 
     manifest = {
         "zetalab_version": __version__,
@@ -355,10 +359,7 @@ def _write_outputs(out_dir, rows, cfg, gates, gate_failures, wall_time):
         "wall_time_s": wall_time,
         "config": cfg,
         "column_contract": {"version": _COLUMN_CONTRACT_VERSION, "provenance": COLUMN_PROVENANCE},
-        "checksums": {
-            "results.csv": hashlib.sha256(csv_path.read_bytes()).hexdigest(),
-            "results.json": hashlib.sha256(json_path.read_bytes()).hexdigest(),
-        },
+        "checksums": {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()},
         "gates": gates,
         "gate_failures": gate_failures,
     }

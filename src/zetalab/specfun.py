@@ -36,8 +36,8 @@ All routines evaluate in double precision, and all but the scalar
   with Z' the term-by-term derivative of the Riemann-Siegel formula through
   its C4 term: O(sqrt t) a zero from t = RS_T_MIN on, Euler-Maclaurin below.
 
-The last three sit on one kernel, :func:`_riemann_siegel`: one chunk loop and
-one Horner pass, which carries the C-series' derivatives when Z' is wanted.
+The last three sit on one kernel, :func:`_riemann_siegel`: row blocks over the
+sorted points and one Horner pass, derivatives included when Z' is wanted.
 
 Everything here is pure and reentrant; the one shared state is the per-M
 cache of the main sum's index tables, whose arrays are read-only.
@@ -729,26 +729,11 @@ _RS_C1_C4 = (
 _RS_SERIES = np.array(list(itertools.zip_longest(_RS_C0, *_RS_C1_C4, fillvalue=0.0))).T
 # Height from which Gabcke's bound on the C4-truncated remainder holds.
 RS_T_MIN = 200.0
-# Points per Riemann-Siegel chunk: the (terms x points) tables stay below 1 MB
-# at t = 5000 and 4 MB at t = 1e5.
-_RS_CHUNK = 2048
+_RS_BLOCK = 1 << 14  # entries in a block of the Riemann-Siegel main sum: 128 KB a temporary
 # hardy_z_rs's allowance for the rounding of the phases theta(t) - t log n, in
 # units of tau^{1/4} t log t: a phase rounds by about eps t log n, and the
 # weights n^{-1/2} sum to about 2 tau^{1/4}
 _RS_PHASE_ROUNDING = 16.0 * np.finfo(float).eps
-
-
-def _sum_rows(terms):
-    """The sum over the first axis of a (terms x points) table, one row at a time.
-
-    Every point's terms are then added in one order, whatever the other points:
-    numpy's pairwise sum along an axis groups them by the table's length, so a
-    point's last bits would depend on the longest sum in its chunk.
-    """
-    total = np.zeros(terms.shape[1:])
-    for row in terms:
-        total += row
-    return total
 
 
 def _riemann_siegel(t, want_deriv):
@@ -758,53 +743,67 @@ def _riemann_siegel(t, want_deriv):
         Z_RS' = -2 sum_{n<=N} n^{-1/2} (theta'(t) - log n) sin(theta(t) - t log n)
                 + (-1)^{N-1} sum_{j<=4} d/dt [tau^{-1/4-j/2} C_j(z)],
 
-    dp/dt being 1/(4 pi sqrt(tau)).  With ``want_deriv`` the one Horner pass
-    over the stacked C-series also carries their w-derivatives.
+    dp/dt being 1/(4 pi sqrt(tau)).  The main sum runs over the points sorted
+    stably, in blocks of ``_RS_BLOCK`` entries or one row, rows of n in order:
+    a point's bits do not depend on the others, and memory is O(points + block).
+    With ``want_deriv`` one Horner pass also carries the C-series' w-derivatives.
     """
-    out = np.empty_like(t)
-    thetas = np.empty_like(t)
-    for lo in range(0, t.size, _RS_CHUNK):
-        tc = t[lo : lo + _RS_CHUNK]
-        root = np.sqrt(tc / _TWO_PI)
-        n_terms = np.floor(root)
-        n = np.arange(1.0, n_terms.max() + 1.0)[:, None]
-        log_n = np.log(n)
-        theta = thetas[lo : lo + _RS_CHUNK] = riemann_siegel_theta(tc)
+    if not t.size:
+        return (t.copy(), t.copy()) if want_deriv else t.copy()
+    order = np.argsort(t, kind="stable")
+    ts = t[order]
+    root = np.sqrt(ts / _TWO_PI)
+    n_terms = np.floor(root)
+    theta = _theta_series(ts)
+    n = np.arange(1.0, n_terms[-1] + 1.0)
+    log_n, sqrt_n = np.log(n)[:, None], np.sqrt(n)[:, None]
+    first = np.searchsorted(n_terms, n).tolist()  # the first point each row reaches
+    theta_prime = _theta_prime(ts) if want_deriv else None
+    total, row = np.zeros_like(ts), 0
+    while row < n.size:
+        lo = first[row]
+        block = slice(row, row + max(1, _RS_BLOCK // (ts.size - lo)))
+        log_b = log_n[block]
+        phase = theta[lo:] - log_b * ts[lo:]
+        terms = (theta_prime[lo:] - log_b) * np.sin(phase) if want_deriv else np.cos(phase)
+        terms /= sqrt_n[block]
+        terms[n[block, None] > n_terms[lo:]] = 0.0
+        acc = total[lo:]
+        for term in terms:
+            acc += term
+        row = block.stop
+    z = 1.0 - 2.0 * (root - n_terms)
+    w = z * z
+    # the series in w and their w-derivatives, from the top column; zero padding leaves both at 0
+    series = np.repeat(_RS_SERIES[:, -1:], ts.size, axis=1)
+    slope = np.zeros_like(series)
+    for column in _RS_SERIES.T[-2::-1, :, None]:
         if want_deriv:
-            terms = (_theta_prime(tc) - log_n) * np.sin(theta - log_n * tc) / np.sqrt(n)
-        else:
-            terms = np.cos(theta - log_n * tc) / np.sqrt(n)
-        terms[n > n_terms] = 0.0
-        z = 1.0 - 2.0 * (root - n_terms)
-        w = z * z
-        # the series in w and their w-derivatives; the zero padding leaves both at 0
-        series = np.zeros((len(_RS_SERIES), tc.size))
-        slope = np.zeros_like(series)
-        for column in _RS_SERIES.T[::-1]:
-            if want_deriv:
-                slope *= w
-                slope += series
-            series *= w
-            series += column[:, None]
-        u = 1.0 / root
-        sign = np.where(n_terms % 2 == 1, 1.0, -1.0)  # (-1)^{N-1}
-        if want_deriv:
-            # d/dt [tau^{-1/4} u^j C_j] with d/dp = -2 d/dz is
-            # -tau^{-1/4} u^{j+1} / 2pi * ((1/4 + j/2) u C_j + dC_j/dz)
-            corr = np.zeros_like(u)
-            for j in range(len(series)):
-                if j % 2:
-                    c_j, dc_j = z * series[j], series[j] + 2.0 * w * slope[j]
-                else:
-                    c_j, dc_j = series[j], 2.0 * z * slope[j]
-                corr += u**j * ((0.25 + 0.5 * j) * u * c_j + dc_j)
-            out[lo : lo + _RS_CHUNK] = -2.0 * _sum_rows(terms) - sign * u / (_TWO_PI * np.sqrt(root)) * corr
-        else:
-            # sum_j C_j u^j by Horner in u = tau^{-1/2}; an odd C_j is z times its series
-            corr = series[-1]
-            for j in range(len(series) - 2, -1, -1):
-                corr = corr * u + (z * series[j] if j % 2 else series[j])
-            out[lo : lo + _RS_CHUNK] = 2.0 * _sum_rows(terms) + sign * corr / np.sqrt(root)
+            slope *= w
+            slope += series
+        series *= w
+        series += column
+    u = 1.0 / root
+    sign = 2.0 * (n_terms % 2) - 1.0  # (-1)^{N-1}
+    if want_deriv:
+        # d/dt [tau^{-1/4} u^j C_j] with d/dp = -2 d/dz is
+        # -tau^{-1/4} u^{j+1} / 2pi * ((1/4 + j/2) u C_j + dC_j/dz)
+        corr = np.zeros_like(u)
+        for j in range(len(series)):
+            if j % 2:
+                c_j, dc_j = z * series[j], series[j] + 2.0 * w * slope[j]
+            else:
+                c_j, dc_j = series[j], 2.0 * z * slope[j]
+            corr += u**j * ((0.25 + 0.5 * j) * u * c_j + dc_j)
+        value = -2.0 * total - sign * u / (_TWO_PI * np.sqrt(root)) * corr
+    else:
+        # sum_j C_j u^j by Horner in u = tau^{-1/2}; an odd C_j is z times its series
+        corr = series[-1]
+        for j in range(len(series) - 2, -1, -1):
+            corr = corr * u + (z * series[j] if j % 2 else series[j])
+        value = 2.0 * total + sign * corr / np.sqrt(root)
+    out, thetas = np.empty_like(t), np.empty_like(t)
+    out[order], thetas[order] = value, theta
     return (thetas, out) if want_deriv else out
 
 

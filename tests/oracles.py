@@ -35,6 +35,10 @@ None of these runs on a path of the package itself:
   reference of ``specfun._em_depth``'s all-p-at-once arrays;
 * :func:`em_corrections_loop`, the Euler-Maclaurin corrections by a loop over
   j, the reference of ``specfun._em_corrections``'s one-pass sums;
+* :func:`riemann_siegel_chunked`, the Riemann-Siegel kernel in 2,048-point
+  chunks of the caller's order, each over a (terms x points) table padded to
+  its largest term count, the bit-for-bit reference of
+  ``specfun._riemann_siegel``'s row blocks over sorted points;
 * :func:`weyl_average`, the Weyl integral on U(n), n <= 3, by a sum over the
   tensor grid of n lattice angles, and :func:`weyl_oracle_tensor_grid`, the
   Z'^k oracle as an (n-1)-angle such sum, the reference of
@@ -50,12 +54,22 @@ from zetalab.errors import CapabilityError, DomainError
 from zetalab.arithmetic import factorize, prime_power_sums
 from zetalab.hybrid import _by_parts_nodes, _panel_count, _u_nodes, u_weight
 from zetalab.rmt import _require_grid
-from zetalab.specfun import _EM_COEFFS, _EM_LOG_TOL, _EM_MAX_DEPTH, GAMMA0, exp_integral_e1
+from zetalab.specfun import (
+    _EM_COEFFS,
+    _EM_LOG_TOL,
+    _EM_MAX_DEPTH,
+    _RS_SERIES,
+    GAMMA0,
+    _theta_prime,
+    exp_integral_e1,
+    riemann_siegel_theta,
+)
 
 _COINCIDENCE_TOL = 1e-14
 _TWO_PI = 2.0 * math.pi
 _U_CHUNK = 256  # z values per kernel_U_batch chunk
 _WEYL_BLOCK = 1 << 16  # grid points evaluated at once by weyl_average
+_RS_CHUNK = 2048  # points per riemann_siegel_chunked chunk
 
 
 def kernel_U(z, spec):
@@ -280,6 +294,76 @@ def em_corrections_loop(s, m_cut, depth):
             dq = dq * f + q / m_cut
             q = q * f
     return corr, dcorr
+
+
+def _sum_rows(terms):
+    """The sum over the first axis of a (terms x points) table, one row at a time.
+
+    Every point's terms are then added in one order, whatever the other points:
+    numpy's pairwise sum along an axis groups them by the table's length, so a
+    point's last bits would depend on the longest sum in its chunk.
+    """
+    total = np.zeros(terms.shape[1:])
+    for row in terms:
+        total += row
+    return total
+
+
+def riemann_siegel_chunked(t, want_deriv):
+    """Z_RS(t) of :func:`riemann_siegel_z` on a 1-D array of t >= 7, or, if
+    ``want_deriv``, (theta(t), Z_RS'(t)) with Z_RS' differentiated term by term:
+
+        Z_RS' = -2 sum_{n<=N} n^{-1/2} (theta'(t) - log n) sin(theta(t) - t log n)
+                + (-1)^{N-1} sum_{j<=4} d/dt [tau^{-1/4-j/2} C_j(z)],
+
+    dp/dt being 1/(4 pi sqrt(tau)).  With ``want_deriv`` the one Horner pass
+    over the stacked C-series also carries their w-derivatives.
+    """
+    out = np.empty_like(t)
+    thetas = np.empty_like(t)
+    for lo in range(0, t.size, _RS_CHUNK):
+        tc = t[lo : lo + _RS_CHUNK]
+        root = np.sqrt(tc / _TWO_PI)
+        n_terms = np.floor(root)
+        n = np.arange(1.0, n_terms.max() + 1.0)[:, None]
+        log_n = np.log(n)
+        theta = thetas[lo : lo + _RS_CHUNK] = riemann_siegel_theta(tc)
+        if want_deriv:
+            terms = (_theta_prime(tc) - log_n) * np.sin(theta - log_n * tc) / np.sqrt(n)
+        else:
+            terms = np.cos(theta - log_n * tc) / np.sqrt(n)
+        terms[n > n_terms] = 0.0
+        z = 1.0 - 2.0 * (root - n_terms)
+        w = z * z
+        # the series in w and their w-derivatives; the zero padding leaves both at 0
+        series = np.zeros((len(_RS_SERIES), tc.size))
+        slope = np.zeros_like(series)
+        for column in _RS_SERIES.T[::-1]:
+            if want_deriv:
+                slope *= w
+                slope += series
+            series *= w
+            series += column[:, None]
+        u = 1.0 / root
+        sign = np.where(n_terms % 2 == 1, 1.0, -1.0)  # (-1)^{N-1}
+        if want_deriv:
+            # d/dt [tau^{-1/4} u^j C_j] with d/dp = -2 d/dz is
+            # -tau^{-1/4} u^{j+1} / 2pi * ((1/4 + j/2) u C_j + dC_j/dz)
+            corr = np.zeros_like(u)
+            for j in range(len(series)):
+                if j % 2:
+                    c_j, dc_j = z * series[j], series[j] + 2.0 * w * slope[j]
+                else:
+                    c_j, dc_j = series[j], 2.0 * z * slope[j]
+                corr += u**j * ((0.25 + 0.5 * j) * u * c_j + dc_j)
+            out[lo : lo + _RS_CHUNK] = -2.0 * _sum_rows(terms) - sign * u / (_TWO_PI * np.sqrt(root)) * corr
+        else:
+            # sum_j C_j u^j by Horner in u = tau^{-1/2}; an odd C_j is z times its series
+            corr = series[-1]
+            for j in range(len(series) - 2, -1, -1):
+                corr = corr * u + (z * series[j] if j % 2 else series[j])
+            out[lo : lo + _RS_CHUNK] = 2.0 * _sum_rows(terms) + sign * corr / np.sqrt(root)
+    return (thetas, out) if want_deriv else out
 
 
 def haar_angle_batch(n, count, rng):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -81,7 +82,8 @@ class TestRmtMoment:
         # estimate lands in a loose band around the exact value at 2e4 samples
         assert float(rows[0]["empirical_re"]) == pytest.approx(-15.0, abs=10.0)
         assert manifest["config"]["seed"] == 7
-        assert manifest["checksums"]["results.csv"]
+        for name in ("results.csv", "results.json"):
+            assert manifest["checksums"][name] == hashlib.sha256((out / name).read_bytes()).hexdigest()
         assert manifest["column_contract"]["provenance"]["empirical_re"] == "empirical"
 
     def test_byte_identical_reruns(self, tmp_path):

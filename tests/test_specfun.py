@@ -1,12 +1,13 @@
 import cmath
 import functools
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from oracles import em_corrections_loop, em_depth_loop, em_main_sums
+from oracles import em_corrections_loop, em_depth_loop, em_main_sums, riemann_siegel_chunked
 from zetalab import arithmetic, specfun
 from zetalab.errors import BranchCutError, CapabilityError, DomainError, PoleError
 
@@ -590,13 +591,73 @@ class TestHardyZRiemannSiegel:
         with pytest.raises(DomainError):
             specfun.riemann_siegel_z(np.array([6.0, 300.0]))
 
-    def test_point_alone_matches_its_chunk(self, stored_table_5000):
-        # a full 2,048-point chunk whose sums run from 21 to 28 terms: each point
-        # alone gives the same bits as inside it
-        t = stored_table_5000[stored_table_5000 > 200.0][-specfun._RS_CHUNK :] + 0.25
+    def test_point_alone_matches_its_call(self, stored_table_5000):
+        # 2,048 points whose sums run from 21 to 28 terms: each point alone
+        # gives the same bits as inside the call
+        t = stored_table_5000[stored_table_5000 > 200.0][-2048:] + 0.25
         z_rs, _ = specfun.hardy_z_rs(t)
         for i in np.random.default_rng(46).choice(t.size, 46, replace=False):
             assert specfun.hardy_z_rs(t[i])[0] == z_rs[i], t[i]
+
+
+class TestRiemannSiegelKernel:
+    """The row-block kernel over sorted points against the chunked one, bit for bit."""
+
+    @staticmethod
+    def _sets(stored_table_5000):
+        rng = np.random.default_rng(31)
+        return {
+            "stored table": stored_table_5000,
+            "shuffled to 1e5": np.exp(rng.uniform(math.log(7.0), math.log(1e5), 20000)),
+            "near 1e8": 1e8 + rng.uniform(0.0, 50.0, 64),
+        }
+
+    @pytest.mark.parametrize("name", ["stored table", "shuffled to 1e5", "near 1e8"])
+    def test_bit_identical_to_chunked_kernel(self, stored_table_5000, name):
+        t = self._sets(stored_table_5000)[name]
+        assert np.array_equal(specfun._riemann_siegel(t, False), riemann_siegel_chunked(t, False))
+        theta, z_prime = specfun._riemann_siegel(t, True)
+        theta_ref, z_prime_ref = riemann_siegel_chunked(t, True)
+        assert np.array_equal(theta, theta_ref) and np.array_equal(z_prime, z_prime_ref)
+
+    def test_shuffled_input_gives_shuffled_output(self, stored_table_5000):
+        t = stored_table_5000
+        perm = np.random.default_rng(32).permutation(t.size)
+        assert np.array_equal(specfun.riemann_siegel_z(t[perm]), specfun.riemann_siegel_z(t)[perm])
+        assert np.array_equal(specfun.zeta_prime_at_zeros(t[perm]), specfun.zeta_prime_at_zeros(t)[perm])
+
+    def test_empty_and_low_inputs(self):
+        empty = np.array([])
+        assert specfun.riemann_siegel_z(empty).shape == (0,)
+        z_rs, bound = specfun.hardy_z_rs(empty)
+        assert z_rs.shape == bound.shape == (0,)
+        zp = specfun.zeta_prime_at_zeros(empty)
+        assert zp.shape == (0,) and zp.dtype == complex
+        low = np.array([14.134725141734695, 21.022039638771556, 150.92525761224147])
+        assert np.array_equal(specfun.riemann_siegel_z(low), riemann_siegel_chunked(low, False))
+        assert np.array_equal(specfun.zeta_prime_at_zeros(low), specfun.zeta_and_deriv(0.5 + 1j * low)[1])
+
+    def test_2d_input_keeps_its_shape(self, stored_table_5000):
+        t = stored_table_5000[:4500]
+        grid = t.reshape(90, 50)
+        assert np.array_equal(specfun.riemann_siegel_z(grid), specfun.riemann_siegel_z(t).reshape(90, 50))
+        high = stored_table_5000[-4000:].reshape(40, 100)
+        z_rs, bound = specfun.hardy_z_rs(high)
+        assert z_rs.shape == bound.shape == (40, 100)
+        zp = specfun.zeta_prime_at_zeros(grid)
+        assert np.array_equal(zp, specfun.zeta_prime_at_zeros(t).reshape(90, 50))
+
+    def test_memory_bounded_by_the_block(self):
+        # 1,024 points of 3,990 terms: one padded (terms x points) table was
+        # 33 MB a temporary; the row blocks stay within 128 KB each
+        t = 1e8 + np.random.default_rng(33).uniform(0.0, 100.0, 1024)
+        tracemalloc.start()
+        try:
+            specfun.riemann_siegel_z(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestZetaPrimeAtZeros:
