@@ -402,9 +402,10 @@ def main(argv=None):
         rows = _SUBCOMMANDS[name][0](cfg)
         wall_time = time.perf_counter() - start
         failures = evaluate_gates(gates, rows)
+        _write_outputs(out_dir, rows, cfg, gates, failures, wall_time)
     except (OSError, TypeError, ValueError, MissingZeroError) as exc:
         # OSError is an unreadable config file or zero table, or an output
-        # directory that cannot be made; unknown, missing or uncastable
+        # directory that cannot be made or written; unknown, missing or uncastable
         # fields, malformed JSON, a gate on a column of text and every
         # library input error (DomainError, CapabilityError,
         # ZeroTableParseError, EmptyOverlapError, ...) subclass ValueError;
@@ -412,7 +413,6 @@ def main(argv=None):
         message = " ".join(str(exc).split())
         print(f"{name}: {type(exc).__name__}: {message}", file=sys.stderr)
         return 2
-    _write_outputs(out_dir, rows, cfg, gates, failures, wall_time)
 
     for row in rows:
         print(",".join(str(row[c]) for c in CSV_COLUMNS))

@@ -75,9 +75,12 @@ def _int_power(values, n):
 
 
 def complex_fsum(values):
-    """Correctly rounded sum (math.fsum) of the real and imaginary parts of a 1-D array."""
+    """Correctly rounded sum (math.fsum) of the real and imaginary parts of a 1-D array.
+
+    fsum reads Python floats from a list without boxing each one as np.float64.
+    """
     values = np.asarray(values, dtype=complex)
-    return complex(math.fsum(values.real), math.fsum(values.imag))
+    return complex(math.fsum(values.real.tolist()), math.fsum(values.imag.tolist()))
 
 
 def _branch_power(values, k, branch):

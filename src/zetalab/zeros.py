@@ -21,10 +21,14 @@ Euler-Maclaurin everywhere else (below t = 200 and next to every root), so
 each sign the scan sees is the Euler-Maclaurin sign while most points cost
 O(sqrt t) instead of O(t).  The refinement predicts each root on the
 Riemann-Siegel sum alone, then corrects it by one Newton step on an
-Euler-Maclaurin Z and Z' and certifies it by the Euler-Maclaurin signs of Z
-at two points 2.5e-12 either side, or at the doubles either side from
-t = 2^15 on, where those two round onto it: three Euler-Maclaurin points a
-zero (3.49 a zero at T = 1000, scan included).  A zero that fails the check
+Euler-Maclaurin Z and Z' at the predicted point g.  The bracket of two points
+2.5e-12 either side of the Newton point (the doubles either side from
+t = 2^15 on, where those two round onto it) is certified from g alone: by
+Taylor's theorem, Z(g) + Z'(g)(e - g) must show each end e's sign by more than
+a proven bound on Z'' times (e - g)^2/2 plus Euler-Maclaurin's proven
+remainders.  That leaves one Euler-Maclaurin point a zero (1.52 a zero at
+T = 1000, 1.03 at 1e4, scan included).  A bracket that fails the inequality
+takes the Euler-Maclaurin signs of Z at its two ends, and one that fails those
 is refined again from its scan bracket, by Anderson-Björck steps on
 Euler-Maclaurin signs.
 The Euler-Maclaurin points of a scan or a refinement step go to specfun in one
@@ -48,9 +52,12 @@ import numpy as np
 
 from .errors import DomainError, EmptyOverlapError, MissingZeroError, ZeroTableParseError
 from .specfun import (
+    EM_REMAINDER_BOUND,
     RS_T_MIN,
+    _theta_prime,
     hardy_z,
     hardy_z_rs,
+    hardy_z_second_bound,
     riemann_siegel_theta,
     riemann_siegel_z,
     zeta_and_deriv,
@@ -249,38 +256,73 @@ def _z_and_slope_em(t):
     """Hardy Z and Z' by Euler-Maclaurin at the points t, from one zeta_and_deriv table.
 
     On s = 1/2 + it, Z = e^{i theta} zeta(s) and Z' = i e^{i theta}(theta' zeta(s)
-    + zeta'(s)), both real.  theta' is taken as (1/2) log(t/2pi), within
-    1/(48 t^2): at a point near a root zeta is small, and the Newton step that
-    reads Z' is below 1e-9.
+    + zeta'(s)), both real, with theta' from theta's series.
     """
     zeta, zeta_prime = zeta_and_deriv(0.5 + 1j * t)
     rot = np.exp(1j * riemann_siegel_theta(t))
-    return np.real(rot * zeta), -np.imag(rot * (0.5 * np.log(t / _TWO_PI) * zeta + zeta_prime))
+    return np.real(rot * zeta), -np.imag(rot * (_theta_prime(t) * zeta + zeta_prime))
+
+
+def _taylor_certified(g, z_g, slope, ends):
+    """Whether Z(g) and Z'(g) alone prove opposite signs of Z at the two ``ends`` of each row.
+
+    By Taylor's theorem Z(e) = Z(g) + Z'(g)(e - g) + Z''(xi)(e - g)^2 / 2 for
+    some xi between g and e.  Euler-Maclaurin's remainders in zeta and zeta'
+    are proven below EM_REMAINDER_BOUND, so its values z_g and slope miss
+    Z(g) by at most eta_0 = EM_REMAINDER_BOUND and Z'(g) by at most
+    eta_1 = (1 + theta'(g)) EM_REMAINDER_BOUND.  So with
+    L(e) = z_g + slope (e - g) and B >= |Z''| between g and e
+    (:func:`specfun.hardy_z_second_bound`), Z(e) has the sign of L(e) where
+
+        |L(e)| > eta_0 + eta_1 |e - g| + B (e - g)^2 / 2.
+
+    Rounding in the Euler-Maclaurin sum is trusted, as it is in its signs.
+    """
+    step = np.abs(ends - g[:, None])
+    bound = hardy_z_second_bound(g, step.max(axis=1))
+    eta_1 = (1.0 + _theta_prime(g)) * EM_REMAINDER_BOUND
+    line = z_g[:, None] + slope[:, None] * (ends - g[:, None])
+    clear = np.abs(line) > EM_REMAINDER_BOUND + (eta_1[:, None] + 0.5 * bound[:, None] * step) * step
+    return clear.all(axis=1) & (np.signbit(line[:, 0]) != np.signbit(line[:, 1]))
 
 
 def _refine_brackets(lo, hi, z):
     """Ordinates of the zeros in the scan brackets lo < hi (Z at their ends in z),
-    each between two ends of opposite Euler-Maclaurin sign at most
-    _BRACKET_WIDTH apart, adjacent doubles, or the two doubles either side of
-    a double.  Returns their midpoints, each within one ulp or
+    each between two ends at most _BRACKET_WIDTH apart, adjacent doubles, or
+    the two doubles either side of a double, where Z has opposite signs by
+    Euler-Maclaurin values.  Returns their midpoints, each within one ulp or
     _BRACKET_WIDTH/2 of a sign change.
 
     1. *Predict.* Anderson-Björck on :func:`riemann_siegel_z` narrows every
        bracket to _PREDICT_WIDTH with no Euler-Maclaurin call: through C4 the
        sum is within 1e-9 of Z from t = 200 on, and 1.5e-5 on [10, 20].
-    2. *Correct and certify.* At each predicted root x0, one Euler-Maclaurin
-       Z and Z' (:func:`_z_and_slope_em`) give the Newton point x1, and
-       :func:`hardy_z` at x1 -+ _BRACKET_WIDTH/4 must show opposite signs.
-       From t = 2^15 on one ulp of t exceeds _BRACKET_WIDTH/2, both ends
-       round onto x1, and the doubles either side of x1 take their place.
-    3. *Fall back.* A bracket whose two ends share a sign, or do not lie
+    2. *Correct.* At each predicted root g, one Euler-Maclaurin Z and Z'
+       (:func:`_z_and_slope_em`) give the Newton point x1, and the ends are
+       x1 -+ _BRACKET_WIDTH/4.  From t = 2^15 on one ulp of t exceeds
+       _BRACKET_WIDTH/2, both round onto x1, and the doubles either side of
+       x1 take their place.
+    3. *Certify from g.* Taylor's theorem from Z(g) and Z'(g), with a proven
+       bound on |Z''| and on Euler-Maclaurin's remainders, shows Z's signs at
+       both ends (:func:`_taylor_certified`): no further Euler-Maclaurin
+       point.  To T = 1e4 all but the 10 zeros below t = 60, where the
+       prediction is loose, pass: 1.52 Euler-Maclaurin points a zero at
+       T = 1000, 1.07 at 5000 and 1.03 at 1e4, scan included (3.49, 3.07 and
+       3.05 with step 4 at every zero).
+    4. *Check the ends.* A bracket that fails step 3 takes :func:`hardy_z`
+       at its two ends, which must show opposite signs.
+    5. *Fall back.* A bracket that fails step 4, or whose ends do not lie
        strictly inside its scan bracket, runs Anderson-Björck on
        :func:`_eval_z`, whose signs are Euler-Maclaurin's, from its scan
        bracket and the scan's values of Z to _BRACKET_WIDTH or adjacent
        doubles.
 
     Each scan bracket holds one zero (Rosser's rule), so any sign change of Z
-    inside it brackets that zero.
+    inside it brackets that zero.  Steps 3 and 4 both trust the rounding of
+    the Euler-Maclaurin sum, which near t = 7000 moves Z by about 5e-12 with
+    the chunk's cutoff (ROADMAP items 5 and 18): there the two steps can
+    disagree on a sign, and an ordinate can lie slightly more than
+    _BRACKET_WIDTH/2 from the true zero (5.9e-12 at zero 6710, against
+    mpmath).
     """
     x0, x1 = _anderson_bjorck(lo, hi, z[:, 0], z[:, 1], riemann_siegel_z, _PREDICT_WIDTH)
     guess = 0.5 * (x0 + x1)
@@ -291,8 +333,11 @@ def _refine_brackets(lo, hi, z):
     collapsed = ends[:, 0] == ends[:, 1]
     ends[collapsed] = np.nextafter(root[collapsed, None], [-np.inf, np.inf])
     certified = (lo < ends[:, 0]) & (ends[:, 1] < hi)  # false at a nan root
-    z_ends = hardy_z(ends[certified].ravel()).reshape(-1, 2)
-    certified[certified] = np.signbit(z_ends[:, 0]) != np.signbit(z_ends[:, 1])
+    inside = np.flatnonzero(certified)
+    certified[inside] = _taylor_certified(guess[inside], z_guess[inside], slope[inside], ends[inside])
+    check = inside[~certified[inside]]
+    z_ends = hardy_z(ends[check].ravel()).reshape(-1, 2)
+    certified[check] = np.signbit(z_ends[:, 0]) != np.signbit(z_ends[:, 1])
     gammas = 0.5 * (ends[:, 0] + ends[:, 1])
     redo = np.flatnonzero(~certified)
     x0, x1 = _anderson_bjorck(lo[redo], hi[redo], z[redo, 0], z[redo, 1], _eval_z, _BRACKET_WIDTH)

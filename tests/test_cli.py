@@ -195,6 +195,13 @@ class TestGates:
         assert run_cli(["--config", cfg, "--output-dir", tmp_path / "out", "rmt-oracle"]) == 2
         assert not (tmp_path / "out").exists()
 
+    def test_output_file_that_cannot_be_written_exit_2(self, tmp_path, capsys):
+        # a directory where results.csv goes: one line and exit 2, not a traceback
+        (tmp_path / "results.csv").mkdir()
+        assert run_cli(["--output-dir", tmp_path, "rmt-oracle", "--n", 2, "--k", "1", "--grid", 64]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "IsADirectoryError" in err[0]
+
     def test_config_holding_no_object_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps([{"n": 4}]))

@@ -48,6 +48,15 @@ def test_kahan_sum_matches_fsum():
     assert ks.imag == pytest.approx(math.fsum(vals.imag), rel=1e-15)
 
 
+def test_complex_fsum_bit_identical_to_array_form():
+    # fsum is correctly rounded, so summing lists of floats and summing the arrays agree bit for bit
+    rng = np.random.default_rng(4)
+    vals = rng.standard_normal(4520) * 10.0 ** rng.uniform(-13, 13, 4520)
+    vals = vals + 1j * rng.standard_normal(4520) * 10.0 ** rng.uniform(-13, 13, 4520)
+    total = experiments.complex_fsum(vals)
+    assert total.real == math.fsum(vals.real) and total.imag == math.fsum(vals.imag)
+
+
 class TestZetaPrimeMoment:
     def test_k0_trivial(self, zeros_5000):
         res = experiments.zeta_prime_moments(zeros_5000, [1000.0], 0)[0]

@@ -285,6 +285,11 @@ class TestRiemannSiegelTheta:
         ref = np.array([float(mp.diff(mp.siegeltheta, x)) for x in t])
         assert np.max(np.abs(specfun._theta_prime(t) - ref)) < 2e-15
 
+    def test_second_derivative_matches_mpmath(self):
+        t = np.geomspace(7.0, 1e5, 16)
+        ref = np.array([float(mp.diff(mp.siegeltheta, x, 2)) for x in t])
+        assert np.max(np.abs(specfun._theta_second(t) - ref) / ref) < 1e-13
+
 
 # ------------------------------------------------------------------------ zeta
 
@@ -556,6 +561,23 @@ class TestHardyZ:
     def test_domain(self):
         with pytest.raises(DomainError):
             specfun.hardy_z(1.0)
+
+
+class TestHardyZSecondBound:
+    def test_bounds_z_second_derivative(self):
+        # at 40 log-uniform heights, and at both ends of the interval it covers
+        t = np.exp(np.random.default_rng(8).uniform(math.log(10.0), math.log(1e4), 40))
+        h = 0.01
+        bound = specfun.hardy_z_second_bound(t, h)
+        for x, b in zip(t, bound):
+            assert all(b >= abs(float(mp.siegelz(y, derivative=2))) for y in (x - h, x, x + h)), x
+        # it is loose by about 1e3, not by orders more: 8e3 at t = 1000 and 5e4 at 1e4
+        assert np.all(bound < 1e5)
+
+    def test_infinite_where_the_interval_leaves_the_disc(self):
+        # r = 1/log M is 0.171 at t = 1000
+        assert np.isinf(specfun.hardy_z_second_bound(1000.0, 0.2))
+        assert specfun.hardy_z_second_bound(1000.0, 0.0) == pytest.approx(7.89e3, rel=1e-3)
 
 
 class TestHardyZRiemannSiegel:

@@ -115,8 +115,9 @@ class TestComputeZeros:
 class TestComputeZerosTo1000:
     """The Riemann-Siegel scan and Anderson-Björck refinement, with Euler-Maclaurin as the oracle."""
 
-    @pytest.fixture(scope="class")
-    def counted(self):
+    @staticmethod
+    def em_points(t_max):
+        """compute_zeros(t_max) and zero_count(t_max), with the Euler-Maclaurin points both took."""
         em_points = []
 
         def counting_hardy_z(t):
@@ -130,9 +131,13 @@ class TestComputeZerosTo1000:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(zeros, "hardy_z", counting_hardy_z)
             mp.setattr(zeros, "zeta_and_deriv", counting_zeta_and_deriv)
-            zl = zeros.compute_zeros(1000.0, cache_dir=False)
-            count = zeros.zero_count(1000.0)
+            zl = zeros.compute_zeros(t_max, cache_dir=False)
+            count = zeros.zero_count(t_max)
         return zl, sum(em_points), count
+
+    @pytest.fixture(scope="class")
+    def counted(self):
+        return self.em_points(1000.0)
 
     def test_count(self, counted):
         zl, _, count = counted
@@ -146,21 +151,40 @@ class TestComputeZerosTo1000:
         assert np.all(np.signbit(lo) != np.signbit(hi))
 
     def test_euler_maclaurin_points_per_zero(self, counted):
-        # measured: 3.49 a zero, hardy_z and zeta_and_deriv together (5.55 with
-        # every refinement step near a root on Euler-Maclaurin, 6.47 with
-        # Illinois' fixed halving)
+        # measured: 1.52 a zero, hardy_z and zeta_and_deriv together, with most
+        # zeros certified from their Newton point alone (3.49 with the two
+        # certifying points on Euler-Maclaurin at every zero, 5.55 with every
+        # refinement step near a root on it, 6.47 with Illinois' fixed halving)
         zl, em_points, _ = counted
-        assert em_points <= 4 * len(zl)
+        assert em_points <= 2 * len(zl)
+
+    def test_euler_maclaurin_points_per_zero_to_5000(self):
+        # measured: 1.07 a zero (3.07 with the two certifying points at every zero)
+        zl, em_points, count = self.em_points(5000.0)
+        assert len(zl) == count == 4520
+        assert em_points <= 1.2 * len(zl)
 
 
 class TestRefinementFallback:
-    """A bracket whose Newton point fails its Euler-Maclaurin check goes back to
-    Anderson-Björck on :func:`zeros._eval_z` from its scan bracket."""
+    """A bracket that Taylor's theorem from its Newton point does not certify is
+    checked by Euler-Maclaurin signs at its two ends, and one that fails that
+    goes back to Anderson-Björck on :func:`zeros._eval_z` from its scan bracket."""
 
     def test_shifted_predictor_falls_back_to_the_same_zeros(self, monkeypatch):
-        base = zeros.compute_zeros(1000.0, cache_dir=False)
-        real_ab, real_rs = zeros._anderson_bjorck, zeros.riemann_siegel_z
-        fallen_back, steps = [], []
+        real_ab, real_rs, real_taylor = zeros._anderson_bjorck, zeros.riemann_siegel_z, zeros._taylor_certified
+        by_taylor, fallen_back, steps = [], [], []
+
+        def recording_taylor(*args):
+            certified = real_taylor(*args)
+            by_taylor.append(int(np.count_nonzero(certified)))
+            return certified
+
+        def tiers(zl):
+            """Brackets certified by the inequality, by Euler-Maclaurin signs and by Anderson-Björck."""
+            taylor, ab = sum(by_taylor), sum(fallen_back)
+            by_taylor.clear()
+            fallen_back.clear()
+            return taylor, len(zl) - taylor - ab, ab
 
         def recording_ab(x0, x1, f0, f1, evaluate, width):
             if evaluate is not zeros._eval_z:
@@ -173,12 +197,20 @@ class TestRefinementFallback:
 
             return real_ab(x0, x1, f0, f1, counting_eval_z, width)
 
+        monkeypatch.setattr(zeros, "_taylor_certified", recording_taylor)
         monkeypatch.setattr(zeros, "_anderson_bjorck", recording_ab)
+        base = zeros.compute_zeros(1000.0, cache_dir=False)
+        base_tiers = tiers(base)
         # every predicted root lands 1e-6 high, and one Newton step from there
         # misses some roots by more than _BRACKET_WIDTH/4
         monkeypatch.setattr(zeros, "riemann_siegel_z", lambda t: real_rs(t - 1e-6))
         shifted = zeros.compute_zeros(1000.0, cache_dir=False)
-        assert sum(fallen_back) > 0
+        shifted_tiers = tiers(shifted)
+        # measured: the 10 zeros below t = 60, where the prediction is loose,
+        # take the signs and the rest the inequality; 1e-6 from the root,
+        # B (e - g)^2 / 2 is some 4e-9 and no zero passes it
+        assert base_tiers == (639, 10, 0)
+        assert shifted_tiers[0] == 0 and shifted_tiers[2] > 0
         # measured: 11 brackets fall back and close in 8 steps from their scan brackets;
         # a start that converges slowly would take more
         assert len(steps) <= 8
@@ -187,6 +219,34 @@ class TestRefinementFallback:
         w = zeros._BRACKET_WIDTH
         lo, hi = specfun.hardy_z(shifted.gammas - w), specfun.hardy_z(shifted.gammas + w)
         assert np.all(np.signbit(lo) != np.signbit(hi))
+
+
+def test_taylor_certified_brackets_show_euler_maclaurin_signs(monkeypatch):
+    # every bracket the inequality certifies up to T = 1e4, checked by hardy_z at
+    # its two ends in one call, whose chunks take other cutoffs than the
+    # Newton points' did.  Measured: 10,132 certified; 51 (the first at
+    # 3824.54) show one sign, each with an end where hardy_z is within 5.4e-12
+    # of 0, inside Euler-Maclaurin's floor near a zero (ROADMAP item 5).  At
+    # those 51, Z by mpmath at 35 digits sides with the inequality at 42
+    certified = []
+    real = zeros._taylor_certified
+
+    def recording(g, z_g, slope, ends):
+        ok = real(g, z_g, slope, ends)
+        certified.append(ends[ok])
+        return ok
+
+    _, lo, hi, z = zeros._rosser_scan(1e4, from_first=True)
+    below = hi <= 1e4
+    monkeypatch.setattr(zeros, "_taylor_certified", recording)
+    zeros._refine_brackets(lo[below], hi[below], z[below])
+    ends = np.concatenate(certified)
+    z_ends = specfun.hardy_z(ends.ravel()).reshape(-1, 2)
+    one_sign = np.signbit(z_ends[:, 0]) == np.signbit(z_ends[:, 1])
+    assert len(ends) >= 0.99 * np.count_nonzero(below)
+    assert not np.any(one_sign[ends[:, 0] < 3000.0])
+    assert np.count_nonzero(one_sign) <= 0.01 * len(ends)
+    assert np.all(np.min(np.abs(z_ends[one_sign]), axis=1) < 1e-11)
 
 
 class TestRefinementAbove2To16:
