@@ -23,14 +23,17 @@ O(sqrt t) instead of O(t).  The refinement predicts each root on the
 Riemann-Siegel sum alone, then corrects it by one Newton step on an
 Euler-Maclaurin Z and Z' at the predicted point g.  The bracket of two points
 2.5e-12 either side of the Newton point (the doubles either side from
-t = 2^15 on, where those two round onto it) is certified from g alone: by
-Taylor's theorem, Z(g) + Z'(g)(e - g) must show each end e's sign by more than
-a proven bound on Z'' times (e - g)^2/2 plus Euler-Maclaurin's proven
-remainders.  That leaves one Euler-Maclaurin point a zero (1.52 a zero at
-T = 1000, 1.03 at 1e4, scan included).  A bracket that fails the inequality
-takes the Euler-Maclaurin signs of Z at its two ends, and one that fails those
-is refined again from its scan bracket, by Anderson-Björck steps on
-Euler-Maclaurin signs.
+t = 2^15 on, where those two round onto it) is certified from g alone where
+Taylor's theorem allows: Z(g) + Z'(g)(e - g) must show each end e's sign by
+more than a proven bound on Z'' times (e - g)^2/2 plus the error of the
+Euler-Maclaurin values, its proven remainders and a stated allowance for its
+rounding.  That allowance, 3 eps t log M with M about t/pi, outgrows |Z'|
+times the bracket as t rises: 98 % of the zeros to T = 1000 pass, 48 % to
+5000 and 23 % to 1e4.  A bracket that fails the inequality takes the
+Euler-Maclaurin signs of Z at its two ends, and one that fails those is
+refined again from its scan bracket, by Anderson-Björck steps on
+Euler-Maclaurin signs.  With the scan, that is 1.53 Euler-Maclaurin points a
+zero at T = 1000, 2.12 at 5000 and 2.58 at 1e4.
 The Euler-Maclaurin points of a scan or a refinement step go to specfun in one
 call, which gives each chunk of ascending height the cutoff of its own highest
 point.
@@ -52,10 +55,10 @@ import numpy as np
 
 from .errors import DomainError, EmptyOverlapError, MissingZeroError, ZeroTableParseError
 from .specfun import (
-    EM_REMAINDER_BOUND,
     RS_T_MIN,
     _theta_prime,
     hardy_z,
+    hardy_z_em_error,
     hardy_z_rs,
     hardy_z_second_bound,
     riemann_siegel_theta,
@@ -264,25 +267,26 @@ def _z_and_slope_em(t):
 
 
 def _taylor_certified(g, z_g, slope, ends):
-    """Whether Z(g) and Z'(g) alone prove opposite signs of Z at the two ``ends`` of each row.
+    """Whether Z(g) and Z'(g) show opposite signs of Z at the two ``ends`` of each row.
 
     By Taylor's theorem Z(e) = Z(g) + Z'(g)(e - g) + Z''(xi)(e - g)^2 / 2 for
-    some xi between g and e.  Euler-Maclaurin's remainders in zeta and zeta'
-    are proven below EM_REMAINDER_BOUND, so its values z_g and slope miss
-    Z(g) by at most eta_0 = EM_REMAINDER_BOUND and Z'(g) by at most
-    eta_1 = (1 + theta'(g)) EM_REMAINDER_BOUND.  So with
-    L(e) = z_g + slope (e - g) and B >= |Z''| between g and e
-    (:func:`specfun.hardy_z_second_bound`), Z(e) has the sign of L(e) where
+    some xi between g and e.  The Euler-Maclaurin values z_g and slope miss
+    Z(g) by at most eta_0 and Z'(g) by at most eta_1
+    (:func:`specfun.hardy_z_em_error`: proven remainders plus a stated
+    allowance for rounding).  So with L(e) = z_g + slope (e - g) and B >= |Z''|
+    between g and e (:func:`specfun.hardy_z_second_bound`), Z(e) has the
+    sign of L(e) where
 
         |L(e)| > eta_0 + eta_1 |e - g| + B (e - g)^2 / 2.
 
-    Rounding in the Euler-Maclaurin sum is trusted, as it is in its signs.
+    The sign is proven if the rounding stays within its allowance, which is
+    measured, not proven.
     """
     step = np.abs(ends - g[:, None])
     bound = hardy_z_second_bound(g, step.max(axis=1))
-    eta_1 = (1.0 + _theta_prime(g)) * EM_REMAINDER_BOUND
+    eta_0, eta_1 = hardy_z_em_error(g)
     line = z_g[:, None] + slope[:, None] * (ends - g[:, None])
-    clear = np.abs(line) > EM_REMAINDER_BOUND + (eta_1[:, None] + 0.5 * bound[:, None] * step) * step
+    clear = np.abs(line) > eta_0[:, None] + (eta_1[:, None] + 0.5 * bound[:, None] * step) * step
     return clear.all(axis=1) & (np.signbit(line[:, 0]) != np.signbit(line[:, 1]))
 
 
@@ -302,12 +306,15 @@ def _refine_brackets(lo, hi, z):
        _BRACKET_WIDTH/2, both round onto x1, and the doubles either side of
        x1 take their place.
     3. *Certify from g.* Taylor's theorem from Z(g) and Z'(g), with a proven
-       bound on |Z''| and on Euler-Maclaurin's remainders, shows Z's signs at
-       both ends (:func:`_taylor_certified`): no further Euler-Maclaurin
-       point.  To T = 1e4 all but the 10 zeros below t = 60, where the
-       prediction is loose, pass: 1.52 Euler-Maclaurin points a zero at
-       T = 1000, 1.07 at 5000 and 1.03 at 1e4, scan included (3.49, 3.07 and
-       3.05 with step 4 at every zero).
+       bound on |Z''| and a stated bound on the error of the Euler-Maclaurin
+       values, shows Z's signs at both ends (:func:`_taylor_certified`): no
+       further Euler-Maclaurin point.  A bracket passes where |Z'| times its
+       half-width clears that error, whose allowance for rounding grows as
+       3 eps t log M: to T = 1000 all but 12 of 649 zeros pass (the 10 below
+       t = 60, where the prediction is loose, and a close pair at 947), 48 %
+       to 5000 and 23 % to 1e4.  Scan included, that is 1.53 Euler-Maclaurin
+       points a zero at T = 1000, 2.12 at 5000 and 2.58 at 1e4 (3.49, 3.07
+       and 3.05 with step 4 at every zero).
     4. *Check the ends.* A bracket that fails step 3 takes :func:`hardy_z`
        at its two ends, which must show opposite signs.
     5. *Fall back.* A bracket that fails step 4, or whose ends do not lie
@@ -317,12 +324,12 @@ def _refine_brackets(lo, hi, z):
        doubles.
 
     Each scan bracket holds one zero (Rosser's rule), so any sign change of Z
-    inside it brackets that zero.  Steps 3 and 4 both trust the rounding of
-    the Euler-Maclaurin sum, which near t = 7000 moves Z by about 5e-12 with
-    the chunk's cutoff (ROADMAP items 5 and 18): there the two steps can
-    disagree on a sign, and an ordinate can lie slightly more than
-    _BRACKET_WIDTH/2 from the true zero (5.9e-12 at zero 6710, against
-    mpmath).
+    inside it brackets that zero.  Step 3 holds the rounding of the
+    Euler-Maclaurin sum to an allowance sized from measurement, near three
+    times the worst error seen, not to a proven bound.  Step 4 trusts the
+    signs it reads, as step 5 does: near t = 7000 the rounding moves Z by
+    about 5e-12 with the chunk's cutoff, the floor of a 1e-11 bracket where
+    |Z'| < 1 (ROADMAP items 5 and 18).
     """
     x0, x1 = _anderson_bjorck(lo, hi, z[:, 0], z[:, 1], riemann_siegel_z, _PREDICT_WIDTH)
     guess = 0.5 * (x0 + x1)

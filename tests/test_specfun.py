@@ -285,11 +285,6 @@ class TestRiemannSiegelTheta:
         ref = np.array([float(mp.diff(mp.siegeltheta, x)) for x in t])
         assert np.max(np.abs(specfun._theta_prime(t) - ref)) < 2e-15
 
-    def test_second_derivative_matches_mpmath(self):
-        t = np.geomspace(7.0, 1e5, 16)
-        ref = np.array([float(mp.diff(mp.siegeltheta, x, 2)) for x in t])
-        assert np.max(np.abs(specfun._theta_second(t) - ref) / ref) < 1e-13
-
 
 # ------------------------------------------------------------------------ zeta
 
@@ -578,6 +573,29 @@ class TestHardyZSecondBound:
         # r = 1/log M is 0.171 at t = 1000
         assert np.isinf(specfun.hardy_z_second_bound(1000.0, 0.2))
         assert specfun.hardy_z_second_bound(1000.0, 0.0) == pytest.approx(7.89e3, rel=1e-3)
+
+
+class TestHardyZEmError:
+    def test_covers_euler_maclaurin_at_stored_zeros(self, stored_table_5000):
+        # 12 stored zeros from 1000 to 5000 in one call, so each chunk takes the
+        # cutoff of T = 5000; measured error / eta: at most 0.07 for Z, 0.05 for Z'
+        t = stored_table_5000[np.linspace(650, 4519, 12).astype(int)]
+        zeta, zeta_prime = specfun.zeta_and_deriv(0.5 + 1j * t)
+        rot = np.exp(1j * specfun.riemann_siegel_theta(t))
+        z = np.real(rot * zeta)
+        slope = -np.imag(rot * (specfun._theta_prime(t) * zeta + zeta_prime))
+        eta_0, eta_1 = specfun.hardy_z_em_error(t)
+        with mp.workdps(25):
+            ref = np.array([[float(mp.siegelz(x, derivative=d)) for d in (0, 1)] for x in t])
+        assert np.all(np.abs(z - ref[:, 0]) <= eta_0)
+        assert np.all(np.abs(slope - ref[:, 1]) <= eta_1)
+
+    def test_grows_as_t_log_m(self):
+        # 3 eps t log M plus the 1e-15 remainder: 3.66e-12 at t = 1000
+        eta_0, eta_1 = specfun.hardy_z_em_error(np.array([1000.0, 1e4]))
+        m = 30.0 + np.ceil(np.array([1000.0, 1e4]) / math.pi)
+        assert eta_0 == pytest.approx(1e-15 + 3 * np.finfo(float).eps * np.array([1000.0, 1e4]) * np.log(m))
+        assert np.all(eta_1 > 5 * eta_0)
 
 
 class TestHardyZRiemannSiegel:

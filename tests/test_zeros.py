@@ -151,7 +151,7 @@ class TestComputeZerosTo1000:
         assert np.all(np.signbit(lo) != np.signbit(hi))
 
     def test_euler_maclaurin_points_per_zero(self, counted):
-        # measured: 1.52 a zero, hardy_z and zeta_and_deriv together, with most
+        # measured: 1.53 a zero, hardy_z and zeta_and_deriv together, with most
         # zeros certified from their Newton point alone (3.49 with the two
         # certifying points on Euler-Maclaurin at every zero, 5.55 with every
         # refinement step near a root on it, 6.47 with Illinois' fixed halving)
@@ -159,10 +159,13 @@ class TestComputeZerosTo1000:
         assert em_points <= 2 * len(zl)
 
     def test_euler_maclaurin_points_per_zero_to_5000(self):
-        # measured: 1.07 a zero (3.07 with the two certifying points at every zero)
+        # measured: 2.12 a zero, with 48 % of the zeros certified from their
+        # Newton point alone: higher up, the allowance for Euler-Maclaurin's
+        # rounding outgrows |Z'| times the bracket (3.07 with the two
+        # certifying points at every zero)
         zl, em_points, count = self.em_points(5000.0)
         assert len(zl) == count == 4520
-        assert em_points <= 1.2 * len(zl)
+        assert em_points <= 2.5 * len(zl)
 
 
 class TestRefinementFallback:
@@ -207,9 +210,10 @@ class TestRefinementFallback:
         shifted = zeros.compute_zeros(1000.0, cache_dir=False)
         shifted_tiers = tiers(shifted)
         # measured: the 10 zeros below t = 60, where the prediction is loose,
-        # take the signs and the rest the inequality; 1e-6 from the root,
+        # and the close pair at 946.77 and 947.08 (|Z'| about 1) take the
+        # signs and the rest the inequality; 1e-6 from the root,
         # B (e - g)^2 / 2 is some 4e-9 and no zero passes it
-        assert base_tiers == (639, 10, 0)
+        assert base_tiers == (637, 12, 0)
         assert shifted_tiers[0] == 0 and shifted_tiers[2] > 0
         # measured: 11 brackets fall back and close in 8 steps from their scan brackets;
         # a start that converges slowly would take more
@@ -224,10 +228,10 @@ class TestRefinementFallback:
 def test_taylor_certified_brackets_show_euler_maclaurin_signs(monkeypatch):
     # every bracket the inequality certifies up to T = 1e4, checked by hardy_z at
     # its two ends in one call, whose chunks take other cutoffs than the
-    # Newton points' did.  Measured: 10,132 certified; 51 (the first at
-    # 3824.54) show one sign, each with an end where hardy_z is within 5.4e-12
-    # of 0, inside Euler-Maclaurin's floor near a zero (ROADMAP item 5).  At
-    # those 51, Z by mpmath at 35 digits sides with the inequality at 42
+    # Newton points' did.  Measured: 2,348 of 10,142 certified, the share
+    # falling with height as the rounding allowance grows (637 of the 649 to
+    # T = 1000); without that allowance 10,132 were, and 51 of those showed
+    # one sign here
     certified = []
     real = zeros._taylor_certified
 
@@ -242,11 +246,8 @@ def test_taylor_certified_brackets_show_euler_maclaurin_signs(monkeypatch):
     zeros._refine_brackets(lo[below], hi[below], z[below])
     ends = np.concatenate(certified)
     z_ends = specfun.hardy_z(ends.ravel()).reshape(-1, 2)
-    one_sign = np.signbit(z_ends[:, 0]) == np.signbit(z_ends[:, 1])
-    assert len(ends) >= 0.99 * np.count_nonzero(below)
-    assert not np.any(one_sign[ends[:, 0] < 3000.0])
-    assert np.count_nonzero(one_sign) <= 0.01 * len(ends)
-    assert np.all(np.min(np.abs(z_ends[one_sign]), axis=1) < 1e-11)
+    assert len(ends) >= 2000
+    assert np.all(np.signbit(z_ends[:, 0]) != np.signbit(z_ends[:, 1]))
 
 
 class TestRefinementAbove2To16:
