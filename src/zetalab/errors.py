@@ -9,10 +9,6 @@ class PoleError(DomainError):
     """Evaluation requested exactly at a pole."""
 
 
-class BranchCutError(DomainError):
-    """Evaluation requested on a branch cut."""
-
-
 class AdmissibilityError(DomainError):
     """Moment order outside the admissible region Re(k) > -3."""
 

@@ -31,6 +31,9 @@ from .specfun import GAMMA0, GAMMA1, zeta_prime_at_zeros
 from .zeros import zero_count
 
 _TWO_PI = 2.0 * math.pi
+# Largest m for landau_gonek: Lambda(m) is found by trial division, 0.06 s at
+# the prime 999,999,999,989.
+_LANDAU_GONEK_M_MAX = 10**12
 
 INTEGER_POWER = "integer-power"
 RECIPROCAL = "reciprocal"
@@ -167,10 +170,12 @@ def landau_gonek(zeros, m, t_height):
 
     Raises:
         DomainError: for m < 2 -- the formula excludes m = 1, where the sum
-            trivially equals N(T).
+            trivially equals N(T) -- and for m > 10^12.
     """
     if m < 2:
         raise DomainError("Landau-Gonek requires m >= 2 (at m = 1 the sum is trivially N(T))")
+    if m > _LANDAU_GONEK_M_MAX:
+        raise DomainError("Landau-Gonek takes m <= 10^12, where Lambda(m) comes by trial division")
     _require_coverage(zeros, t_height)
     gammas = zeros.below(t_height)
     terms = m**-0.5 * np.exp(-1j * gammas * math.log(m))

@@ -7,10 +7,10 @@ All routines evaluate in double precision, and all but the scalar
   and complex a, the one log Gamma of the laboratory (upward recurrence plus
   the differenced Stirling series); log Gamma(k + 2) is
   ``log_gamma_ratio(2, k)``.
-* :func:`exp_integral_e1` -- exponential integral E1 with the cut along the
-  negative real axis: power series near 0 and near the cut, and elsewhere
-  the continued fraction (backward, at a fixed depth), each taken only as
-  deep as the point's |z| needs for 2^-53.
+* :func:`exp_integral_e1` -- exponential integral E1 on the closed right
+  half-plane: power series for |z| < 4 and the continued fraction (backward,
+  at a fixed depth) above, each taken only as deep as the point's |z| needs
+  for 2^-53.
 * :func:`riemann_siegel_theta` -- Im log Gamma(1/4 + it/2) - (t/2) log pi
   from t = 7 on, by theta's own real asymptotic series, nine terms plus the
   Stokes term e^{-pi t}/2.
@@ -56,7 +56,7 @@ import math
 
 import numpy as np
 
-from .errors import BranchCutError, CapabilityError, DomainError, PoleError
+from .errors import CapabilityError, DomainError, PoleError
 
 # Euler's constant and the first Stieltjes constant, stored to 15 digits;
 # the tests check them against an Euler-Maclaurin oracle and mpmath.
@@ -167,10 +167,9 @@ def log_gamma_ratio(z, a):
 def _e1_series(z, terms):
     """Power series E1(z) = -gamma - log z - sum_{m <= n} (-z)^m / (m! m), n = terms.
 
-    Alternating (hence cancellation-prone) for Re z > 0, but term signs align
-    in the left half-plane, which makes it the accurate route near the cut.
-    ``terms`` is one count for every point, or one per point with z ordered
-    by non-increasing count.
+    Alternating for Re z > 0, but below |z| = 4 no term exceeds |z|, which
+    holds the cancellation to a few ulps of |z|.  ``terms`` is one count for
+    every point, or one per point with z ordered by non-increasing count.
     """
     terms = np.broadcast_to(terms, z.shape)
     acc = np.zeros_like(z)
@@ -183,15 +182,11 @@ def _e1_series(z, terms):
     return -GAMMA0 - np.log(z) - acc
 
 
-# |z| below which the power series is the production route everywhere.
+# |z| at which the continued fraction takes over from the power series.
 _E1_CROSSOVER = 4.0
-# Largest |arg z| for which the continued fraction is used above the
-# crossover.  The fraction converges for |arg z| < pi but impractically slowly
-# near the cut, where the series has aligned term signs and stays accurate
-# instead.
-_E1_CF_ARG_MAX = 2.0
 # The fraction's depth is ceil(_E1_CF_REACH / |z|) + 2.  Its truncation error
-# behaves like exp(-4 cos(arg z / 2) sqrt(depth |z|)), worst at |arg z| = 2.
+# behaves like exp(-4 cos(arg z / 2) sqrt(depth |z|)), so a depth measured at
+# |arg z| = 2 holds with room to spare on the half-plane |arg z| <= pi/2.
 # There the fewest depths for 2^-53 relative, measured against mpmath, are 78,
 # 62, 51, 37, 29, 22, 17, 14, 11, 9 and 7 at |z| = 4, 5, 6, 8, 10, 13, 16, 20,
 # 25, 32 and 40, all at most 320 / |z|, and 6, 5, 4, 3, 2 and 2 at |z| = 60,
@@ -211,10 +206,9 @@ _E1_SERIES_REACH = np.exp(
 
 
 def _e1_series_terms(r):
-    """The series' term count at points of modulus r: from the reach table below
-    |z| = 4, 3.2 r + 48 in the near-cut sector above.  Array r; integer result."""
-    small = np.searchsorted(_E1_SERIES_REACH, r) + 1
-    return np.where(r < _E1_CROSSOVER, small, (3.2 * r).astype(int) + 48)
+    """The series' term count at points of modulus r < 4, from the reach
+    table.  Array r; integer result."""
+    return np.searchsorted(_E1_SERIES_REACH, r) + 1
 
 
 def _e1_depth(r):
@@ -249,40 +243,33 @@ def _e1_fraction(z, depth):
 
 
 def exp_integral_e1(z):
-    """Exponential integral E1(z), principal branch, cut along (-inf, 0].
+    """Exponential integral E1(z) on the closed right half-plane Re z >= 0, z != 0.
 
     Power series for |z| < 4, with the fewest terms for the point's own |z|
     whose tail is below 2^-53 |z|: 5 at |z| = 1e-3, 17 at 1, 29 just below 4.
-    Above, in the sector |arg z| <= 2, the continued fraction by its backward
-    recurrence, at the depth :func:`_e1_depth` gives for the point's own |z|:
-    82 backward steps at |z| = 4, 10 at 40, 6 at 100 and 3 from 320 on, for a
-    truncation error below 2^-53 relative.  In the near-cut
-    sector |arg z| > 2 the (cancellation-free) series is kept, with
-    3.2 |z| + 48 terms.
+    From |z| = 4 on, the continued fraction by its backward recurrence, at the
+    depth :func:`_e1_depth` gives for the point's own |z|: 82 backward steps
+    at |z| = 4, 10 at 40, 6 at 100 and 3 from 320 on, for a truncation error
+    below 2^-53 relative.  One sort by |z| orders both routes, since the
+    series' term count rises with |z| and the fraction's depth falls: the
+    series takes its points in reverse, the fraction in order.
 
     Raises:
-        DomainError: if z = 0 (logarithmic singularity).
-        BranchCutError: if z lies on the negative real axis.
+        DomainError: if z = 0 or Re z < 0.
     """
     arr, scalar = _asarray_complex(z)
-    if np.any(arr == 0):
-        raise DomainError("E1 has a logarithmic singularity at z = 0")
-    on_cut = (arr.imag == 0) & (arr.real < 0)
-    if np.any(on_cut):
-        raise BranchCutError("E1 is not defined on the negative real axis (branch cut)")
-
+    if np.any((arr == 0) | (arr.real < 0)):
+        raise DomainError("E1 is evaluated only for Re z >= 0 and z != 0")
     flat = arr.reshape(-1)
     absz = np.abs(flat)
-    series = (absz < _E1_CROSSOVER) | (np.abs(np.angle(flat)) > _E1_CF_ARG_MAX)
-    depth = np.empty(flat.shape, dtype=int)
-    depth[series] = _e1_series_terms(absz[series])
-    depth[~series] = _e1_depth(absz[~series])
+    order = np.argsort(absz)
+    absz = absz[order]
+    split = int(np.searchsorted(absz, _E1_CROSSOVER))
     out = np.empty_like(flat)
-    for route, pick in ((_e1_series, series), (_e1_fraction, ~series)):
-        idx = np.flatnonzero(pick)
+    for route, rule, idx, r in ((_e1_series, _e1_series_terms, order[:split][::-1], absz[:split][::-1]),
+                                (_e1_fraction, _e1_depth, order[split:], absz[split:])):
         if idx.size:
-            idx = idx[np.argsort(-depth[idx], kind="stable")]
-            out[idx] = route(flat[idx], depth[idx])
+            out[idx] = route(flat[idx], rule(r))
     return out.item() if scalar else out.reshape(arr.shape)
 
 

@@ -208,6 +208,17 @@ class TestPxPow:
         with pytest.raises(DomainError):
             arithmetic.p_x_euler(0.5 + 14.13j, 1.0, x)
 
+    def test_cutoff_is_capped_at_1e5(self):
+        # at 1e5 the prime sums still take a fraction of a second; past it
+        # every route that sieves to X refuses before the sieve
+        p = arithmetic.prime_power_sums(1e5)[0]
+        assert p.size == 9592 and p[-1] == 99991.0
+        for call in (lambda x: arithmetic.prime_power_sums(x), lambda x: arithmetic.a_coeffs(1.0, x),
+                     lambda x: arithmetic.p_x_euler(0.5 + 14.13j, 1.0, x)):
+            for x in (1e5 + 1, 1e9):
+                with pytest.raises(CapabilityError, match="exceeds the supported 100000"):
+                    call(x)
+
     def test_mismatched_k_rejected(self):
         poly = arithmetic.a_coeffs(1.0, 10.0, m_max=100)
         with pytest.raises(DomainError):

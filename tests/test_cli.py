@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -564,6 +565,28 @@ class TestExperimentSubcommands:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and f"DomainError: {fault}" in err[0]
         assert not (tmp_path / "results.csv").exists()
+
+    @pytest.mark.parametrize("args, fault", [
+        (["landau-gonek", "--t", 5000, "--m", "1" + "0" * 400],
+         "DomainError: Landau-Gonek takes m <= 10^12"),
+        (["landau-gonek", "--t", 5000, "--m", 1000000000000000003],
+         "DomainError: Landau-Gonek takes m <= 10^12"),
+        (["twisted", "--t", 1000, "--x", 1e9], "CapabilityError: prime cutoff X = 1e+09 exceeds the supported 100000"),
+    ], ids=["landau-gonek-m-10^400", "landau-gonek-m-10^18+3", "twisted-x-1e9"])
+    def test_size_beyond_the_caps_exits_2_at_once(self, tmp_path, capsys, args, fault):
+        # an overflow of m^-1/2, a minute of trial division and a 1 GB sieve
+        # before the caps
+        start = time.perf_counter()
+        status = run_cli(["--output-dir", tmp_path, *args, "--zeros", TABLE_5000])
+        assert status == 2 and time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and fault in err[0]
+        assert not (tmp_path / "results.csv").exists()
+
+    def test_landau_gonek_at_the_m_cap(self, tmp_path):
+        # the prime 999,999,999,989 is below the cap and factorizes in 0.06 s
+        assert run_cli(["--output-dir", tmp_path, "landau-gonek", "--t", 5000, "--m", 999_999_999_989,
+                        "--zeros", TABLE_5000]) == 0
 
     @pytest.mark.parametrize("heights", ["10", "5", "14", "10,200"])
     def test_conjecture_table_below_the_first_zero_exit_2(self, tmp_path, capsys, published_table_path, heights):
