@@ -219,10 +219,16 @@ def p_x_euler(s, k, x_cutoff):
     arr = np.asarray(s, dtype=complex)
     scalar = arr.ndim == 0
     n_max = int(x_cutoff)
+    # the prime powers n = p^r <= X from the sieve, summed in ascending n
+    powers = []
+    for p in sieve_primes(n_max).tolist():
+        n = p
+        while n <= n_max:
+            powers.append((n, p))
+            n *= p
     acc = np.zeros(arr.shape, dtype=complex)
-    for n in range(2, n_max + 1):
-        lam = von_mangoldt(n)
-        if lam:
-            acc = acc + (lam / math.log(n)) * np.exp(-arr * math.log(n))
+    for n, p in sorted(powers):
+        log_n = math.log(n)
+        acc = acc + (math.log(p) / log_n) * np.exp(-arr * log_n)
     out = np.exp(k * acc)
     return out.item() if scalar else out

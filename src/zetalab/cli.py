@@ -161,7 +161,7 @@ def _run_toeplitz_check(cfg):
 def _run_zeros_compute(cfg):
     zl = zeros.compute_zeros(cfg["t_max"])
     if cfg["out"]:
-        Path(cfg["out"]).write_text(zeros._format_table(zl.gammas))
+        Path(cfg["out"]).write_text(zl.text)
     return [_row("zeros-compute", t=zl.t_max, empirical=len(zl),
                  predicted=zeros.zero_count(zl.t_max), n_zeros=len(zl))]
 

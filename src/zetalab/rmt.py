@@ -31,16 +31,19 @@ turned so that its value at 1 is positive, where each step turns by the phase
 of the factor 1 - gamma_j the draw already has: no phase is summed and no
 complex exponential taken.
 
-At N = 8, 4096 rows a batch, the sampler costs about 100 ns a factor and the
-recursion at m_max = 2 about 35 ns (timeit, best of 45 runs of 30 calls, on
-a 2-core x86-64 box).
+At N = 8, 4096 rows a batch, the sampler costs about 55 ns a factor and the
+recursion at m_max = 2 about 27 ns, and the whole hybrid draw about 110 ns
+(timeit, best of 45 runs of 30 calls, on a 2-core x86-64 box).  Every step
+after the uniforms runs in place on arrays of the batch, so the draw makes
+few full-size temporaries.
 
 ``_mc_estimate`` is the one Monte-Carlo driver and ``_verblunsky_draw`` its one
 sampler.  It serves :func:`mc_moment` (the bare Z'^k) and
 ``hybrid.mc_hybrid_moment`` (Z'^k weighted by the hybrid model's Fourier sum).
 The tests' independent references, QR+eig Haar matrices with the statistic
-taken at their eigenangles, a rejection sampler of the weighted factors and
-Szegő's recursion with the phase of Phi_i(1) summed, live in
+taken at their eigenangles, a rejection sampler of the weighted factors,
+Szegő's recursion with the phase of Phi_i(1) summed, and the draw with a fresh
+array for every step (the bit-for-bit reference of this one), live in
 ``tests/oracles.py``.
 """
 
@@ -55,9 +58,9 @@ from .errors import AdmissibilityError, DomainError, PoleError
 from .specfun import log_gamma_ratio
 
 # Verblunsky factors drawn at once by _verblunsky_draw.  Each takes five
-# uniforms; at the peak a draw holds about 20 float temporaries a factor
-# (21 with the hybrid sum's unit phases), about 5 MB a batch; at 2^16 the
-# batch outgrew the cache and a factor cost about a third more
+# uniforms; at the peak a draw holds about 12 floats a factor, 14 with the
+# hybrid sum's recursion (tracemalloc at N = 8), about 3 MB a batch; at 2^16
+# the batch outgrew the cache and a factor cost about a third more
 _FACTOR_BATCH = 1 << 15
 _TWO_PI = 2.0 * math.pi
 _HALF_PI = 0.5 * math.pi
@@ -142,9 +145,10 @@ def _turn(u):
     numpy's cos and sin cost a third of what they do on [0, 2 pi); the result
     is within 1e-15 of cos and sin of 2 pi u.
     """
-    quarters = 4.0 * u
-    q = np.rint(quarters)
-    beta = _HALF_PI * (quarters - q)
+    beta = np.multiply(4.0, u)
+    q = np.rint(beta)
+    beta -= q
+    beta *= _HALF_PI
     out = np.empty(np.shape(u), dtype=complex)
     np.cos(beta, out=out.real)
     np.sin(beta, out=out.imag)
@@ -170,7 +174,9 @@ def _weighted_verblunsky(j, rng):
     with alpha = 2 pi u_4, so e^{i omega} = (c + i sqrt(1 - c^2))^2; the
     uniform phase is alpha itself, and u_3 picks between the two.  e^{i alpha}
     comes from :func:`_turn`, by quadrants.  Five uniforms a factor, in one
-    ``rng.random`` call, and no loop that depends on the draws.
+    ``rng.random`` call, and no loop that depends on the draws.  The steps
+    after it run in place on the uniforms' array, and the index arithmetic
+    runs once per column of a ``j`` broadcast along its rows.
 
     gamma = 1 cannot occur: Re gamma < 1.  Where r < 1 that is plain.  Where
     r = 1 (always at j = 0, and by rounding when 1 - b < 2^-53) the uniform
@@ -179,20 +185,44 @@ def _weighted_verblunsky(j, rng):
     """
     j = np.asarray(j)
     u = rng.random((5,) + j.shape)
+    # the index arithmetic once per column where j is a broadcast, as the draw passes it
+    j = j[tuple(slice(0, 1) if stride == 0 else slice(None) for stride in j.strides)]
     # 1 - u is uniform on (0, 1]: no log of 0 and W <= 1 at u = 0
-    log_w = np.minimum(np.log((j + 2) * (1.0 - u[1])) / (j + 1), 0.0)
-    log_1mb = np.where(j == 0, -np.inf, np.log1p(-u[0]) / np.maximum(j, 1) + log_w)
-    b = -np.expm1(log_1mb)
-    r = np.sqrt(b)
+    log_w = np.subtract(1.0, u[1], out=u[1])
+    log_w *= j + 2.0
+    np.log(log_w, out=log_w)
+    log_w /= j + 1.0
+    np.minimum(log_w, 0.0, out=log_w)
+    b = np.negative(u[0], out=u[0])
+    np.log1p(b, out=b)
+    b /= np.maximum(j, 1.0)
+    b += log_w
+    # log(1 - b) = -inf at j = 0, on every row of an axis j is broadcast along
+    at_zero = np.nonzero(j == 0)
+    b[tuple(slice(None) if size == 1 else at for size, at in zip(j.shape, at_zero))] = -np.inf
+    np.expm1(b, out=b)
+    np.negative(b, out=b)
+    r = np.sqrt(b, out=log_w)
     e_alpha = _turn(u[3])
     cos_a, sin_a = e_alpha.real, e_alpha.imag
-    c = np.sqrt(u[4]) * cos_a
-    uniform = u[2] * (1.0 + b) < (1.0 - r) ** 2
-    cos_w = np.where(uniform, cos_a, 2.0 * c * c - 1.0)
-    sin_w = np.where(uniform, sin_a, 2.0 * c * np.sqrt((1.0 - c) * (1.0 + c)))
-    gam = np.empty(j.shape, dtype=complex)
-    np.multiply(r, cos_w, out=gam.real)
-    np.multiply(r, sin_w, out=gam.imag)
+    c = np.sqrt(u[4], out=u[4])
+    c *= cos_a
+    # the uniform phase where u_3 (1 + b) < (1 - r)^2
+    lhs = np.add(1.0, b, out=b)
+    lhs *= u[2]
+    one_mr = np.subtract(1.0, r, out=u[2])
+    uniform = np.less(lhs, np.square(one_mr, out=one_mr))
+    # the weighted phase: cos omega = 2 c^2 - 1, sin omega = 2 c sqrt((1 - c)(1 + c))
+    cos_w = np.multiply(2.0, c, out=u[0])
+    sin_w = np.subtract(1.0, c, out=u[2])
+    sin_w *= np.add(1.0, c, out=u[3])
+    np.sqrt(sin_w, out=sin_w)
+    sin_w *= cos_w
+    cos_w *= c
+    cos_w -= 1.0
+    gam = np.empty(u.shape[1:], dtype=complex)
+    np.multiply(r, np.where(uniform, cos_a, cos_w), out=gam.real)
+    np.multiply(r, np.where(uniform, sin_a, sin_w), out=gam.imag)
     return gam
 
 
@@ -225,16 +255,26 @@ def _szego_power_sums(gam, unit, m_max):
     g = np.multiply(w_bar, gam[:, ::-1].T, order="C")  # conj(w_i) gamma_i
     top = np.zeros((m_max + 1, b), dtype=complex)
     top[0] = 1.0
-    cbot = top.copy()
-    shifted = np.zeros_like(top)  # C_{t-1}, with C_{-1} = 0
-    tmp = np.empty_like(top)
-    for wb, w, gi, gi_conj in zip(w_bar, w_bar.conj(), g, g.conj()):
-        shifted[1:] = cbot[:-1]
+    # C_t for t < m_max: C_{m_max} would feed only T_{m_max + 1}.  But at
+    # least two rows: numpy multiplies a lone complex element without the
+    # fused multiply-add of its vector loop, which would move the last bits
+    # of a one-row batch
+    rows = max(m_max, 2)
+    shifted = np.zeros((rows + 1, b), dtype=complex)  # C_{t-1}, with C_{-1} = 0
+    shifted[1] = 1.0
+    cbot = np.empty_like(shifted[1:])
+    tmp = np.empty_like(shifted)
+    w, gi_conj = np.empty(b, dtype=complex), np.empty(b, dtype=complex)
+    for wb, gi in zip(w_bar, g):
+        # conj(w_i) and conj(g_i) a row at a time
+        np.conj(wb, out=w)
+        np.conj(gi, out=gi_conj)
         # in place, C first: it reads the T of step i
-        np.multiply(w, shifted, out=cbot)
-        cbot -= np.multiply(gi_conj, top, out=tmp)
+        np.multiply(w, shifted[:-1], out=cbot)
+        cbot -= np.multiply(gi_conj, top[:rows], out=tmp[:rows])
         top *= wb
-        top -= np.multiply(gi, shifted, out=tmp)
+        top -= np.multiply(gi, shifted[: m_max + 1], out=tmp[: m_max + 1])
+        shifted[1:] = cbot
     top /= top[0]
     p = np.zeros((m_max + 1, b), dtype=complex)
     for m in range(1, m_max + 1):
@@ -258,15 +298,26 @@ def _verblunsky_draw(n, k, count, rng, s_coeffs=(), factors=_weighted_verblunsky
     """
     b = min(count, max(1, _FACTOR_BATCH // n))
     gam = factors(np.broadcast_to(np.arange(n - 1), (b, n - 1)), rng)
-    fac = 1.0 - gam
-    abs_sq = fac.real**2 + fac.imag**2
+    # 1 - gamma as two contiguous parts: arctan2 on the strided parts of a
+    # complex array costs twice as much.  The imaginary part is 0 - Im gamma,
+    # as complex subtraction takes it: +0, not -0, where Im gamma = 0
+    re = np.subtract(1.0, gam.real)
+    im = np.subtract(0.0, gam.imag)
+    abs_sq = np.square(re)
+    scratch = np.square(im)
+    abs_sq += scratch
     # the principal log by real parts: numpy's complex log is many times slower
-    log_abs = 0.5 * np.log(abs_sq).sum(axis=1)
-    arg = np.arctan2(fac.imag, fac.real).sum(axis=1)
+    arg = np.arctan2(im, re, out=scratch).sum(axis=1)
+    if len(s_coeffs):
+        np.divide(1.0, np.sqrt(abs_sq, out=scratch), out=scratch)
+        unit = np.empty_like(gam)  # (1 - gamma)/|1 - gamma|
+        np.multiply(re, scratch, out=unit.real)
+        np.multiply(im, scratch, out=unit.imag)
+    log_abs = 0.5 * np.log(abs_sq, out=abs_sq).sum(axis=1)
+    del re, im, abs_sq, scratch  # freed before the recursion, which sets the batch's peak
     logs = 1j * math.pi * k / 2.0 + k * (log_abs + 1j * arg)
     if len(s_coeffs):
         s = np.asarray(s_coeffs, dtype=complex)
-        unit = fac * (1.0 / np.sqrt(abs_sq))
         # an elementwise sum, not a BLAS product: BLAS threads left spinning slow the next draw
         logs = logs + s.sum() + (_szego_power_sums(gam, unit, len(s)) * s).sum(axis=1)
     return np.exp(logs)

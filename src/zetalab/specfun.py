@@ -381,9 +381,9 @@ def hardy_z_em_error(t):
     Both remainders are proven below 1e-15 (:func:`_em_depth`), so Z = Re e^{i theta}
     zeta misses by at most 1e-15 through them, and Z' = -Im e^{i theta}(theta' zeta
     + zeta') by (theta' + 1) 1e-15.  The rounding of the main sum is larger and
-    not proven: eta_0 adds 3 eps t log M for it, M = 30 + ceil(t/pi), and
-    eta_1 = ((1/2) log(t/2pi) + log M) eta_0, since zeta' weighs each term by
-    log n and theta' < (1/2) log(t/2pi).
+    not proven: eta_0 adds 3 eps t log M for it, M = 30 + ceil(t/pi) from
+    :func:`_cutoff`, and eta_1 = ((1/2) log(t/2pi) + log M) eta_0, since
+    zeta' weighs each term by log n and theta' < (1/2) log(t/2pi).
     Against 28-digit mpmath, Z at every third Newton point of
     ``compute_zeros(1e4)`` from t = 2000 on (2,875 points, in the refinement's
     own chunks) is off by at most 1.06 eps t log M, median 0.11: the
@@ -391,7 +391,7 @@ def hardy_z_em_error(t):
     t = 1000 and 5.4e-11 at 1e4.  Arrays in, arrays out.
     """
     t = np.asarray(t, dtype=float)
-    log_m = np.log(30.0 + np.ceil(t / math.pi))
+    log_m = np.log(_cutoff(t))
     eta_0 = _EM_TOL + _EM_Z_ROUNDING * t * log_m
     return eta_0, (0.5 * np.log(t / _TWO_PI) + log_m) * eta_0
 
@@ -408,7 +408,7 @@ def hardy_z_second_bound(t, half_width):
     the segment (by 1/(48 t^2) to leading order, every term of its series
     negative), and theta''(t) = 1/(2t) + 1/(24 t^3) + ... is at most 1/t from
     t = 7 on, so |Z''| <= (1/(t-h) + l^2) |zeta| + 2 l |zeta'| + |zeta''|.
-    With M = 30 + ceil(t/pi), the cutoff
+    With M = 30 + ceil(t/pi), the cutoff (:func:`_cutoff`)
     :func:`zeta_and_deriv` gives a chunk whose highest point is t (the
     formula holds at every M), let K bound |zeta| on the disc
     |w - s| <= r = 1/log M.  Each point s' of the segment has the disc of
@@ -433,7 +433,7 @@ def hardy_z_second_bound(t, half_width):
     broadcast; array result.
     """
     t, h = np.asarray(t, dtype=float), np.asarray(half_width, dtype=float)
-    m = 30.0 + np.ceil(t / math.pi)
+    m = _cutoff(t)
     log_m = np.log(m)
     r = 1.0 / log_m
     a = 0.5 - r
@@ -582,8 +582,8 @@ def _em_corrections(s, m_cut, depth, want_deriv):
 
 
 def _cutoff(t):
-    """The main-sum cutoff M for heights |Im s| <= t."""
-    return 30 + math.ceil(t / math.pi)
+    """The main-sum cutoff M for heights |Im s| <= t, as a float (array)."""
+    return 30.0 + np.ceil(np.divide(t, math.pi))
 
 
 def _zeta_em(s, want_deriv):
@@ -614,8 +614,8 @@ def _zeta_em(s, want_deriv):
     lo = 0
     while lo < flat.size:
         hi = min(lo + _EM_CHUNK, flat.size)
-        hi = min(hi, lo + _TABLE_ENTRIES // (_cutoff(heights[hi - 1]) - 1))
-        m_cut = _cutoff(heights[hi - 1])
+        hi = min(hi, lo + _TABLE_ENTRIES // (int(_cutoff(heights[hi - 1])) - 1))
+        m_cut = int(_cutoff(heights[hi - 1]))
         idx = order[lo:hi]
         chunk = flat[idx]
         depth = _em_depth(np.abs(chunk), chunk.real, m_cut)

@@ -49,6 +49,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +89,12 @@ class ZeroList:
             raise ValueError("zero ordinates must be strictly increasing and positive")
         if len(g) and g[-1] > self.t_max:
             raise ValueError("zero ordinates exceed the covered height")
+
+    @cached_property
+    def text(self):
+        """The table as the cache and ``zeros compute --out`` write it: one
+        ``%.11f`` line an ordinate, formatted once for both."""
+        return ("%.11f\n" * len(self.gammas)) % tuple(self.gammas.tolist())
 
     def below(self, t):
         """Ordinates with gamma <= t."""
@@ -382,10 +389,6 @@ def _write_atomic(path, text):
         raise
 
 
-def _format_table(gammas):
-    return "".join(f"{g:.11f}\n" for g in gammas)
-
-
 def compute_zeros(t_max, cache_dir=None):
     """All zero ordinates in (0, t_max], bracketed to 1e-11, with a certified count.
 
@@ -421,9 +424,8 @@ def compute_zeros(t_max, cache_dir=None):
     result = ZeroList(gammas=np.sort(gammas), t_max=float(t_max), source="computed")
     if cache_dir:
         Path(cache_dir).mkdir(parents=True, exist_ok=True)
-        text = _format_table(result.gammas)
-        _write_atomic(path, text)
-        _write_atomic(digest_path, hashlib.sha256(text.encode()).hexdigest() + "\n")
+        _write_atomic(path, result.text)
+        _write_atomic(digest_path, hashlib.sha256(result.text.encode()).hexdigest() + "\n")
     return result
 
 

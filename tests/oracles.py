@@ -13,6 +13,9 @@ None of these runs on a path of the package itself:
   of ``arithmetic.a_coeffs``'s convolution;
 * :func:`a1_term` and :func:`b1_term`, the twisted moment's A1(1, m) and
   B1(m, T) at one m from the factorization of m;
+* :func:`p_x_euler_trial_division`, P_X by the exponential form with its
+  prime powers found by trial division of every n <= X, the bit-for-bit
+  reference of ``arithmetic.p_x_euler``'s walk over the sieve's primes;
 * :func:`px_support_sum` and :func:`twisted_support_sum`, the m-sums of
   ``px_mean`` and ``twisted_first_moment`` term by term over the support of
   ``arithmetic.a_coeffs``, the references of their closed forms over the
@@ -29,6 +32,9 @@ None of these runs on a path of the package itself:
 * :func:`szego_power_sums_phase`, Szegő's recursion with the phase of
   Phi_i(1) summed from the factors' args, the reference of
   ``rmt._szego_power_sums``'s rotated frame;
+* :func:`weighted_verblunsky_allocating`, :func:`szego_power_sums_allocating`
+  and :func:`verblunsky_draw_allocating`, the Monte-Carlo draw with a fresh
+  array for every step, the bit-for-bit references of ``rmt``'s in-place draw;
 * :func:`em_main_sums`, the Euler-Maclaurin main sums with one exp per term,
   the reference of ``specfun._main_sums``'s multiplicative table;
 * :func:`em_depth_loop`, the Euler-Maclaurin depth by a loop over p, the
@@ -51,9 +57,9 @@ import numpy as np
 from scipy.integrate import quad
 
 from zetalab.errors import CapabilityError, DomainError
-from zetalab.arithmetic import factorize, prime_power_sums
+from zetalab.arithmetic import factorize, prime_power_sums, von_mangoldt
 from zetalab.hybrid import _by_parts_nodes, _panel_count, _u_nodes, u_weight
-from zetalab.rmt import _require_grid
+from zetalab.rmt import _FACTOR_BATCH, _require_grid, _turn
 from zetalab.specfun import (
     _EM_COEFFS,
     _EM_LOG_TOL,
@@ -206,6 +212,21 @@ def b1_term(m, t_height):
         raise DomainError("B1 requires m >= 2")
     b0, b1 = _b1_parts(factorize(m))
     return b0 + b1 * math.log(t_height / _TWO_PI)
+
+
+def p_x_euler_trial_division(s, k, x_cutoff):
+    """``arithmetic.p_x_euler``: exp(k sum_{n<=X} Lambda(n)/(log n n^s)), Lambda by trial division."""
+    k = complex(k)
+    arr = np.asarray(s, dtype=complex)
+    scalar = arr.ndim == 0
+    n_max = int(x_cutoff)
+    acc = np.zeros(arr.shape, dtype=complex)
+    for n in range(2, n_max + 1):
+        lam = von_mangoldt(n)
+        if lam:
+            acc = acc + (lam / math.log(n)) * np.exp(-arr * math.log(n))
+    out = np.exp(k * acc)
+    return out.item() if scalar else out
 
 
 def px_support_sum(poly):
@@ -430,6 +451,76 @@ def szego_power_sums_phase(gam, m_max):
     for m in range(1, m_max + 1):
         p[m] = -(m * top[m] + sum(top[t] * p[m - t] for t in range(1, m)))
     return p[1:].T
+
+
+# The Monte-Carlo draw with a fresh array for every step, as it was before rmt
+# took its steps in place and dropped the arrays no later step reads: the
+# bit-for-bit references of rmt._weighted_verblunsky, rmt._szego_power_sums
+# and rmt._verblunsky_draw.
+
+
+def weighted_verblunsky_allocating(j, rng):
+    """``rmt._weighted_verblunsky``: one weighted gamma_j per entry of ``j``, by inversion."""
+    j = np.asarray(j)
+    u = rng.random((5,) + j.shape)
+    # 1 - u is uniform on (0, 1]: no log of 0 and W <= 1 at u = 0
+    log_w = np.minimum(np.log((j + 2) * (1.0 - u[1])) / (j + 1), 0.0)
+    log_1mb = np.where(j == 0, -np.inf, np.log1p(-u[0]) / np.maximum(j, 1) + log_w)
+    b = -np.expm1(log_1mb)
+    r = np.sqrt(b)
+    e_alpha = _turn(u[3])
+    cos_a, sin_a = e_alpha.real, e_alpha.imag
+    c = np.sqrt(u[4]) * cos_a
+    uniform = u[2] * (1.0 + b) < (1.0 - r) ** 2
+    cos_w = np.where(uniform, cos_a, 2.0 * c * c - 1.0)
+    sin_w = np.where(uniform, sin_a, 2.0 * c * np.sqrt((1.0 - c) * (1.0 + c)))
+    gam = np.empty(j.shape, dtype=complex)
+    np.multiply(r, cos_w, out=gam.real)
+    np.multiply(r, sin_w, out=gam.imag)
+    return gam
+
+
+def szego_power_sums_allocating(gam, unit, m_max):
+    """``rmt._szego_power_sums``: the roots' power sums by the rotated Szegő recursion."""
+    b = gam.shape[0]
+    # one contiguous row a step: strided rows cost a third more
+    w_bar = np.conj(unit[:, ::-1].T, order="C")
+    g = np.multiply(w_bar, gam[:, ::-1].T, order="C")  # conj(w_i) gamma_i
+    top = np.zeros((m_max + 1, b), dtype=complex)
+    top[0] = 1.0
+    cbot = top.copy()
+    shifted = np.zeros_like(top)  # C_{t-1}, with C_{-1} = 0
+    tmp = np.empty_like(top)
+    for wb, w, gi, gi_conj in zip(w_bar, w_bar.conj(), g, g.conj()):
+        shifted[1:] = cbot[:-1]
+        # in place, C first: it reads the T of step i
+        np.multiply(w, shifted, out=cbot)
+        cbot -= np.multiply(gi_conj, top, out=tmp)
+        top *= wb
+        top -= np.multiply(gi, shifted, out=tmp)
+    top /= top[0]
+    p = np.zeros((m_max + 1, b), dtype=complex)
+    for m in range(1, m_max + 1):
+        p[m] = -(m * top[m] + sum(top[t] * p[m - t] for t in range(1, m)))
+    return p[1:].T
+
+
+def verblunsky_draw_allocating(n, k, count, rng, s_coeffs=(), factors=weighted_verblunsky_allocating):
+    """``rmt._verblunsky_draw``: up to ``count`` samples of the Z'^k statistic."""
+    b = min(count, max(1, _FACTOR_BATCH // n))
+    gam = factors(np.broadcast_to(np.arange(n - 1), (b, n - 1)), rng)
+    fac = 1.0 - gam
+    abs_sq = fac.real**2 + fac.imag**2
+    # the principal log by real parts: numpy's complex log is many times slower
+    log_abs = 0.5 * np.log(abs_sq).sum(axis=1)
+    arg = np.arctan2(fac.imag, fac.real).sum(axis=1)
+    logs = 1j * math.pi * k / 2.0 + k * (log_abs + 1j * arg)
+    if len(s_coeffs):
+        s = np.asarray(s_coeffs, dtype=complex)
+        unit = fac * (1.0 / np.sqrt(abs_sq))
+        # an elementwise sum, not a BLAS product: BLAS threads left spinning slow the next draw
+        logs = logs + s.sum() + (szego_power_sums_allocating(gam, unit, len(s)) * s).sum(axis=1)
+    return np.exp(logs)
 
 
 def zprime_pow_rows(angle_rows, col_index, k, s_coeffs):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import divisor_general
+from oracles import divisor_general, p_x_euler_trial_division
 
 from zetalab import arithmetic
 from zetalab.errors import CapabilityError, DomainError
@@ -202,6 +202,16 @@ class TestPxPow:
         product = arithmetic.p_x_pow(s, 1.0, p_plus) * arithmetic.p_x_pow(s, -1.0, p_minus)
         assert abs(product - 1.0) < p_plus.tail_bound() + p_minus.tail_bound()
         assert abs(product - 1.0) < 1e-2
+
+    @pytest.mark.parametrize("x", [math.log(5000.0), math.e**4, 1e3, 1e4])
+    def test_euler_walks_the_sieve_as_trial_division_found_it(self, stored_table_5000, x):
+        # the prime powers from the sieve, in ascending n with the same
+        # coefficient log p / log n: every P_X value bit for bit, a 0-d s too
+        s = 0.5 + 1j * stored_table_5000[::15]
+        assert s.size > 300
+        for k in (1.0, -1.0, 0.5 + 1j):
+            assert np.array_equal(arithmetic.p_x_euler(s, k, x), p_x_euler_trial_division(s, k, x))
+        assert arithmetic.p_x_euler(s[7], 1.0, x) == p_x_euler_trial_division(s[7], 1.0, x)
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 1.0])
     def test_euler_cutoff_must_be_finite_and_at_least_two(self, x):

@@ -339,6 +339,16 @@ class TestZerosSubcommands:
         _, rows, _ = read_outputs(tmp_path / "x")
         assert float(rows[0]["empirical_re"]) < 1e-6  # max |delta gamma|
 
+    def test_cache_and_out_file_hold_the_same_bytes(self, tmp_path, monkeypatch):
+        # the table is formatted once, for both files, as one %.11f line an ordinate
+        monkeypatch.setenv(zeros.CACHE_ENV, str(tmp_path / "cache"))
+        out_file = tmp_path / "computed.txt"
+        assert run_cli(["--output-dir", tmp_path / "c", "zeros", "compute", "--t-max", 1000, "--out", out_file]) == 0
+        cached = (tmp_path / "cache" / "zeros_t1000.txt").read_bytes()
+        gammas = zeros.compute_zeros(1000, cache_dir=False).gammas
+        assert len(gammas) == 649
+        assert out_file.read_bytes() == cached == "".join(f"{g:.11f}\n" for g in gammas).encode()
+
     def test_compute_count_is_certified(self, tmp_path, monkeypatch):
         # round(theta/pi + 1) says 51 here; N(145.6793) is 50
         monkeypatch.delenv(zeros.CACHE_ENV, raising=False)

@@ -12,7 +12,10 @@ from scipy.stats import ks_2samp
 
 from oracles import (
     haar_angle_batch,
+    szego_power_sums_allocating,
     szego_power_sums_phase,
+    verblunsky_draw_allocating,
+    weighted_verblunsky_allocating,
     weighted_verblunsky_rejection,
     weyl_average,
     weyl_oracle_tensor_grid,
@@ -616,3 +619,42 @@ class TestSzegoPowerSums:
         gam = rmt._weighted_verblunsky(np.broadcast_to(np.arange(n - 1), (2000, n - 1)), np.random.default_rng(70 + n))
         p = rmt._szego_power_sums(gam, _unit(gam), m_max)
         assert np.abs(p - szego_power_sums_phase(gam, m_max)).max() < 1e-13
+
+
+def _all_draws(draw, n, count, seed, s_coeffs):
+    """Every sample a Monte-Carlo worker draws for ``count`` samples, batch by batch."""
+    rng = np.random.default_rng(seed)
+    batches = []
+    while (done := sum(map(len, batches))) < count:
+        batches.append(draw(n, 0.5 + 0.5j, count - done, rng, s_coeffs=s_coeffs))
+    return batches
+
+
+class TestDrawBitIdentity:
+    # the in-place draw against the same draw with a fresh array for every
+    # step (tests/oracles.py): every operation on every element is the same,
+    # so the samples agree bit for bit, a partial last batch included
+    _WEIGHTS = (0.3 - 0.2j, 0.1, -0.05j)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 64, 200])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_draws(self, n, m):
+        for count in (5, 300, 4097, 20_000):
+            seed = 1000 * n + 10 * m + count
+            new = _all_draws(rmt._verblunsky_draw, n, count, seed, self._WEIGHTS[:m])
+            ref = _all_draws(verblunsky_draw_allocating, n, count, seed, self._WEIGHTS[:m])
+            assert len(new) == len(ref)
+            assert all(np.array_equal(a, b) for a, b in zip(new, ref)), count
+
+    @pytest.mark.parametrize("j", [0, 1, 5, 40])
+    def test_factors_on_a_1d_index(self, j):
+        # the 1-D index arrays the factor tests pass, one j and a mixed one
+        rng, ref_rng = np.random.default_rng(50 + j), np.random.default_rng(50 + j)
+        for index in (np.full(1000, j), np.arange(j + 1), np.zeros((50, 1), dtype=int) + j):
+            assert np.array_equal(rmt._weighted_verblunsky(index, rng), weighted_verblunsky_allocating(index, ref_rng))
+
+    @pytest.mark.parametrize("m_max", [1, 2, 3])
+    def test_power_sums(self, m_max):
+        gam = rmt._weighted_verblunsky(np.broadcast_to(np.arange(7), (300, 7)), np.random.default_rng(51))
+        unit = _unit(gam)
+        assert np.array_equal(rmt._szego_power_sums(gam, unit, m_max), szego_power_sums_allocating(gam, unit, m_max))

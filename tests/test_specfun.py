@@ -628,6 +628,30 @@ class TestHardyZEmError:
         assert np.all(eta_1 > 5 * eta_0)
 
 
+class TestCutoffRule:
+    _T = np.array([15.0, 100.0, 999.9, 1000.0, 5000.0, 1e4])
+
+    def test_bounds_take_the_cutoff_of_the_sums(self, monkeypatch):
+        # the stated and the proven bound both read M from _cutoff: a change to
+        # the cutoff moves both, and under it both still come to its own M
+        h = 0.01
+        eta_0, eta_1 = specfun.hardy_z_em_error(self._T)
+        second = specfun.hardy_z_second_bound(self._T, h)
+        real = specfun._cutoff
+        monkeypatch.setattr(specfun, "_cutoff", lambda t: 2.0 * real(t))
+        moved_0, moved_1 = specfun.hardy_z_em_error(self._T)
+        moved_second = specfun.hardy_z_second_bound(self._T, h)
+        assert np.all(moved_0 > eta_0) and np.all(moved_1 > eta_1)
+        assert np.all(moved_second != second)
+        m = 2.0 * (30.0 + np.ceil(self._T / math.pi))
+        assert np.array_equal(moved_0, specfun._EM_TOL + 3 * np.finfo(float).eps * self._T * np.log(m))
+
+    def test_cutoff_as_the_sums_took_it(self):
+        # bit for bit the rule each chunk used: 30 + ceil(t/pi), also for an array
+        assert np.array_equal(specfun._cutoff(self._T), [30 + math.ceil(t / math.pi) for t in self._T])
+        assert specfun._cutoff(1000.0) == 349
+
+
 class TestHardyZRiemannSiegel:
     def test_within_gabcke_bound_of_euler_maclaurin(self):
         # log-uniform over the whole range; measured error / bound <= 0.015
