@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, DomainError
-from .powerseries import binomial_series, exp_series_coeffs
+from .powerseries import exp_series_coeffs
 
 _SMOOTH_BUDGET = 5_000_000
 # Largest prime cutoff X: the sieve and the prime sums grow with X, and at
@@ -82,27 +82,6 @@ class DirichletPoly:
     m: np.ndarray
     a: np.ndarray
     m_max: int
-
-    def coeff(self, m):
-        idx = np.searchsorted(self.m, m)
-        if idx < len(self.m) and self.m[idx] == m:
-            return complex(self.a[idx])
-        return 0j
-
-    def tail_bound(self):
-        """Bound on |sum_{smooth m > m_max} a_k(m) m^{-1/2}|.
-
-        Uses |a_k(m)| <= d_{|k|}(m): the full smooth Euler product of
-        d_{|k|}(m) m^{-1/2} minus the part captured by the support.  Per prime,
-        d_{|k|}(p^r) is the coefficient of z^r in (1 - z)^{-|k|}.
-        """
-        kk = abs(complex(self.k))
-        primes = [int(p) for p in sieve_primes(int(self.x_cutoff))]
-        full = math.prod((1.0 - p**-0.5) ** (-kk) for p in primes)
-        tables = [binomial_series(-kk, _prime_power_limit(p, self.m_max) + 1) for p in primes]
-        m, d = _smooth_expand(primes, tables, self.m_max)
-        captured = np.sum(np.abs(d) / np.sqrt(m))
-        return max(full - captured, 0.0)
 
 
 def _prime_power_limit(p, x_cutoff):

@@ -142,8 +142,8 @@ def _run_hybrid_fourier_check(cfg):
 def _run_hybrid_mc(cfg):
     params = _hybrid_params(cfg, cfg["n"])
     k = parse_complex(cfg["k"])
+    heine = toeplitz.es_comparison(k, params).expectation  # first: it refuses an N the series cannot serve
     est = hybrid.mc_hybrid_moment(params, k, cfg["samples"], cfg["seed"], workers=cfg["workers"])
-    heine = toeplitz.es_comparison(k, params).expectation
     return [_row("hybrid-mc", k=cfg["k"], x=params.x_cutoff, empirical=est.mean, predicted=heine,
                  se_re=est.se_re, se_im=est.se_im, n=params.n)]
 
@@ -265,12 +265,25 @@ def _spec(spec):
     return spec if isinstance(spec, tuple) else (spec, _REQUIRED)
 
 
+def _cast(field, typ, value):
+    """value as the field's type.  ValueError names the field for a bool (no
+    field is one), a non-integral number for an int field (an integral float
+    such as 1e6 is taken) and any value the type refuses, such as the flag
+    text "1.5" for an int field."""
+    if not (isinstance(value, bool) or typ is int and isinstance(value, float) and not value.is_integer()):
+        try:
+            return typ(value)
+        except (TypeError, ValueError):
+            pass
+    wanted = "an integer" if typ is int else f"a {typ.__name__}"
+    raise ValueError(f"field {field!r} needs {wanted}, got {value!r}")
+
+
 def _resolve(name, args):
     """The run's config: the field defaults, then the --config file, then the
-    flags, each cast once to its field's type.  ValueError names a key that is
-    no field, a missing required field, a bool given for any field (no field
-    is one), or a non-integral number given for an int field (an integral
-    float such as 1e6 is taken)."""
+    flags (their text), each cast once by :func:`_cast`.  ValueError names a
+    key that is no field, a missing required field, or a value its field's
+    type refuses."""
     fields = _SUBCOMMANDS[name][1] | _GLOBAL_FIELDS
     path = args.pop("config")
     given = json.loads(Path(path).read_text()) if path else {}
@@ -286,10 +299,7 @@ def _resolve(name, args):
         value = given.pop(field, default)
         if value is _REQUIRED:
             raise ValueError(f"missing field {field!r}")
-        if isinstance(value, bool) or typ is int and isinstance(value, float) and not value.is_integer():
-            wanted = "an integer" if typ is int else f"a {typ.__name__}"
-            raise ValueError(f"field {field!r} needs {wanted}, got {value!r}")
-        cfg[field] = None if value is None else typ(value)
+        cfg[field] = None if value is None else _cast(field, typ, value)
     return cfg
 
 
@@ -371,7 +381,7 @@ def _parser():
     parser = argparse.ArgumentParser(prog="zetalab", description=__doc__)
     parser.add_argument("--config", help="JSON config file; CLI flags override its fields")
     parser.add_argument("--output-dir", help="directory for results.csv/results.json/manifest.json")
-    parser.add_argument("--workers", type=int, help="worker processes for Monte-Carlo sampling")
+    parser.add_argument("--workers", help="int, worker processes for Monte-Carlo sampling")
     subparsers = {"": parser.add_subparsers(dest="subcommand", required=True)}
     for name, (_, fields) in _SUBCOMMANDS.items():
         command, _, action = name.partition(" ")
@@ -379,11 +389,11 @@ def _parser():
             actions = subparsers[""].add_parser(command).add_subparsers(dest="action", required=True)
             subparsers[command] = actions
         p = subparsers[command if action else ""].add_parser(action or command)
+        # no type=: the flags stay text, and _resolve casts them as it casts the config file
         for field, spec in fields.items():
             typ, default = _spec(spec)
             more = "required" if default is _REQUIRED else "" if default is None else f"default {default}"
-            p.add_argument("--" + field.replace("_", "-"), type=typ,
-                           help=", ".join(filter(None, (typ.__name__, more))))
+            p.add_argument("--" + field.replace("_", "-"), help=", ".join(filter(None, (typ.__name__, more))))
     return parser
 
 

@@ -92,10 +92,6 @@ class SmoothingSpec:
         self.y_sharpness = float(y_sharpness)
         self.normalization = float(_bump_integral(1.0))
 
-    def bump(self, x):
-        """The mass-1 bump f on [0, 1]."""
-        return _raw_bump(x) / self.normalization
-
     def bump_cdf(self, x):
         """CDF of the bump, clamped to [0, 1] outside the support."""
         x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
@@ -125,17 +121,6 @@ class HybridParams:
     @property
     def log_x(self):
         return math.log(self.x_cutoff)
-
-
-def u_weight(y, spec):
-    """The mass-1 weight u(y) = Y f(Y log(y/e) + 1)/y, zero outside [e^{1-1/Y}, e]."""
-    arr = np.asarray(y, dtype=float)
-    scalar = arr.ndim == 0
-    if np.any(arr <= 0.0):
-        raise DomainError("u_weight requires y > 0")
-    yy = spec.y_sharpness
-    out = yy * spec.bump(yy * (np.log(arr) - 1.0) + 1.0) / arr
-    return float(out) if scalar else out
 
 
 def mass_above(v, spec):

@@ -40,8 +40,9 @@ point.
 
 Computed lists are cached on disk (one ordinate per line, the same plain-text
 format the loader ingests) under the directory named by the ``ZETALAB_CACHE``
-environment variable, keyed by the exact height, with a SHA-256 digest that
-is checked on every read; both files are written atomically.
+environment variable, the one cache switch: unset or empty, nothing is read
+or written.  Each table is keyed by the exact height, with a SHA-256 digest
+that is checked on every read; both files are written atomically.
 """
 
 import hashlib
@@ -79,14 +80,15 @@ CACHE_ENV = "ZETALAB_CACHE"
 class ZeroList:
     """Ordered zero ordinates up to a covered height, with provenance."""
 
-    gammas: np.ndarray  # strictly increasing positive reals
+    gammas: np.ndarray  # strictly increasing positive finite reals
     t_max: float
     source: str  # "computed" or "ingested:<path>"
 
     def __post_init__(self):
         g = self.gammas
-        if len(g) and (np.any(np.diff(g) <= 0) or g[0] <= 0):
-            raise ValueError("zero ordinates must be strictly increasing and positive")
+        # each comparison is False at nan, so a nan anywhere fails it
+        if len(g) and not (np.all(np.diff(g) > 0) and g[0] > 0 and np.isfinite(g[-1])):
+            raise ValueError("zero ordinates must be strictly increasing, positive and finite")
         if len(g) and g[-1] > self.t_max:
             raise ValueError("zero ordinates exceed the covered height")
 
@@ -389,7 +391,7 @@ def _write_atomic(path, text):
         raise
 
 
-def compute_zeros(t_max, cache_dir=None):
+def compute_zeros(t_max):
     """All zero ordinates in (0, t_max], bracketed to 1e-11, with a certified count.
 
     The scan covers every Rosser block from g_{-1} to the first good Gram
@@ -398,11 +400,12 @@ def compute_zeros(t_max, cache_dir=None):
     van de Lune, te Riele & Winter, Math. Comp. 39 (1982)), so the list holds
     N(t_max) ordinates, the count :func:`zero_count` gives.
 
+    The list is read from and written to the directory that the
+    ``ZETALAB_CACHE`` environment variable names; with it unset or empty
+    there is no cache.
+
     Args:
         t_max: covered height, between 10 and 1e4 (desk scale).
-        cache_dir: directory for the on-disk cache; defaults to the
-            ``ZETALAB_CACHE`` environment variable; pass ``False`` to disable
-            caching outright.
 
     Raises:
         MissingZeroError: if a Rosser block shows too few sign changes even
@@ -410,8 +413,7 @@ def compute_zeros(t_max, cache_dir=None):
     """
     if not 10.0 <= t_max <= 1e4:
         raise DomainError("computed zeros support 10 <= t_max <= 1e4; ingest a table beyond that")
-    if cache_dir is None:
-        cache_dir = os.environ.get(CACHE_ENV)
+    cache_dir = os.environ.get(CACHE_ENV)
     if cache_dir:
         path, digest_path = _cache_paths(cache_dir, t_max)
         cached = _read_cache(path, digest_path)
@@ -433,13 +435,13 @@ def load_zeros(path):
     """Parse a zero table: one decimal ordinate per line, ascending, no header."""
     path = Path(path)
     lines = path.read_text().rstrip("\n").split("\n")
+    source = f"ingested:{path}"
     try:
         arr = np.array(lines, dtype=float)
-    except ValueError:  # a blank or malformed line
-        arr = None
-    if arr is None or not np.all(np.diff(arr, prepend=0.0) > 0):
+        return ZeroList(gammas=arr, t_max=float(arr[-1]), source=source)
+    except ValueError:  # a blank or malformed line, or ordinates that ZeroList refuses
         arr = _parse_lines(path, lines)
-    return ZeroList(gammas=arr, t_max=float(arr[-1]) if len(arr) else 0.0, source=f"ingested:{path}")
+    return ZeroList(gammas=arr, t_max=float(arr[-1]) if len(arr) else 0.0, source=source)
 
 
 def _parse_lines(path, lines):
@@ -462,6 +464,8 @@ def _parse_lines(path, lines):
                 f"({value} after {prev})",
                 line_number=line_no,
             )
+        if value == math.inf:
+            raise ZeroTableParseError(f"{path}:{line_no}: not a finite ordinate: {text!r}", line_number=line_no)
         gammas.append(value)
         prev = value
     return np.array(gammas)

@@ -1,5 +1,4 @@
 import math
-import os
 from pathlib import Path
 
 import numpy as np
@@ -10,27 +9,16 @@ from zetalab import hybrid, zeros
 DATA_DIR = Path(__file__).parent / "data"
 
 
-def _cache_dir(tmp_path_factory):
-    env = os.environ.get(zeros.CACHE_ENV)
-    if env:
-        return Path(env)
-    return tmp_path_factory.mktemp("zeros-cache")
+@pytest.fixture(scope="session")
+def zeros_100():
+    return zeros.compute_zeros(100.0)
 
 
 @pytest.fixture(scope="session")
-def zeros_cache_dir(tmp_path_factory):
-    return _cache_dir(tmp_path_factory)
-
-
-@pytest.fixture(scope="session")
-def zeros_100(zeros_cache_dir):
-    return zeros.compute_zeros(100.0, cache_dir=zeros_cache_dir)
-
-
-@pytest.fixture(scope="session")
-def zeros_5000(zeros_cache_dir):
-    """The big computed list shared by every zeta-side experiment test."""
-    return zeros.compute_zeros(5000.0, cache_dir=zeros_cache_dir)
+def zeros_5000():
+    """The big computed list shared by every zeta-side experiment test, read
+    from and written to ZETALAB_CACHE when that is set."""
+    return zeros.compute_zeros(5000.0)
 
 
 @pytest.fixture(scope="session")

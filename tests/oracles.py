@@ -2,6 +2,8 @@
 
 None of these runs on a path of the package itself:
 
+* :func:`u_weight`, the mass-1 weight u(y) of the hybrid smoothing, the
+  integrand of :func:`kernel_U` and the density behind ``hybrid.mass_above``;
 * :func:`kernel_U`, the hybrid kernel by adaptive quadrature, the reference
   of :func:`kernel_U_batch`'s fixed panels;
 * :func:`kernel_U_batch`, U by parts per z, one E1 and one row of cos and
@@ -11,6 +13,9 @@ None of these runs on a path of the package itself:
   reference of both sums by parts;
 * :func:`divisor_general`, the generalized divisor function, the reference
   of ``arithmetic.a_coeffs``'s convolution;
+* :func:`poly_coeff`, one coefficient a_k(m) of an ``arithmetic.DirichletPoly``,
+  and :func:`tail_bound`, the bound on its truncated series at s = 1/2 by the
+  divisor function d_{|k|}(m);
 * :func:`a1_term` and :func:`b1_term`, the twisted moment's A1(1, m) and
   B1(m, T) at one m from the factorization of m;
 * :func:`p_x_euler_trial_division`, P_X by the exponential form with its
@@ -45,6 +50,8 @@ None of these runs on a path of the package itself:
   chunks of the caller's order, each over a (terms x points) table padded to
   its largest term count, the bit-for-bit reference of
   ``specfun._riemann_siegel``'s row blocks over sorted points;
+* :func:`within`, whether a ``rmt.MomentEstimate`` holds a target inside its
+  componentwise band of standard errors;
 * :func:`weyl_average`, the Weyl integral on U(n), n <= 3, by a sum over the
   tensor grid of n lattice angles, and :func:`weyl_oracle_tensor_grid`, the
   Z'^k oracle as an (n-1)-angle such sum, the reference of
@@ -57,8 +64,16 @@ import numpy as np
 from scipy.integrate import quad
 
 from zetalab.errors import CapabilityError, DomainError
-from zetalab.arithmetic import factorize, prime_power_sums, von_mangoldt
-from zetalab.hybrid import _by_parts_nodes, _panel_count, _u_nodes, u_weight
+from zetalab.arithmetic import (
+    _prime_power_limit,
+    _smooth_expand,
+    factorize,
+    prime_power_sums,
+    sieve_primes,
+    von_mangoldt,
+)
+from zetalab.hybrid import _by_parts_nodes, _panel_count, _raw_bump, _u_nodes
+from zetalab.powerseries import binomial_series
 from zetalab.rmt import _FACTOR_BATCH, _require_grid, _turn
 from zetalab.specfun import (
     _EM_COEFFS,
@@ -76,6 +91,18 @@ _TWO_PI = 2.0 * math.pi
 _U_CHUNK = 256  # z values per kernel_U_batch chunk
 _WEYL_BLOCK = 1 << 16  # grid points evaluated at once by weyl_average
 _RS_CHUNK = 2048  # points per riemann_siegel_chunked chunk
+
+
+def u_weight(y, spec):
+    """The mass-1 weight u(y) = Y f(Y log(y/e) + 1)/y, zero outside [e^{1-1/Y}, e],
+    with f the mass-1 bump on [0, 1]."""
+    arr = np.asarray(y, dtype=float)
+    scalar = arr.ndim == 0
+    if np.any(arr <= 0.0):
+        raise DomainError("u_weight requires y > 0")
+    yy = spec.y_sharpness
+    out = yy * (_raw_bump(yy * (np.log(arr) - 1.0) + 1.0) / spec.normalization) / arr
+    return float(out) if scalar else out
 
 
 def kernel_U(z, spec):
@@ -168,6 +195,30 @@ def divisor_general(k, m):
             val *= (k + i) / (i + 1)
         out *= val
     return out
+
+
+def poly_coeff(poly, m):
+    """a_k(m) of the DirichletPoly ``poly``: 0 off its support."""
+    idx = np.searchsorted(poly.m, m)
+    if idx < len(poly.m) and poly.m[idx] == m:
+        return complex(poly.a[idx])
+    return 0j
+
+
+def tail_bound(poly):
+    """Bound on |sum_{smooth m > m_max} a_k(m) m^{-1/2}| for the DirichletPoly ``poly``.
+
+    Uses |a_k(m)| <= d_{|k|}(m): the full smooth Euler product of
+    d_{|k|}(m) m^{-1/2} minus the part captured by the support.  Per prime,
+    d_{|k|}(p^r) is the coefficient of z^r in (1 - z)^{-|k|}.
+    """
+    kk = abs(complex(poly.k))
+    primes = [int(p) for p in sieve_primes(int(poly.x_cutoff))]
+    full = math.prod((1.0 - p**-0.5) ** (-kk) for p in primes)
+    tables = [binomial_series(-kk, _prime_power_limit(p, poly.m_max) + 1) for p in primes]
+    m, d = _smooth_expand(primes, tables, poly.m_max)
+    captured = np.sum(np.abs(d) / np.sqrt(m))
+    return max(full - captured, 0.0)
 
 
 def _a1(fac):
@@ -385,6 +436,15 @@ def riemann_siegel_chunked(t, want_deriv):
                 corr = corr * u + (z * series[j] if j % 2 else series[j])
             out[lo : lo + _RS_CHUNK] = 2.0 * _sum_rows(terms) + sign * corr / np.sqrt(root)
     return (thetas, out) if want_deriv else out
+
+
+def within(est, target, n_se=3.0):
+    """True if target lies inside the MomentEstimate's n_se band componentwise."""
+    t = complex(target)
+    return (
+        abs(est.mean.real - t.real) <= n_se * est.se_re
+        and abs(est.mean.imag - t.imag) <= n_se * est.se_im
+    )
 
 
 def haar_angle_batch(n, count, rng):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import divisor_general, p_x_euler_trial_division
+from oracles import divisor_general, p_x_euler_trial_division, poly_coeff, tail_bound
 
 from zetalab import arithmetic
 from zetalab.errors import CapabilityError, DomainError
@@ -61,29 +61,29 @@ class TestACoeffs:
         for k in KS:
             poly = arithmetic.a_coeffs(k, 10.0, m_max=100)
             for p in (2, 3, 5, 7):
-                assert poly.coeff(p) == pytest.approx(k)
+                assert poly_coeff(poly, p) == pytest.approx(k)
 
     def test_support_is_smooth(self):
         poly = arithmetic.a_coeffs(1.0, 10.0, m_max=1000)
         for m in poly.m:
             if m > 1:
                 assert max(arithmetic.factorize(int(m))) <= 7
-        assert poly.coeff(11) == 0
-        assert poly.coeff(22) == 0
+        assert poly_coeff(poly, 11) == 0
+        assert poly_coeff(poly, 22) == 0
 
     def test_a1_is_one(self):
         poly = arithmetic.a_coeffs(2.5 - 1j, 10.0, m_max=100)
-        assert poly.coeff(1) == 1.0
+        assert poly_coeff(poly, 1) == 1.0
 
     def test_a_minus1_p_squared_truncated(self):
         # p <= X < p^2: exp(-z) gives coefficient 1/2 at z^2
         poly = arithmetic.a_coeffs(-1.0, 3.0, m_max=100)
-        assert poly.coeff(9) == pytest.approx(0.5)
+        assert poly_coeff(poly, 9) == pytest.approx(0.5)
 
     def test_p4_regime_polynomials(self):
         # the four truncation regimes of a_k(p^4) at p = 2
         def regime(k, x):
-            return arithmetic.a_coeffs(k, x, m_max=64).coeff(16)
+            return poly_coeff(arithmetic.a_coeffs(k, x, m_max=64), 16)
 
         for k in KS:
             full = k**4 / 24 + k**3 / 4 + 11 * k**2 / 24 + k / 4
@@ -99,7 +99,7 @@ class TestACoeffs:
     def test_equal_to_divisor_when_power_below_x(self):
         poly = arithmetic.a_coeffs(0.5 + 0.5j, 30.0, m_max=1000)
         for m in (2, 4, 8, 16, 3, 9, 27, 5, 25, 6, 12, 30):
-            assert poly.coeff(m) == pytest.approx(
+            assert poly_coeff(poly, m) == pytest.approx(
                 divisor_general(0.5 + 0.5j, m), rel=1e-12
             )
 
@@ -146,7 +146,7 @@ class TestSmoothExpansion:
         kk = abs(k)
         full = math.prod((1.0 - p**-0.5) ** -kk for p in arithmetic.sieve_primes(int(x)))
         captured = sum(abs(divisor_general(kk, int(m))) / math.sqrt(m) for m in poly.m)
-        assert abs(poly.tail_bound() - (full - captured)) < 1e-12
+        assert abs(tail_bound(poly) - (full - captured)) < 1e-12
 
     def test_budget_fires_before_the_arrays_grow(self, monkeypatch):
         size = len(arithmetic.a_coeffs(1.0, 10.0, m_max=1000).m)
@@ -156,7 +156,7 @@ class TestSmoothExpansion:
         with pytest.raises(CapabilityError):
             arithmetic.a_coeffs(1.0, 10.0, m_max=1000)
         with pytest.raises(CapabilityError):
-            poly.tail_bound()
+            tail_bound(poly)
 
 
 class TestPxPow:
@@ -192,7 +192,7 @@ class TestPxPow:
         s = 0.5 + 37.5j
         dirichlet = arithmetic.p_x_pow(s, 1.0, poly)
         euler = arithmetic.p_x_euler(s, 1.0, 10.0)
-        assert abs(dirichlet - euler) < poly.tail_bound()
+        assert abs(dirichlet - euler) < tail_bound(poly)
         assert abs(dirichlet - euler) < 1e-3  # observed truncation error scale
 
     def test_reciprocal_consistency(self):
@@ -200,7 +200,7 @@ class TestPxPow:
         p_plus = arithmetic.a_coeffs(1.0, 10.0, m_max=1_000_000)
         p_minus = arithmetic.a_coeffs(-1.0, 10.0, m_max=1_000_000)
         product = arithmetic.p_x_pow(s, 1.0, p_plus) * arithmetic.p_x_pow(s, -1.0, p_minus)
-        assert abs(product - 1.0) < p_plus.tail_bound() + p_minus.tail_bound()
+        assert abs(product - 1.0) < tail_bound(p_plus) + tail_bound(p_minus)
         assert abs(product - 1.0) < 1e-2
 
     @pytest.mark.parametrize("x", [math.log(5000.0), math.e**4, 1e3, 1e4])

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zetalab import cli, experiments, hybrid, toeplitz, zeros
+from zetalab import cli, experiments, hybrid, rmt, toeplitz, zeros
 
 TABLE_5000 = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "zeros_t5000.txt"
 
@@ -250,6 +250,45 @@ class TestGates:
         assert (config["n"], config["samples"]) == (2, 1000)
         assert type(config["samples"]) is int
 
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "name, fields, field, value",
+        [("rmt-moment", {"k": "1", "samples": 100}, "n", 1.5),
+         ("toeplitz-check", {"k": "1", "sizes": "8"}, "x", "e3"),
+         ("rmt-moment", {"n": 4, "k": "1", "samples": 100}, "workers", 1.5)],
+        ids=["int-n", "float-x", "workers"],
+    )
+    def test_bad_value_exits_2_naming_the_field(self, tmp_path, capsys, route, name, fields, field, value):
+        # the flags stay text and _resolve casts them as it casts the config
+        # file: one line either way, no argparse usage
+        given = fields | {field: value}
+        if route == "config":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(given))
+            args = ["--config", cfg, name]
+        else:
+            workers = ["--workers", given.pop("workers")] if "workers" in given else []
+            args = [*workers, name, *(f"--{key.replace('_', '-')}={val}" for key, val in given.items())]
+        assert run_cli(["--output-dir", tmp_path / "out", *args]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"field {field!r} needs a" in err[0], err
+        assert not (tmp_path / "out" / "results.csv").exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [["rmt-oracle", "--n", rmt._WEYL_N_MAX + 1, "--k", "1", "--grid", 4],
+         ["toeplitz-check", "--k", "1", "--sizes", f"8,{toeplitz._SERIES_N_MAX + 1}"],
+         ["hybrid-mc", "--n", toeplitz._SERIES_N_MAX + 1, "--x", 20.0855, "--k", "1", "--samples", 100]],
+        ids=["rmt-oracle-n", "toeplitz-check-sizes", "hybrid-mc-n"],
+    )
+    def test_size_above_cap_exits_2_at_once(self, tmp_path, capsys, args):
+        # the Weyl oracle's determinant and the Toeplitz series refuse before they allocate
+        start = time.perf_counter()
+        assert run_cli(["--output-dir", tmp_path, *args]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "CapabilityError" in err[0], err
+
     def test_manifest_records_every_default(self, tmp_path):
         assert run_cli(["--output-dir", tmp_path / "o", "rmt-oracle", "--n", 2, "--k", "1"]) == 0
         assert read_outputs(tmp_path / "o")[2]["config"]["grid"] == 1024
@@ -345,7 +384,8 @@ class TestZerosSubcommands:
         out_file = tmp_path / "computed.txt"
         assert run_cli(["--output-dir", tmp_path / "c", "zeros", "compute", "--t-max", 1000, "--out", out_file]) == 0
         cached = (tmp_path / "cache" / "zeros_t1000.txt").read_bytes()
-        gammas = zeros.compute_zeros(1000, cache_dir=False).gammas
+        monkeypatch.delenv(zeros.CACHE_ENV)
+        gammas = zeros.compute_zeros(1000).gammas
         assert len(gammas) == 649
         assert out_file.read_bytes() == cached == "".join(f"{g:.11f}\n" for g in gammas).encode()
 
@@ -509,7 +549,7 @@ class TestOracleAndHybrid:
 
 
 class TestExperimentSubcommands:
-    def test_landau_gonek_with_table(self, tmp_path, zeros_5000, zeros_cache_dir):
+    def test_landau_gonek_with_table(self, tmp_path, zeros_5000):
         table = tmp_path / "zeros.txt"
         table.write_text("".join(f"{g:.11f}\n" for g in zeros_5000.gammas))
         status = run_cli(

@@ -11,7 +11,9 @@ from oracles import (
     kernel_U,
     kernel_U_batch,
     kernel_U_panels,
+    u_weight,
     weighted_verblunsky_rejection,
+    within,
     zprime_pow_rows,
 )
 from zetalab import hybrid, rmt, toeplitz
@@ -22,19 +24,19 @@ from zetalab.specfun import exp_integral_e1
 class TestUWeight:
     def test_positive_inside_support(self, smoothing_y4):
         y_mid = math.exp(1.0 - 1.0 / (2 * smoothing_y4.y_sharpness))
-        assert hybrid.u_weight(y_mid, smoothing_y4) > 0
+        assert u_weight(y_mid, smoothing_y4) > 0
 
     def test_zero_above_support(self, smoothing_y4):
-        assert hybrid.u_weight(3.0, smoothing_y4) == 0.0
+        assert u_weight(3.0, smoothing_y4) == 0.0
 
     def test_mass_one(self, smoothing_y4):
         lo, hi = smoothing_y4.support
-        mass, _ = quad(lambda y: hybrid.u_weight(y, smoothing_y4), lo, hi, epsabs=1e-13)
+        mass, _ = quad(lambda y: u_weight(y, smoothing_y4), lo, hi, epsabs=1e-13)
         assert mass == pytest.approx(1.0, abs=1e-10)
 
     def test_domain(self, smoothing_y4):
         with pytest.raises(DomainError):
-            hybrid.u_weight(-1.0, smoothing_y4)
+            u_weight(-1.0, smoothing_y4)
 
 
 class TestMassAbove:
@@ -62,7 +64,7 @@ class TestMassAbove:
         lo, hi = smoothing_y4.support
         for v in (0.78, 0.85, 0.93):
             direct, _ = quad(
-                lambda y: hybrid.u_weight(y, smoothing_y4), math.exp(v), hi, epsabs=1e-13
+                lambda y: u_weight(y, smoothing_y4), math.exp(v), hi, epsabs=1e-13
             )
             assert hybrid.mass_above(v, smoothing_y4) == pytest.approx(direct, abs=1e-10)
 
@@ -134,7 +136,7 @@ class TestKernelU:
     def test_u1_vs_fixed_grid_oracle(self, smoothing_y4):
         lo, hi = smoothing_y4.support
         y = np.linspace(lo, hi, 10_001)
-        integrand = hybrid.u_weight(y, smoothing_y4) * exp_integral_e1(np.log(y))
+        integrand = u_weight(y, smoothing_y4) * exp_integral_e1(np.log(y))
         oracle = np.trapezoid(integrand, y)
         assert kernel_U(1.0, smoothing_y4) == pytest.approx(oracle, abs=1e-8)
 
@@ -384,7 +386,7 @@ class TestMcHybridMoment:
         params = hybrid.HybridParams(n=1000, x_cutoff=math.e**3, smoothing=smoothing_y4)
         est = hybrid.mc_hybrid_moment(params, 1.0, 2000, seed=0)
         heine = toeplitz.es_comparison(1.0, params).expectation
-        assert est.within(heine, n_se=4.0), (est.mean, est.se_re, est.se_im, heine)
+        assert within(est, heine, n_se=4.0), (est.mean, est.se_re, est.se_im, heine)
 
     def test_dimension_must_be_positive(self, smoothing_y4):
         with pytest.raises(DomainError, match="dimension"):
@@ -406,7 +408,7 @@ class TestMcHybridMoment:
         if n == 1:  # no other eigenvalue: the statistic is the constant i^k e^{k F_X(0)}
             assert est.mean == pytest.approx(heine, rel=1e-13)
         else:
-            assert est.within(heine, n_se=4.0), (est.mean, est.se_re, est.se_im, heine)
+            assert within(est, heine, n_se=4.0), (est.mean, est.se_re, est.se_im, heine)
 
     @pytest.mark.parametrize(
         "n,x_exp,k,seed", [(4, 3, 1.0, 70), (8, 3, 0.5 + 0.5j, 71), (6, 4, 1 + 1j, 72), (8, 4, -1.5 + 0.5j, 73)]

@@ -32,6 +32,7 @@ def test_names_the_workload_checks_read_exist():
 
 def test_tracer_installs_counts_and_uninstalls(monkeypatch, smoothing_y4, zeros_100):
     monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delenv(zeros.CACHE_ENV, raising=False)  # compute_zeros(60) below computes
     import tracing
 
     originals = (rmt.mc_moment, hybrid.mc_hybrid_moment)
@@ -46,7 +47,7 @@ def test_tracer_installs_counts_and_uninstalls(monkeypatch, smoothing_y4, zeros_
         rmt.weyl_quadrature_oracle(2, 1.0, 64)
         specfun.zeta_and_deriv(0.5 + 1j * np.linspace(100.0, 200.0, 10))
         experiments.px_mean(zeros_100, 100.0, 1.0, math.log(100.0))
-        zeros.compute_zeros(60.0, cache_dir=False)
+        zeros.compute_zeros(60.0)
     finally:
         tracer.job = None
         tracer.uninstall()

@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 from scipy.integrate import quad
 
+from oracles import within
 from zetalab import hybrid, powerseries, rmt, toeplitz
 from zetalab.errors import AdmissibilityError, DomainError
 
@@ -300,4 +301,4 @@ class TestHeineExactness:
         params = hybrid.HybridParams(n=n, x_cutoff=math.e**3, smoothing=smoothing_y4)
         res = toeplitz.es_comparison(1.0, params)
         est = hybrid.mc_hybrid_moment(params, 1.0, 60_000, seed=77)
-        assert est.within(res.expectation, n_se=3.5), (est.mean, res.expectation)
+        assert within(est, res.expectation, n_se=3.5), (est.mean, res.expectation)

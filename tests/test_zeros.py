@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -8,6 +9,12 @@ from zetalab import specfun, zeros
 from zetalab.errors import DomainError, EmptyOverlapError, MissingZeroError, ZeroTableParseError
 
 FIRST_THREE = (14.134725, 21.022040, 25.010858)
+
+
+@pytest.fixture(autouse=True)
+def no_cache(monkeypatch):
+    """Each test computes its zeros afresh; the cache tests set ZETALAB_CACHE themselves."""
+    monkeypatch.delenv(zeros.CACHE_ENV, raising=False)
 
 
 class TestComputeZeros:
@@ -38,24 +45,25 @@ class TestComputeZeros:
         assert np.all(np.diff(zeros_100.gammas) > 0)
 
     def test_finer_grid_identical(self, monkeypatch):
-        base = zeros.compute_zeros(200.0, cache_dir=False)
+        base = zeros.compute_zeros(200.0)
         monkeypatch.setattr(zeros, "_POINTS_PER_GRAM", 8)
-        fine = zeros.compute_zeros(200.0, cache_dir=False)
+        fine = zeros.compute_zeros(200.0)
         assert len(base) == len(fine)
         assert np.max(np.abs(base.gammas - fine.gammas)) < 1e-9
 
     def test_finer_grid_identical_on_riemann_siegel_range(self, monkeypatch):
-        base = zeros.compute_zeros(600.0, cache_dir=False)
+        base = zeros.compute_zeros(600.0)
         monkeypatch.setattr(zeros, "_POINTS_PER_GRAM", 8)
-        fine = zeros.compute_zeros(600.0, cache_dir=False)
+        fine = zeros.compute_zeros(600.0)
         assert len(base) == len(fine)
         assert np.max(np.abs(base.gammas - fine.gammas)) < 1e-9
 
-    def test_cache_roundtrip(self, tmp_path):
-        a = zeros.compute_zeros(60.0, cache_dir=tmp_path)
+    def test_cache_roundtrip(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(zeros.CACHE_ENV, str(tmp_path))
+        a = zeros.compute_zeros(60.0)
         assert (tmp_path / "zeros_t60.txt").exists()
         assert (tmp_path / "zeros_t60.sha256").exists()
-        b = zeros.compute_zeros(60.0, cache_dir=tmp_path)
+        b = zeros.compute_zeros(60.0)
         assert np.max(np.abs(a.gammas - b.gammas)) < 1e-10
 
     def test_failed_write_leaves_no_tmp_file(self, tmp_path, monkeypatch):
@@ -72,21 +80,22 @@ class TestComputeZeros:
         exact, _ = zeros._cache_paths(tmp_path, 100.0)
         assert near != exact
 
-    def test_corrupt_cache_recomputed(self, tmp_path):
-        zeros.compute_zeros(60.0, cache_dir=tmp_path)
+    def test_corrupt_cache_recomputed(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(zeros.CACHE_ENV, str(tmp_path))
+        zeros.compute_zeros(60.0)
         path = tmp_path / "zeros_t60.txt"
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines[:5] + lines[6:]))  # cut one line out
-        again = zeros.compute_zeros(60.0, cache_dir=tmp_path)
+        again = zeros.compute_zeros(60.0)
         assert len(again) == 13
         assert len(path.read_text().splitlines()) == 13  # overwritten with the full table
-        assert len(zeros.compute_zeros(60.0, cache_dir=tmp_path)) == 13
+        assert len(zeros.compute_zeros(60.0)) == 13
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            zeros.compute_zeros(5.0, cache_dir=False)
+            zeros.compute_zeros(5.0)
         with pytest.raises(DomainError):
-            zeros.compute_zeros(20000.0, cache_dir=False)
+            zeros.compute_zeros(20000.0)
 
     def test_missing_zero_error(self, monkeypatch):
         real = zeros._brackets
@@ -97,19 +106,19 @@ class TestComputeZeros:
 
         monkeypatch.setattr(zeros, "_brackets", lossy)
         with pytest.raises(MissingZeroError) as exc_info:
-            zeros.compute_zeros(50.0, cache_dir=False)
+            zeros.compute_zeros(50.0)
         assert exc_info.value.interval is not None
 
     @pytest.mark.parametrize("t_max, count", [(20.7, 1), (145.6793, 50), (818.0, 504)])
     def test_heights_where_theta_count_is_off(self, t_max, count, stored_table_5000):
         # round(theta/pi + 1) is N(T) + 1 at these heights (|S(T)| > 1/2)
-        zl = zeros.compute_zeros(t_max, cache_dir=False)
+        zl = zeros.compute_zeros(t_max)
         ref = stored_table_5000[stored_table_5000 <= t_max]
         assert len(zl) == len(ref) == count
         assert np.max(np.abs(zl.gammas - ref)) < 1e-9
 
     def test_count_to_cap(self):
-        assert len(zeros.compute_zeros(1e4, cache_dir=False)) == 10142
+        assert len(zeros.compute_zeros(1e4)) == 10142
 
 
 class TestComputeZerosTo1000:
@@ -131,7 +140,8 @@ class TestComputeZerosTo1000:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(zeros, "hardy_z", counting_hardy_z)
             mp.setattr(zeros, "zeta_and_deriv", counting_zeta_and_deriv)
-            zl = zeros.compute_zeros(t_max, cache_dir=False)
+            mp.delenv(zeros.CACHE_ENV, raising=False)  # a class-scoped fixture runs before no_cache
+            zl = zeros.compute_zeros(t_max)
             count = zeros.zero_count(t_max)
         return zl, sum(em_points), count
 
@@ -202,12 +212,12 @@ class TestRefinementFallback:
 
         monkeypatch.setattr(zeros, "_taylor_certified", recording_taylor)
         monkeypatch.setattr(zeros, "_anderson_bjorck", recording_ab)
-        base = zeros.compute_zeros(1000.0, cache_dir=False)
+        base = zeros.compute_zeros(1000.0)
         base_tiers = tiers(base)
         # every predicted root lands 1e-6 high, and one Newton step from there
         # misses some roots by more than _BRACKET_WIDTH/4
         monkeypatch.setattr(zeros, "riemann_siegel_z", lambda t: real_rs(t - 1e-6))
-        shifted = zeros.compute_zeros(1000.0, cache_dir=False)
+        shifted = zeros.compute_zeros(1000.0)
         shifted_tiers = tiers(shifted)
         # measured: the 10 zeros below t = 60, where the prediction is loose,
         # and the close pair at 946.77 and 947.08 (|Z'| about 1) take the
@@ -298,9 +308,16 @@ class TestLoadZeros:
         assert len(zl) == 0 and zl.t_max == 0.0
 
     def test_zero_list_invariants(self):
-        for gammas, t_max, what in (([21.0, 21.0], 30.0, "strictly increasing"), ([14.1, 21.0], 20.0, "exceed")):
+        # every comparison is False at nan, so nan first, in the middle or last fails the check
+        good = zeros.ZeroList(gammas=np.array([14.1, 21.0, 25.0]), t_max=30.0, source="x")
+        nan, inf = math.nan, math.inf
+        for gammas, t_max, what in (([21.0, 21.0], 30.0, "strictly increasing"), ([14.1, 21.0], 20.0, "exceed"),
+                                    ([nan, 21.0, 25.0], 30.0, "finite"), ([14.1, nan, 25.0], 30.0, "finite"),
+                                    ([14.1, 21.0, nan], 30.0, "finite"), ([14.1, 21.0, inf], 30.0, "finite")):
             with pytest.raises(ValueError, match=what):
                 zeros.ZeroList(gammas=np.array(gammas), t_max=t_max, source="x")
+            with pytest.raises(ValueError, match=what):
+                dataclasses.replace(good, gammas=np.array(gammas), t_max=t_max)
 
     def test_descending_pair(self, tmp_path):
         p = tmp_path / "bad.txt"
@@ -311,10 +328,11 @@ class TestLoadZeros:
 
     @pytest.mark.parametrize(
         "text, bad_line",
-        [("14.1\n\n  \n21.0\n\n", None), ("14.1 21.0\n", 1), ("14.1\nnan\n", 2), ("-1.0\n2.0\n", 1)],
+        [("14.1\n\n  \n21.0\n\n", None), ("14.1 21.0\n", 1), ("14.1\nnan\n", 2), ("-1.0\n2.0\n", 1),
+         ("14.1\ninf\n", 2)],
     )
     def test_line_rules(self, tmp_path, text, bad_line):
-        # blank lines are skipped; one ordinate a line, each positive and above the last
+        # blank lines are skipped; one ordinate a line, each positive, finite and above the last
         p = tmp_path / "t.txt"
         p.write_text(text)
         if bad_line is None:
