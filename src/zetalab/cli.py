@@ -20,6 +20,7 @@ the JSON rows only.
 
 import argparse
 import cmath
+import contextlib
 import csv
 import functools
 import hashlib
@@ -266,10 +267,12 @@ def _spec(spec):
 
 
 def _cast(field, typ, value):
-    """value as the field's type.  ValueError names the field for a bool (no
-    field is one), a non-integral number for an int field (an integral float
-    such as 1e6 is taken) and any value the type refuses, such as the flag
-    text "1.5" for an int field."""
+    """value as the field's type, a flag's text read as JSON for an int field.
+    ValueError names the field for a bool (no field is one), a non-integral
+    number for an int field (1e6 is taken) and any value the type refuses."""
+    if typ is int and isinstance(value, str):
+        with contextlib.suppress(ValueError):
+            value = json.loads(value)
     if not (isinstance(value, bool) or typ is int and isinstance(value, float) and not value.is_integer()):
         try:
             return typ(value)

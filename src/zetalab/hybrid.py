@@ -30,6 +30,7 @@ from functools import partial
 
 import numpy as np
 
+from .arithmetic import _require_cutoff
 from .errors import DomainError
 from .rmt import _finite_order, _mc_estimate, _verblunsky_draw
 from .specfun import exp_integral_e1
@@ -113,8 +114,7 @@ class HybridParams:
     smoothing: SmoothingSpec
 
     def __post_init__(self):
-        if not (math.isfinite(self.x_cutoff) and self.x_cutoff >= 2.0):
-            raise DomainError(f"prime cutoff X must be finite and >= 2 (got {self.x_cutoff:g})")
+        _require_cutoff(self.x_cutoff)
         if self.n < 1:
             raise DomainError("matrix dimension must be >= 1")
 

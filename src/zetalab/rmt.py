@@ -31,11 +31,12 @@ turned so that its value at 1 is positive, where each step turns by the phase
 of the factor 1 - gamma_j the draw already has: no phase is summed and no
 complex exponential taken.
 
-At N = 8, 4096 rows a batch, the sampler costs about 55 ns a factor and the
-recursion at m_max = 2 about 27 ns, and the whole hybrid draw about 110 ns
-(timeit, best of 45 runs of 30 calls, on a 2-core x86-64 box).  Every step
-after the uniforms runs in place on arrays of the batch, so the draw makes
-few full-size temporaries.
+A batch is factor-major, row j of its arrays holding factor j of every
+sample, so the index arithmetic, the sums over the factors and each step of
+the recursion run on whole contiguous rows.  At N = 8, 4096 samples a batch,
+the sampler costs about 80 ns a factor, the recursion at m_max = 2 about
+21 ns and the hybrid draw about 124 ns (timeit, best of 45 runs of 30 calls,
+on a shared 2-core x86-64 box).  Every step after the uniforms runs in place.
 
 ``_mc_estimate`` is the one Monte-Carlo driver and ``_verblunsky_draw`` its one
 sampler.  It serves :func:`mc_moment` (the bare Z'^k) and
@@ -58,9 +59,9 @@ from .errors import AdmissibilityError, CapabilityError, DomainError, PoleError
 from .specfun import log_gamma_ratio
 
 # Verblunsky factors drawn at once by _verblunsky_draw.  Each takes five
-# uniforms; at the peak a draw holds about 12 floats a factor, 14 with the
-# hybrid sum's recursion (tracemalloc at N = 8), about 3 MB a batch; at 2^16
-# the batch outgrew the cache and a factor cost about a third more
+# uniforms; at the peak a draw holds 12 floats a factor, bare or hybrid (19 at
+# N = 4, where the recursion's rows outweigh 3 factors; tracemalloc), about
+# 3 MB a batch.  2^16 outgrew the cache (a third more a factor), 2^14 was slower
 _FACTOR_BATCH = 1 << 15
 _TWO_PI = 2.0 * math.pi
 _HALF_PI = 0.5 * math.pi
@@ -172,7 +173,7 @@ def _weighted_verblunsky(j, rng):
     comes from :func:`_turn`, by quadrants.  Five uniforms a factor, in one
     ``rng.random`` call, and no loop that depends on the draws.  The steps
     after it run in place on the uniforms' array, and the index arithmetic
-    runs once per column of a ``j`` broadcast along its rows.
+    runs on ``j`` with its broadcast axes cut to length 1, as the draw passes it.
 
     gamma = 1 cannot occur: Re gamma < 1.  Where r < 1 that is plain.  Where
     r = 1 (always at j = 0, and by rounding when 1 - b < 2^-53) the uniform
@@ -181,7 +182,6 @@ def _weighted_verblunsky(j, rng):
     """
     j = np.asarray(j)
     u = rng.random((5,) + j.shape)
-    # the index arithmetic once per column where j is a broadcast, as the draw passes it
     j = j[tuple(slice(0, 1) if stride == 0 else slice(None) for stride in j.strides)]
     # 1 - u is uniform on (0, 1]: no log of 0 and W <= 1 at u = 0
     log_w = np.subtract(1.0, u[1], out=u[1])
@@ -224,10 +224,10 @@ def _weighted_verblunsky(j, rng):
 
 def _szego_power_sums(gam, unit, m_max):
     """Power sums p_m = sum_n lambda_n^m, m = 1..m_max, of the roots of the
-    Szegő polynomial whose deformed Verblunsky coefficients are the columns of
-    ``gam``, shape (B, N - 1), column N - 2 first and column 0 (on the unit
-    circle) last; ``unit`` holds their (1 - gamma)/|1 - gamma|.  Returns shape
-    (B, m_max).
+    Szegő polynomial whose deformed Verblunsky coefficients are the rows of
+    ``gam``, shape (N - 1, B), row N - 2 first and row 0 (on the unit circle)
+    last; ``unit`` holds their (1 - gamma)/|1 - gamma|.  Returns shape
+    (m_max, B).
 
     The recursion Phi_{i+1}(z) = z Phi_i(z) - conj(alpha_i) Phi_i^*(z) with
     conj(alpha_i) = gamma_i u_i^2, u_i the phase of Phi_i(1), keeps
@@ -241,41 +241,38 @@ def _szego_power_sums(gam, unit, m_max):
     which needs no u_i, so no cumulative phase and no exponential.  Only the
     top m_max + 1 coefficients T_t (of z^{i-t}) and the conjugated bottom ones
     C_t (of z^t) are carried, times conj(w_i) and w_i a step: O(N m_max) a
-    row.  The rotated Phi_{N-1} has the unimodular leading coefficient
+    sample.  The rotated Phi_{N-1} has the unimodular leading coefficient
     conj(u_{N-1}); divided by it, T_t = (-1)^t e_t, and Newton's identities
     read p_m = -(m T_m + sum_{t<m} T_t p_{m-t}).
     """
-    b = gam.shape[0]
-    # one contiguous row a step: strided rows cost a third more
-    w_bar = np.conj(unit[:, ::-1].T, order="C")
-    g = np.multiply(w_bar, gam[:, ::-1].T, order="C")  # conj(w_i) gamma_i
+    b = gam.shape[1]
     top = np.zeros((m_max + 1, b), dtype=complex)
     top[0] = 1.0
     # C_t for t < m_max: C_{m_max} would feed only T_{m_max + 1}.  But at
     # least two rows: numpy multiplies a lone complex element without the
     # fused multiply-add of its vector loop, which would move the last bits
-    # of a one-row batch
+    # of a one-sample batch
     rows = max(m_max, 2)
     shifted = np.zeros((rows + 1, b), dtype=complex)  # C_{t-1}, with C_{-1} = 0
     shifted[1] = 1.0
     cbot = np.empty_like(shifted[1:])
     tmp = np.empty_like(shifted)
-    w, gi_conj = np.empty(b, dtype=complex), np.empty(b, dtype=complex)
-    for wb, gi in zip(w_bar, g):
-        # conj(w_i) and conj(g_i) a row at a time
-        np.conj(wb, out=w)
-        np.conj(gi, out=gi_conj)
+    wb, gi, gi_bar = np.empty((3, b), dtype=complex)
+    for w, gam_i in zip(unit[::-1], gam[::-1]):
+        np.conj(w, out=wb)
+        np.multiply(wb, gam_i, out=gi)  # conj(w_i) gamma_i
+        np.conj(gi, out=gi_bar)
         # in place, C first: it reads the T of step i
         np.multiply(w, shifted[:-1], out=cbot)
-        cbot -= np.multiply(gi_conj, top[:rows], out=tmp[:rows])
+        cbot -= np.multiply(gi_bar, top[:rows], out=tmp[:rows])
         top *= wb
         top -= np.multiply(gi, shifted[: m_max + 1], out=tmp[: m_max + 1])
         shifted[1:] = cbot
-    top /= top[0]
+    top[1:] /= top[0]
     p = np.zeros((m_max + 1, b), dtype=complex)
     for m in range(1, m_max + 1):
         p[m] = -(m * top[m] + sum(top[t] * p[m - t] for t in range(1, m)))
-    return p[1:].T
+    return p[1:]
 
 
 def _verblunsky_draw(n, k, count, rng, s_coeffs=(), factors=_weighted_verblunsky):
@@ -293,7 +290,7 @@ def _verblunsky_draw(n, k, count, rng, s_coeffs=(), factors=_weighted_verblunsky
     tests' QR+eig reference; the two sums of logs agree sample by sample.
     """
     b = min(count, max(1, _FACTOR_BATCH // n))
-    gam = factors(np.broadcast_to(np.arange(n - 1), (b, n - 1)), rng)
+    gam = factors(np.broadcast_to(np.arange(n - 1)[:, None], (n - 1, b)), rng)
     # 1 - gamma as two contiguous parts: arctan2 on the strided parts of a
     # complex array costs twice as much.  The imaginary part is 0 - Im gamma,
     # as complex subtraction takes it: +0, not -0, where Im gamma = 0
@@ -303,19 +300,19 @@ def _verblunsky_draw(n, k, count, rng, s_coeffs=(), factors=_weighted_verblunsky
     scratch = np.square(im)
     abs_sq += scratch
     # the principal log by real parts: numpy's complex log is many times slower
-    arg = np.arctan2(im, re, out=scratch).sum(axis=1)
+    arg = np.arctan2(im, re, out=scratch).sum(axis=0)
     if len(s_coeffs):
         np.divide(1.0, np.sqrt(abs_sq, out=scratch), out=scratch)
         unit = np.empty_like(gam)  # (1 - gamma)/|1 - gamma|
         np.multiply(re, scratch, out=unit.real)
         np.multiply(im, scratch, out=unit.imag)
-    log_abs = 0.5 * np.log(abs_sq, out=abs_sq).sum(axis=1)
+    log_abs = 0.5 * np.log(abs_sq, out=abs_sq).sum(axis=0)
     del re, im, abs_sq, scratch  # freed before the recursion, which sets the batch's peak
     logs = 1j * math.pi * k / 2.0 + k * (log_abs + 1j * arg)
     if len(s_coeffs):
         s = np.asarray(s_coeffs, dtype=complex)
         # an elementwise sum, not a BLAS product: BLAS threads left spinning slow the next draw
-        logs = logs + s.sum() + (_szego_power_sums(gam, unit, len(s)) * s).sum(axis=1)
+        logs = logs + s.sum() + (_szego_power_sums(gam, unit, len(s)) * s[:, None]).sum(axis=0)
     return np.exp(logs)
 
 

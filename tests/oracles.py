@@ -542,16 +542,16 @@ def weighted_verblunsky_allocating(j, rng):
 
 def szego_power_sums_allocating(gam, unit, m_max):
     """``rmt._szego_power_sums``: the roots' power sums by the rotated Szegő recursion."""
-    b = gam.shape[0]
-    # one contiguous row a step: strided rows cost a third more
-    w_bar = np.conj(unit[:, ::-1].T, order="C")
-    g = np.multiply(w_bar, gam[:, ::-1].T, order="C")  # conj(w_i) gamma_i
+    b = gam.shape[1]
     top = np.zeros((m_max + 1, b), dtype=complex)
     top[0] = 1.0
     cbot = top.copy()
     shifted = np.zeros_like(top)  # C_{t-1}, with C_{-1} = 0
     tmp = np.empty_like(top)
-    for wb, w, gi, gi_conj in zip(w_bar, w_bar.conj(), g, g.conj()):
+    for w, gam_i in zip(unit[::-1], gam[::-1]):
+        wb = np.conj(w)
+        gi = wb * gam_i  # conj(w_i) gamma_i
+        gi_conj = np.conj(gi)
         shifted[1:] = cbot[:-1]
         # in place, C first: it reads the T of step i
         np.multiply(w, shifted, out=cbot)
@@ -562,24 +562,25 @@ def szego_power_sums_allocating(gam, unit, m_max):
     p = np.zeros((m_max + 1, b), dtype=complex)
     for m in range(1, m_max + 1):
         p[m] = -(m * top[m] + sum(top[t] * p[m - t] for t in range(1, m)))
-    return p[1:].T
+    return p[1:]
 
 
 def verblunsky_draw_allocating(n, k, count, rng, s_coeffs=(), factors=weighted_verblunsky_allocating):
     """``rmt._verblunsky_draw``: up to ``count`` samples of the Z'^k statistic."""
     b = min(count, max(1, _FACTOR_BATCH // n))
-    gam = factors(np.broadcast_to(np.arange(n - 1), (b, n - 1)), rng)
+    # factor-major, row j the j-th factor of every sample
+    gam = factors(np.broadcast_to(np.arange(n - 1)[:, None], (n - 1, b)), rng)
     fac = 1.0 - gam
     abs_sq = fac.real**2 + fac.imag**2
     # the principal log by real parts: numpy's complex log is many times slower
-    log_abs = 0.5 * np.log(abs_sq).sum(axis=1)
-    arg = np.arctan2(fac.imag, fac.real).sum(axis=1)
+    log_abs = 0.5 * np.log(abs_sq).sum(axis=0)
+    arg = np.arctan2(fac.imag, fac.real).sum(axis=0)
     logs = 1j * math.pi * k / 2.0 + k * (log_abs + 1j * arg)
     if len(s_coeffs):
         s = np.asarray(s_coeffs, dtype=complex)
         unit = fac * (1.0 / np.sqrt(abs_sq))
         # an elementwise sum, not a BLAS product: BLAS threads left spinning slow the next draw
-        logs = logs + s.sum() + (szego_power_sums_allocating(gam, unit, len(s)) * s).sum(axis=1)
+        logs = logs + s.sum() + (szego_power_sums_allocating(gam, unit, len(s)) * s[:, None]).sum(axis=0)
     return np.exp(logs)
 
 

@@ -249,14 +249,19 @@ class TestGates:
         config = read_outputs(tmp_path / "out")[2]["config"]
         assert (config["n"], config["samples"]) == (2, 1000)
         assert type(config["samples"]) is int
+        # the flag text of the same numbers is taken as the JSON numbers are
+        assert run_cli(["--output-dir", tmp_path / "flag", "rmt-moment", "--n", "2.0", "--k", "1", "--samples", "1e3"]) == 0
+        assert (tmp_path / "flag" / "results.csv").read_bytes() == (tmp_path / "out" / "results.csv").read_bytes()
 
     @pytest.mark.parametrize("route", ["flag", "config"])
     @pytest.mark.parametrize(
         "name, fields, field, value",
         [("rmt-moment", {"k": "1", "samples": 100}, "n", 1.5),
          ("toeplitz-check", {"k": "1", "sizes": "8"}, "x", "e3"),
-         ("rmt-moment", {"n": 4, "k": "1", "samples": 100}, "workers", 1.5)],
-        ids=["int-n", "float-x", "workers"],
+         ("rmt-moment", {"n": 4, "k": "1", "samples": 100}, "workers", 1.5),
+         ("rmt-moment", {"n": 4, "k": "1"}, "samples", "1e400"),
+         ("rmt-moment", {"n": 4, "k": "1"}, "samples", "nan")],
+        ids=["int-n", "float-x", "workers", "int-samples-1e400", "int-samples-nan"],
     )
     def test_bad_value_exits_2_naming_the_field(self, tmp_path, capsys, route, name, fields, field, value):
         # the flags stay text and _resolve casts them as it casts the config
@@ -278,11 +283,14 @@ class TestGates:
         "args",
         [["rmt-oracle", "--n", rmt._WEYL_N_MAX + 1, "--k", "1", "--grid", 4],
          ["toeplitz-check", "--k", "1", "--sizes", f"8,{toeplitz._SERIES_N_MAX + 1}"],
-         ["hybrid-mc", "--n", toeplitz._SERIES_N_MAX + 1, "--x", 20.0855, "--k", "1", "--samples", 100]],
-        ids=["rmt-oracle-n", "toeplitz-check-sizes", "hybrid-mc-n"],
+         ["hybrid-mc", "--n", toeplitz._SERIES_N_MAX + 1, "--x", 20.0855, "--k", "1", "--samples", 100],
+         ["hybrid-mc", "--n", 8, "--x", 1e6, "--k", "1", "--samples", 100],
+         ["toeplitz-check", "--k", "1", "--sizes", "8,4096", "--x", 1e300]],
+        ids=["rmt-oracle-n", "toeplitz-check-sizes", "hybrid-mc-n", "hybrid-mc-x", "toeplitz-check-x"],
     )
     def test_size_above_cap_exits_2_at_once(self, tmp_path, capsys, args):
-        # the Weyl oracle's determinant and the Toeplitz series refuse before they allocate
+        # the Weyl oracle's determinant and the Toeplitz series refuse before
+        # they allocate, and the hybrid model's prime cutoff before any series
         start = time.perf_counter()
         assert run_cli(["--output-dir", tmp_path, *args]) == 2
         assert time.perf_counter() - start < 1.0
