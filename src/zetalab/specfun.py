@@ -43,7 +43,8 @@ All routines evaluate in double precision, and all but the scalar
   its C4 term: O(sqrt t) a zero from t = RS_T_MIN on, Euler-Maclaurin below.
 
 The last three sit on one kernel, :func:`_riemann_siegel`: row blocks over the
-sorted points and one Horner pass, derivatives included when Z' is wanted.
+sorted points in one reused work buffer and one Horner pass, derivatives
+included when Z' is wanted.
 
 Everything here is pure and reentrant; the one shared state is the per-M
 cache of the main sum's index tables, whose arrays are read-only.
@@ -808,7 +809,7 @@ _RS_C1_C4 = (
 _RS_SERIES = np.array(list(itertools.zip_longest(_RS_C0, *_RS_C1_C4, fillvalue=0.0))).T
 # Height from which Gabcke's bound on the C4-truncated remainder holds.
 RS_T_MIN = 200.0
-_RS_BLOCK = 1 << 14  # entries in a block of the Riemann-Siegel main sum: 128 KB a temporary
+_RS_BLOCK = 1 << 14  # entries in a block of the Riemann-Siegel main sum: 128 KB of its work buffer
 # hardy_z_rs's allowance for the rounding of the phases theta(t) - t log n, in
 # units of tau^{1/4} t log t: a phase rounds by about eps t log n, and the
 # weights n^{-1/2} sum to about 2 tau^{1/4}
@@ -823,8 +824,10 @@ def _riemann_siegel(t, want_deriv):
                 + (-1)^{N-1} sum_{j<=4} d/dt [tau^{-1/4-j/2} C_j(z)],
 
     dp/dt being 1/(4 pi sqrt(tau)).  The main sum runs over the points sorted
-    stably, in blocks of ``_RS_BLOCK`` entries or one row, rows of n in order:
-    a point's bits do not depend on the others, and memory is O(points + block).
+    stably, in blocks of ``_RS_BLOCK`` entries or one row, rows of n in order, each
+    row adding only the points it reaches; a block is taken in place in a work buffer
+    of max(``_RS_BLOCK``, points) floats (two with ``want_deriv``).  A point's bits
+    do not depend on the others, and memory is O(points + block).
     With ``want_deriv`` one Horner pass also carries the C-series' w-derivatives.
     """
     if not t.size:
@@ -838,17 +841,25 @@ def _riemann_siegel(t, want_deriv):
     log_n, sqrt_n = np.log(n)[:, None], np.sqrt(n)[:, None]
     first = np.searchsorted(n_terms, n).tolist()  # the first point each row reaches
     theta_prime = _theta_prime(ts) if want_deriv else None
+    work = np.empty(max(_RS_BLOCK, ts.size))
+    weights = np.empty_like(work) if want_deriv else None
     total, row = np.zeros_like(ts), 0
     while row < n.size:
         lo = first[row]
         block = slice(row, row + max(1, _RS_BLOCK // (ts.size - lo)))
         log_b = log_n[block]
-        phase = theta[lo:] - log_b * ts[lo:]
-        terms = (theta_prime[lo:] - log_b) * np.sin(phase) if want_deriv else np.cos(phase)
+        terms = work[: log_b.size * (ts.size - lo)].reshape(log_b.size, -1)
+        np.subtract(theta[lo:], np.multiply(log_b, ts[lo:], out=terms), out=terms)
+        if want_deriv:
+            weight = np.subtract(theta_prime[lo:], log_b, out=weights[: terms.size].reshape(terms.shape))
+            np.multiply(np.sin(terms, out=terms), weight, out=terms)
+        else:
+            np.cos(terms, out=terms)
         terms /= sqrt_n[block]
-        terms[n[block, None] > n_terms[lo:]] = 0.0
         acc = total[lo:]
-        for term in terms:
+        for start, term in zip(first[block], terms):  # each row adds only the points it reaches
+            if start > lo:
+                acc, term = total[start:], term[start - lo :]
             acc += term
         row = block.stop
     z = 1.0 - 2.0 * (root - n_terms)

@@ -123,9 +123,13 @@ def _gram_points(n, t, theta_t):
 
 
 def _grid(g, per, t):
-    """Scan points: each interval of the Gram points g cut into ``per`` steps, plus t if inside."""
+    """Scan points: each interval of the Gram points g cut into ``per`` steps, plus t if inside:
+    the points ascend without repeats, so t goes into its slot unless it is one (not by np.union1d,
+    whose np.unique imports numpy.ma on numpy 2, about 10 ms once a process)."""
     pts = np.append((g[:-1, None] + np.diff(g)[:, None] * (np.arange(per) / per)).ravel(), g[-1])
-    return np.union1d(pts, min(max(t, g[0]), g[-1]))
+    t = min(max(t, g[0]), g[-1])
+    i = np.searchsorted(pts, t)
+    return pts if pts[i] == t else np.concatenate((pts[:i], [t], pts[i:]))
 
 
 def _eval_z(points):

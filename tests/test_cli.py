@@ -686,3 +686,36 @@ class TestRuntimeWithoutScipy:
         proc = subprocess.run([sys.executable, "-c", self._SCRIPT, str(tmp_path)],
                               env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
+
+
+class TestRuntimeWithoutNumpyMa:
+    # runs in a fresh process: output directory and stored table as argv[1:3]
+    _SCRIPT = textwrap.dedent(
+        """
+        import sys
+        from pathlib import Path
+        from zetalab import cli
+        table = sys.argv[2]
+        runs = {
+            "zeros": ["compute", "--t-max", "300"],
+            "conjecture-table": ["--k", "1", "--t", "1000,5000", "--zeros", table],
+            "twisted": ["--t", "5000", "--zeros", table],
+            "px-mean": ["--t", "5000", "--zeros", table],
+            "landau-gonek": ["--t", "5000", "--m", "2", "--zeros", table],
+        }
+        for name, args in runs.items():
+            status = cli.main(["--output-dir", str(Path(sys.argv[1]) / name), name, *args])
+            assert status == 0, (name, status)
+            assert "numpy.ma" not in sys.modules, name
+        """
+    )
+
+    def test_zeta_side_subcommands_leave_numpy_ma_unimported(self, tmp_path):
+        # numpy.ma costs about 10 ms to import: the Rosser scan's grid and the
+        # sums at the zeros never load it (np.union1d's np.unique would, on numpy 2)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        env.pop(zeros.CACHE_ENV, None)  # zeros compute scans afresh
+        proc = subprocess.run([sys.executable, "-c", self._SCRIPT, str(tmp_path), str(TABLE_5000)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr

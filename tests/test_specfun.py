@@ -704,9 +704,15 @@ class TestRiemannSiegelKernel:
             "stored table": stored_table_5000,
             "shuffled to 1e5": np.exp(rng.uniform(math.log(7.0), math.log(1e5), 20000)),
             "near 1e8": 1e8 + rng.uniform(0.0, 50.0, 64),
+            # one block holds every row
+            "8 in [5000, 5010]": rng.uniform(5000.0, 5010.0, 8),
+            "one near 1e8": np.array([1e8 + 17.25]),
+            # rows start inside a block
+            "log-uniform on [200, 2e4]": np.exp(rng.uniform(math.log(200.0), math.log(2e4), 300)),
         }
 
-    @pytest.mark.parametrize("name", ["stored table", "shuffled to 1e5", "near 1e8"])
+    @pytest.mark.parametrize("name", ["stored table", "shuffled to 1e5", "near 1e8", "8 in [5000, 5010]",
+                                      "one near 1e8", "log-uniform on [200, 2e4]"])
     def test_bit_identical_to_chunked_kernel(self, stored_table_5000, name):
         t = self._sets(stored_table_5000)[name]
         assert np.array_equal(specfun._riemann_siegel(t, False), riemann_siegel_chunked(t, False))
@@ -743,7 +749,8 @@ class TestRiemannSiegelKernel:
 
     def test_memory_bounded_by_the_block(self):
         # 1,024 points of 3,990 terms: one padded (terms x points) table was
-        # 33 MB a temporary; the row blocks stay within 128 KB each
+        # 33 MB a temporary; every row block is taken in one reused work buffer
+        # of max(_RS_BLOCK, points) floats, 128 KB here (peak 0.47 MB in all)
         t = 1e8 + np.random.default_rng(33).uniform(0.0, 100.0, 1024)
         tracemalloc.start()
         try:

@@ -379,6 +379,32 @@ class TestCrossValidate:
             zeros.cross_validate(a, b)
 
 
+class TestGrid:
+    """The scan grid against np.union1d of the same points, bit for bit."""
+
+    @pytest.mark.parametrize("per", [1, 4, 8, 128])
+    @pytest.mark.parametrize("height", [100.0, 1000.0, 5000.0])
+    def test_equals_union_with_t(self, per, height):
+        theta = float(specfun.riemann_siegel_theta(height))
+        n0 = math.floor(theta / math.pi)
+        g = zeros._gram_points(np.arange(n0 - 3, n0 + 4), height, theta)
+        inner = (g[:-1, None] + np.diff(g)[:, None] * (np.arange(per) / per)).ravel()
+        pts = np.append(inner, g[-1])
+        assert np.all(np.diff(pts) > 0)  # what _grid relies on in place of np.unique
+        cases = {
+            "inside an interval": 0.37 * g[2] + 0.63 * g[3],
+            "a Gram point": g[3],
+            "an inner grid point": inner[len(inner) // 2],
+            "the last Gram point": g[-1],
+            "below g_0": g[0] - 1.5,
+            "above g_last": g[-1] + 1.5,
+        }
+        for name, t in cases.items():
+            union = np.union1d(pts, min(max(t, g[0]), g[-1]))
+            got = zeros._grid(g, per, t)
+            assert got.dtype == union.dtype and np.array_equal(got, union), name
+
+
 def test_expected_count_main_term_consistency():
     # N(T) tracks the main term (T/2pi) log(T/(2 pi e))
     t = 5000.0
