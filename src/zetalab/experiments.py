@@ -101,25 +101,27 @@ def _branch_power(values, k, branch):
 
 
 def _require_coverage(zeros, t_height):
-    """A list covers (0, T] if it holds exactly the certified number N(T) of
-    zeros up to T, whatever its t_max: a table that reaches T may still miss an
-    ordinate.  Beyond the range of :func:`zero_count` (10 <= T <= 1e5), a list
-    whose t_max reaches T is taken as it is.  T must be a positive finite number."""
+    """The list's ordinates up to T, once it covers (0, T]: it does if it holds
+    exactly the certified number N(T) of zeros up to T, whatever its t_max (a
+    table that reaches T may still miss an ordinate).  Beyond the range of
+    :func:`zero_count` (10 <= T <= 1e5), a list whose t_max reaches T is taken
+    as it is.  T must be a positive finite number."""
     if not (math.isfinite(t_height) and t_height > 0):
         raise DomainError(f"height T = {t_height:g} is not a positive finite number")
+    gammas = zeros.below(t_height)
     if not 10.0 <= t_height <= 1e5:
         if zeros.t_max >= t_height:
-            return
+            return gammas
         raise DomainError(
             f"zero list reaches only t = {zeros.t_max:g}, below T = {t_height:g}, "
             "and N(T) is certified only on 10 <= T <= 1e5"
         )
     expected = zero_count(t_height)
-    if len(zeros.below(t_height)) == expected:
-        return
+    if len(gammas) == expected:
+        return gammas
     raise DomainError(
         f"zero list covers only t <= {zeros.t_max:g} "
-        f"({len(zeros.below(t_height))} zeros, expected {expected} below {t_height:g})"
+        f"({len(gammas)} zeros, expected {expected} below {t_height:g})"
     )
 
 
@@ -176,8 +178,7 @@ def landau_gonek(zeros, m, t_height):
         raise DomainError("Landau-Gonek requires m >= 2 (at m = 1 the sum is trivially N(T))")
     if m > _LANDAU_GONEK_M_MAX:
         raise DomainError("Landau-Gonek takes m <= 10^12, where Lambda(m) comes by trial division")
-    _require_coverage(zeros, t_height)
-    gammas = zeros.below(t_height)
+    gammas = _require_coverage(zeros, t_height)
     terms = m**-0.5 * np.exp(-1j * gammas * math.log(m))
     empirical = complex_fsum(terms)
     predicted = complex(-(t_height / _TWO_PI) * von_mangoldt(m) / m)
@@ -195,7 +196,7 @@ def px_mean(zeros, t_height, k, x_cutoff):
     comparison are reported (details["predicted_bare"] vs the headline
     prediction).
     """
-    _require_coverage(zeros, t_height)
+    gammas = _require_coverage(zeros, t_height)
     k = require_admissible(k)
     subsidiary = _px_subsidiary(k, x_cutoff)
     if x_cutoff > 4.0 * math.log(t_height):
@@ -203,7 +204,6 @@ def px_mean(zeros, t_height, k, x_cutoff):
             f"X = {x_cutoff:g} strains the X = O(log T) growth condition at T = {t_height:g}",
             stacklevel=2,
         )
-    gammas = zeros.below(t_height)
     n = len(gammas)
     values = p_x_euler(0.5 + 1j * gammas, k, x_cutoff)
     empirical = complex_fsum(values)
@@ -275,9 +275,8 @@ def twisted_first_moment(zeros, t_height, x_cutoff):
     over the primes p <= X (:func:`_twisted_m_sum`).  The empirical side uses
     the exact P_X(rho)^{-1} (:func:`p_x_euler`).
     """
-    _require_coverage(zeros, t_height)
+    gammas = _require_coverage(zeros, t_height)
     m_sum = _twisted_m_sum(t_height, x_cutoff)
-    gammas = zeros.below(t_height)
     n = len(gammas)
     zp = zeta_prime_at_zeros(gammas)
     pxinv = p_x_euler(0.5 + 1j * gammas, -1, x_cutoff)

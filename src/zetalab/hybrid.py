@@ -31,7 +31,7 @@ from functools import partial
 import numpy as np
 
 from .arithmetic import _require_cutoff
-from .errors import DomainError
+from .errors import CapabilityError, DomainError
 from .rmt import _finite_order, _mc_estimate, _verblunsky_draw
 from .specfun import exp_integral_e1
 
@@ -41,6 +41,9 @@ _BUMP_PANELS = 64  # equal panels on [0, 1] for the bump's integral
 _MIN_PANELS = 24  # floor on the Gauss-Legendre panels of U's nodes
 # cos or sin values per block of the node sums: 256 rows on the fewest nodes
 _BLOCK_VALUES = 256 * 10 * _MIN_PANELS
+# Largest sizes of the Fourier quadrature: at all three, with X = 1e5 and Y = 1
+# (the most nodes), a call took 1.2 s and a 128 MB peak (2-core Xeon, tracemalloc)
+_QUADRATURE_CAPS = {"grid": 4096, "j_window": 128, "m_max": 1024}
 
 
 def _raw_bump(x):
@@ -297,9 +300,15 @@ def fourier_coeffs_by_quadrature(params, m_max, j_window=50, grid=128):
 
     Raises:
         DomainError: for grid < 1, j_window < 0 or m_max < 0.
+        CapabilityError: for grid, j_window or m_max above its cap in
+            ``_QUADRATURE_CAPS``.
     """
     if grid < 1 or m_max < 0:
         raise DomainError(f"quadrature needs grid >= 1 and m_max >= 0 (got grid {grid}, m_max {m_max})")
+    for field, value in (("grid", grid), ("j_window", j_window), ("m_max", m_max)):
+        cap = _QUADRATURE_CAPS[field]
+        if value > cap:
+            raise CapabilityError(f"the Fourier quadrature supports {field} <= {cap} (got {value})")
     v = (np.arange(grid) + 0.5) * (_TWO_PI / grid)
     g_vals = _f_x_direct_values(-v, params, j_window)
     m = np.arange(0, m_max + 1)
@@ -318,7 +327,8 @@ def mc_hybrid_moment(params, k, samples, seed, workers=1):
     ``rmt.mc_moment``, and the Fourier sum sum_n k F_X(theta_r - theta_n)
     = sum_m s_m p_m needs only the power sums p_m of those eigenvalues for
     m < log X, which Szegő's recursion on the same coefficients gives
-    (``rmt._szego_power_sums``).  A sample costs O(N log X), with no cap on N.
+    (``rmt._szego_power_sums``).  A sample costs O(N log X), for N up to the
+    cap of ``rmt._mc_estimate``, 2^16.
     Seeding and the other checks (``workers`` >= 1) are those of
     :func:`zetalab.rmt.mc_moment`: both run the one driver in ``rmt``.
     """

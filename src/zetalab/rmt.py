@@ -70,6 +70,12 @@ _QUARTER_TURNS = np.array([1.0, 1j, -1.0, -1j, 1.0])  # i^q for q = rint(4u), u 
 # O(n^2) memory and O(n^3) work, took 0.53 s and a 168 MB peak at n = 2048
 # (2-core Xeon); n = 1e5 would need a 74.5 GiB index array
 _WEYL_N_MAX = 2048
+# Largest grid of the Weyl oracle: its O(grid) arrays and FFT took 0.24 s and a
+# 57 MB peak at 2^20 (2-core Xeon, tracemalloc); 1e9 would need 15 GiB a complex array
+_WEYL_GRID_MAX = 1 << 20
+# Largest N of the Monte-Carlo draw: 100 samples took 0.58 s and a 6.5 MB peak at
+# N = 2^16 (2-core Xeon, tracemalloc); N = 1e9 would need a 7.45 GiB index array
+_MC_N_MAX = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -354,10 +360,12 @@ def _mc_estimate(n, k, samples, seed, workers, draw):
     size.  Sampling splits deterministically into ``workers`` child streams
     spawned from the seed; the merged result is bit-reproducible for fixed
     (seed, workers).  The streams run on at most one process per CPU, since
-    the pool forks all its processes at once.
+    the pool forks all its processes at once.  N above 2^16 is refused.
     """
     if n < 1:
         raise DomainError("matrix dimension must be >= 1")
+    if n > _MC_N_MAX:
+        raise CapabilityError(f"the Monte-Carlo draw supports n <= {_MC_N_MAX} (got {n})")
     k = require_admissible(k)
     if samples < 100:
         raise DomainError("need at least 100 samples")
@@ -389,7 +397,7 @@ def mc_moment(n, k, samples, seed, workers=1):
     weighted by |1 - gamma|^2 (Bourgade, Hughes, Nikeghbali & Yor, Duke
     Math. J. 145 (2008); Bourgade, Nikeghbali & Rouault, IMRN 2009).  Each
     sample draws those N - 1 factors exactly, five uniforms a factor
-    (:func:`_verblunsky_draw`): O(N) work and no cap on N.  ``workers`` >= 1
+    (:func:`_verblunsky_draw`): O(N) work, for N up to 2^16.  ``workers`` >= 1
     child streams; the result is bit-reproducible for fixed (seed, workers).
     """
     return _mc_estimate(n, k, samples, seed, workers, _verblunsky_draw)
@@ -426,7 +434,7 @@ def weyl_quadrature_oracle(n, k, grid):
 
     Raises:
         DomainError: for n < 1 or grid < 1.
-        CapabilityError: for n above 2048.
+        CapabilityError: for n above 2048 or grid above 2^20.
     """
     k = require_admissible(k)
     if n < 1:
@@ -434,6 +442,8 @@ def weyl_quadrature_oracle(n, k, grid):
     if n > _WEYL_N_MAX:
         raise CapabilityError(f"the Weyl oracle supports n <= {_WEYL_N_MAX} (got {n})")
     _require_grid(grid)
+    if grid > _WEYL_GRID_MAX:
+        raise CapabilityError(f"the Weyl oracle supports grid <= {_WEYL_GRID_MAX} (got {grid})")
     fac = 1.0 - np.exp(1j * (np.arange(grid) * (_TWO_PI / grid)))
     hit = fac == 0
     phi = np.where(hit, 0.0, np.abs(fac) ** 2 * np.exp(k * np.log(np.where(hit, 1.0, fac))))

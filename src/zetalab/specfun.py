@@ -29,9 +29,6 @@ All routines evaluate in double precision, and all but the scalar
 * :func:`hardy_z_em_error` -- stated bounds on the error of the
   Euler-Maclaurin Z and Z': the proven remainders plus an allowance, sized
   from measurement, for the rounding of the main sum.
-* :func:`hardy_z_second_bound` -- a proven bound on |Z''| near a height, by
-  Cauchy's estimate on a disc where the Euler-Maclaurin formula bounds |zeta|
-  term by term.  The zero refinement certifies its brackets with these two.
 * :func:`riemann_siegel_z` -- Z by the Riemann-Siegel formula through its C4
   term, the five C-series stacked in one table and summed by one elementwise
   Horner pass; O(sqrt t) a point.
@@ -395,63 +392,6 @@ def hardy_z_em_error(t):
     log_m = np.log(_cutoff(t))
     eta_0 = _EM_TOL + _EM_Z_ROUNDING * t * log_m
     return eta_0, (0.5 * np.log(t / _TWO_PI) + log_m) * eta_0
-
-
-def hardy_z_second_bound(t, half_width):
-    """A proven upper bound on |Z''| over [t - h, t + h], h = half_width, for
-    t - h >= 10 and h below 1/log M; inf where h is not.
-
-    On s = 1/2 + it, Z = e^{i theta} zeta(s) gives
-
-        Z'' = e^{i theta} ((i theta'' - theta'^2) zeta(s) - 2 theta' zeta'(s) - zeta''(s)),
-
-    and theta' is positive and rising there, below l = (1/2) log((t+h)/2pi) on
-    the segment (by 1/(48 t^2) to leading order, every term of its series
-    negative), and theta''(t) = 1/(2t) + 1/(24 t^3) + ... is at most 1/t from
-    t = 7 on, so |Z''| <= (1/(t-h) + l^2) |zeta| + 2 l |zeta'| + |zeta''|.
-    With M = 30 + ceil(t/pi), the cutoff (:func:`_cutoff`)
-    :func:`zeta_and_deriv` gives a chunk whose highest point is t (the
-    formula holds at every M), let K bound |zeta| on the disc
-    |w - s| <= r = 1/log M.  Each point s' of the segment has the disc of
-    radius rho = r - h about it inside that one, so Cauchy's estimate gives
-    |zeta^(k)(s')| <= k! K / rho^k and
-
-        B = K (1/(t-h) + l^2 + 2 l / rho + 2 / rho^2).
-
-    K is the Euler-Maclaurin formula at M with two corrections, bounded term
-    by term on the disc, where Re w >= a = 1/2 - r, Im w >= t - r,
-    |w| <= u = |s| + r and |M^{-w}| <= M^{-a} = e M^{-1/2}:
-
-        K = 1 + ((M-1)^{1-a} - 1)/(1-a) + M^{1-a} / (t - r) + M^{-a} / 2
-            + |c_1| u M^{-a-1} + |c_2| (u)_3 M^{-a-3} + R_2,
-
-    where the first two terms bound sum_{n<M} n^{-a} by 1 plus its integral,
-    c_j = B_2j/(2j)!, |(w)_k| <= (u)_k factor by factor, and R_2 is
-    Backlund's bound (u+5)/(a+5) |c_3| (u)_5 M^{-a-5} on the remainder, as in
-    :func:`_em_depth`.  Deeper corrections would lower K by under 0.5 %.
-    B is about 8e3 at t = 1000 and 5e4 at 1e4, where |Z''| is about 2.4 and
-    17: the main sum's bound and 2/rho^2 carry it.  Arrays t and half_width,
-    broadcast; array result.
-    """
-    t, h = np.asarray(t, dtype=float), np.asarray(half_width, dtype=float)
-    m = _cutoff(t)
-    log_m = np.log(m)
-    r = 1.0 / log_m
-    a = 0.5 - r
-    # |w| + i <= u + i on the disc; the corrections and R_2 over M^{-a}
-    u = np.hypot(0.5, t) + r
-    c1, c2, c3 = (abs(c) for c in _EM_COEFFS[:3])
-    q1 = u / m
-    q2 = q1 * (u + 1.0) * (u + 2.0) / (m * m)
-    q3 = q2 * (u + 3.0) * (u + 4.0) / (m * m)
-    corrections = c1 * q1 + c2 * q2 + c3 * q3 * (u + 5.0) / (a + 5.0)
-    m_a = np.exp(-a * log_m)  # M^{-a}
-    main = 1.0 + ((m - 1.0) ** (1.0 - a) - 1.0) / (1.0 - a)
-    k = main + m * m_a / (t - r) + m_a * (0.5 + corrections)
-    rho = r - h
-    slope = 0.5 * np.log((t + h) / _TWO_PI)  # above theta' on the segment
-    b = k * (1.0 / (t - h) + slope * slope + 2.0 * slope / rho + 2.0 / (rho * rho))
-    return np.where(rho > 0.0, b, np.inf)
 
 
 # Most points of one Euler-Maclaurin chunk, and most entries of its n^{-s}

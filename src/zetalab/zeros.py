@@ -19,21 +19,14 @@ The scan takes Z from the Riemann-Siegel formula through C4 where its value
 clears twice the error bound of :func:`specfun.hardy_z_rs`, and from
 Euler-Maclaurin everywhere else (below t = 200 and next to every root), so
 each sign the scan sees is the Euler-Maclaurin sign while most points cost
-O(sqrt t) instead of O(t).  The refinement predicts each root on the
-Riemann-Siegel sum alone, then corrects it by one Newton step on an
-Euler-Maclaurin Z and Z' at the predicted point g.  The bracket of two points
-2.5e-12 either side of the Newton point (the doubles either side from
-t = 2^15 on, where those two round onto it) is certified from g alone where
-Taylor's theorem allows: Z(g) + Z'(g)(e - g) must show each end e's sign by
-more than a proven bound on Z'' times (e - g)^2/2 plus the error of the
-Euler-Maclaurin values, its proven remainders and a stated allowance for its
-rounding.  That allowance, 3 eps t log M with M about t/pi, outgrows |Z'|
-times the bracket as t rises: 98 % of the zeros to T = 1000 pass, 48 % to
-5000 and 23 % to 1e4.  A bracket that fails the inequality takes the
-Euler-Maclaurin signs of Z at its two ends, and one that fails those is
-refined again from its scan bracket, by Anderson-Björck steps on
-Euler-Maclaurin signs.  With the scan, that is 1.53 Euler-Maclaurin points a
-zero at T = 1000, 2.12 at 5000 and 2.58 at 1e4.
+O(sqrt t) instead of O(t).  The refinement (:func:`_refine_brackets`)
+predicts each root on the Riemann-Siegel sum, corrects it by one Newton step
+on Euler-Maclaurin's Z and Z', and certifies the bracket about the Newton
+point by Taylor's theorem, from a proven bound on |Z''| and a stated bound on
+the Euler-Maclaurin error, which passes 97 % of the zeros to T = 1000, 47 %
+to 5000 and 23 % to 1e4.  The rest take Euler-Maclaurin signs at their ends,
+or Anderson-Björck steps from their scan brackets.  With the scan, that is
+1.55 Euler-Maclaurin points a zero at T = 1000, 2.12 at 5000 and 2.58 at 1e4.
 The Euler-Maclaurin points of a scan or a refinement step go to specfun in one
 call, which gives each chunk of ascending height the cutoff of its own highest
 point.
@@ -62,7 +55,6 @@ from .specfun import (
     hardy_z,
     hardy_z_em_error,
     hardy_z_rs,
-    hardy_z_second_bound,
     riemann_siegel_theta,
     riemann_siegel_z,
     zeta_and_deriv,
@@ -279,6 +271,36 @@ def _z_and_slope_em(t):
     return np.real(rot * zeta), -np.imag(rot * (_theta_prime(t) * zeta + zeta_prime))
 
 
+def _z_second_bound(t, h):
+    """A proven upper bound on |Z''| over [t - h, t + h], for t - h >= 10; inf from h = 1/4 on.
+
+    On s = 1/2 + it, Z'' = e^{i theta}((i theta'' - theta'^2) zeta - 2 theta' zeta' - zeta''),
+    with 0 < theta' < l = (1/2) log((t+h)/2pi) on the segment (every term of its
+    series past the log is negative) and theta'' <= 1/t from t = 7 on, so
+    |Z''| <= (1/(t-h) + l^2) |zeta| + 2 l |zeta'| + |zeta''|.  For Re w > 0,
+    zeta(w) = w/(w - 1) - w int_1^inf {x} x^{-w-1} dx (Titchmarsh, The Theory of
+    the Riemann Zeta-Function, 2.1), so |zeta(w)| <= |w|/|w - 1| + |w|/Re w,
+    and on the disc |w - s| <= r = 1/4, where Re w >= 1/2 - r, |w - 1| >= t - r
+    and |w| <= u = |s| + r, |zeta| <= K = u/(t - r) + u/(1/2 - r).  The disc of
+    radius rho = r - h about each point of the segment lies inside it, so
+    Cauchy's estimate |zeta^(k)| <= k! K / rho^k gives
+
+        B = K (1/(t-h) + l^2 + 2 l / rho + 2 / rho^2).
+
+    B is about 2.35e5 at t = 1000 and 3.0e6 at 1e4, where |Z''| is 2.4 and 17
+    (at most 18 and 55 within 5 of them).  Arrays t and h, broadcast; array result.
+    """
+    t, h = np.asarray(t, dtype=float), np.asarray(h, dtype=float)
+    r = 0.25  # the disc's radius
+    u = np.hypot(0.5, t) + r
+    k = u / (t - r) + u / (0.5 - r)
+    rho = r - h
+    slope = 0.5 * np.log((t + h) / _TWO_PI)  # above theta' on the segment
+    with np.errstate(divide="ignore"):  # at h = r, where the result is inf
+        b = k * (1.0 / (t - h) + slope * slope + 2.0 * slope / rho + 2.0 / (rho * rho))
+    return np.where(rho > 0.0, b, np.inf)
+
+
 def _taylor_certified(g, z_g, slope, ends):
     """Whether Z(g) and Z'(g) show opposite signs of Z at the two ``ends`` of each row.
 
@@ -287,7 +309,7 @@ def _taylor_certified(g, z_g, slope, ends):
     Z(g) by at most eta_0 and Z'(g) by at most eta_1
     (:func:`specfun.hardy_z_em_error`: proven remainders plus a stated
     allowance for rounding).  So with L(e) = z_g + slope (e - g) and B >= |Z''|
-    between g and e (:func:`specfun.hardy_z_second_bound`), Z(e) has the
+    between g and e (:func:`_z_second_bound`), Z(e) has the
     sign of L(e) where
 
         |L(e)| > eta_0 + eta_1 |e - g| + B (e - g)^2 / 2.
@@ -296,7 +318,7 @@ def _taylor_certified(g, z_g, slope, ends):
     measured, not proven.
     """
     step = np.abs(ends - g[:, None])
-    bound = hardy_z_second_bound(g, step.max(axis=1))
+    bound = _z_second_bound(g, step.max(axis=1))
     eta_0, eta_1 = hardy_z_em_error(g)
     line = z_g[:, None] + slope[:, None] * (ends - g[:, None])
     clear = np.abs(line) > eta_0[:, None] + (eta_1[:, None] + 0.5 * bound[:, None] * step) * step
@@ -323,9 +345,9 @@ def _refine_brackets(lo, hi, z):
        values, shows Z's signs at both ends (:func:`_taylor_certified`): no
        further Euler-Maclaurin point.  A bracket passes where |Z'| times its
        half-width clears that error, whose allowance for rounding grows as
-       3 eps t log M: to T = 1000 all but 12 of 649 zeros pass (the 10 below
-       t = 60, where the prediction is loose, and a close pair at 947), 48 %
-       to 5000 and 23 % to 1e4.  Scan included, that is 1.53 Euler-Maclaurin
+       3 eps t log M: to T = 1000 all but 20 of 649 zeros pass (18 below
+       t = 96, where the prediction is loose, and a close pair at 947), 47 %
+       to 5000 and 23 % to 1e4.  Scan included, that is 1.55 Euler-Maclaurin
        points a zero at T = 1000, 2.12 at 5000 and 2.58 at 1e4 (3.49, 3.07
        and 3.05 with step 4 at every zero).
     4. *Check the ends.* A bracket that fails step 3 takes :func:`hardy_z`

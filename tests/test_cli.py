@@ -260,8 +260,13 @@ class TestGates:
          ("toeplitz-check", {"k": "1", "sizes": "8"}, "x", "e3"),
          ("rmt-moment", {"n": 4, "k": "1", "samples": 100}, "workers", 1.5),
          ("rmt-moment", {"n": 4, "k": "1"}, "samples", "1e400"),
-         ("rmt-moment", {"n": 4, "k": "1"}, "samples", "nan")],
-        ids=["int-n", "float-x", "workers", "int-samples-1e400", "int-samples-nan"],
+         ("rmt-moment", {"n": 4, "k": "1"}, "samples", "nan"),
+         ("rmt-moment", {"n": 4, "samples": 100}, "k", "1+"),
+         ("toeplitz-check", {"k": "1"}, "sizes", ""),
+         ("toeplitz-check", {"k": "1"}, "sizes", "8,1.5"),
+         ("conjecture-table", {"k": "1", "zeros": str(TABLE_5000)}, "t", "1000,,5000")],
+        ids=["int-n", "float-x", "workers", "int-samples-1e400", "int-samples-nan", "complex-k",
+             "sizes-empty", "sizes-fraction", "heights-empty"],
     )
     def test_bad_value_exits_2_naming_the_field(self, tmp_path, capsys, route, name, fields, field, value):
         # the flags stay text and _resolve casts them as it casts the config
@@ -285,17 +290,46 @@ class TestGates:
          ["toeplitz-check", "--k", "1", "--sizes", f"8,{toeplitz._SERIES_N_MAX + 1}"],
          ["hybrid-mc", "--n", toeplitz._SERIES_N_MAX + 1, "--x", 20.0855, "--k", "1", "--samples", 100],
          ["hybrid-mc", "--n", 8, "--x", 1e6, "--k", "1", "--samples", 100],
-         ["toeplitz-check", "--k", "1", "--sizes", "8,4096", "--x", 1e300]],
-        ids=["rmt-oracle-n", "toeplitz-check-sizes", "hybrid-mc-n", "hybrid-mc-x", "toeplitz-check-x"],
+         ["toeplitz-check", "--k", "1", "--sizes", "8,4096", "--x", 1e300],
+         ["rmt-oracle", "--n", 2, "--k", "1", "--grid", 10**9],
+         ["hybrid-fourier-check", "--x", 20, "--k", "1", "--grid", 10**8],
+         ["hybrid-fourier-check", "--x", 20, "--k", "1", "--m-max", 10**9],
+         ["hybrid-fourier-check", "--x", 20, "--k", "1", "--j-window", 10**9],
+         ["rmt-moment", "--n", 10**9, "--k", "1", "--samples", 100]],
+        ids=["rmt-oracle-n", "toeplitz-check-sizes", "hybrid-mc-n", "hybrid-mc-x", "toeplitz-check-x",
+             "rmt-oracle-grid", "fourier-grid", "fourier-m-max", "fourier-j-window", "rmt-moment-n"],
     )
     def test_size_above_cap_exits_2_at_once(self, tmp_path, capsys, args):
-        # the Weyl oracle's determinant and the Toeplitz series refuse before
-        # they allocate, and the hybrid model's prime cutoff before any series
+        # the Weyl oracle, the Fourier quadrature, the Monte-Carlo draw and the
+        # Toeplitz series refuse before they allocate (each of the last five
+        # sizes asks for 7.45 GiB or more), and the hybrid model's prime cutoff
+        # before any series
         start = time.perf_counter()
         assert run_cli(["--output-dir", tmp_path, *args]) == 2
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "CapabilityError" in err[0], err
+
+    @pytest.mark.parametrize(
+        "args, field, cap",
+        [(["rmt-oracle", "--n", 2, "--k", "1", "--grid"], "grid", rmt._WEYL_GRID_MAX),
+         (["rmt-moment", "--k", "1", "--samples", 100, "--n"], "n", rmt._MC_N_MAX),
+         *((["hybrid-fourier-check", "--x", 20, "--k", "1", "--" + field.replace("_", "-")], field, cap)
+           for field, cap in hybrid._QUADRATURE_CAPS.items())],
+        ids=["rmt-oracle-grid", "rmt-moment-n", "fourier-grid", "fourier-j-window", "fourier-m-max"],
+    )
+    def test_one_above_cap_names_the_field_and_its_cap(self, tmp_path, capsys, args, field, cap):
+        assert run_cli(["--output-dir", tmp_path, *args, cap + 1]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"supports {field} <= {cap} (got {cap + 1})" in err[0], err
+
+    def test_text_fields_keep_their_text(self, tmp_path):
+        # k, conjecture-table's t and toeplitz-check's sizes are checked where
+        # every field is cast, and the CSV and the manifest show them as given
+        assert run_cli(["--output-dir", tmp_path, "toeplitz-check", "--k", " 0.5+0.5i", "--sizes", "8, 16"]) == 0
+        _, rows, manifest = read_outputs(tmp_path)
+        assert [row["k"] for row in rows] == [" 0.5+0.5i"] * 2
+        assert (manifest["config"]["k"], manifest["config"]["sizes"]) == (" 0.5+0.5i", "8, 16")
 
     def test_manifest_records_every_default(self, tmp_path):
         assert run_cli(["--output-dir", tmp_path / "o", "rmt-oracle", "--n", 2, "--k", "1"]) == 0
