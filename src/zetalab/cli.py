@@ -303,8 +303,8 @@ def _cast(field, typ, value):
 def _resolve(name, args):
     """The run's config: the field defaults, then the --config file, then the
     flags (their text), each cast once by :func:`_cast`.  ValueError names a
-    key that is no field, a missing required field, or a value its field's
-    type refuses."""
+    key that is no field, a missing required field, a value its field's type
+    refuses, and a worker count below 1, or above 1 where no samples are drawn."""
     fields = _SUBCOMMANDS[name][1] | _GLOBAL_FIELDS
     path = args.pop("config")
     given = json.loads(Path(path).read_text()) if path else {}
@@ -321,6 +321,11 @@ def _resolve(name, args):
         if value is _REQUIRED:
             raise ValueError(f"missing field {field!r}")
         cfg[field] = None if value is None else _cast(field, typ, value)
+    workers = cfg["workers"]
+    if workers < 1:
+        raise ValueError(f"field 'workers' needs an integer >= 1, got {workers}")
+    if workers > 1 and "samples" not in fields:  # the subcommands that sample are those with a samples field
+        raise ValueError(f"field 'workers' must be 1 for {name}, which draws no samples, got {workers}")
     return cfg
 
 

@@ -13,9 +13,10 @@ math.fsum, with the closed-form prediction it is conjectured (or proven) to trac
   three-term polynomial main term plus the A1/B1 prime sums.
 
 The m-sums of the last two over the coefficients a_k(m) of P_X(s)^k are
-taken in closed form over the primes p <= X, untruncated.  Main and subsidiary
-prediction pieces are always reported separately so slow-convergence
-diagnostics stay visible.
+taken in closed form over the primes p <= X, untruncated.  Each sum runs over
+``ZeroList.covering(T)``, the list's ordinates up to T once it holds the count N(T).
+Main and subsidiary prediction pieces are always reported separately so
+slow-convergence diagnostics stay visible.
 """
 
 import math
@@ -28,7 +29,6 @@ from .arithmetic import p_x_euler, prime_power_sums, von_mangoldt
 from .errors import DomainError
 from .rmt import conjecture_rhs, require_admissible
 from .specfun import GAMMA0, GAMMA1, zeta_prime_at_zeros
-from .zeros import zero_count
 
 _TWO_PI = 2.0 * math.pi
 # Largest m for landau_gonek: Lambda(m) is found by trial division, 0.06 s at
@@ -100,31 +100,6 @@ def _branch_power(values, k, branch):
     return np.exp(k * np.log(values))
 
 
-def _require_coverage(zeros, t_height):
-    """The list's ordinates up to T, once it covers (0, T]: it does if it holds
-    exactly the certified number N(T) of zeros up to T, whatever its t_max (a
-    table that reaches T may still miss an ordinate).  Beyond the range of
-    :func:`zero_count` (10 <= T <= 1e5), a list whose t_max reaches T is taken
-    as it is.  T must be a positive finite number."""
-    if not (math.isfinite(t_height) and t_height > 0):
-        raise DomainError(f"height T = {t_height:g} is not a positive finite number")
-    gammas = zeros.below(t_height)
-    if not 10.0 <= t_height <= 1e5:
-        if zeros.t_max >= t_height:
-            return gammas
-        raise DomainError(
-            f"zero list reaches only t = {zeros.t_max:g}, below T = {t_height:g}, "
-            "and N(T) is certified only on 10 <= T <= 1e5"
-        )
-    expected = zero_count(t_height)
-    if len(gammas) == expected:
-        return gammas
-    raise DomainError(
-        f"zero list covers only t <= {zeros.t_max:g} "
-        f"({len(gammas)} zeros, expected {expected} below {t_height:g})"
-    )
-
-
 def zeta_prime_moments(zeros, heights, k):
     """(1/N(T)) sum_{gamma<=T} zeta'(1/2+i gamma)^k vs (1/Gamma(k+2)) log(T/2pi)^k,
     at each T of ``heights``, in their order.
@@ -151,7 +126,7 @@ def zeta_prime_moments(zeros, heights, k):
     k = require_admissible(k)
     gammas = zeros.below(max(heights))
     for t in heights:
-        _require_coverage(zeros, t)
+        zeros.covering(t)
         if not (gammas.size and gammas[0] <= t):
             raise DomainError(f"no zero at or below T = {t:g}: the moment averages over the zeros up to T")
     branch = resolve_branch(k)
@@ -178,7 +153,7 @@ def landau_gonek(zeros, m, t_height):
         raise DomainError("Landau-Gonek requires m >= 2 (at m = 1 the sum is trivially N(T))")
     if m > _LANDAU_GONEK_M_MAX:
         raise DomainError("Landau-Gonek takes m <= 10^12, where Lambda(m) comes by trial division")
-    gammas = _require_coverage(zeros, t_height)
+    gammas = zeros.covering(t_height)
     terms = m**-0.5 * np.exp(-1j * gammas * math.log(m))
     empirical = complex_fsum(terms)
     predicted = complex(-(t_height / _TWO_PI) * von_mangoldt(m) / m)
@@ -196,7 +171,7 @@ def px_mean(zeros, t_height, k, x_cutoff):
     comparison are reported (details["predicted_bare"] vs the headline
     prediction).
     """
-    gammas = _require_coverage(zeros, t_height)
+    gammas = zeros.covering(t_height)
     k = require_admissible(k)
     subsidiary = _px_subsidiary(k, x_cutoff)
     if x_cutoff > 4.0 * math.log(t_height):
@@ -275,7 +250,7 @@ def twisted_first_moment(zeros, t_height, x_cutoff):
     over the primes p <= X (:func:`_twisted_m_sum`).  The empirical side uses
     the exact P_X(rho)^{-1} (:func:`p_x_euler`).
     """
-    gammas = _require_coverage(zeros, t_height)
+    gammas = zeros.covering(t_height)
     m_sum = _twisted_m_sum(t_height, x_cutoff)
     n = len(gammas)
     zp = zeta_prime_at_zeros(gammas)

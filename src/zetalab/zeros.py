@@ -13,7 +13,8 @@ critical line (Brent, van de Lune, te Riele & Winter, Math. Comp. 39 (1982)
 zeros bracketed, and N(g_a) = a + 1 at every good Gram point g_a.  A block
 that shows fewer (two close zeros between neighbouring scan points) is
 rescanned alone at doubling density, and MissingZeroError names it if its
-count still differs.
+count still differs.  :meth:`ZeroList.covering` holds any list, computed or
+ingested, to that count before a sum runs over its ordinates.
 
 The scan takes Z from the Riemann-Siegel formula through C4 where its value
 clears twice the error bound of :func:`specfun.hardy_z_rs`, and from
@@ -65,6 +66,8 @@ _BRACKET_WIDTH = 1e-11
 _PREDICT_WIDTH = 1e-9  # where the Riemann-Siegel prediction of a root stops
 _POINTS_PER_GRAM = 4  # scan points per Gram interval
 _RESCAN_ROUNDS = 5  # density doublings of a short Rosser block before MissingZeroError
+# zero_count's reach: its scan starts at g_{-1} = 9.67 (N(t) = 0 below 14.13) and stops at Euler-Maclaurin's cap
+_COUNT_T_MIN, _COUNT_T_MAX = 10.0, 1e5
 CACHE_ENV = "ZETALAB_CACHE"
 
 
@@ -93,6 +96,27 @@ class ZeroList:
     def below(self, t):
         """Ordinates with gamma <= t."""
         return self.gammas[self.gammas <= t]
+
+    def covering(self, t):
+        """The ordinates up to t, once the list covers (0, t], so that position i holds
+        zero i + 1: it does if it holds exactly N(t) ordinates up to t, whatever its
+        t_max (a table that reaches t may still miss one).  N(t) is 0 below
+        _COUNT_T_MIN and :func:`zero_count` certifies it up to _COUNT_T_MAX; beyond
+        that, a list whose t_max reaches t is taken as it is.  DomainError otherwise,
+        and for a t that is not a positive finite number."""
+        if not (math.isfinite(t) and t > 0):
+            raise DomainError(f"height T = {t:g} is not a positive finite number")
+        gammas = self.below(t)
+        if t > _COUNT_T_MAX:
+            if self.t_max >= t:
+                return gammas
+            raise DomainError(f"zero list reaches only t = {self.t_max:g}, below T = {t:g}, and N(T) "
+                              f"is certified only on {_COUNT_T_MIN:g} <= T <= {_COUNT_T_MAX:g}")
+        expected = zero_count(t) if t >= _COUNT_T_MIN else 0
+        if len(gammas) != expected:
+            raise DomainError(f"zero list covers only t <= {self.t_max:g} "
+                              f"({len(gammas)} zeros, expected {expected} below {t:g})")
+        return gammas
 
     def __len__(self):
         return len(self.gammas)
@@ -179,8 +203,7 @@ def _rosser_scan(t, from_first):
         (a, lo, hi, z): the index of the first Gram point, and one bracket per
         zero of the blocks (unordered where a block was rescanned).
     """
-    # Stirling's series for theta(t), within 2e-6 for t >= 10: it only aims the Newton steps
-    theta_t = 0.5 * t * math.log(t / (_TWO_PI * math.e)) - math.pi / 8.0 + 1.0 / (48.0 * t)
+    theta_t = riemann_siegel_theta(t)
     n_t = math.floor(theta_t / math.pi)
     pad = 8  # Gram points scanned past t on either side, doubled until good ones show
     while True:
@@ -214,11 +237,11 @@ def zero_count(t):
     changes of Z in (g_a, t].
 
     Raises:
-        DomainError: unless 10 <= t <= 1e5, the cap of the Euler-Maclaurin oracle.
+        DomainError: unless _COUNT_T_MIN <= t <= _COUNT_T_MAX.
         MissingZeroError: if the block cannot be made to show all its zeros.
     """
-    if not 10.0 <= t <= 1e5:
-        raise DomainError("zero_count supports 10 <= t <= 1e5")
+    if not _COUNT_T_MIN <= t <= _COUNT_T_MAX:
+        raise DomainError(f"zero_count supports {_COUNT_T_MIN:g} <= t <= {_COUNT_T_MAX:g}")
     a, _, hi, _ = _rosser_scan(t, from_first=False)
     return a + 1 + int(np.count_nonzero(hi <= t))
 

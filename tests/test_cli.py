@@ -87,6 +87,14 @@ class TestRmtMoment:
             assert manifest["checksums"][name] == hashlib.sha256((out / name).read_bytes()).hexdigest()
         assert manifest["column_contract"]["provenance"]["empirical_re"] == "empirical"
 
+    def test_two_workers_split_into_two_streams(self, tmp_path):
+        assert run_cli(["--output-dir", tmp_path, "--workers", 2, "rmt-moment", "--n", 4, "--k", "1",
+                        "--samples", 1000, "--seed", 9]) == 0
+        _, rows, _ = read_outputs(tmp_path)
+        two = rmt.mc_moment(4, 1, 1000, seed=9, workers=2).mean
+        assert complex(float(rows[0]["empirical_re"]), float(rows[0]["empirical_im"])) == two
+        assert two != rmt.mc_moment(4, 1, 1000, seed=9, workers=1).mean
+
     def test_byte_identical_reruns(self, tmp_path):
         args = ["rmt-moment", "--n", 4, "--k", "1", "--samples", 5000, "--seed", 3]
         run_cli(["--output-dir", tmp_path / "a"] + args)
@@ -375,6 +383,15 @@ class TestGates:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("workers, fault", [(0, "needs an integer >= 1, got 0"),
+                                                (2, "must be 1 for zeros compute, which draws no samples")])
+    def test_workers_exit_2_naming_the_field(self, tmp_path, capsys, workers, fault):
+        status = run_cli(["--output-dir", tmp_path, "--workers", workers, "zeros", "compute", "--t-max", 100])
+        assert status == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"field 'workers' {fault}" in err[0], err
+        assert not (tmp_path / "results.csv").exists()
 
     @pytest.mark.parametrize("k", ["nan", "1e400"])
     @pytest.mark.parametrize(
@@ -679,6 +696,15 @@ class TestExperimentSubcommands:
         # the prime 999,999,999,989 is below the cap and factorizes in 0.06 s
         assert run_cli(["--output-dir", tmp_path, "landau-gonek", "--t", 5000, "--m", 999_999_999_989,
                         "--zeros", TABLE_5000]) == 0
+
+    def test_ordinate_below_10_exit_2(self, tmp_path, capsys):
+        # N(5) = 0: the table's ordinate 3.0 is no zero
+        table = tmp_path / "zeros.txt"
+        table.write_text("3.0\n20.0\n")
+        assert run_cli(["--output-dir", tmp_path, "landau-gonek", "--t", 5, "--m", 2, "--zeros", table]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "DomainError: zero list covers only t <= 20 (1 zeros, expected 0 below 5)" in err[0]
+        assert not (tmp_path / "results.csv").exists()
 
     @pytest.mark.parametrize("heights", ["10", "5", "14", "10,200"])
     def test_conjecture_table_below_the_first_zero_exit_2(self, tmp_path, capsys, published_table_path, heights):

@@ -114,7 +114,7 @@ class TestZetaPrimeMoment:
     def test_coverage_returns_the_ordinates_up_to_t(self, zeros_5000, t):
         # landau_gonek, px_mean and twisted sum over these, with no second call to below
         beyond = dataclasses.replace(zeros_5000, t_max=2e5)  # past zero_count's range, t_max is taken
-        assert np.array_equal(experiments._require_coverage(beyond, t), zeros_5000.below(t))
+        assert np.array_equal(beyond.covering(t), zeros_5000.below(t))
 
     def test_height_is_checked_before_log_t(self, zeros_5000):
         # px_mean's X-growth warning and twisted's m-sum take log T

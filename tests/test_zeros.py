@@ -440,6 +440,34 @@ def test_expected_count_main_term_consistency():
     assert zeros.zero_count(t) == 4520
 
 
+class TestCovering:
+    def test_refuses_an_ordinate_below_10(self):
+        # N(T) = 0 below 10 (the first zero is at 14.13), so the prefix must be empty
+        zl = zeros.ZeroList(gammas=np.array([3.0, 20.0]), t_max=20.0, source="test")
+        with pytest.raises(DomainError, match="1 zeros, expected 0 below 5"):
+            zl.covering(5.0)
+
+    @pytest.mark.parametrize("gammas", [[], [20.0]], ids=["empty", "first-above-t"])
+    def test_covers_below_10_with_no_ordinate(self, gammas):
+        zl = zeros.ZeroList(gammas=np.array(gammas), t_max=gammas[-1] if gammas else 0.0, source="test")
+        assert zl.covering(5.0).size == 0
+
+    def test_each_position_is_a_zero_index(self, stored_table_5000):
+        # arg zeta'(rho_n) = pi (n - 3/2) - theta(gamma_n) (mod 2 pi) on the route the CLI
+        # takes, with n the position in the certified prefix plus one
+        def residual(gammas):
+            n = np.arange(1, len(gammas) + 1)
+            gap = np.angle(specfun.zeta_prime_at_zeros(gammas)) - (np.pi * (n - 1.5)
+                                                                   - specfun.riemann_siegel_theta(gammas))
+            return np.abs(np.mod(gap + np.pi, 2 * np.pi) - np.pi)
+
+        table = zeros.ZeroList(gammas=stored_table_5000, t_max=float(stored_table_5000[-1]), source="test")
+        assert np.max(residual(table.covering(5000.0))) < 1e-9
+        # with the 1,001st ordinate gone every later index is one short: the residual is pi
+        gap = residual(np.delete(stored_table_5000, 1000))
+        assert np.max(gap[:1000]) < 1e-9 and np.max(np.abs(gap[1000:] - np.pi)) < 1e-9
+
+
 class TestZeroCount:
     def test_matches_stored_table(self, stored_table_5000):
         rng = np.random.default_rng(6)
