@@ -197,16 +197,11 @@ def p_x_euler(s, k, x_cutoff):
     k = complex(k)
     arr = np.asarray(s, dtype=complex)
     scalar = arr.ndim == 0
-    n_max = int(x_cutoff)
     # the prime powers n = p^r <= X from the sieve, summed in ascending n
-    powers = []
-    for p in sieve_primes(n_max).tolist():
-        n = p
-        while n <= n_max:
-            powers.append((n, p))
-            n *= p
+    powers = sorted((p**r, p) for p in sieve_primes(int(x_cutoff)).tolist()
+                    for r in range(1, _prime_power_limit(p, x_cutoff) + 1))
     acc = np.zeros(arr.shape, dtype=complex)
-    for n, p in sorted(powers):
+    for n, p in powers:
         log_n = math.log(n)
         acc = acc + (math.log(p) / log_n) * np.exp(-arr * log_n)
     out = np.exp(k * acc)

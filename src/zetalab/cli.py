@@ -99,7 +99,8 @@ def _fmt(value):
 
 
 def _row(experiment, k=None, t=None, x=None, empirical=None, predicted=None, n_zeros=None, **extras):
-    """One result: the CSV columns, then the JSON-only extras."""
+    """One result: the CSV columns, then the JSON-only extras as given, except that a
+    complex extra ``name`` goes in as the floats ``name_re`` and ``name_im``."""
     emp = complex(empirical) if empirical is not None else None
     pred = complex(predicted) if predicted is not None else None
     ratio = emp / pred if emp is not None and pred is not None and pred != 0 else None
@@ -107,7 +108,13 @@ def _row(experiment, k=None, t=None, x=None, empirical=None, predicted=None, n_z
     for column, value in (("empirical", emp), ("predicted", pred), ("ratio", ratio)):
         row[f"{column}_re"] = _fmt(value.real if value is not None else None)
         row[f"{column}_im"] = _fmt(value.imag if value is not None else None)
-    return row | {"n_zeros": "" if n_zeros is None else str(int(n_zeros)), "runtime": "", **extras}
+    row |= {"n_zeros": "" if n_zeros is None else str(int(n_zeros)), "runtime": ""}
+    for name, value in extras.items():
+        if isinstance(value, complex):
+            row[f"{name}_re"], row[f"{name}_im"] = float(value.real), float(value.imag)
+        else:
+            row[name] = value
+    return row
 
 
 def _resolve_zeros(source, t_height):
@@ -171,7 +178,7 @@ def _run_toeplitz_check(cfg):
     # one series to the largest size: the Fourier coefficients do not depend on N
     results = toeplitz.es_comparisons(k, _hybrid_params(cfg, 1), sizes)
     return [_row("toeplitz-check", k=cfg["k"], x=cfg["x"], empirical=res.expectation,
-                 predicted=res.asymptotic, n=n, det_re=res.det.real, det_im=res.det.imag)
+                 predicted=res.asymptotic, n=n, det=res.det)
             for n, res in zip(sizes, results)]
 
 
@@ -202,9 +209,7 @@ def _run_px_mean(cfg):
     zl = _resolve_zeros(cfg["zeros"], t)
     res = experiments.px_mean(zl, t, k, cfg["x"])
     return [_row("px-mean", k=cfg["k"], t=t, x=cfg["x"], empirical=res.empirical,
-                 predicted=res.predicted, n_zeros=res.n_zeros,
-                 predicted_bare=res.details["predicted_bare"].real,
-                 subsidiary_sum=res.details["subsidiary_sum"].real)]
+                 predicted=res.predicted, n_zeros=res.n_zeros, **res.details)]
 
 
 def _run_landau_gonek(cfg):
@@ -221,27 +226,16 @@ def _run_twisted(cfg):
     zl = _resolve_zeros(cfg["zeros"], t)
     res = experiments.twisted_first_moment(zl, t, cfg["x"])
     return [_row("twisted", k="-1", t=t, x=cfg["x"], empirical=res.empirical,
-                 predicted=res.predicted, n_zeros=res.n_zeros,
-                 main_term=res.details["main_term"], subsidiary_term=res.details["subsidiary_term"])]
+                 predicted=res.predicted, n_zeros=res.n_zeros, **res.details)]
 
 
 def _run_conjecture_table(cfg):
     k = parse_complex(cfg["k"])
     heights = _FLOATS.parse(cfg["t"])
     zl = _resolve_zeros(cfg["zeros"], max(heights))
-    rows = []
-    for t, res in zip(heights, experiments.zeta_prime_moments(zl, heights, k)):
-        extras = {"branch": res.branch, "normalized_by_formula": str(res.details["normalized_by_formula"])}
-        if k == 1:
-            # known first-moment case: also compare the unnormalized sum
-            # against the three-term polynomial main term
-            total = res.details["sum"]
-            main = experiments.cgg_main_term(t)
-            extras.update(sum_re=total.real, polynomial_main_term=main,
-                          ratio_to_polynomial=total.real / main)
-        rows.append(_row("conjecture-table", k=cfg["k"], t=t, empirical=res.empirical,
-                         predicted=res.predicted, n_zeros=res.n_zeros, **extras))
-    return rows
+    return [_row("conjecture-table", k=cfg["k"], t=t, empirical=res.empirical, predicted=res.predicted,
+                 n_zeros=res.n_zeros, **res.details)
+            for t, res in zip(heights, experiments.zeta_prime_moments(zl, heights, k))]
 
 
 # name -> (runner, {field: type | (type, default)}); a bare type is a required
@@ -346,8 +340,8 @@ def evaluate_gates(gates, rows):
     An empty cell is skipped; a nan value fails every gate on its column.
 
     Raises:
-        ValueError: if a gate has no ``column``, or names one that is neither
-            a CSV column nor a JSON extra of any row.
+        ValueError: if a gate has no ``column``, names one that is neither
+            a CSV column nor a JSON extra of any row, or meets a text value there.
     """
     known = set(CSV_COLUMNS).union(*rows)
     failures = []
@@ -362,7 +356,10 @@ def evaluate_gates(gates, rows):
             text = row.get(col, "")
             if text == "":
                 continue
-            value = float(text)
+            try:
+                value = float(text)
+            except ValueError:
+                raise ValueError(f"gate {name!r}: row {i} {col} is the text {text!r}, not a number") from None
             if math.isnan(value):
                 failures.append(f"gate {name!r}: row {i} {col} is nan")
                 continue

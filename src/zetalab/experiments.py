@@ -16,7 +16,9 @@ The m-sums of the last two over the coefficients a_k(m) of P_X(s)^k are
 taken in closed form over the primes p <= X, untruncated.  Each sum runs over
 ``ZeroList.covering(T)``, the list's ordinates up to T once it holds the count N(T).
 Main and subsidiary prediction pieces are always reported separately so
-slow-convergence diagnostics stay visible.
+slow-convergence diagnostics stay visible.  Each result's ``details`` are its
+row's extras: the CLI writes them into ``results.json`` as they are, a complex
+value as its ``_re`` and ``_im`` parts.
 """
 
 import math
@@ -42,12 +44,11 @@ PRINCIPAL_LOG = "principal-log"
 
 @dataclass(frozen=True)
 class MomentResult:
-    """One experiment outcome: empirical sum vs prediction."""
+    """One experiment outcome: empirical sum vs prediction; ``details`` are the row's extras."""
 
     empirical: complex
     predicted: complex
     n_zeros: int
-    branch: str = ""
     details: dict = field(default_factory=dict)
 
 
@@ -116,29 +117,32 @@ def zeta_prime_moments(zeros, heights, k):
     one-height call ``zeta_prime_moments(zeros, [T], k)`` bit for bit.  The
     zeros below 200 go to Euler-Maclaurin, whose chunks share a cutoff, so a
     height below 200 can differ from a one-height call by that rounding.
-    Each result's details hold the bare sum, the main term n_formula of N(T)
-    and the sum normalized by it.
+    Each result's details hold the branch, the bare sum, the main term n_formula of N(T)
+    and the sum normalized by it, and at k = 1 :func:`cgg_main_term` and the real sum over it.
 
     Raises:
         DomainError: for a height with no zero at or below it, where the
             moment would average over no zeros.
     """
     k = require_admissible(k)
-    gammas = zeros.below(max(heights))
+    counts = []
     for t in heights:
-        zeros.covering(t)
-        if not (gammas.size and gammas[0] <= t):
+        n = len(zeros.covering(t))
+        if not n:
             raise DomainError(f"no zero at or below T = {t:g}: the moment averages over the zeros up to T")
+        counts.append(n)
     branch = resolve_branch(k)
-    powers = _branch_power(zeta_prime_at_zeros(gammas), k, branch)
+    powers = _branch_power(zeta_prime_at_zeros(zeros.gammas[: max(counts)]), k, branch)
     out = []
-    for t in heights:
-        n = int(np.searchsorted(gammas, t, side="right"))
+    for t, n in zip(heights, counts):
         total = complex_fsum(powers[:n])
         n_formula = (t / _TWO_PI) * math.log(t / (_TWO_PI * math.e))
-        details = {"sum": total, "n_formula": n_formula, "normalized_by_formula": total / n_formula}
+        details = dict(branch=branch, sum=total, n_formula=n_formula, normalized_by_formula=total / n_formula)
+        if k == 1:
+            main = cgg_main_term(t)
+            details |= dict(polynomial_main_term=main, ratio_to_polynomial=total.real / main)
         out.append(MomentResult(empirical=total / n, predicted=complex(conjecture_rhs(t, k)), n_zeros=n,
-                                branch=branch, details=details))
+                                details=details))
     return out
 
 
@@ -187,7 +191,7 @@ def px_mean(zeros, t_height, k, x_cutoff):
         empirical=complex(empirical),
         predicted=complex(predicted),
         n_zeros=n,
-        details={"predicted_bare": complex(n), "subsidiary_sum": subsidiary},
+        details={"predicted_bare": float(n), "subsidiary_sum": subsidiary},
     )
 
 

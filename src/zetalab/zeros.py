@@ -103,6 +103,7 @@ class ZeroList:
         t_max (a table that reaches t may still miss one).  N(t) is 0 below
         _COUNT_T_MIN and :func:`zero_count` certifies it up to _COUNT_T_MAX; beyond
         that, a list whose t_max reaches t is taken as it is.  DomainError otherwise,
+        naming a list that stops short of t or one with missing or extra ordinates,
         and for a t that is not a positive finite number."""
         if not (math.isfinite(t) and t > 0):
             raise DomainError(f"height T = {t:g} is not a positive finite number")
@@ -112,10 +113,11 @@ class ZeroList:
                 return gammas
             raise DomainError(f"zero list reaches only t = {self.t_max:g}, below T = {t:g}, and N(T) "
                               f"is certified only on {_COUNT_T_MIN:g} <= T <= {_COUNT_T_MAX:g}")
-        expected = zero_count(t) if t >= _COUNT_T_MIN else 0
-        if len(gammas) != expected:
-            raise DomainError(f"zero list covers only t <= {self.t_max:g} "
-                              f"({len(gammas)} zeros, expected {expected} below {t:g})")
+        n, expected = len(gammas), zero_count(t) if t >= _COUNT_T_MIN else 0
+        if n != expected:
+            fault = (f"covers only t <= {self.t_max:g}" if n < expected and self.t_max < t else
+                     f"reaching t = {self.t_max:g} has {'missing' if n < expected else 'extra'} ordinates")
+            raise DomainError(f"zero list {fault} ({n} zeros, expected {expected} below {t:g})")
         return gammas
 
     def __len__(self):

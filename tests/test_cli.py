@@ -68,6 +68,14 @@ def test_readme_commands_parse():
         parser.parse_args(shlex.split(line))
 
 
+def test_row_splits_a_complex_extra():
+    row = cli._row("x", real=0.5, count=3, text="a", value=complex(1.5, -2.0), zero=0j)
+    assert (row["real"], row["count"], row["text"]) == (0.5, 3, "a")
+    assert (row["value_re"], row["value_im"], row["zero_re"], row["zero_im"]) == (1.5, -2.0, 0.0, 0.0)
+    assert all(type(row[key]) is float for key in ("value_re", "value_im", "zero_re", "zero_im"))
+    assert "value" not in row and "zero" not in row
+
+
 class TestRmtMoment:
     def test_row_and_manifest(self, tmp_path):
         out = tmp_path / "run"
@@ -139,6 +147,23 @@ class TestGates:
         assert run_cli(["--config", cfg, "--output-dir", tmp_path / "l", "zeros", "load",
                         "--path", published_table_path]) == 2
         assert len(capsys.readouterr().err.strip().splitlines()) == 2
+
+    def test_gate_on_text_exits_2_naming_the_gate(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gates": [{"column": "branch", "max": 2}]}))
+        assert run_cli(["--config", cfg, "--output-dir", tmp_path / "out", "conjecture-table", "--k", "1",
+                        "--t", "1000", "--zeros", TABLE_5000]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["conjecture-table: ValueError: gate 'branch': row 0 branch is the text "
+                       "'integer-power', not a number"]
+
+    @pytest.mark.parametrize("low, high, status", [(3.4, 3.6, 0), (3.6, 3.8, 3)])
+    def test_gate_on_a_complex_extra(self, tmp_path, low, high, status):
+        # normalized_by_formula is 3.48... at T = 5000: its real part is gated as a number
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gates": [{"column": "normalized_by_formula_re", "min": low, "max": high}]}))
+        assert run_cli(["--config", cfg, "--output-dir", tmp_path / "out", "conjecture-table", "--k", "1",
+                        "--t", "5000", "--zeros", TABLE_5000]) == status
 
     @pytest.mark.parametrize("gate", [{"column": "ratio_rr", "max": -1}, {"name": "nameless", "max": -1}])
     def test_gate_naming_no_column_exits_2(self, tmp_path, capsys, gate):
@@ -583,6 +608,9 @@ class TestOracleAndHybrid:
         assert status == 0
         _, rows, _ = read_outputs(tmp_path)
         assert [row["n"] for row in rows] == sizes
+        series = toeplitz.es_comparisons(cli.parse_complex(k), hybrid.HybridParams(
+            n=1, x_cutoff=math.e**3, smoothing=hybrid.SmoothingSpec(4.0)), sizes)
+        assert [complex(row["det_re"], row["det_im"]) for row in rows] == [res.det for res in series]
         for n, row in zip(sizes, rows):
             params = hybrid.HybridParams(n=n, x_cutoff=math.e**3, smoothing=hybrid.SmoothingSpec(4.0))
             res = toeplitz.es_comparison(cli.parse_complex(k), params)
@@ -655,6 +683,31 @@ class TestExperimentSubcommands:
         assert [float(r["T"]) for r in rows] == [1000.0, 2500.0]
         assert all(r["n_zeros"] for r in rows)
 
+    def test_conjecture_table_k1_main_term(self, tmp_path):
+        assert run_cli(["--output-dir", tmp_path, "conjecture-table", "--k", "1", "--t", "1000,2500,5000",
+                        "--zeros", TABLE_5000]) == 0
+        _, rows, _ = read_outputs(tmp_path)
+        assert [row["polynomial_main_term"] for row in rows] == [
+            experiments.cgg_main_term(t) for t in (1000.0, 2500.0, 5000.0)]
+        for row in rows:
+            assert row["ratio_to_polynomial"] == row["sum_re"] / row["polynomial_main_term"]
+            assert row["n_formula"] > 0 and isinstance(row["normalized_by_formula_re"], float)
+
+    def test_conjecture_table_main_term_only_at_k1(self, tmp_path):
+        assert run_cli(["--output-dir", tmp_path, "conjecture-table", "--k=-1", "--t", "5000",
+                        "--zeros", TABLE_5000]) == 0
+        _, (row,), _ = read_outputs(tmp_path)
+        assert "polynomial_main_term" not in row and "ratio_to_polynomial" not in row
+        assert row["branch"] == experiments.RECIPROCAL and {"sum_re", "sum_im", "n_formula"} <= row.keys()
+
+    def test_px_mean_keeps_a_complex_subsidiary_sum(self, tmp_path):
+        assert run_cli(["--output-dir", tmp_path, "px-mean", "--t", 5000, "--k", "1+i",
+                        "--zeros", TABLE_5000]) == 0
+        _, (row,), _ = read_outputs(tmp_path)
+        assert row["subsidiary_sum_im"] != 0 and row["predicted_bare"] == 4520.0
+        predicted = 4520 - (5000.0 / (2.0 * math.pi)) * complex(row["subsidiary_sum_re"], row["subsidiary_sum_im"])
+        assert (row["predicted_re"], row["predicted_im"]) == (cli._fmt(predicted.real), cli._fmt(predicted.imag))
+
     @pytest.mark.parametrize("args, fault", [
         (["landau-gonek", "--t", -100, "--m", 2], "height T = -100 is not a positive finite number"),
         (["landau-gonek", "--t", 0, "--m", 2], "height T = 0 is not a positive finite number"),
@@ -703,7 +756,8 @@ class TestExperimentSubcommands:
         table.write_text("3.0\n20.0\n")
         assert run_cli(["--output-dir", tmp_path, "landau-gonek", "--t", 5, "--m", 2, "--zeros", table]) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "DomainError: zero list covers only t <= 20 (1 zeros, expected 0 below 5)" in err[0]
+        fault = "DomainError: zero list reaching t = 20 has extra ordinates (1 zeros, expected 0 below 5)"
+        assert len(err) == 1 and fault in err[0]
         assert not (tmp_path / "results.csv").exists()
 
     @pytest.mark.parametrize("heights", ["10", "5", "14", "10,200"])

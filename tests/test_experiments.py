@@ -75,7 +75,7 @@ class TestZetaPrimeMoment:
 
     def test_k_minus_1_known_case(self, zeros_5000):
         res = experiments.zeta_prime_moments(zeros_5000, [5000.0], -1)[0]
-        assert res.branch == experiments.RECIPROCAL
+        assert res.details["branch"] == experiments.RECIPROCAL
         # the empirical tracks the proven asymptotic sum ~ T/2pi, i.e. the
         # normalized value 1/(L-1); the conjecture target 1/L differs from it
         # by the finite-size factor L/(L-1), so deviation is measured against
@@ -94,6 +94,12 @@ class TestZetaPrimeMoment:
         # the moment would average over no zeros
         with pytest.raises(DomainError, match=f"no zero at or below T = {heights[0]:g}:"):
             experiments.zeta_prime_moments(zeros_100, heights, 1)
+
+    def test_heights_are_checked_in_their_order(self, zeros_5000):
+        # empty at T = 5 and short at T = 4000: the first height's fault is the one raised
+        gap = dataclasses.replace(zeros_5000, gammas=np.delete(zeros_5000.gammas, 1000))
+        with pytest.raises(DomainError, match="no zero at or below T = 5:"):
+            experiments.zeta_prime_moments(gap, [5.0, 4000.0], 1)
 
     def test_sums_below_the_first_zero_are_kept(self, zeros_100):
         # a sum over no zeros is 0 and defined: these rows stay

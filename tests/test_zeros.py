@@ -447,6 +447,20 @@ class TestCovering:
         with pytest.raises(DomainError, match="1 zeros, expected 0 below 5"):
             zl.covering(5.0)
 
+    @pytest.mark.parametrize("gammas, t, fault", [
+        ([14.134725142, 14.5, 21.022039639], 22.0,
+         "zero list reaching t = 21.022 has extra ordinates (3 zeros, expected 2 below 22)"),
+        ([14.134725142, 25.010857580], 22.0,
+         "zero list reaching t = 25.0109 has missing ordinates (1 zeros, expected 2 below 22)"),
+        ([14.134725142], 22.0, "zero list covers only t <= 14.1347 (1 zeros, expected 2 below 22)"),
+    ], ids=["extra", "missing", "short"])
+    def test_names_the_fault(self, gammas, t, fault):
+        # "covers only" is a list that stops short of T; any other miscount has a wrong ordinate
+        zl = zeros.ZeroList(gammas=np.array(gammas), t_max=gammas[-1], source="test")
+        with pytest.raises(DomainError) as info:
+            zl.covering(t)
+        assert str(info.value) == fault
+
     @pytest.mark.parametrize("gammas", [[], [20.0]], ids=["empty", "first-above-t"])
     def test_covers_below_10_with_no_ordinate(self, gammas):
         zl = zeros.ZeroList(gammas=np.array(gammas), t_max=gammas[-1] if gammas else 0.0, source="test")
