@@ -14,7 +14,8 @@ math.fsum, with the closed-form prediction it is conjectured (or proven) to trac
 
 The m-sums of the last two over the coefficients a_k(m) of P_X(s)^k are
 taken in closed form over the primes p <= X, untruncated.  Each sum runs over
-``ZeroList.covering(T)``, the list's ordinates up to T once it holds the count N(T).
+``ZeroList.covering(T)``, the list's ordinates up to T once it holds the count N(T); the
+zeta' sums check each index on the branch of :func:`_zeta_prime_power`, taken at every k.
 Main and subsidiary prediction pieces are always reported separately so
 slow-convergence diagnostics stay visible.  Each result's ``details`` are its
 row's extras: the CLI writes them into ``results.json`` as they are, a complex
@@ -30,16 +31,16 @@ import numpy as np
 from .arithmetic import p_x_euler, prime_power_sums, von_mangoldt
 from .errors import DomainError
 from .rmt import conjecture_rhs, require_admissible
-from .specfun import GAMMA0, GAMMA1, zeta_prime_at_zeros
+from .specfun import GAMMA0, GAMMA1, riemann_siegel_theta, zeta_prime_at_zeros
 
 _TWO_PI = 2.0 * math.pi
 # Largest m for landau_gonek: Lambda(m) is found by trial division, 0.06 s at
 # the prime 999,999,999,989.
 _LANDAU_GONEK_M_MAX = 10**12
 
-INTEGER_POWER = "integer-power"
-RECIPROCAL = "reciprocal"
-PRINCIPAL_LOG = "principal-log"
+# Largest miss of arg zeta'(rho_n) = pi S(gamma_n) mod 2 pi: the stored table's worst is
+# 9.5e-12, and 8.2e-7 rounded to 6 decimals
+_BRANCH_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -52,32 +53,6 @@ class MomentResult:
     details: dict = field(default_factory=dict)
 
 
-def resolve_branch(k):
-    """integer-power for k in Z>=0, reciprocal for k in Z<0, else principal-log.
-
-    The principal-log strategy is experimental: the model's branch for
-    non-integer powers is defined through the hybrid product, not by
-    continuous variation of log zeta', so it is excluded from acceptance.
-    """
-    k = complex(k)
-    if k.imag == 0 and k.real == round(k.real):
-        return INTEGER_POWER if k.real >= 0 else RECIPROCAL
-    return PRINCIPAL_LOG
-
-
-def _int_power(values, n):
-    """Repeated-multiplication integer power (binary exponentiation), n >= 0."""
-    out = np.ones_like(values)
-    base = values.copy()
-    n = int(n)
-    while n:
-        if n & 1:
-            out = out * base
-        base = base * base
-        n >>= 1
-    return out
-
-
 def complex_fsum(values):
     """Correctly rounded sum (math.fsum) of the real and imaginary parts of a 1-D array.
 
@@ -87,18 +62,29 @@ def complex_fsum(values):
     return complex(math.fsum(values.real.tolist()), math.fsum(values.imag.tolist()))
 
 
-def _branch_power(values, k, branch):
-    if branch == INTEGER_POWER:
-        return _int_power(values, int(k.real))
-    if branch == RECIPROCAL:
-        small = np.abs(values) < 1e-12
-        if small.any():
-            raise DomainError(
-                "negative moment hit |zeta'(rho)| < 1e-12 (near-multiple zero); "
-                f"first offender at index {int(np.nonzero(small)[0][0])}"
-            )
-        return 1.0 / _int_power(values, -int(k.real))
-    return np.exp(k * np.log(values))
+def _zeta_prime_power(gammas, k):
+    """zeta'(rho_n)^k at a certified prefix ``gammas`` (position i holds zero n = i + 1), on
+    the branch arg zeta'(rho_n) = pi S(gamma_n) = pi (n - 3/2) - theta(gamma_n) behind S(t)
+    (Titchmarsh, ch. 9).  numpy's power takes the principal log, m_n whole turns off that
+    branch; where m_n != 0, which needs |S(gamma_n)| >= 1, the factor e^{-2 pi i k m_n} lifts it.
+    DomainError names the first zero that misses the identity by more than _BRANCH_TOL (an
+    ordinate missing, extra or moved), and at Re k < 0 the first with |zeta'| < 1e-12."""
+    zp = zeta_prime_at_zeros(gammas)
+    if k.real < 0 and (small := np.abs(zp) < 1e-12).any():
+        i = int(np.argmax(small))
+        raise DomainError(f"a negative moment hit |zeta'(rho)| < 1e-12 (near-multiple zero) at zero n = {i + 1}, "
+                          f"gamma = {gammas[i]:.10g}")
+    n = np.arange(1, len(zp) + 1)
+    turns = (np.angle(zp) - (np.pi * (n - 1.5) - riemann_siegel_theta(gammas))) / _TWO_PI
+    lift = np.round(turns)
+    miss = _TWO_PI * np.abs(turns - lift)
+    if (bad := miss > _BRANCH_TOL).any():
+        i = int(np.argmax(bad))
+        raise DomainError(f"arg zeta'(rho_n) misses pi S(gamma_n) by {miss[i]:.2g} at zero n = {i + 1}, "
+                          f"gamma = {gammas[i]:.10g}: an ordinate at or below it is missing, extra or moved")
+    powers = zp**k
+    powers[lift != 0] *= np.exp(-1j * _TWO_PI * k * lift[lift != 0])
+    return powers
 
 
 def zeta_prime_moments(zeros, heights, k):
@@ -108,7 +94,7 @@ def zeta_prime_moments(zeros, heights, k):
     Args:
         zeros: a ZeroList covering (0, T] for every T.
         heights: the heights T.
-        k: moment order, Re(k) > -3; the power takes :func:`resolve_branch`'s branch.
+        k: moment order, Re(k) > -3, on the branch of :func:`_zeta_prime_power`.
 
     zeta' is evaluated once, at the zeros below the largest height
     (:func:`zeta_prime_at_zeros`), and each height reduces over its prefix of
@@ -117,12 +103,12 @@ def zeta_prime_moments(zeros, heights, k):
     one-height call ``zeta_prime_moments(zeros, [T], k)`` bit for bit.  The
     zeros below 200 go to Euler-Maclaurin, whose chunks share a cutoff, so a
     height below 200 can differ from a one-height call by that rounding.
-    Each result's details hold the branch, the bare sum, the main term n_formula of N(T)
+    Each result's details hold the bare sum, the main term n_formula of N(T)
     and the sum normalized by it, and at k = 1 :func:`cgg_main_term` and the real sum over it.
 
     Raises:
         DomainError: for a height with no zero at or below it, where the
-            moment would average over no zeros.
+            moment would average over no zeros, and where :func:`_zeta_prime_power` refuses.
     """
     k = require_admissible(k)
     counts = []
@@ -131,13 +117,12 @@ def zeta_prime_moments(zeros, heights, k):
         if not n:
             raise DomainError(f"no zero at or below T = {t:g}: the moment averages over the zeros up to T")
         counts.append(n)
-    branch = resolve_branch(k)
-    powers = _branch_power(zeta_prime_at_zeros(zeros.gammas[: max(counts)]), k, branch)
+    powers = _zeta_prime_power(zeros.gammas[: max(counts)], k)
     out = []
     for t, n in zip(heights, counts):
         total = complex_fsum(powers[:n])
         n_formula = (t / _TWO_PI) * math.log(t / (_TWO_PI * math.e))
-        details = dict(branch=branch, sum=total, n_formula=n_formula, normalized_by_formula=total / n_formula)
+        details = dict(sum=total, n_formula=n_formula, normalized_by_formula=total / n_formula)
         if k == 1:
             main = cgg_main_term(t)
             details |= dict(polynomial_main_term=main, ratio_to_polynomial=total.real / main)
@@ -252,12 +237,12 @@ def twisted_first_moment(zeros, t_height, x_cutoff):
     The prediction is the three-term polynomial main term plus
     (T/2pi) sum_{m>=2} (a_{-1}(m)/m) (A1(1,m) + B1(m,T)), taken in closed form
     over the primes p <= X (:func:`_twisted_m_sum`).  The empirical side uses
-    the exact P_X(rho)^{-1} (:func:`p_x_euler`).
+    the exact P_X(rho)^{-1} (:func:`p_x_euler`) and zeta' from :func:`_zeta_prime_power`.
     """
     gammas = zeros.covering(t_height)
     m_sum = _twisted_m_sum(t_height, x_cutoff)
     n = len(gammas)
-    zp = zeta_prime_at_zeros(gammas)
+    zp = _zeta_prime_power(gammas, 1)
     pxinv = p_x_euler(0.5 + 1j * gammas, -1, x_cutoff)
     empirical = complex_fsum(zp * pxinv)
 

@@ -103,21 +103,25 @@ class ZeroList:
         t_max (a table that reaches t may still miss one).  N(t) is 0 below
         _COUNT_T_MIN and :func:`zero_count` certifies it up to _COUNT_T_MAX; beyond
         that, a list whose t_max reaches t is taken as it is.  DomainError otherwise,
-        naming a list that stops short of t or one with missing or extra ordinates,
-        and for a t that is not a positive finite number."""
+        naming a list that stops short of t, one with missing or extra ordinates or one
+        with an ordinate at or below _COUNT_T_MIN, and for a t that is not a positive
+        finite number."""
         if not (math.isfinite(t) and t > 0):
             raise DomainError(f"height T = {t:g} is not a positive finite number")
         gammas = self.below(t)
         if t > _COUNT_T_MAX:
-            if self.t_max >= t:
-                return gammas
-            raise DomainError(f"zero list reaches only t = {self.t_max:g}, below T = {t:g}, and N(T) "
-                              f"is certified only on {_COUNT_T_MIN:g} <= T <= {_COUNT_T_MAX:g}")
-        n, expected = len(gammas), zero_count(t) if t >= _COUNT_T_MIN else 0
-        if n != expected:
-            fault = (f"covers only t <= {self.t_max:g}" if n < expected and self.t_max < t else
-                     f"reaching t = {self.t_max:g} has {'missing' if n < expected else 'extra'} ordinates")
-            raise DomainError(f"zero list {fault} ({n} zeros, expected {expected} below {t:g})")
+            if self.t_max < t:
+                raise DomainError(f"zero list reaches only t = {self.t_max:g}, below T = {t:g}, and N(T) "
+                                  f"is certified only on {_COUNT_T_MIN:g} <= T <= {_COUNT_T_MAX:g}")
+        else:
+            n, expected = len(gammas), zero_count(t) if t >= _COUNT_T_MIN else 0
+            if n != expected:
+                fault = (f"covers only t <= {self.t_max:g}" if n < expected and self.t_max < t else
+                         f"reaching t = {self.t_max:g} has {'missing' if n < expected else 'extra'} ordinates")
+                raise DomainError(f"zero list {fault} ({n} zeros, expected {expected} below {t:g})")
+        if gammas.size and gammas[0] <= _COUNT_T_MIN:  # N(10) = 0
+            raise DomainError(f"zero list holds the ordinate {gammas[0]:g}, at or below {_COUNT_T_MIN:g}, "
+                              "where zeta has no zero")
         return gammas
 
     def __len__(self):

@@ -3,7 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they complete.  The zero list to T = 5000 is computed once per
 session (cached on disk when ZETALAB_CACHE is set) and shared by criteria
-8-13.
+8-13; criterion 14 reads the stored table to T = 5000.
 """
 
 import math
@@ -282,4 +282,25 @@ def test_criterion_13_twisted_first_moment(zeros_5000):
         ok,
         f"emp {res.empirical.real:.0f} vs pred {res.predicted.real:.0f} ({rel * 100:.2f}%); "
         f"m-sum improves fit by {abs(res.empirical.real - bare) - abs(res.empirical.real - res.predicted.real):.0f}",
+    )
+
+
+# --------------------------------------------------------------- criterion 14
+
+
+def test_criterion_14_complex_k_on_the_zeta_side(stored_table_5000):
+    # zeta'(rho)^k on the branch arg zeta'(rho_n) = pi S(gamma_n), against the conjecture
+    # (1/Gamma(k+2)) log(T/2pi)^k within criterion 12's band; measured ratios
+    # 1.0147-0.0002i, 1.0331+0.0001i, 1.0078+0.0321i and 1.0763+0.1040i
+    table = zeros.ZeroList(gammas=stored_table_5000, t_max=float(stored_table_5000[-1]), source="stored")
+    ratios = {}
+    for k in (0.5, -0.5, 0.5 + 0.5j, 1 + 1j):
+        res = experiments.zeta_prime_moments(table, [5000.0], k)[0]
+        ratios[k] = res.empirical / res.predicted
+    ok = all(abs(r - 1) < 0.15 for r in ratios.values())
+    _report(
+        14,
+        "complex-k-zeta-side",
+        ok,
+        "; ".join(f"k={k}: {r.real:.4f}{r.imag:+.4f}i" for k, r in ratios.items()),
     )

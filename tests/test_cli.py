@@ -150,12 +150,12 @@ class TestGates:
 
     def test_gate_on_text_exits_2_naming_the_gate(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"gates": [{"column": "branch", "max": 2}]}))
-        assert run_cli(["--config", cfg, "--output-dir", tmp_path / "out", "conjecture-table", "--k", "1",
-                        "--t", "1000", "--zeros", TABLE_5000]) == 2
+        cfg.write_text(json.dumps({"gates": [{"column": "source", "max": 2}]}))
+        assert run_cli(["--config", cfg, "--output-dir", tmp_path / "out", "zeros", "load",
+                        "--path", TABLE_5000]) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["conjecture-table: ValueError: gate 'branch': row 0 branch is the text "
-                       "'integer-power', not a number"]
+        assert err == [f"zeros load: ValueError: gate 'source': row 0 source is the text "
+                       f"'ingested:{TABLE_5000}', not a number"]
 
     @pytest.mark.parametrize("low, high, status", [(3.4, 3.6, 0), (3.6, 3.8, 3)])
     def test_gate_on_a_complex_extra(self, tmp_path, low, high, status):
@@ -698,7 +698,7 @@ class TestExperimentSubcommands:
                         "--zeros", TABLE_5000]) == 0
         _, (row,), _ = read_outputs(tmp_path)
         assert "polynomial_main_term" not in row and "ratio_to_polynomial" not in row
-        assert row["branch"] == experiments.RECIPROCAL and {"sum_re", "sum_im", "n_formula"} <= row.keys()
+        assert {"sum_re", "sum_im", "n_formula"} <= row.keys()
 
     def test_px_mean_keeps_a_complex_subsidiary_sum(self, tmp_path):
         assert run_cli(["--output-dir", tmp_path, "px-mean", "--t", 5000, "--k", "1+i",
@@ -759,6 +759,30 @@ class TestExperimentSubcommands:
         fault = "DomainError: zero list reaching t = 20 has extra ordinates (1 zeros, expected 0 below 5)"
         assert len(err) == 1 and fault in err[0]
         assert not (tmp_path / "results.csv").exists()
+
+    @pytest.mark.parametrize("table, args, fault", [
+        # zero 3001 deleted and 4999.9999 appended: N(5000) still matches, and every later index is one short
+        ("deleted-3001", ["conjecture-table", "--k", "1", "--t", 5000], "at zero n = 3001, gamma = 3535.772577:"),
+        # an extra ordinate below the second zero, with N(30) matched by the count of 3
+        ("extra-14.5", ["conjecture-table", "--k", "0.5", "--t", 30], "at zero n = 2, gamma = 14.5:"),
+        ("extra-14.5", ["twisted", "--t", 30], "at zero n = 2, gamma = 14.5:"),
+        # N(15) = 1 equals the count, but zeta has no zero at or below 10
+        *[("ordinate-3", args, "zero list holds the ordinate 3, at or below 10, where zeta has no zero")
+          for args in (["landau-gonek", "--t", 15, "--m", 2], ["px-mean", "--t", 15, "--k", "1"],
+                       ["conjecture-table", "--k", "1", "--t", 15], ["twisted", "--t", 15])],
+    ], ids=["deleted-3001", "extra-conjecture-table", "extra-twisted", *(f"ordinate-3-{name}" for name in (
+        "landau-gonek", "px-mean", "conjecture-table", "twisted"))])
+    def test_table_with_a_wrong_index_exits_2_naming_its_zero(self, tmp_path, capsys, stored_table_5000,
+                                                             table, args, fault):
+        gammas = {"deleted-3001": np.append(np.delete(stored_table_5000, 3000), 4999.9999),
+                  "extra-14.5": [14.134725142, 14.5, 21.022039639],
+                  "ordinate-3": [3.0]}[table]
+        path = tmp_path / "zeros.txt"
+        path.write_text("".join(f"{float(g)!r}\n" for g in gammas))
+        assert run_cli(["--output-dir", tmp_path / "out", *args, "--zeros", path]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "DomainError: " in err[0] and fault in err[0]
+        assert not (tmp_path / "out" / "results.csv").exists()
 
     @pytest.mark.parametrize("heights", ["10", "5", "14", "10,200"])
     def test_conjecture_table_below_the_first_zero_exit_2(self, tmp_path, capsys, published_table_path, heights):

@@ -6,37 +6,66 @@ import numpy as np
 import pytest
 
 from oracles import a1_term, b1_term, px_support_sum, tail_bound, twisted_m_sum_triangular, twisted_support_sum
-from zetalab import arithmetic, experiments
+from zetalab import arithmetic, experiments, zeros
 from zetalab.errors import DomainError
-from zetalab.specfun import GAMMA0, zeta_and_deriv
+from zetalab.specfun import GAMMA0, zeta_and_deriv, zeta_prime_at_zeros
 
 TWO_PI = 2 * math.pi
 
 
+def _stored_table(gammas):
+    return zeros.ZeroList(gammas=gammas, t_max=float(gammas[-1]), source="test")
+
+
 class TestBranchStrategy:
-    def test_resolution(self):
-        assert experiments.resolve_branch(2) == experiments.INTEGER_POWER
-        assert experiments.resolve_branch(0) == experiments.INTEGER_POWER
-        assert experiments.resolve_branch(-1) == experiments.RECIPROCAL
-        assert experiments.resolve_branch(0.5) == experiments.PRINCIPAL_LOG
-        assert experiments.resolve_branch(1 + 1j) == experiments.PRINCIPAL_LOG
-
-    def test_int_power(self):
-        z = np.array([1.5 - 2.0j, -0.3 + 0.4j])
-        assert np.allclose(experiments._int_power(z, 3), z * z * z)
-
-    def test_near_multiple_zero_guard(self):
-        vals = np.array([1.0 + 0j, 1e-13 + 0j])
-        with pytest.raises(DomainError):
-            experiments._branch_power(vals, complex(-1), experiments.RECIPROCAL)
-
     def test_branch_coherence_on_zeros(self, zeros_5000):
-        # integer-power and principal-log agree on every zero for k in {1,2,3}
+        # numpy's power multiplies at integer k; the principal log agrees on every zero for k in {1,2,3}
         _, zp = zeta_and_deriv(0.5 + 1j * zeros_5000.gammas[:500])
         for k in (1, 2, 3):
-            a = experiments._branch_power(zp, complex(k), experiments.INTEGER_POWER)
-            b = experiments._branch_power(zp, complex(k), experiments.PRINCIPAL_LOG)
+            a = zp ** complex(k)
+            b = np.exp(k * np.log(zp))
             assert np.max(np.abs(a - b) / np.abs(a)) < 1e-12
+
+    def test_near_multiple_zero_guard(self, stored_table_5000, monkeypatch):
+        # one zeta' scaled to 1e-13 with its phase kept, so arg zeta' = pi S(gamma_n) still holds
+        true_zeta_prime = experiments.zeta_prime_at_zeros
+
+        def with_a_small_value(gammas):
+            zp = true_zeta_prime(gammas)
+            zp[100] *= 1e-13 / abs(zp[100])
+            return zp
+
+        monkeypatch.setattr(experiments, "zeta_prime_at_zeros", with_a_small_value)
+        table = _stored_table(stored_table_5000)
+        for k in (-1, -0.5):
+            with pytest.raises(DomainError, match=r"\|zeta'\(rho\)\| < 1e-12 .* at zero n = 101,"):
+                experiments.zeta_prime_moments(table, [1000.0], k)
+        assert experiments.zeta_prime_moments(table, [1000.0], 0.5)[0].n_zeros == 649
+
+    @pytest.mark.parametrize("source", ["stored", "first100", "stored-6-decimals", "computed-1e4"])
+    def test_identity_holds_on_every_zero(self, source, stored_table_5000, published_table_path):
+        # worst misses: 9.5e-12 (n = 66), 8.45e-10, 8.2e-7 and 4.0e-12, against _BRANCH_TOL = 1e-6
+        gammas = {"stored": lambda: stored_table_5000,
+                  "first100": lambda: np.loadtxt(published_table_path),
+                  "stored-6-decimals": lambda: np.round(stored_table_5000, 6),
+                  "computed-1e4": lambda: zeros.compute_zeros(1e4).gammas}[source]()
+        zp = zeta_prime_at_zeros(gammas)
+        assert np.array_equal(experiments._zeta_prime_power(gammas, 1), zp)
+
+    def test_ordinates_to_5_decimals_miss_the_identity(self, stored_table_5000):
+        # below t = 200 the miss is theta'(gamma) times the ordinate's error: 2e-6 at the first zero
+        with pytest.raises(DomainError, match=r"by 2e-06 at zero n = 1, gamma = 14.13473:"):
+            experiments._zeta_prime_power(np.round(stored_table_5000, 5), 1)
+
+    def test_lift_by_whole_turns(self, stored_table_5000, monkeypatch):
+        # theta - 2 pi puts every zero one turn off the principal log: e^{-2 pi i k m_n} with m_n = -1
+        table = _stored_table(stored_table_5000)
+        before = {k: experiments.zeta_prime_moments(table, [5000.0], k)[0].empirical for k in (0.5, 1)}
+        true_theta = experiments.riemann_siegel_theta
+        monkeypatch.setattr(experiments, "riemann_siegel_theta", lambda t: true_theta(t) - 2.0 * math.pi)
+        after = {k: experiments.zeta_prime_moments(table, [5000.0], k)[0].empirical for k in (0.5, 1)}
+        assert abs(after[0.5] / before[0.5] + 1) < 1e-15
+        assert abs(after[1] / before[1] - 1) < 1e-15
 
 
 def test_kahan_sum_matches_fsum():
@@ -75,7 +104,6 @@ class TestZetaPrimeMoment:
 
     def test_k_minus_1_known_case(self, zeros_5000):
         res = experiments.zeta_prime_moments(zeros_5000, [5000.0], -1)[0]
-        assert res.details["branch"] == experiments.RECIPROCAL
         # the empirical tracks the proven asymptotic sum ~ T/2pi, i.e. the
         # normalized value 1/(L-1); the conjecture target 1/L differs from it
         # by the finite-size factor L/(L-1), so deviation is measured against

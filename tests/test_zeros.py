@@ -447,6 +447,13 @@ class TestCovering:
         with pytest.raises(DomainError, match="1 zeros, expected 0 below 5"):
             zl.covering(5.0)
 
+    @pytest.mark.parametrize("t_max, t", [(3.0, 15.0), (2e5, 1.5e5)], ids=["count-matches", "uncounted"])
+    def test_refuses_an_ordinate_below_10_at_every_height(self, t_max, t):
+        # N(15) = 1 equals the count of [3.0], and past 1e5 no count is taken: the floor still holds
+        zl = zeros.ZeroList(gammas=np.array([3.0]), t_max=t_max, source="test")
+        with pytest.raises(DomainError, match="^zero list holds the ordinate 3, at or below 10, where zeta has no zero$"):
+            zl.covering(t)
+
     @pytest.mark.parametrize("gammas, t, fault", [
         ([14.134725142, 14.5, 21.022039639], 22.0,
          "zero list reaching t = 21.022 has extra ordinates (3 zeros, expected 2 below 22)"),
